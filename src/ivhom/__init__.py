@@ -11,9 +11,7 @@ from .interval import (
     complement,
     format_interval,
     join,
-    make,
     meet,
-    neg_standard,
     parse_interval,
     prob_sum,
     product,
@@ -30,9 +28,8 @@ from .functions import (
     dual_ns,
     dual_scaling_ns,
     registry_get,
-    section,
 )
-from .expr import ExprError, compile_expr, parse_expr
+from .expr import ExprError, parse_expr
 from .homogeneity import (
     BudgetExceededError,
     CheckReport,

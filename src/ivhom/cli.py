@@ -25,6 +25,7 @@ from .homogeneity import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     UnsupportedModeError,
+    check_budget,
     check_homogeneity,
     check_idempotency,
     make_grid,
@@ -56,23 +57,34 @@ class UsageError(ValueError):
     pass
 
 
-def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
-    if "f" in names:
-        p.add_argument("--f", help="IV-function: registry name or expr:<source>")
-        p.add_argument("--arity", type=int, help="arity of --f (required for expr:)")
-    if "g" in names:
-        p.add_argument("--g", help="scaling function: registry name or expr:<source>")
-    if "phi" in names:
-        p.add_argument("--phi", help="order isomorphism registry name")
-    if "a" in names:
-        p.add_argument("--a", help="fixed-point interval literal, e.g. [1,1]")
-    p.add_argument("--resolution", type=int, help="grid resolution m")
-    p.add_argument("--mode", choices=("exact", "float"), help="numeric mode")
-    p.add_argument("--epsilon", type=float, help="float-mode tolerance")
-    p.add_argument("--budget", type=int, help="max side-evaluations per sweep")
-    p.add_argument("--workers", type=int, help="grid sweep parallelism")
-    p.add_argument("--output", choices=("json", "csv", "text"), help="output format")
-    p.add_argument("--config", help="JSON file supplying any of the above fields")
+#: argparse settings of every flag; --config fields are checked against the
+#: same types and choices
+_FLAGS = {
+    "f": dict(help="IV-function: registry name or expr:<source>"),
+    "arity": dict(type=int, help="arity of --f (required for expr:)"),
+    "g": dict(help="scaling function: registry name or expr:<source>"),
+    "phi": dict(help="order isomorphism registry name"),
+    "a": dict(help="fixed-point interval literal, e.g. [1,1]"),
+    "resolution": dict(type=int, help="grid resolution m"),
+    "mode": dict(choices=("exact", "float"), help="numeric mode"),
+    "epsilon": dict(type=float, help="float-mode tolerance"),
+    "budget": dict(type=int, help="max side-evaluations per sweep"),
+    "workers": dict(type=int, help="grid sweep parallelism"),
+    "output": dict(choices=("json", "csv", "text"), help="output format"),
+    "config": dict(help="JSON file supplying any of the above fields"),
+}
+_COMMON = ("resolution", "mode", "epsilon", "budget", "workers", "output", "config")
+#: subcommand -> (help, the flags it takes before the common ones)
+_COMMANDS = {
+    "check": ("check the homogeneity equation for F, G, Phi",
+              ("f", "arity", "g", "phi")),
+    "idempotent": ("check F(X,...,X) = X on the grid", ("f", "arity")),
+    "theorem1": ("run the homogeneity-implies-idempotency pipeline",
+                 ("f", "arity", "g", "a")),
+    "prop2": ("run the duality pipeline for a P-homogeneous F", ("f", "arity")),
+    "dual": ("compute the standard-negation dual of F", ("f", "arity")),
+    "eval": ("evaluate F at the given interval literals", ("f", "arity")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,27 +93,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exhaustive grid checks for interval-valued homogeneity laws.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="check the homogeneity equation for F, G, Phi")
-    _add_common(p, "f", "g", "phi")
-
-    p = sub.add_parser("idempotent", help="check F(X,...,X) = X on the grid")
-    _add_common(p, "f")
-
-    p = sub.add_parser("theorem1", help="run the homogeneity-implies-idempotency pipeline")
-    _add_common(p, "f", "g", "a")
-
-    p = sub.add_parser("prop2", help="run the duality pipeline for a P-homogeneous F")
-    _add_common(p, "f")
-
-    p = sub.add_parser("dual", help="compute the standard-negation dual of F")
-    _add_common(p, "f")
-
-    p = sub.add_parser("eval", help="evaluate F at the given interval literals")
-    _add_common(p, "f")
-    p.add_argument("intervals", nargs="*", help="interval literals, e.g. [0.2,0.5]")
-
+    for command, (help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in flags + _COMMON:
+            p.add_argument(f"--{name}", **_FLAGS[name])
+        if command == "eval":
+            p.add_argument("intervals", nargs="*",
+                           help="interval literals, e.g. [0.2,0.5]")
     return parser
+
+
+def _check_config_value(key: str, value) -> None:
+    kind = _FLAGS[key].get("type", str)
+    choices = _FLAGS[key].get("choices")
+    if isinstance(value, bool) or not isinstance(
+        value, (int, float) if kind is float else kind
+    ):
+        raise UsageError(
+            f"config field {key!r} must be of type {kind.__name__}, got {value!r}"
+        )
+    if choices and value not in choices:
+        raise UsageError(
+            f"config field {key!r} must be one of {', '.join(choices)}, got {value!r}"
+        )
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -120,8 +134,9 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         for key, value in cfg.items():
             if key == "command":
                 continue
-            if not hasattr(args, key):
+            if key not in _FLAGS or not hasattr(args, key):
                 raise UsageError(f"unknown config field {key!r}")
+            _check_config_value(key, value)
             if getattr(args, key) is None:
                 setattr(args, key, value)
     for key, value in _DEFAULTS.items():
@@ -203,6 +218,8 @@ def _run(args: argparse.Namespace, out) -> int:
 
 
 def _run_dual(args: argparse.Namespace, f: IVFunction, grid, out) -> int:
+    # each candidate is compared with the dual on all s^n tuples
+    check_budget(len(grid) ** f.arity, budget=args.budget)
     dual = dual_ns(f)
     matches = []
     for name in FUNCTION_NAMES:

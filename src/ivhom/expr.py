@@ -1,4 +1,8 @@
-"""A tiny expression DSL for user-defined IV-functions and scalings.
+"""The expression IR of every ingredient: AST, DSL parser and compiler.
+
+Built-in and user-defined IV-functions, scalings and order isomorphisms are
+all ASTs over the nodes below, and `_compile` is the one place an AST
+becomes a callable.
 
 Grammar:
     expr  := call | var | const
@@ -14,13 +18,12 @@ argument index. Numbers are decimals or rationals like 1/3.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Union
+from typing import Callable, Union
 
 from .interval import Interval, complement, join, meet, prob_sum, product
-from .functions import IVFunction, ScalingFunction, _mean, _pow
 
 
 class ExprError(ValueError):
@@ -67,7 +70,34 @@ class Call:
 
 Node = Union[Var, LVar, Const, Pow, Proj, Call]
 
-_IDENTS = {"min", "max", "mul", "psum", "neg", "mean", "pow", "proj"}
+
+def _mean(*xs: Interval) -> Interval:
+    n = len(xs)
+    lo = sum(x.lo for x in xs)
+    hi = sum(x.hi for x in xs)
+    if isinstance(lo, float) or isinstance(hi, float):
+        return Interval(lo / n, hi / n)
+    return Interval(Fraction(lo, n), Fraction(hi, n))
+
+
+def _pow(x: Interval, k: int) -> Interval:
+    return reduce(product, [x] * k)
+
+
+#: The one op table: DSL identifier -> interval operation.
+_OPS = {
+    "min": meet,
+    "max": join,
+    "mul": product,
+    "psum": prob_sum,
+    "neg": complement,
+    "mean": _mean,
+    "pow": _pow,
+}
+#: binary ops applied to n arguments by folding left, as functools.reduce does
+_FOLDED = {"min", "max", "mul", "psum"}
+
+_IDENTS = {*_OPS, "proj"}
 # minimum argument counts; None marks special-cased forms (pow, proj)
 _MIN_ARGS = {"min": 2, "max": 2, "mul": 2, "psum": 2, "neg": 1, "mean": 1}
 
@@ -217,32 +247,22 @@ class _Parser:
         return Call(ident.text, tuple(args))
 
 
-def depth(node: Node) -> int:
+def _walk(node: Node):
+    yield node
     if isinstance(node, Call):
-        return 1 + max(depth(a) for a in node.args)
-    if isinstance(node, Pow):
-        return 1 + depth(node.arg)
-    return 1
+        for arg in node.args:
+            yield from _walk(arg)
+    elif isinstance(node, Pow):
+        yield from _walk(node.arg)
 
 
 def uses_l(node: Node) -> bool:
-    if isinstance(node, LVar):
-        return True
-    if isinstance(node, Call):
-        return any(uses_l(a) for a in node.args)
-    if isinstance(node, Pow):
-        return uses_l(node.arg)
-    return False
+    return any(isinstance(n, LVar) for n in _walk(node))
 
 
 def max_var_index(node: Node) -> int:
-    if isinstance(node, (Var, Proj)):
-        return node.index
-    if isinstance(node, Call):
-        return max((max_var_index(a) for a in node.args), default=0)
-    if isinstance(node, Pow):
-        return max_var_index(node.arg)
-    return 0
+    return max((n.index for n in _walk(node) if isinstance(n, (Var, Proj))),
+               default=0)
 
 
 def parse_expr(src: str, arity: int) -> Node:
@@ -256,58 +276,136 @@ def parse_expr(src: str, arity: int) -> Node:
     return node
 
 
-def _eval(node: Node, args: tuple[Interval, ...], lam: Interval | None) -> Interval:
-    if isinstance(node, Var):
-        return args[node.index - 1]
-    if isinstance(node, Proj):
-        return args[node.index - 1]
-    if isinstance(node, LVar):
-        if lam is None:
-            raise ExprError("L is only allowed in scaling expressions", 1, 1)
-        return lam
-    if isinstance(node, Const):
-        return Interval(node.lo, node.hi)
-    if isinstance(node, Pow):
-        return _pow(_eval(node.arg, args, lam), node.exponent)
-    vals = [_eval(a, args, lam) for a in node.args]
-    if node.ident == "min":
-        return reduce(meet, vals)
-    if node.ident == "max":
-        return reduce(join, vals)
-    if node.ident == "mul":
-        return reduce(product, vals)
-    if node.ident == "psum":
-        return reduce(prob_sum, vals)
-    if node.ident == "neg":
-        return complement(vals[0])
-    if node.ident == "mean":
-        return _mean(*vals)
-    raise AssertionError(f"unhandled call {node.ident!r}")
+def dual(node: Node) -> Node:
+    """The standard-negation dual neg(F(neg(X1),...)), with L -> neg(L)."""
+
+    def negate_leaves(n: Node) -> Node:
+        if isinstance(n, (Var, Proj, LVar)):
+            return Call("neg", (n,))
+        if isinstance(n, Pow):
+            return Pow(negate_leaves(n.arg), n.exponent)
+        if isinstance(n, Call):
+            return Call(n.ident, tuple(map(negate_leaves, n.args)))
+        return n
+
+    return Call("neg", (negate_leaves(node),))
 
 
-def evaluate(
-    node: Node, args: tuple[Interval, ...], lam: Interval | None = None
-) -> Interval:
-    """Evaluate an AST at the given arguments (and L binding, if any)."""
-    return _eval(node, args, lam)
+def _compile(node: Node, params: str) -> Callable[..., Interval]:
+    """Compile an AST once into a flat Python function of `params`.
+
+    Each distinct subtree is computed once, into one local variable, in the
+    operation order of the tree, so float results match a direct
+    evaluation. The generated source holds only op names from `_OPS`,
+    integer indices and the names of constants: no text of the user's
+    expression reaches it.
+    """
+    env: dict = dict(_OPS)
+    lines: list[str] = []
+    names: dict = {}
+
+    def local(src: str) -> str:
+        lines.append(f"    t{len(lines)} = {src}\n")
+        return f"t{len(lines) - 1}"
+
+    def ref(n: Node) -> str:
+        if isinstance(n, (Var, Proj)):
+            return f"X{n.index:d}"
+        if isinstance(n, LVar):
+            return "L"
+        if n not in names:
+            if isinstance(n, Const):
+                names[n] = f"c{len(env)}"
+                env[names[n]] = Interval(n.lo, n.hi)
+            elif isinstance(n, Pow):
+                names[n] = local(f"pow({ref(n.arg)}, {n.exponent:d})")
+            elif n.ident not in _OPS:
+                raise ExprError(f"unknown operation {n.ident!r}", 1, 1)
+            elif n.ident in _FOLDED:
+                acc, *rest = map(ref, n.args)
+                for arg in rest:
+                    acc = local(f"{n.ident}({acc}, {arg})")
+                names[n] = acc
+            else:
+                names[n] = local(f"{n.ident}({', '.join(map(ref, n.args))})")
+        return names[n]
+
+    result = ref(node)
+    exec(f"def fn({params}):\n{''.join(lines)}    return {result}\n", env)
+    return env["fn"]
+
+
+def _set_fn(obj, params: str) -> None:
+    object.__setattr__(obj, "fn", _compile(obj.expr, params))
+
+
+@dataclass(frozen=True)
+class IVFunction:
+    """An n-ary IV-function: an AST over X1..Xn and its compiled form."""
+
+    name: str
+    arity: int
+    expr: Node = field(repr=False)
+    fn: Callable[..., Interval] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.arity < 1:
+            raise ValueError("arity must be a positive integer")
+        _set_fn(self, ", ".join(f"X{i}" for i in range(1, self.arity + 1)))
+
+    def __call__(self, *xs: Interval) -> Interval:
+        if len(xs) != self.arity:
+            raise TypeError(
+                f"{self.name} expects {self.arity} argument(s), got {len(xs)}"
+            )
+        return self.fn(*xs)
+
+
+@dataclass(frozen=True)
+class ScalingFunction:
+    """A scaling function G(L, X1): an AST over L and X1, compiled."""
+
+    name: str
+    expr: Node = field(repr=False)
+    fn: Callable[[Interval, Interval], Interval] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        _set_fn(self, "L, X1")
+
+    def __call__(self, a: Interval, b: Interval) -> Interval:
+        return self.fn(a, b)
+
+
+@dataclass(frozen=True)
+class OrderIso:
+    """A bijective order-preserving unary map: an AST over X1, compiled.
+
+    exact_ok is False when the inverse is irrational on rational inputs
+    (then the iso is usable only in float mode).
+    """
+
+    name: str
+    expr: Node = field(repr=False)
+    exact_ok: bool = True
+    fn: Callable[[Interval], Interval] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _set_fn(self, "X1")
+
+    def __call__(self, x: Interval) -> Interval:
+        return self.fn(x)
 
 
 def compile_ivfunction(node: Node, arity: int, name: str = "expr") -> IVFunction:
     if uses_l(node):
         raise ExprError("IV-function expressions may not use L", 1, 1)
-    return IVFunction(name, arity, lambda *xs: _eval(node, xs, None))
+    return IVFunction(name, arity, node)
 
 
 def compile_scaling(node: Node, name: str = "expr") -> ScalingFunction:
     """Compile an expression over {L, X1} into a scaling function G(L, X1)."""
-    hi = max_var_index(node)
-    if hi > 1:
+    if max_var_index(node) > 1:
         raise ExprError("scaling expressions may only use L and X1", 1, 1)
-    return ScalingFunction(name, lambda a, b: _eval(node, (b,), a))
-
-
-def compile_expr(node: Node, arity: int, name: str = "expr"):
-    """Compile to a ScalingFunction when L occurs, else an IVFunction."""
-    if uses_l(node):
-        return compile_scaling(node, name)
-    return compile_ivfunction(node, arity, name)
+    return ScalingFunction(name, node)

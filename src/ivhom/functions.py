@@ -1,135 +1,44 @@
-"""IV-functions, scaling functions, order isomorphisms, and the registry.
+"""The registry of built-in ingredients, each an expression AST, and N_S duals.
 
 An IV-function maps n intervals to one interval; a scaling function is the
 binary map used on the left of the homogeneity equation; an order
-isomorphism rescales the scaling argument on the right.
+isomorphism rescales the scaling argument on the right. Their classes, and
+the compiler that turns each AST into a callable, live in `expr`.
 """
 
 from __future__ import annotations
 
-import math
 import re
-from dataclasses import dataclass, field
-from functools import reduce
-from typing import Callable
 
-from .interval import (
-    Interval,
-    complement,
-    join,
-    meet,
-    product,
-    prob_sum,
-)
+from .expr import Call, IVFunction, LVar, OrderIso, Pow, ScalingFunction, Var, dual
 
-
-@dataclass(frozen=True)
-class IVFunction:
-    name: str
-    arity: int
-    fn: Callable[..., Interval] = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if self.arity < 1:
-            raise ValueError("arity must be a positive integer")
-
-    def __call__(self, *xs: Interval) -> Interval:
-        if len(xs) != self.arity:
-            raise TypeError(
-                f"{self.name} expects {self.arity} argument(s), got {len(xs)}"
-            )
-        out = self.fn(*xs)
-        if not isinstance(out, Interval):
-            raise TypeError(f"{self.name} returned {out!r}, not an Interval")
-        return out
-
-
-@dataclass(frozen=True)
-class ScalingFunction:
-    name: str
-    fn: Callable[[Interval, Interval], Interval] = field(repr=False)
-
-    def __call__(self, a: Interval, b: Interval) -> Interval:
-        out = self.fn(a, b)
-        if not isinstance(out, Interval):
-            raise TypeError(f"{self.name} returned {out!r}, not an Interval")
-        return out
-
-
-@dataclass(frozen=True)
-class OrderIso:
-    """A bijective order-preserving unary map, with its inverse.
-
-    exact_ok is False when the inverse is irrational on rational inputs
-    (then the iso is usable only in float mode).
-    """
-
-    name: str
-    forward: Callable[[Interval], Interval] = field(repr=False)
-    inverse: Callable[[Interval], Interval] = field(repr=False)
-    exact_ok: bool = True
-
-    def __call__(self, x: Interval) -> Interval:
-        return self.forward(x)
+_X1 = Var(1)
 
 
 def dual_ns(f: IVFunction) -> IVFunction:
     """Standard-negation dual: N_S after f after N_S on each argument."""
-    return IVFunction(
-        name=f"dual_ns({f.name})",
-        arity=f.arity,
-        fn=lambda *xs: complement(f(*(complement(x) for x in xs))),
-    )
+    return IVFunction(f"dual_ns({f.name})", f.arity, dual(f.expr))
 
 
 def dual_scaling_ns(g: ScalingFunction) -> ScalingFunction:
-    return ScalingFunction(
-        name=f"dual_ns({g.name})",
-        fn=lambda a, b: complement(g(complement(a), complement(b))),
-    )
+    return ScalingFunction(f"dual_ns({g.name})", dual(g.expr))
 
 
-def section(g: ScalingFunction, a: Interval) -> Callable[[Interval], Interval]:
-    """The unary slice X -> G(X, A)."""
-    return lambda x: g(x, a)
+IDENTITY = OrderIso("identity", _X1)
 
+#: Squaring, mul(X1,X1), as an order isomorphism of I([0,1]). Its inverse
+#: takes square roots, which are irrational on most rational endpoints, so
+#: it is float-mode only.
+SQUARE = OrderIso("square", Call("mul", (_X1, _X1)), exact_ok=False)
 
-def _mean(*xs: Interval) -> Interval:
-    n = len(xs)
-    lo = sum(x.lo for x in xs)
-    hi = sum(x.hi for x in xs)
-    if isinstance(lo, float) or isinstance(hi, float):
-        return Interval(lo / n, hi / n)
-    from fractions import Fraction
-
-    return Interval(Fraction(lo, n), Fraction(hi, n))
-
-
-def _pow(x: Interval, k: int) -> Interval:
-    return reduce(product, [x] * k)
-
-
-def _sqrt_interval(x: Interval) -> Interval:
-    return Interval(math.sqrt(x.lo), math.sqrt(x.hi))
-
-
-IDENTITY = OrderIso("identity", forward=lambda x: x, inverse=lambda x: x)
-
-#: Squaring as an order isomorphism of I([0,1]); its inverse takes square
-#: roots, so it is float-mode only.
-SQUARE = OrderIso(
-    "square",
-    forward=lambda x: product(x, x),
-    inverse=_sqrt_interval,
-    exact_ok=False,
-)
-
-P = ScalingFunction("P", product)
-P_NS = ScalingFunction("P_NS", prob_sum)
-PI2 = ScalingFunction("pi2", lambda a, b: b)
+P = ScalingFunction("P", Call("mul", (LVar(), _X1)))
+P_NS = ScalingFunction("P_NS", Call("psum", (LVar(), _X1)))
+PI2 = ScalingFunction("pi2", _X1)
 
 _SCALINGS = {"P": P, "P_NS": P_NS, "pi2": PI2}
 _ISOS = {"identity": IDENTITY, "square": SQUARE}
+#: n-ary registry functions and the DSL op each applies to X1..Xn
+_NARY = {"min": "min", "max": "max", "product": "mul", "mean": "mean"}
 
 _PROJ_RE = re.compile(r"\Aproj_(\d+)\Z")
 _POW_RE = re.compile(r"\Apow_(\d+)\Z")
@@ -147,7 +56,7 @@ def _make_function(name: str, arity: int | None) -> IVFunction:
         n = 2 if arity is None else arity
         if k > n:
             raise LookupError(f"{name} needs arity >= {k}, got {n}")
-        return IVFunction(name, n, lambda *xs, _k=k: xs[_k - 1])
+        return IVFunction(name, n, Var(k))
     wm = _POW_RE.match(name)
     if wm:
         k = int(wm.group(1))
@@ -156,16 +65,11 @@ def _make_function(name: str, arity: int | None) -> IVFunction:
         n = 1 if arity is None else arity
         if n != 1:
             raise LookupError(f"{name} is unary; got arity {n}")
-        return IVFunction(name, 1, lambda x, _k=k: _pow(x, _k))
-    n = 2 if arity is None else arity
-    if name == "min":
-        return IVFunction("min", n, lambda *xs: reduce(meet, xs))
-    if name == "max":
-        return IVFunction("max", n, lambda *xs: reduce(join, xs))
-    if name == "product":
-        return IVFunction("product", n, lambda *xs: reduce(product, xs))
-    if name == "mean":
-        return IVFunction("mean", n, _mean)
+        return IVFunction(name, 1, Pow(_X1, k))
+    if name in _NARY:
+        n = 2 if arity is None else arity
+        xs = tuple(Var(i) for i in range(1, n + 1))
+        return IVFunction(name, n, Call(_NARY[name], xs))
     raise LookupError(_unknown(name))
 
 

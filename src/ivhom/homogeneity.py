@@ -108,9 +108,12 @@ class PipelineReport:
         return "pass" if all(r.passed for _, r in self.checks) else "fail"
 
 
-def _check_budget(tuple_count: int, budget: int) -> None:
-    if 2 * tuple_count > budget:
-        raise BudgetExceededError(tuple_count, budget)
+def check_budget(*tuple_counts: int, budget: int) -> None:
+    """Refuse unless each sweep's 2 side-evaluations per tuple fit the
+    budget; the counts are checked in the order their sweeps would run."""
+    for tuple_count in tuple_counts:
+        if 2 * tuple_count > budget:
+            raise BudgetExceededError(tuple_count, budget)
 
 
 def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
@@ -146,7 +149,7 @@ def check_homogeneity(
     s = len(pts)
     n = f.arity
     total = s ** (n + 1)
-    _check_budget(total, budget)
+    check_budget(total, budget=budget)
 
     phi_cache = [phi(p) for p in pts]
     g_cache = [[g(lam, x) for x in pts] for lam in pts]
@@ -208,7 +211,7 @@ def check_idempotency(
 ) -> CheckReport:
     """Check F(X,...,X) = X for every grid point."""
     mode = grid.mode
-    _check_budget(len(grid.points), budget)
+    check_budget(len(grid.points), budget=budget)
     max_dev = mode.zero()
     cex = None
     for x in grid.points:
@@ -243,48 +246,31 @@ def check_section_bijective(
     """
     mode = grid.mode
     pts = grid.points
-    _check_budget(len(pts), budget)
+    check_budget(len(pts), budget=budget)
     images = [g(x, a) for x in pts]
+
+    def report(cex: Optional[Counterexample], note: str) -> CheckReport:
+        return CheckReport(
+            law="section-bijective",
+            verdict="pass" if cex is None else "fail",
+            counterexample=cex,
+            evaluations=len(pts),
+            max_deviation=mode.zero(),
+            mode=mode,
+            resolution=grid.resolution,
+            note="grid-certified" + note,
+        )
 
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if mode.intervals_equal(images[i], images[j]):
-                return CheckReport(
-                    law="section-bijective",
-                    verdict="fail",
-                    counterexample=Counterexample(
-                        lam=None, xs=(pts[i], pts[j]), lhs=images[i], rhs=images[j]
-                    ),
-                    evaluations=len(pts),
-                    max_deviation=mode.zero(),
-                    mode=mode,
-                    resolution=grid.resolution,
-                    note="grid-certified: not injective, two grid points collide",
-                )
+                cex = Counterexample(None, (pts[i], pts[j]), images[i], images[j])
+                return report(cex, ": not injective, two grid points collide")
     for target in pts:
         if not any(mode.intervals_equal(img, target) for img in images):
-            return CheckReport(
-                law="section-bijective",
-                verdict="fail",
-                counterexample=Counterexample(
-                    lam=None, xs=(), lhs=target, rhs=target
-                ),
-                evaluations=len(pts),
-                max_deviation=mode.zero(),
-                mode=mode,
-                resolution=grid.resolution,
-                note="grid-certified: not surjective, grid point never attained",
-            )
-    return CheckReport(
-        law="section-bijective",
-        verdict="pass",
-        counterexample=None,
-        evaluations=len(pts),
-        max_deviation=mode.zero(),
-        mode=mode,
-        resolution=grid.resolution,
-        note="grid-certified",
-    )
+            cex = Counterexample(None, (), target, target)
+            return report(cex, ": not surjective, grid point never attained")
+    return report(None, "")
 
 
 def _check_fixed_point(f: IVFunction, a: Interval, grid: Grid) -> CheckReport:
@@ -315,6 +301,8 @@ def run_theorem1(
     premise fails; premises-pass with conclusion-fail is flagged as a
     violation (an implementation-bug signal on exact closed grids).
     """
+    s = len(grid)
+    check_budget(1, s, s ** (f.arity + 1), s, budget=budget)
     fixed = _check_fixed_point(f, a, grid)
     bij = check_section_bijective(g, a, grid, budget=budget)
     hom = check_homogeneity(f, g, IDENTITY, grid, budget=budget, workers=workers)
@@ -347,6 +335,7 @@ def run_prop2(
     homogeneous w.r.t. the dual scaling (the probabilistic sum). The dual
     check is always run, informationally when the premise fails.
     """
+    check_budget(len(grid) ** (f.arity + 1), budget=budget)  # both sweeps
     base = check_homogeneity(f, P, IDENTITY, grid, budget=budget, workers=workers)
     f_dual = dual_ns(f)
     p_dual = dual_scaling_ns(P)

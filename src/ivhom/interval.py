@@ -40,14 +40,6 @@ class Interval:
         return f"[{self.lo},{self.hi}]"
 
 
-def make(lo: Number, hi: Number) -> Interval:
-    return Interval(lo, hi)
-
-
-ZERO = Interval(0, 0)
-ONE = Interval(1, 1)
-
-
 def product(x: Interval, y: Interval) -> Interval:
     """Endpoint-wise product; monotone because all endpoints lie in [0,1]."""
     return Interval(x.lo * y.lo, x.hi * y.hi)
@@ -56,11 +48,6 @@ def product(x: Interval, y: Interval) -> Interval:
 def complement(x: Interval) -> Interval:
     """The reflection 1 - X, i.e. [1-hi, 1-lo]."""
     return Interval(1 - x.hi, 1 - x.lo)
-
-
-# Standard negation: identical to the complement, named so duality code
-# reads naturally.
-neg_standard = complement
 
 
 def prob_sum(x: Interval, y: Interval) -> Interval:
@@ -134,8 +121,8 @@ class NumericMode:
     def __post_init__(self) -> None:
         if self.kind not in ("exact", "float"):
             raise ValueError(f"unknown numeric mode {self.kind!r}")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not 0 <= self.eps < float("inf"):
+            raise ValueError(f"eps must be finite and nonnegative, got {self.eps!r}")
 
     @property
     def is_exact(self) -> bool:
@@ -143,9 +130,6 @@ class NumericMode:
 
     def convert(self, v: Number) -> Number:
         return Fraction(v) if self.is_exact else float(v)
-
-    def convert_interval(self, x: Interval) -> Interval:
-        return Interval(self.convert(x.lo), self.convert(x.hi))
 
     def zero(self) -> Number:
         return Fraction(0) if self.is_exact else 0.0

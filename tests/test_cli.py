@@ -166,3 +166,44 @@ def test_csv_output(capsys):
         capsys, "check", "--f", "min", "--resolution", "2", "--output", "csv",
     )
     assert code == 0 and out.strip() == "def1-homogeneity,pass,0"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("resolution", "4"), ("workers", 2.5), ("mode", "fast"), ("f", 5),
+])
+def test_config_value_validated_like_flag(tmp_path, capsys, field, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"f": "min", field: value}))
+    code, _, err = run(capsys, "check", "--config", str(cfg))
+    assert code == 2 and repr(field) in err
+
+
+@pytest.mark.parametrize("eps", ["inf", "nan"])
+def test_non_finite_epsilon_rejected(capsys, eps):
+    code, _, err = run(capsys, "check", "--f", "product", "--g", "P",
+                       "--mode", "float", "--epsilon", eps)
+    assert code == 2 and "eps" in err
+
+
+def test_dual_budget_refusal_exit_3(capsys):
+    code, _, err = run(capsys, "dual", "--f", "min", "--arity", "4",
+                       "--resolution", "20", "--budget", "10")
+    assert code == 3 and "budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("theorem1", "--f", "min", "--g", "P", "--resolution", "80",
+     "--budget", "7000"),
+    ("prop2", "--f", "min", "--resolution", "40"),
+])
+def test_pipeline_refused_before_any_check(capsys, monkeypatch, argv):
+    from ivhom import homogeneity
+
+    def never(*args, **kwargs):
+        raise AssertionError("a check ran before the budget gate")
+
+    for name in ("_check_fixed_point", "check_section_bijective",
+                 "check_homogeneity", "check_idempotency"):
+        monkeypatch.setattr(homogeneity, name, never)
+    code, _, err = run(capsys, *argv)
+    assert code == 3 and "budget" in err

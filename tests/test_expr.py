@@ -11,27 +11,23 @@ from ivhom.expr import (
     Pow,
     Proj,
     Var,
-    compile_expr,
     compile_ivfunction,
     compile_scaling,
-    depth,
-    evaluate,
     parse_expr,
 )
-from ivhom.functions import IVFunction, P, ScalingFunction, get_function
+from ivhom.functions import P, get_function
 from ivhom.homogeneity import make_grid
 from ivhom.interval import Interval
 
 GRID = make_grid(3).points
 
 
-def test_parse_structure_and_depth():
+def test_parse_structure():
     ast = parse_expr("min(mul(L,X1),mul(L,X2))", 2)
     assert ast == Call(
         "min",
         (Call("mul", (LVar(), Var(1))), Call("mul", (LVar(), Var(2)))),
     )
-    assert depth(ast) == 3
 
 
 def test_parse_const_pow_proj():
@@ -79,11 +75,10 @@ def test_arity_violation():
 
 
 def test_evaluate_at_identity_scale_matches_min():
-    ast = parse_expr("min(mul(L,X1),mul(L,X2))", 2)
+    f = compile_ivfunction(parse_expr("min(mul([1,1],X1),mul([1,1],X2))", 2), 2)
     mn = get_function("min", 2)
-    one = Interval(1, 1)
     for x, y in itertools.product(GRID, repeat=2):
-        assert evaluate(ast, (x, y), lam=one) == mn(x, y)
+        assert f(x, y) == mn(x, y)
 
 
 @pytest.mark.parametrize(
@@ -114,11 +109,6 @@ def test_compile_scaling_p():
     g = compile_scaling(parse_expr("mul(L,X1)", 1))
     for lam, x in itertools.product(GRID, repeat=2):
         assert g(lam, x) == P(lam, x)
-
-
-def test_compile_expr_dispatch():
-    assert isinstance(compile_expr(parse_expr("mul(L,X1)", 1), 1), ScalingFunction)
-    assert isinstance(compile_expr(parse_expr("min(X1,X2)", 2), 2), IVFunction)
 
 
 def test_compile_rejects_misplaced_l():
