@@ -7,7 +7,6 @@ Exit codes: 0 = verdict pass (or informational success), 1 = verdict fail,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -28,9 +27,12 @@ from .homogeneity import (
     check_budget,
     check_homogeneity,
     check_idempotency,
+    equal_on_grid,
+    grid_size,
     make_grid,
     run_prop2,
     run_theorem1,
+    sweep_sizes,
 )
 from .interval import IntervalError, NumericMode, format_interval, parse_interval
 from .report import emit_report
@@ -69,7 +71,7 @@ _FLAGS = {
     "mode": dict(choices=("exact", "float"), help="numeric mode"),
     "epsilon": dict(type=float, help="float-mode tolerance"),
     "budget": dict(type=int, help="max side-evaluations per sweep"),
-    "workers": dict(type=int, help="grid sweep parallelism"),
+    "workers": dict(type=int, help="accepted for compatibility; no effect"),
     "output": dict(choices=("json", "csv", "text"), help="output format"),
     "config": dict(help="JSON file supplying any of the above fields"),
 }
@@ -191,23 +193,23 @@ def _run(args: argparse.Namespace, out) -> int:
         raise UsageError("--budget must be >= 1")
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
-    grid = make_grid(args.resolution, mode)
     f = _resolve_f(args)
+    # refuse before the grid, whose size grows with the resolution squared
+    check_budget(*sweep_sizes(command, grid_size(args.resolution), f.arity),
+                 budget=args.budget)
+    grid = make_grid(args.resolution, mode)
 
     if command == "check":
         report = check_homogeneity(
-            f, _resolve_g(args), get_iso(args.phi), grid,
-            budget=args.budget, workers=args.workers,
+            f, _resolve_g(args), get_iso(args.phi), grid, budget=args.budget
         )
     elif command == "idempotent":
         report = check_idempotency(f, grid, budget=args.budget)
     elif command == "theorem1":
         a = parse_interval(args.a, mode)
-        report = run_theorem1(
-            f, _resolve_g(args), a, grid, budget=args.budget, workers=args.workers
-        )
+        report = run_theorem1(f, _resolve_g(args), a, grid, budget=args.budget)
     elif command == "prop2":
-        report = run_prop2(f, grid, budget=args.budget, workers=args.workers)
+        report = run_prop2(f, grid, budget=args.budget)
     elif command == "dual":
         return _run_dual(args, f, grid, out)
     else:  # pragma: no cover
@@ -219,7 +221,6 @@ def _run(args: argparse.Namespace, out) -> int:
 
 def _run_dual(args: argparse.Namespace, f: IVFunction, grid, out) -> int:
     # each candidate is compared with the dual on all s^n tuples
-    check_budget(len(grid) ** f.arity, budget=args.budget)
     dual = dual_ns(f)
     matches = []
     for name in FUNCTION_NAMES:
@@ -227,10 +228,7 @@ def _run_dual(args: argparse.Namespace, f: IVFunction, grid, out) -> int:
             cand = get_function(name, f.arity)
         except LookupError:
             continue
-        pairs = itertools.product(grid.points, repeat=f.arity)
-        if all(
-            grid.mode.intervals_equal(dual(*xs), cand(*xs)) for xs in pairs
-        ):
+        if equal_on_grid(dual, cand, grid):
             matches.append(name)
     payload = {
         "command": "dual",

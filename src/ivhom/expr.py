@@ -2,7 +2,8 @@
 
 Built-in and user-defined IV-functions, scalings and order isomorphisms are
 all ASTs over the nodes below, and `_compile` is the one place an AST
-becomes a callable.
+becomes a callable: a function of `Interval`s for `__call__`, or a
+scalar-endpoint kernel (`kernel`) for the sweeps of `homogeneity`.
 
 Grammar:
     expr  := call | var | const
@@ -21,6 +22,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from typing import Callable, Union
 
 from .interval import Interval, complement, join, meet, prob_sum, product
@@ -291,95 +293,291 @@ def dual(node: Node) -> Node:
     return Call("neg", (negate_leaves(node),))
 
 
-def _compile(node: Node, params: str) -> Callable[..., Interval]:
+class _Target:
+    """Where `_compile` sends the code of each node; see the two subclasses."""
+
+    def __init__(self) -> None:
+        self.env: dict = {}
+        self.lines: list[str] = []
+        self.locals = 0
+
+    def local(self, src: str) -> str:
+        name = f"t{self.locals}"
+        self.locals += 1
+        self.lines.append(f"    {name} = {src}\n")
+        return name
+
+    def head(self, params: tuple[str, ...]) -> str:
+        return ""
+
+
+class _IntervalTarget(_Target):
+    """A function of `Interval` arguments that calls the ops of `_OPS`.
+
+    Constants are built with `num`: Fractions for exact arguments, doubles
+    for float ones, so no Fraction leaks into a float result.
+    """
+
+    def __init__(self, num: type) -> None:
+        super().__init__()
+        self.env.update(_OPS)
+        self.num = num
+
+    def var(self, name: str) -> str:
+        return name
+
+    def const(self, c: Const) -> str:
+        name = f"c{len(self.env)}"
+        self.env[name] = Interval(self.num(c.lo), self.num(c.hi))
+        return name
+
+    def op(self, ident: str, args: tuple[str, ...]) -> str:
+        return self.local(f"{ident}({', '.join(args)})")
+
+    def pow(self, arg: str, k: int) -> str:
+        return self.local(f"pow({arg}, {k:d})")
+
+    def result(self, ref: str) -> str:
+        return ref
+
+
+def _breach(lo, hi, den: int) -> None:
+    """Raise the IntervalError of the intermediate [lo/den, hi/den]: called
+    exactly when `0 <= lo <= hi <= den` fails, which `Interval` rejects."""
+    if den != 1:
+        lo, hi = Fraction(lo, den), Fraction(hi, den)
+    Interval(lo, hi)
+
+
+def _fold_pow(x: float, k: int) -> float:
+    """x multiplied by itself k times, left to right, as `_pow` folds."""
+    acc = x
+    for _ in range(k - 1):
+        acc *= x
+    return acc
+
+
+def _scaled(x: str, k: int) -> str:
+    return x if k == 1 else f"{x} * {k:d}"
+
+
+class _ScalarTarget(_Target):
+    """A function of one (lo, hi) endpoint tuple per parameter that returns
+    one (lo, hi) tuple and builds no `Interval`.
+
+    Exact mode (`dens` given): endpoints are int numerators and `dens` holds
+    each parameter's denominator. Every node's denominator is fixed here,
+    before any call: `mul` multiplies them, `pow` raises to its exponent,
+    `psum` is a*Db + (Da-a)*b over Da*Db, `min`/`max`/`neg` work over a
+    common denominator, `mean` over n times the common one, and a constant
+    over its own. The result is scaled to `out_den` when given. Float mode
+    (`dens` None): endpoints are doubles, combined in the op order of
+    `interval`, so the results equal those of the Interval target. Each
+    intermediate is range-checked like an `Interval`.
+    """
+
+    def __init__(self, params, dens, out_den) -> None:
+        super().__init__()
+        self.env.update(_breach=_breach, _fold_pow=_fold_pow)
+        self.exact = dens is not None
+        self.dens = dict(zip(params, dens, strict=True)) if self.exact else {}
+        self.out_den = out_den
+        self.den = 1
+
+    def head(self, params: tuple[str, ...]) -> str:
+        return "".join(f"    {p}l, {p}h = {p}\n" for p in params)
+
+    def lit(self, den: int) -> str:
+        """A denominator as a literal of the mode's number type."""
+        return f"{den:d}" if self.exact else repr(float(den))
+
+    def pair(self, lo: str, hi: str, den: int) -> tuple:
+        lo, hi = self.local(lo), self.local(hi)
+        self.lines.append(
+            f"    if not {self.lit(0)} <= {lo} <= {hi} <= {self.lit(den)}: "
+            f"_breach({lo}, {hi}, {den:d})\n"
+        )
+        return lo, hi, den
+
+    def var(self, name: str) -> tuple:
+        return f"{name}l", f"{name}h", self.dens.get(name, 1)
+
+    def const(self, c: Const) -> tuple:
+        Interval(c.lo, c.hi)  # the same check as the Interval target's
+        if not self.exact:
+            return repr(float(c.lo)), repr(float(c.hi)), 1
+        lo, hi = Fraction(c.lo), Fraction(c.hi)
+        den = lcm(lo.denominator, hi.denominator)
+        return f"{int(lo * den):d}", f"{int(hi * den):d}", den
+
+    def common(self, args: tuple) -> tuple[int, list]:
+        """The lcm of the args' denominators, and the args scaled to it."""
+        den = lcm(*(d for *_, d in args))
+        return den, [(_scaled(lo, den // d), _scaled(hi, den // d))
+                     for lo, hi, d in args]
+
+    def op(self, ident: str, args: tuple) -> tuple:
+        if ident == "neg":
+            (lo, hi, d), = args
+            return self.pair(f"{self.lit(d)} - {hi}", f"{self.lit(d)} - {lo}", d)
+        if ident == "mean":
+            den, xs = self.common(args)
+            los, his = (self.sum([x[i] for x in xs]) for i in (0, 1))
+            if self.exact:
+                return self.pair(los, his, len(args) * den)
+            return self.pair(f"({los}) / {len(args):d}", f"({his}) / {len(args):d}", 1)
+        (al, ah, da), (bl, bh, db) = args
+        if ident == "mul":
+            return self.pair(f"{al} * {bl}", f"{ah} * {bh}", da * db)
+        if ident == "psum":
+            one = self.lit(da)
+            return self.pair(f"{_scaled(al, db)} + ({one} - {al}) * {bl}",
+                             f"{_scaled(ah, db)} + ({one} - {ah}) * {bh}",
+                             da * db)
+        den, scaled = self.common(args)
+        # the conditional names each operand twice: compute a scaled one once
+        (al, ah), (bl, bh) = [
+            tuple(v if v.isidentifier() else self.local(v) for v in x)
+            for x in scaled
+        ]
+        cmp = "<=" if ident == "min" else ">="
+        return self.pair(f"{al} if {al} {cmp} {bl} else {bl}",
+                         f"{ah} if {ah} {cmp} {bh} else {bh}", den)
+
+    def sum(self, terms: list[str]) -> str:
+        """terms[0] + terms[1] + ..., added left to right, with each partial
+        sum but the last in a local so that no expression nests deeply."""
+        acc, *rest = terms
+        for term in rest[:-1]:
+            acc = self.local(f"{acc} + {term}")
+        return f"{acc} + {rest[-1]}" if rest else acc
+
+    def pow(self, arg: tuple, k: int) -> tuple:
+        lo, hi, d = arg
+        if self.exact:
+            return self.pair(f"{lo} ** {k:d}", f"{hi} ** {k:d}", d**k)
+        return self.pair(f"_fold_pow({lo}, {k:d})", f"_fold_pow({hi}, {k:d})", 1)
+
+    def result(self, ref: tuple) -> str:
+        lo, hi, self.den = ref
+        if self.exact and self.out_den is not None:
+            k, rest = divmod(self.out_den, self.den)
+            if rest:
+                raise ValueError(f"{self.out_den} is not a multiple of {self.den}")
+            lo, hi, self.den = _scaled(lo, k), _scaled(hi, k), self.out_den
+        return f"({lo}, {hi})"
+
+
+def _compile(node: Node, params: tuple[str, ...], target: _Target) -> Callable:
     """Compile an AST once into a flat Python function of `params`.
 
-    Each distinct subtree is computed once, into one local variable, in the
+    Each distinct subtree is computed once, into local variables, in the
     operation order of the tree, so float results match a direct
     evaluation. The generated source holds only op names from `_OPS`,
-    integer indices and the names of constants: no text of the user's
-    expression reaches it.
+    integer and float literals, and the names of locals and constants: no
+    text of the user's expression reaches it.
     """
-    env: dict = dict(_OPS)
-    lines: list[str] = []
     names: dict = {}
 
-    def local(src: str) -> str:
-        lines.append(f"    t{len(lines)} = {src}\n")
-        return f"t{len(lines) - 1}"
-
-    def ref(n: Node) -> str:
-        if isinstance(n, (Var, Proj)):
-            return f"X{n.index:d}"
-        if isinstance(n, LVar):
-            return "L"
+    def ref(n: Node):
         if n not in names:
-            if isinstance(n, Const):
-                names[n] = f"c{len(env)}"
-                env[names[n]] = Interval(n.lo, n.hi)
+            if isinstance(n, (Var, Proj)):
+                names[n] = target.var(f"X{n.index:d}")
+            elif isinstance(n, LVar):
+                names[n] = target.var("L")
+            elif isinstance(n, Const):
+                names[n] = target.const(n)
             elif isinstance(n, Pow):
-                names[n] = local(f"pow({ref(n.arg)}, {n.exponent:d})")
+                names[n] = target.pow(ref(n.arg), n.exponent)
             elif n.ident not in _OPS:
                 raise ExprError(f"unknown operation {n.ident!r}", 1, 1)
             elif n.ident in _FOLDED:
                 acc, *rest = map(ref, n.args)
                 for arg in rest:
-                    acc = local(f"{n.ident}({acc}, {arg})")
+                    acc = target.op(n.ident, (acc, arg))
                 names[n] = acc
             else:
-                names[n] = local(f"{n.ident}({', '.join(map(ref, n.args))})")
+                names[n] = target.op(n.ident, tuple(map(ref, n.args)))
         return names[n]
 
-    result = ref(node)
-    exec(f"def fn({params}):\n{''.join(lines)}    return {result}\n", env)
-    return env["fn"]
+    result = target.result(ref(node))
+    exec(
+        f"def fn({', '.join(params)}):\n{target.head(params)}"
+        f"{''.join(target.lines)}    return {result}\n",
+        target.env,
+    )
+    return target.env["fn"]
 
 
-def _set_fn(obj, params: str) -> None:
-    object.__setattr__(obj, "fn", _compile(obj.expr, params))
+class _Compiled:
+    """The compiled forms of an ingredient's `expr` over its `params`."""
+
+    def _compile_expr(self, params: tuple[str, ...]) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "fns", tuple(
+            _compile(self.expr, params, _IntervalTarget(num))
+            for num in (Fraction, float)
+        ))
+
+    def _apply(self, xs: tuple[Interval, ...]) -> Interval:
+        # float arguments get the function whose constants are doubles
+        return self.fns[isinstance(xs[0].lo, float)](*xs)
+
+    def kernel(self, dens: tuple[int, ...] | None = None,
+               out_den: int | None = None) -> tuple[Callable, int]:
+        """The scalar-endpoint function and the denominator of its results.
+
+        `dens` holds each parameter's denominator in exact mode and is None
+        in float mode, where the denominator is 1.
+        """
+        target = _ScalarTarget(self.params, dens, out_den)
+        return _compile(self.expr, self.params, target), target.den
+
+
+_COMPILED = dict(init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
-class IVFunction:
+class IVFunction(_Compiled):
     """An n-ary IV-function: an AST over X1..Xn and its compiled form."""
 
     name: str
     arity: int
     expr: Node = field(repr=False)
-    fn: Callable[..., Interval] = field(init=False, repr=False, compare=False)
+    params: tuple[str, ...] = field(**_COMPILED)
+    fns: tuple = field(**_COMPILED)
 
     def __post_init__(self) -> None:
         if self.arity < 1:
             raise ValueError("arity must be a positive integer")
-        _set_fn(self, ", ".join(f"X{i}" for i in range(1, self.arity + 1)))
+        self._compile_expr(tuple(f"X{i}" for i in range(1, self.arity + 1)))
 
     def __call__(self, *xs: Interval) -> Interval:
         if len(xs) != self.arity:
             raise TypeError(
                 f"{self.name} expects {self.arity} argument(s), got {len(xs)}"
             )
-        return self.fn(*xs)
+        return self._apply(xs)
 
 
 @dataclass(frozen=True)
-class ScalingFunction:
+class ScalingFunction(_Compiled):
     """A scaling function G(L, X1): an AST over L and X1, compiled."""
 
     name: str
     expr: Node = field(repr=False)
-    fn: Callable[[Interval, Interval], Interval] = field(
-        init=False, repr=False, compare=False
-    )
+    params: tuple[str, ...] = field(**_COMPILED)
+    fns: tuple = field(**_COMPILED)
 
     def __post_init__(self) -> None:
-        _set_fn(self, "L, X1")
+        self._compile_expr(("L", "X1"))
 
     def __call__(self, a: Interval, b: Interval) -> Interval:
-        return self.fn(a, b)
+        return self._apply((a, b))
 
 
 @dataclass(frozen=True)
-class OrderIso:
+class OrderIso(_Compiled):
     """A bijective order-preserving unary map: an AST over X1, compiled.
 
     exact_ok is False when the inverse is irrational on rational inputs
@@ -389,13 +587,14 @@ class OrderIso:
     name: str
     expr: Node = field(repr=False)
     exact_ok: bool = True
-    fn: Callable[[Interval], Interval] = field(init=False, repr=False, compare=False)
+    params: tuple[str, ...] = field(**_COMPILED)
+    fns: tuple = field(**_COMPILED)
 
     def __post_init__(self) -> None:
-        _set_fn(self, "X1")
+        self._compile_expr(("X1",))
 
     def __call__(self, x: Interval) -> Interval:
-        return self.fn(x)
+        return self._apply((x,))
 
 
 def compile_ivfunction(node: Node, arity: int, name: str = "expr") -> IVFunction:

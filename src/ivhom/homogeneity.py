@@ -3,15 +3,20 @@
 Every check sweeps the full endpoint grid; there is no sampling. A "pass"
 verdict therefore always means exhaustive over the stated resolution, and
 a "fail" verdict carries the lexicographically smallest failing tuple in
-grid order, independent of the worker count.
+grid order.
+
+The sweeps run on the scalar kernels of `expr` (`IVFunction.kernel`):
+integer numerators in exact mode, doubles in float mode. `Interval` objects
+are built only for what a report shows.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .interval import Interval, Number, NumericMode, EXACT
@@ -54,6 +59,11 @@ class Grid:
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+def grid_size(m: int) -> int:
+    """The number s of grid points at resolution m."""
+    return (m + 1) * (m + 2) // 2
 
 
 def make_grid(m: int, mode: NumericMode = EXACT) -> Grid:
@@ -116,15 +126,47 @@ def check_budget(*tuple_counts: int, budget: int) -> None:
             raise BudgetExceededError(tuple_count, budget)
 
 
-def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
-    workers = max(1, min(workers, total)) if total else 1
-    base, extra = divmod(total, workers)
-    bounds, start = [], 0
-    for w in range(workers):
-        size = base + (1 if w < extra else 0)
-        bounds.append((start, start + size))
-        start += size
-    return bounds
+def sweep_sizes(command: str, s: int, n: int) -> tuple[int, ...]:
+    """The tuples of each sweep a command runs, in the order they run, for
+    s grid points and an F of arity n."""
+    return {
+        "check": (s ** (n + 1),),
+        "idempotent": (s,),
+        "theorem1": (1, s, s ** (n + 1), s),
+        "prop2": (s ** (n + 1), s ** (n + 1)),
+        "dual": (s**n,),
+    }[command]
+
+
+def _kernel_points(grid: Grid) -> list[tuple]:
+    """The grid points as kernel arguments: numerators over the resolution
+    in exact mode, doubles in float mode."""
+    if grid.mode.is_exact:
+        m = grid.resolution
+        return [(int(p.lo * m), int(p.hi * m)) for p in grid.points]
+    return [(p.lo, p.hi) for p in grid.points]
+
+
+def _dens(grid: Grid, *dens: int) -> Optional[tuple[int, ...]]:
+    """Kernel denominators: `dens` in exact mode, None in float mode."""
+    return dens if grid.mode.is_exact else None
+
+
+def _tolerance(mode: NumericMode) -> Number:
+    """Two kernel results are equal when their deviation is within this.
+
+    In float mode that is the eps rule of `NumericMode.intervals_equal`;
+    in exact mode equality is literal."""
+    return 0 if mode.is_exact else mode.eps
+
+
+def _deviation(x: tuple, y: tuple) -> Number:
+    return max(abs(x[0] - y[0]), abs(x[1] - y[1]))
+
+
+def _nth_combo(k: int, s: int, n: int) -> tuple[int, ...]:
+    """The k-th tuple of itertools.product(range(s), repeat=n)."""
+    return tuple(k // s ** (n - 1 - j) % s for j in range(n))
 
 
 def check_homogeneity(
@@ -136,7 +178,14 @@ def check_homogeneity(
     workers: int = 1,
     law: str = "def1-homogeneity",
 ) -> CheckReport:
-    """Sweep F(G(L,X1),...,G(L,Xn)) = G(phi(L), F(X1,...,Xn)) over grid^(n+1)."""
+    """Sweep F(G(L,X1),...,G(L,Xn)) = G(phi(L), F(X1,...,Xn)) over grid^(n+1).
+
+    The kernel of F fills a table of its s^n results, and for each Λ the
+    kernel of G fills a row of s results, so memory stays O(s^n + s); each
+    tuple then costs one F and one G call. In exact mode both sides come
+    out over one common denominator, so they compare as integers.
+    `workers` is accepted and has no effect: the sweep runs in one thread.
+    """
     if grid is None:
         raise TypeError("grid is required")
     mode = grid.mode
@@ -145,62 +194,81 @@ def check_homogeneity(
             f"order isomorphism {phi.name!r} has an irrational inverse; "
             "it is only available in float mode"
         )
-    pts = grid.points
-    s = len(pts)
+    s = len(grid)
     n = f.arity
     total = s ** (n + 1)
     check_budget(total, budget=budget)
 
-    phi_cache = [phi(p) for p in pts]
-    g_cache = [[g(lam, x) for x in pts] for lam in pts]
-    x_combos = list(itertools.product(range(s), repeat=n))
-    f_table = [f(*(pts[i] for i in combo)) for combo in x_combos]
-    per_lam = len(x_combos)
+    pts = _kernel_points(grid)
+    m = grid.resolution
+    g_fn, dg = g.kernel(_dens(grid, m, m))
+    phi_fn, dphi = phi.kernel(_dens(grid, m))
+    f_fn, df = f.kernel(_dens(grid, *(m,) * n))
+    f_table = [f_fn(*xs) for xs in itertools.product(pts, repeat=n)]
+    lhs_dens, rhs_dens = _dens(grid, *(dg,) * n), _dens(grid, dphi, df)
+    den = lcm(f.kernel(lhs_dens)[1], g.kernel(rhs_dens)[1])
+    lhs_fn = f.kernel(lhs_dens, den)[0]
+    rhs_fn = g.kernel(rhs_dens, den)[0]
 
-    def scan(start: int, stop: int):
-        max_dev = mode.zero()
-        first_idx, first_cex = None, None
-        for idx in range(start, stop):
-            il, rest = divmod(idx, per_lam)
-            combo = x_combos[rest]
-            lhs = f(*(g_cache[il][i] for i in combo))
-            rhs = g(phi_cache[il], f_table[rest])
-            dev = mode.deviation(lhs, rhs)
-            if dev > max_dev:
-                max_dev = dev
-            if first_idx is None and not mode.intervals_equal(lhs, rhs):
-                first_idx = idx
-                first_cex = Counterexample(
-                    lam=pts[il],
-                    xs=tuple(pts[i] for i in combo),
-                    lhs=lhs,
-                    rhs=rhs,
-                )
-        return first_idx, first_cex, max_dev
+    tol = _tolerance(mode)
+    max_dev = 0 if mode.is_exact else mode.zero()
+    first = None
+    for il, lam_ends in enumerate(pts):
+        g_row = [g_fn(lam_ends, x) for x in pts]
+        phi_lam = phi_fn(lam_ends)
+        for k, (args, fx) in enumerate(
+            zip(itertools.product(g_row, repeat=n), f_table)
+        ):
+            lhs = lhs_fn(*args)
+            rhs = rhs_fn(phi_lam, fx)
+            if lhs != rhs:
+                # _deviation(lhs, rhs), inlined: this branch runs on most
+                # tuples of a failing law
+                dev = abs(lhs[0] - rhs[0])
+                dev_hi = abs(lhs[1] - rhs[1])
+                if dev_hi > dev:
+                    dev = dev_hi
+                if dev > max_dev:
+                    max_dev = dev
+                if first is None and dev > tol:
+                    first = il, k
 
-    bounds = _chunk_bounds(total, workers)
-    if len(bounds) == 1:
-        results = [scan(*bounds[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-            results = list(pool.map(lambda b: scan(*b), bounds))
-
-    max_dev = mode.zero()
-    best_idx, best_cex = None, None
-    for idx, cex, dev in results:
-        if dev > max_dev:
-            max_dev = dev
-        if idx is not None and (best_idx is None or idx < best_idx):
-            best_idx, best_cex = idx, cex
-
+    cex = None
+    if first is not None:
+        il, k = first
+        lam = grid.points[il]
+        xs = tuple(grid.points[i] for i in _nth_combo(k, s, n))
+        cex = Counterexample(
+            lam=lam,
+            xs=xs,
+            lhs=f(*(g(lam, x) for x in xs)),
+            rhs=g(phi(lam), f(*xs)),
+        )
     return CheckReport(
         law=law,
-        verdict="pass" if best_idx is None else "fail",
-        counterexample=best_cex,
+        verdict="pass" if cex is None else "fail",
+        counterexample=cex,
         evaluations=total,
-        max_deviation=max_dev,
+        max_deviation=Fraction(max_dev, den) if mode.is_exact else max_dev,
         mode=mode,
         resolution=grid.resolution,
+    )
+
+
+def equal_on_grid(f: IVFunction, h: IVFunction, grid: Grid) -> bool:
+    """Whether F and H (of one arity) agree on all s^n grid tuples, by the
+    kernels and the equality rule of `check_homogeneity`."""
+    pts = _kernel_points(grid)
+    dens = _dens(grid, *(grid.resolution,) * f.arity)
+    den = lcm(f.kernel(dens)[1], h.kernel(dens)[1])
+    tol = _tolerance(grid.mode)
+    f_fn, h_fn = f.kernel(dens, den)[0], h.kernel(dens, den)[0]
+    return all(
+        x == y or _deviation(x, y) <= tol
+        for x, y in zip(
+            itertools.starmap(f_fn, itertools.product(pts, repeat=f.arity)),
+            itertools.starmap(h_fn, itertools.product(pts, repeat=h.arity)),
+        )
     )
 
 
@@ -243,6 +311,12 @@ def check_section_bijective(
     Pass means injective on grid points and grid-surjective (every grid
     point is attained up to numeric equality). This certifies the premise
     on the grid only; it proves nothing about the continuum.
+
+    The images are grouped by value, so exact mode takes O(s) steps. In
+    float mode, where eps-equality is not transitive, distinct values are
+    also compared with their neighbours in a window of eps around the
+    lower endpoint. A collision is reported as the lexicographically
+    smallest colliding pair of grid indices.
     """
     mode = grid.mode
     pts = grid.points
@@ -261,13 +335,39 @@ def check_section_bijective(
             note="grid-certified" + note,
         )
 
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if mode.intervals_equal(images[i], images[j]):
-                cex = Counterexample(None, (pts[i], pts[j]), images[i], images[j])
-                return report(cex, ": not injective, two grid points collide")
+    indices: dict[Interval, list[int]] = {}
+    for i, img in enumerate(images):
+        indices.setdefault(img, []).append(i)
+    if mode.is_exact:
+        def equal_images(x: Interval) -> list[Interval]:
+            return [x] if x in indices else []
+    else:
+        values = sorted(indices, key=lambda v: (v.lo, v.hi))
+        los = [v.lo for v in values]
+
+        def equal_images(x: Interval) -> list[Interval]:
+            lo = hi = bisect_left(los, x.lo)
+            while lo > 0 and mode.values_equal(los[lo - 1], x.lo):
+                lo -= 1
+            while hi < len(los) and mode.values_equal(los[hi], x.lo):
+                hi += 1
+            return [v for v in values[lo:hi] if mode.intervals_equal(v, x)]
+
+    # the smallest pair within one value's indices, or across two values
+    pairs = []
+    for value, ix in indices.items():
+        for other in equal_images(value):
+            if other == value:
+                if len(ix) > 1:
+                    pairs.append((ix[0], ix[1]))
+            else:
+                pairs.append(tuple(sorted((ix[0], indices[other][0]))))
+    if pairs:
+        i, j = min(pairs)
+        cex = Counterexample(None, (pts[i], pts[j]), images[i], images[j])
+        return report(cex, ": not injective, two grid points collide")
     for target in pts:
-        if not any(mode.intervals_equal(img, target) for img in images):
+        if not equal_images(target):
             cex = Counterexample(None, (), target, target)
             return report(cex, ": not surjective, grid point never attained")
     return report(None, "")
@@ -294,18 +394,16 @@ def run_theorem1(
     a: Interval,
     grid: Grid,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> PipelineReport:
     """Premises: F(A,..,A)=A, G(.,A) bijective, F G-homogeneous; then F
     must be idempotent. Idempotency is always run, informationally when a
     premise fails; premises-pass with conclusion-fail is flagged as a
     violation (an implementation-bug signal on exact closed grids).
     """
-    s = len(grid)
-    check_budget(1, s, s ** (f.arity + 1), s, budget=budget)
+    check_budget(*sweep_sizes("theorem1", len(grid), f.arity), budget=budget)
     fixed = _check_fixed_point(f, a, grid)
     bij = check_section_bijective(g, a, grid, budget=budget)
-    hom = check_homogeneity(f, g, IDENTITY, grid, budget=budget, workers=workers)
+    hom = check_homogeneity(f, g, IDENTITY, grid, budget=budget)
     idem = check_idempotency(f, grid, budget=budget)
     if fixed.passed and bij.passed and hom.passed:
         status = "confirmed" if idem.passed else "violation"
@@ -329,18 +427,17 @@ def run_prop2(
     f: IVFunction,
     grid: Grid,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> PipelineReport:
     """If F is P-homogeneous, its standard-negation dual must be
     homogeneous w.r.t. the dual scaling (the probabilistic sum). The dual
     check is always run, informationally when the premise fails.
     """
-    check_budget(len(grid) ** (f.arity + 1), budget=budget)  # both sweeps
-    base = check_homogeneity(f, P, IDENTITY, grid, budget=budget, workers=workers)
+    check_budget(*sweep_sizes("prop2", len(grid), f.arity), budget=budget)
+    base = check_homogeneity(f, P, IDENTITY, grid, budget=budget)
     f_dual = dual_ns(f)
     p_dual = dual_scaling_ns(P)
     dual = check_homogeneity(
-        f_dual, p_dual, IDENTITY, grid, budget=budget, workers=workers,
+        f_dual, p_dual, IDENTITY, grid, budget=budget,
         law="def1-homogeneity-dual",
     )
     if base.passed:

@@ -207,3 +207,17 @@ def test_pipeline_refused_before_any_check(capsys, monkeypatch, argv):
         monkeypatch.setattr(homogeneity, name, never)
     code, _, err = run(capsys, *argv)
     assert code == 3 and "budget" in err
+
+
+@pytest.mark.parametrize("command", ["check", "idempotent", "theorem1", "prop2",
+                                     "dual"])
+def test_budget_refused_before_grid_is_built(capsys, monkeypatch, command):
+    from ivhom import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the grid was built before the budget gate")
+
+    monkeypatch.setattr(cli, "make_grid", never)
+    code, _, err = run(capsys, command, "--f", "min", "--resolution", "800",
+                       "--budget", "10", "--mode", "exact")
+    assert code == 3 and "budget" in err
