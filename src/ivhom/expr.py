@@ -99,6 +99,12 @@ _OPS = {
 #: binary ops applied to n arguments by folding left, as functools.reduce does
 _FOLDED = {"min", "max", "mul", "psum"}
 
+#: The largest exponent of a DSL `pow(e,k)` and of a registry `pow_<k>`.
+#: An exact kernel writes denominators such as m^k into its source as
+#: decimal literals, which Python refuses beyond 4,300 digits; up to this
+#: limit an arity-1 `pow` law within the default budget stays below that.
+MAX_POW_EXPONENT = 1000
+
 _IDENTS = {*_OPS, "proj"}
 # minimum argument counts; None marks special-cased forms (pow, proj)
 _MIN_ARGS = {"min": 2, "max": 2, "mul": 2, "psum": 2, "neg": 1, "mean": 1}
@@ -171,7 +177,10 @@ class _Parser:
         return tok
 
     def parse(self) -> Node:
-        node = self.expr()
+        try:
+            node = self.expr()
+        except RecursionError:  # one Python frame or two per nesting level
+            self.fail("expression nested too deeply")
         tok = self.peek()
         if tok.kind != "end":
             self.fail(f"unexpected trailing input {tok.text!r}", tok)
@@ -233,6 +242,9 @@ class _Parser:
             self.expect(")")
             if k < 1:
                 self.fail("pow exponent must be a positive integer", ident)
+            if k > MAX_POW_EXPONENT:
+                self.fail(f"pow exponent {k} exceeds the limit of "
+                          f"{MAX_POW_EXPONENT}", ident)
             return Pow(base, k)
         args = [self.expr()]
         while self.peek().text == ",":
@@ -260,6 +272,11 @@ def _walk(node: Node):
 
 def uses_l(node: Node) -> bool:
     return any(isinstance(n, LVar) for n in _walk(node))
+
+
+def uses_ops(node: Node, idents: set[str]) -> bool:
+    """Whether any call in the AST applies one of the ops in `idents`."""
+    return any(isinstance(n, Call) and n.ident in idents for n in _walk(node))
 
 
 def max_var_index(node: Node) -> int:
@@ -500,7 +517,10 @@ def _compile(node: Node, params: tuple[str, ...], target: _Target) -> Callable:
                 names[n] = target.op(n.ident, tuple(map(ref, n.args)))
         return names[n]
 
-    result = target.result(ref(node))
+    try:
+        result = target.result(ref(node))
+    except RecursionError:  # ref, and the hash of each Node, recurse
+        raise ExprError("expression nested too deeply to compile", 1, 1) from None
     exec(
         f"def fn({', '.join(params)}):\n{target.head(params)}"
         f"{''.join(target.lines)}    return {result}\n",

@@ -10,7 +10,17 @@ from __future__ import annotations
 
 import re
 
-from .expr import Call, IVFunction, LVar, OrderIso, Pow, ScalingFunction, Var, dual
+from .expr import (
+    MAX_POW_EXPONENT,
+    Call,
+    IVFunction,
+    LVar,
+    OrderIso,
+    Pow,
+    ScalingFunction,
+    Var,
+    dual,
+)
 
 _X1 = Var(1)
 
@@ -62,6 +72,10 @@ def _make_function(name: str, arity: int | None) -> IVFunction:
         k = int(wm.group(1))
         if k < 1:
             raise LookupError(f"exponent in {name!r} must be >= 1")
+        if k > MAX_POW_EXPONENT:
+            raise LookupError(
+                f"exponent in {name!r} exceeds the limit of {MAX_POW_EXPONENT}"
+            )
         n = 1 if arity is None else arity
         if n != 1:
             raise LookupError(f"{name} is unary; got arity {n}")

@@ -1,13 +1,15 @@
 """Exhaustive grid checks for homogeneity, idempotency, and duality laws.
 
-Every check sweeps the full endpoint grid; there is no sampling. A "pass"
+Every check covers the full endpoint grid; there is no sampling. A "pass"
 verdict therefore always means exhaustive over the stated resolution, and
 a "fail" verdict carries the lexicographically smallest failing tuple in
 grid order.
 
 The sweeps run on the scalar kernels of `expr` (`IVFunction.kernel`):
 integer numerators in exact mode, doubles in float mode. `Interval` objects
-are built only for what a report shows.
+are built only for what a report shows. A homogeneity law whose
+ingredients are endpoint-wise (`_separable`) is decided on the degenerate
+grid points alone, which covers every grid tuple by construction.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
+from .expr import uses_ops
 from .interval import Interval, Number, NumericMode, EXACT
 from .functions import (
     IDENTITY,
@@ -169,6 +172,22 @@ def _nth_combo(k: int, s: int, n: int) -> tuple[int, ...]:
     return tuple(k // s ** (n - 1 - j) % s for j in range(n))
 
 
+def _separable(mode: NumericMode, *ingredients) -> bool:
+    """Whether a law over these ingredients splits into a lower and an
+    upper scalar law over {0..m}^(n+1), decided from their ASTs alone.
+
+    Without `neg`, every kernel op computes a lower endpoint from lower
+    endpoints only and an upper one from upper ones only, so the degenerate
+    tuple ([a0,a0],...,[an,an]) gives the lower law at a and the upper law
+    at a. Every op is also monotone, so no grid tuple can break lo <= hi
+    on the way, and the full sweep would not raise either. In float mode
+    `psum`, a + (1-a)*b, is not monotone in a under rounding, so a law
+    with it keeps the full sweep.
+    """
+    excluded = {"neg"} if mode.is_exact else {"neg", "psum"}
+    return not any(uses_ops(x.expr, excluded) for x in ingredients)
+
+
 def check_homogeneity(
     f: IVFunction,
     g: ScalingFunction,
@@ -180,10 +199,16 @@ def check_homogeneity(
 ) -> CheckReport:
     """Sweep F(G(L,X1),...,G(L,Xn)) = G(phi(L), F(X1,...,Xn)) over grid^(n+1).
 
-    The kernel of F fills a table of its s^n results, and for each Λ the
-    kernel of G fills a row of s results, so memory stays O(s^n + s); each
-    tuple then costs one F and one G call. In exact mode both sides come
-    out over one common denominator, so they compare as integers.
+    The sweep runs over the s grid points, or, when the law is `_separable`,
+    over the m+1 degenerate points [k/m,k/m] only. The kernel of F fills a
+    table of its results on the sweep points, and for each Λ the kernel of
+    G fills a row, so memory stays O(s^n + s); each tuple then costs one F
+    and one G call. In exact mode both sides come out over one common
+    denominator, so they compare as integers. The first failure of each
+    endpoint is kept: on the degenerate points a lower failure at a is first
+    met on the grid at ([a0,a0],...), an upper one at b at ([0,b0],...), and
+    the earlier of the two grid tuples is reported. `evaluations` and the
+    budget count the s^(n+1) grid tuples the verdict covers.
     `workers` is accepted and has no effect: the sweep runs in one thread.
     """
     if grid is None:
@@ -201,6 +226,14 @@ def check_homogeneity(
 
     pts = _kernel_points(grid)
     m = grid.resolution
+    if _separable(mode, f, g, phi):
+        # grid indices of the failing tuples' points: [k/m,k/m] for the
+        # lower law at sweep point k, [0,k/m] (grid index k) for the upper
+        lo_index = [i for i, (lo, hi) in enumerate(pts) if lo == hi]
+        hi_index = range(m + 1)
+        pts = [pts[i] for i in lo_index]
+    else:
+        lo_index = hi_index = range(s)
     g_fn, dg = g.kernel(_dens(grid, m, m))
     phi_fn, dphi = phi.kernel(_dens(grid, m))
     f_fn, df = f.kernel(_dens(grid, *(m,) * n))
@@ -212,7 +245,7 @@ def check_homogeneity(
 
     tol = _tolerance(mode)
     max_dev = 0 if mode.is_exact else mode.zero()
-    first = None
+    first_lo = first_hi = None
     for il, lam_ends in enumerate(pts):
         g_row = [g_fn(lam_ends, x) for x in pts]
         phi_lam = phi_fn(lam_ends)
@@ -222,25 +255,30 @@ def check_homogeneity(
             lhs = lhs_fn(*args)
             rhs = rhs_fn(phi_lam, fx)
             if lhs != rhs:
-                # _deviation(lhs, rhs), inlined: this branch runs on most
-                # tuples of a failing law
-                dev = abs(lhs[0] - rhs[0])
+                # _deviation(lhs, rhs), inlined and kept per endpoint: this
+                # branch runs on most tuples of a failing law
+                dev_lo = abs(lhs[0] - rhs[0])
                 dev_hi = abs(lhs[1] - rhs[1])
-                if dev_hi > dev:
-                    dev = dev_hi
-                if dev > max_dev:
-                    max_dev = dev
-                if first is None and dev > tol:
-                    first = il, k
+                if dev_lo > max_dev:
+                    max_dev = dev_lo
+                if dev_hi > max_dev:
+                    max_dev = dev_hi
+                if first_lo is None and dev_lo > tol:
+                    first_lo = il, k
+                if first_hi is None and dev_hi > tol:
+                    first_hi = il, k
 
+    hits = []  # the grid indices of each endpoint's first failing tuple
+    for hit, index in ((first_lo, lo_index), (first_hi, hi_index)):
+        if hit is not None:
+            il, k = hit
+            hits.append(tuple(index[i] for i in (il, *_nth_combo(k, len(pts), n))))
     cex = None
-    if first is not None:
-        il, k = first
-        lam = grid.points[il]
-        xs = tuple(grid.points[i] for i in _nth_combo(k, s, n))
+    if hits:
+        lam, *xs = (grid.points[i] for i in min(hits))
         cex = Counterexample(
             lam=lam,
-            xs=xs,
+            xs=tuple(xs),
             lhs=f(*(g(lam, x) for x in xs)),
             rhs=g(phi(lam), f(*xs)),
         )

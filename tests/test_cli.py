@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -221,3 +222,46 @@ def test_budget_refused_before_grid_is_built(capsys, monkeypatch, command):
     code, _, err = run(capsys, command, "--f", "min", "--resolution", "800",
                        "--budget", "10", "--mode", "exact")
     assert code == 3 and "budget" in err
+
+
+def test_deeply_nested_expression_exit_2():
+    # run as a child process, so that a traceback would reach its stderr
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ivhom
+
+    src = "neg(" * 1500 + "X1" + ")" * 1500
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(ivhom.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ivhom.cli", "eval", "--arity", "1",
+         "--f", f"expr:{src}", "[0,1]"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "expression nested too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--f", "pow_3000000", "[1/2,1/2]"),
+    ("check", "--f", "pow_20000", "--g", "P", "--resolution", "3"),
+    ("eval", "--arity", "1", "--f", "expr:pow(X1,1001)", "[1/2,1/2]"),
+    ("check", "--arity", "1", "--f", "expr:min(X1,pow(X1,20000))",
+     "--resolution", "3"),
+], ids=["eval-registry", "check-registry", "eval-dsl", "check-dsl"])
+def test_pow_exponent_above_limit_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "exceeds the limit of 1000" in err
+
+
+def test_pow_exponent_at_limit_runs(capsys):
+    code, out, _ = run(capsys, "eval", "--f", "pow_1000", "[1,1]")
+    assert code == 0 and out.strip() == "[1/1,1/1]"
+    code, out, _ = run(capsys, "check", "--f", "expr:pow(X1,1000)",
+                       "--arity", "1", "--g", "P", "--resolution", "3")
+    # l^1000 x^1000 against l x^1000: a fail, over denominators of 3^2000
+    assert code == 1 and json.loads(out)["verdict"] == "fail"

@@ -7,6 +7,7 @@ from ivhom.expr import (
     Call,
     Const,
     ExprError,
+    IVFunction,
     LVar,
     Pow,
     Proj,
@@ -125,3 +126,14 @@ def test_neg_and_const_evaluate():
     )
     c = compile_ivfunction(parse_expr("[1/3,2/3]", 1), 1)
     assert c(GRID[0]) == Interval(Fraction(1, 3), Fraction(2, 3))
+
+
+def test_nesting_too_deep_is_an_expr_error():
+    with pytest.raises(ExprError, match="nested too deeply"):
+        parse_expr("neg(" * 1500 + "X1" + ")" * 1500, 1)
+    # deeper than the parser can produce: only the compiler recurses
+    node = Var(1)
+    for _ in range(5000):
+        node = Call("neg", (node,))
+    with pytest.raises(ExprError, match="nested too deeply to compile"):
+        IVFunction("deep", 1, node)

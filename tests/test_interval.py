@@ -183,3 +183,28 @@ def test_mode_validation():
         NumericMode("interval")
     with pytest.raises(ValueError):
         NumericMode("float", -1.0)
+
+
+# --- the interval algebra in exact mode, on random rational intervals ---
+
+_endpoints = st.fractions(min_value=0, max_value=1, max_denominator=64)
+_intervals = st.builds(lambda a, b: Interval(min(a, b), max(a, b)),
+                       _endpoints, _endpoints)
+
+
+@pytest.mark.parametrize("op", [meet, join, product, prob_sum],
+                         ids=lambda op: op.__name__)
+@given(_intervals, _intervals, _intervals)
+def test_binary_ops_commutative_and_associative(op, x, y, z):
+    assert op(x, y) == op(y, x)
+    assert op(op(x, y), z) == op(x, op(y, z))
+
+
+@given(_intervals)
+def test_complement_is_an_involution(x):
+    assert complement(complement(x)) == x
+
+
+@given(_intervals, _intervals)
+def test_prob_sum_is_ns_dual_of_product(x, y):
+    assert complement(prob_sum(x, y)) == product(complement(x), complement(y))

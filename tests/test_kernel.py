@@ -2,18 +2,23 @@
 
 The sweeps of `homogeneity` run on the kernels that `IVFunction.kernel`
 compiles; these tests hold them to reference sweeps written here with
-`IVFunction.__call__`, which evaluates through the ops of `interval`.
+`IVFunction.__call__`, which evaluates through the ops of `interval`. The
+reference always visits all s^(n+1) grid tuples, so it also checks the
+separable path, which visits only the m+1 degenerate points per argument.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ivhom import expr
 from ivhom.expr import (
     Call,
     Const,
+    OrderIso,
     Pow,
     Var,
     compile_ivfunction,
@@ -34,16 +39,24 @@ from ivhom.functions import (
 from ivhom.homogeneity import (
     CheckReport,
     Counterexample,
+    _separable,
     check_homogeneity,
     check_section_bijective,
     equal_on_grid,
     make_grid,
 )
-from ivhom.interval import EXACT, FLOAT, Interval, IntervalError, NumericMode
+from ivhom.interval import (
+    EXACT,
+    FLOAT,
+    Interval,
+    IntervalError,
+    NumericMode,
+    prob_sum,
+)
 
 MODES = (EXACT, FLOAT)
 #: resolution per arity, so that every reference sweep stays small
-RESOLUTION = {1: 4, 2: 3, 3: 2}
+RESOLUTION = {1: 5, 2: 3, 3: 2}
 
 
 def reference_sweep(f, g, phi, grid, law="def1-homogeneity"):
@@ -92,11 +105,134 @@ def test_sweep_matches_reference(f, g, phi, mode):
     assert check_homogeneity(f, g, phi, grid) == reference_sweep(f, g, phi, grid)
 
 
+def first_failures(f, g, phi, grid):
+    """The first grid tuple (by index) at which the lower law fails and the
+    first at which the upper law fails, each None when there is none."""
+    mode, firsts = grid.mode, [None, None]
+    for t in itertools.product(range(len(grid)), repeat=f.arity + 1):
+        lam, *xs = (grid.points[i] for i in t)
+        lhs = f(*(g(lam, x) for x in xs))
+        rhs = g(phi(lam), f(*xs))
+        for side, (a, b) in enumerate(((lhs.lo, rhs.lo), (lhs.hi, rhs.hi))):
+            if firsts[side] is None and not mode.values_equal(a, b):
+                firsts[side] = t
+    return tuple(firsts)
+
+
+def _kind(lower, upper) -> str:
+    """How the first failures of the lower and the upper law relate."""
+    if upper is None:
+        return "lower-only"
+    if lower is None:
+        return "upper-only"
+    return ("both-at-once" if lower == upper
+            else "lower-first" if lower < upper else "upper-first")
+
+
+#: separable laws that fail, with how their first failures relate
+FAILING_LAWS = (
+    ("mul(X1,X2)", "mul(L,X1)", "upper-first"),  # registry product / P
+    ("pow(X1,2)", "mul(L,X1)", "upper-first"),  # registry pow_2 / P
+    ("min(X1,[1/3,2/3])", "mul(L,X1)", "upper-first"),
+    ("min(X1,[1/2,1])", "mul(L,X1)", "lower-only"),
+    ("max(X1,[0,1/2])", "mul(L,X1)", "upper-only"),
+    ("max(X1,[1/3,2/3])", "mul(L,X1)", "both-at-once"),
+    ("mean([0,1/2],mul(X1,[0,1]))", "mean(min([1/2,1],L),[1,1])", "lower-first"),
+    ("min(X2,mean([0,1/2],mul(X1,[0,1])))", "mean(min([1/2,1],L),[1,1])",
+     "lower-first"),
+)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.kind)
+@pytest.mark.parametrize("f_src,g_src,kind", FAILING_LAWS,
+                         ids=[f"{f}-{g}" for f, g, _ in FAILING_LAWS])
+def test_separable_failure_matches_reference(f_src, g_src, kind, mode):
+    arity = 2 if "X2" in f_src else 1
+    f = compile_ivfunction(parse_expr(f_src, arity), arity, name=f_src)
+    g = compile_scaling(parse_expr(g_src, 1), name=g_src)
+    grid = make_grid(RESOLUTION[arity], mode)
+    assert _separable(mode, f, g, IDENTITY)
+    assert _kind(*first_failures(f, g, IDENTITY, grid)) == kind
+    report = check_homogeneity(f, g, IDENTITY, grid)
+    assert report.verdict == "fail"
+    assert report == reference_sweep(f, g, IDENTITY, grid)
+
+
+#: x -> 1-(1-x)^2: an order isomorphism with `neg` in its AST
+NEG_SQUARE = OrderIso("neg_square", expr.dual(SQUARE.expr), exact_ok=False)
+MIN2 = get_function("min", 2)
+
+#: (F, G, phi, mode, whether the law is separable)
+PATHS = (
+    (MIN2, P, IDENTITY, EXACT, True),
+    (MIN2, P, IDENTITY, FLOAT, True),
+    (get_function("pow_2", 1), P, SQUARE, FLOAT, True),
+    (MIN2, P_NS, IDENTITY, EXACT, True),
+    (MIN2, P_NS, IDENTITY, FLOAT, False),
+    (get_function("mean", 2), P, IDENTITY, FLOAT, True),
+    (compile_ivfunction(parse_expr("psum(X1,[1/3,2/3])", 1), 1), P, IDENTITY,
+     EXACT, True),
+    (compile_ivfunction(parse_expr("psum(X1,[1/3,2/3])", 1), 1), P, IDENTITY,
+     FLOAT, False),
+    (dual_ns(MIN2), P, IDENTITY, EXACT, False),
+    (MIN2, dual_scaling_ns(P), IDENTITY, EXACT, False),
+    (MIN2, dual_scaling_ns(P), IDENTITY, FLOAT, False),
+    (MIN2, P, NEG_SQUARE, FLOAT, False),
+)
+
+
+@pytest.mark.parametrize(
+    "f,g,phi,mode,separable", PATHS,
+    ids=[f"{f.name}/{f.arity}-{g.name}-{phi.name}-{mode.kind}"
+         for f, g, phi, mode, _ in PATHS],
+)
+def test_sweep_path_follows_ir(monkeypatch, f, g, phi, mode, separable):
+    """`neg` anywhere, or `psum` in float mode, keeps the full sweep; every
+    other law is swept on the m+1 degenerate points only."""
+    assert _separable(mode, f, g, phi) is separable
+    calls = [0]
+    kernel = expr._Compiled.kernel
+
+    def counting_kernel(self, *args):
+        fn, den = kernel(self, *args)
+
+        def counted(*xs):
+            calls[0] += 1
+            return fn(*xs)
+        return counted, den
+
+    monkeypatch.setattr(expr._Compiled, "kernel", counting_kernel)
+    grid = make_grid(3, mode)
+    report = check_homogeneity(f, g, phi, grid)
+    p, n = 4 if separable else len(grid), f.arity
+    # the F table, a G row and phi per Λ, and the two sides per tuple
+    assert calls[0] == p**n + p * p + p + 2 * p ** (n + 1)
+    assert report == reference_sweep(f, g, phi, grid)
+
+
+def test_float_psum_is_not_monotone():
+    """Why float `psum` keeps the full sweep: a + (1-a)*b can fall when a
+    rises by one ulp, so the interval of a grid tuple could come out
+    inverted where the degenerate points show nothing."""
+    a = float.fromhex("0x1.056bcd04279eep-2")
+    a_next = math.nextafter(a, 1.0)
+    b = float.fromhex("0x1.aef92dbc63747p-1")
+    assert a + (1 - a) * b == 0.8821464334075363
+    assert a_next + (1 - a_next) * b == 0.8821464334075362
+    with pytest.raises(IntervalError, match="inverted"):
+        prob_sum(Interval(a, a_next), Interval(b, b))
+    psum = compile_ivfunction(parse_expr("psum(X1,X2)", 2), 2)
+    assert not _separable(FLOAT, psum, P, IDENTITY)
+    assert _separable(EXACT, psum, P, IDENTITY)
+
+
 EXPR_FS = (
     "max(neg(X1),[1/3,2/3])",
     "psum(neg(min(X1,X2)),mul(X2,[1/3,2/3]))",
     "mean(X1,[1/4,1/2],pow(X2,2))",
     "min(psum(X1,[1/3,1/3]),max(neg(X2),mul(X1,X2)))",
+    "max(mul(X1,[1/3,2/3]),min(X2,[1/2,1]))",
+    "psum(X1,mul(X2,[1/3,2/3]))",
 )
 
 
@@ -193,7 +329,7 @@ def test_kernel_breach_raises_interval_error():
         fn((0.5, 1.5))
 
 
-@pytest.mark.parametrize("src", ("pow(X1,5000)",
+@pytest.mark.parametrize("src", ("pow(X1,1000)",  # the largest exponent
                                  "mean(" + ",".join(["X1"] * 3000) + ")"))
 def test_kernel_of_long_expression_compiles(src):
     # no generated expression may nest as deep as the source is long
