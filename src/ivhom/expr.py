@@ -19,13 +19,13 @@ argument index. Numbers are decimals or rationals like 1/3.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import lcm
 from typing import Callable, Union
 
-from .interval import Interval, complement, join, meet, prob_sum, product
+from .interval import (Interval, _set, _Value, complement, join, meet,
+                       prob_sum, product)
 
 
 class ExprError(ValueError):
@@ -37,37 +37,58 @@ class ExprError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
+class _Node(_Value):
+    """An AST node. Its hash is computed once, at construction, from the
+    cached hashes of its children, so hashing a tree of any depth takes one
+    step and does not recurse."""
+
+    __slots__ = ("_hash",)
+
+    def __init__(self, *values) -> None:
+        super().__init__(*values)
+        _set(self, "_hash", hash((self.__class__, values)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-@dataclass(frozen=True)
-class LVar:
-    pass
+class Var(_Node):
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        super().__init__(index)
 
 
-@dataclass(frozen=True)
-class Const:
-    lo: Fraction
-    hi: Fraction
+class LVar(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pow:
-    arg: "Node"
-    exponent: int
+class Const(_Node):
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: Fraction, hi: Fraction) -> None:
+        super().__init__(lo, hi)
 
 
-@dataclass(frozen=True)
-class Proj:
-    index: int
+class Pow(_Node):
+    __slots__ = ("arg", "exponent")
+
+    def __init__(self, arg: "Node", exponent: int) -> None:
+        super().__init__(arg, exponent)
 
 
-@dataclass(frozen=True)
-class Call:
-    ident: str
-    args: tuple["Node", ...]
+class Proj(_Node):
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        super().__init__(index)
+
+
+class Call(_Node):
+    __slots__ = ("ident", "args")
+
+    def __init__(self, ident: str, args: tuple["Node", ...]) -> None:
+        super().__init__(ident, args)
 
 
 Node = Union[Var, LVar, Const, Pow, Proj, Call]
@@ -120,12 +141,8 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # number | ident | punct | end
-    text: str
-    line: int
-    column: int
+class _Token(_Value):
+    __slots__ = ("kind", "text", "line", "column")  # kind: number|ident|punct|end
 
 
 def _show(tok: _Token) -> str:
@@ -354,9 +371,6 @@ class _IntervalTarget(_Target):
     def pow(self, arg: str, k: int) -> str:
         return self.local(f"pow({arg}, {k:d})")
 
-    def result(self, ref: str) -> str:
-        return ref
-
 
 def _breach(lo, hi, den: int) -> None:
     """Raise the IntervalError of the intermediate [lo/den, hi/den]: called
@@ -387,19 +401,17 @@ class _ScalarTarget(_Target):
     before any call: `mul` multiplies them, `pow` raises to its exponent,
     `psum` is a*Db + (Da-a)*b over Da*Db, `min`/`max`/`neg` work over a
     common denominator, `mean` over n times the common one, and a constant
-    over its own. The result is scaled to `out_den` when given. Float mode
-    (`dens` None): endpoints are doubles, combined in the op order of
+    over its own; `result` scales the result to a multiple of that. Float
+    mode (`dens` None): endpoints are doubles, combined in the op order of
     `interval`, so the results equal those of the Interval target. Each
     intermediate is range-checked like an `Interval`.
     """
 
-    def __init__(self, params, dens, out_den) -> None:
+    def __init__(self, params, dens) -> None:
         super().__init__()
         self.env.update(_breach=_breach, _fold_pow=_fold_pow)
         self.exact = dens is not None
         self.dens = dict(zip(params, dens, strict=True)) if self.exact else {}
-        self.out_den = out_den
-        self.den = 1
 
     def head(self, params: tuple[str, ...]) -> str:
         return "".join(f"    {p}l, {p}h = {p}\n" for p in params)
@@ -475,24 +487,21 @@ class _ScalarTarget(_Target):
             return self.pair(f"{lo} ** {k:d}", f"{hi} ** {k:d}", d**k)
         return self.pair(f"_fold_pow({lo}, {k:d})", f"_fold_pow({hi}, {k:d})", 1)
 
-    def result(self, ref: tuple) -> str:
-        lo, hi, self.den = ref
-        if self.exact and self.out_den is not None:
-            k, rest = divmod(self.out_den, self.den)
-            if rest:
-                raise ValueError(f"{self.out_den} is not a multiple of {self.den}")
-            lo, hi, self.den = _scaled(lo, k), _scaled(hi, k), self.out_den
+    def result(self, ref: tuple, den: int) -> str:
+        """The (lo, hi) of `ref`, scaled in exact mode to `den`, a multiple
+        of its denominator."""
+        lo, hi, d = ref
+        if self.exact:
+            lo, hi = _scaled(lo, den // d), _scaled(hi, den // d)
         return f"({lo}, {hi})"
 
 
-def _compile(node: Node, params: tuple[str, ...], target: _Target) -> Callable:
-    """Compile an AST once into a flat Python function of `params`.
+def _trace(node: Node, target: _Target):
+    """Send the code of an AST to `target` and return the result's ref.
 
     Each distinct subtree is computed once, into local variables, in the
     operation order of the tree, so float results match a direct
-    evaluation. The generated source holds only op names from `_OPS`,
-    integer and float literals, and the names of locals and constants: no
-    text of the user's expression reaches it.
+    evaluation.
     """
     names: dict = {}
 
@@ -518,9 +527,16 @@ def _compile(node: Node, params: tuple[str, ...], target: _Target) -> Callable:
         return names[n]
 
     try:
-        result = target.result(ref(node))
-    except RecursionError:  # ref, and the hash of each Node, recurse
+        return ref(node)
+    except RecursionError:  # ref recurses once per nesting level
         raise ExprError("expression nested too deeply to compile", 1, 1) from None
+
+
+def _compile(params: tuple[str, ...], target: _Target, result: str) -> Callable:
+    """A flat Python function of `params`, compiled from the code sent to
+    `target`, that returns `result`. The generated source holds only op
+    names from `_OPS`, integer and float literals, and the names of locals
+    and constants: no text of the user's expression reaches it."""
     exec(
         f"def fn({', '.join(params)}):\n{target.head(params)}"
         f"{''.join(target.lines)}    return {result}\n",
@@ -529,48 +545,55 @@ def _compile(node: Node, params: tuple[str, ...], target: _Target) -> Callable:
     return target.env["fn"]
 
 
-class _Compiled:
-    """The compiled forms of an ingredient's `expr` over its `params`."""
+class _Compiled(_Value):
+    """The compiled forms of an ingredient's `expr` over its `params`: slots
+    of this base, so the ingredient's equality and hash leave them out."""
+
+    __slots__ = ("params", "fns")
 
     def _compile_expr(self, params: tuple[str, ...]) -> None:
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "fns", tuple(
-            _compile(self.expr, params, _IntervalTarget(num))
-            for num in (Fraction, float)
-        ))
+        _set(self, "params", params)
+        targets = [_IntervalTarget(num) for num in (Fraction, float)]
+        _set(self, "fns", tuple(_compile(params, t, _trace(self.expr, t))
+                                for t in targets))
 
     def _apply(self, xs: tuple[Interval, ...]) -> Interval:
         # float arguments get the function whose constants are doubles
         return self.fns[isinstance(xs[0].lo, float)](*xs)
 
     def kernel(self, dens: tuple[int, ...] | None = None,
-               out_den: int | None = None) -> tuple[Callable, int]:
-        """The scalar-endpoint function and the denominator of its results.
-
-        `dens` holds each parameter's denominator in exact mode and is None
-        in float mode, where the denominator is 1.
-        """
-        target = _ScalarTarget(self.params, dens, out_den)
-        return _compile(self.expr, self.params, target), target.den
+               out_den: int = 1) -> tuple[Callable, int]:
+        """The scalar-endpoint function and the denominator of its results,
+        as `kernels` compiles them."""
+        (fn,), den = kernels([(self, dens)], out_den)
+        return fn, den
 
 
-_COMPILED = dict(init=False, repr=False, compare=False)
+def kernels(parts, out_den: int = 1) -> tuple[list[Callable], int]:
+    """The scalar-endpoint kernel of each (ingredient, dens) part, each
+    compiled once, and the one denominator of all their results.
+
+    `dens` holds each parameter's denominator in exact mode and is None in
+    float mode, where the denominator is 1. Exact results are scaled to the
+    lcm of `out_den` and every part's own denominator.
+    """
+    targets = [(x, _ScalarTarget(x.params, dens)) for x, dens in parts]
+    refs = [_trace(x.expr, t) for x, t in targets]
+    den = lcm(out_den, *(d for *_, d in refs)) if targets[0][1].exact else 1
+    return [_compile(x.params, t, t.result(ref, den))
+            for (x, t), ref in zip(targets, refs)], den
 
 
-@dataclass(frozen=True)
 class IVFunction(_Compiled):
     """An n-ary IV-function: an AST over X1..Xn and its compiled form."""
 
-    name: str
-    arity: int
-    expr: Node = field(repr=False)
-    params: tuple[str, ...] = field(**_COMPILED)
-    fns: tuple = field(**_COMPILED)
+    __slots__ = ("name", "arity", "expr")
 
-    def __post_init__(self) -> None:
-        if self.arity < 1:
+    def __init__(self, name: str, arity: int, expr: Node) -> None:
+        if arity < 1:
             raise ValueError("arity must be a positive integer")
-        self._compile_expr(tuple(f"X{i}" for i in range(1, self.arity + 1)))
+        super().__init__(name, arity, expr)
+        self._compile_expr(tuple(f"X{i}" for i in range(1, arity + 1)))
 
     def __call__(self, *xs: Interval) -> Interval:
         if len(xs) != self.arity:
@@ -580,23 +603,19 @@ class IVFunction(_Compiled):
         return self._apply(xs)
 
 
-@dataclass(frozen=True)
 class ScalingFunction(_Compiled):
     """A scaling function G(L, X1): an AST over L and X1, compiled."""
 
-    name: str
-    expr: Node = field(repr=False)
-    params: tuple[str, ...] = field(**_COMPILED)
-    fns: tuple = field(**_COMPILED)
+    __slots__ = ("name", "expr")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, expr: Node) -> None:
+        super().__init__(name, expr)
         self._compile_expr(("L", "X1"))
 
     def __call__(self, a: Interval, b: Interval) -> Interval:
         return self._apply((a, b))
 
 
-@dataclass(frozen=True)
 class OrderIso(_Compiled):
     """A bijective order-preserving unary map: an AST over X1, compiled.
 
@@ -604,13 +623,10 @@ class OrderIso(_Compiled):
     (then the iso is usable only in float mode).
     """
 
-    name: str
-    expr: Node = field(repr=False)
-    exact_ok: bool = True
-    params: tuple[str, ...] = field(**_COMPILED)
-    fns: tuple = field(**_COMPILED)
+    __slots__ = ("name", "expr", "exact_ok")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, expr: Node, exact_ok: bool = True) -> None:
+        super().__init__(name, expr, exact_ok)
         self._compile_expr(("X1",))
 
     def __call__(self, x: Interval) -> Interval:

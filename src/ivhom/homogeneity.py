@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
-from .expr import uses_ops
-from .interval import Interval, Number, NumericMode, EXACT
+from .expr import kernels, uses_ops
+from .interval import EXACT, Interval, Number, NumericMode, _Value
 from .functions import (
     IDENTITY,
     IVFunction,
@@ -52,13 +50,14 @@ class UnsupportedModeError(RuntimeError):
     """An ingredient cannot be evaluated in the requested numeric mode."""
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(_Value):
     """All intervals with endpoints in {0, 1/m, ..., 1}, sorted by (lo, hi)."""
 
-    resolution: int
-    mode: NumericMode
-    points: tuple[Interval, ...]
+    __slots__ = ("resolution", "mode", "points")
+
+    def __init__(self, resolution: int, mode: NumericMode,
+                 points: tuple[Interval, ...]) -> None:
+        super().__init__(resolution, mode, points)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -84,37 +83,38 @@ def make_grid(m: int, mode: NumericMode = EXACT) -> Grid:
     return Grid(resolution=m, mode=mode, points=points)
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    lam: Optional[Interval]
-    xs: tuple[Interval, ...]
-    lhs: Optional[Interval]
-    rhs: Optional[Interval]
+class Counterexample(_Value):
+    __slots__ = ("lam", "xs", "lhs", "rhs")
+
+    def __init__(self, lam: Optional[Interval], xs: tuple[Interval, ...],
+                 lhs: Optional[Interval], rhs: Optional[Interval]) -> None:
+        super().__init__(lam, xs, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    law: str
-    verdict: str  # "pass" | "fail"
-    counterexample: Optional[Counterexample]
-    evaluations: int
-    max_deviation: Number
-    mode: NumericMode
-    resolution: int
-    note: Optional[str] = None
+class CheckReport(_Value):
+    __slots__ = ("law", "verdict", "counterexample", "evaluations",
+                 "max_deviation", "mode", "resolution", "note")
+
+    def __init__(self, law: str, verdict: str,  # verdict: "pass" | "fail"
+                 counterexample: Optional[Counterexample], evaluations: int,
+                 max_deviation: Number, mode: NumericMode, resolution: int,
+                 note: Optional[str] = None) -> None:
+        super().__init__(law, verdict, counterexample, evaluations,
+                         max_deviation, mode, resolution, note)
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
 
 
-@dataclass(frozen=True)
-class PipelineReport:
-    pipeline: str
-    status: str  # "confirmed" | "not-applicable" | "violation"
-    checks: tuple[tuple[str, CheckReport], ...]
-    mode: NumericMode
-    resolution: int
+class PipelineReport(_Value):
+    __slots__ = ("pipeline", "status", "checks", "mode", "resolution")
+
+    def __init__(self, pipeline: str,
+                 status: str,  # "confirmed" | "not-applicable" | "violation"
+                 checks: tuple[tuple[str, CheckReport], ...], mode: NumericMode,
+                 resolution: int) -> None:
+        super().__init__(pipeline, status, checks, mode, resolution)
 
     @property
     def verdict(self) -> str:
@@ -238,10 +238,8 @@ def check_homogeneity(
     phi_fn, dphi = phi.kernel(_dens(grid, m))
     f_fn, df = f.kernel(_dens(grid, *(m,) * n))
     f_table = [f_fn(*xs) for xs in itertools.product(pts, repeat=n)]
-    lhs_dens, rhs_dens = _dens(grid, *(dg,) * n), _dens(grid, dphi, df)
-    den = lcm(f.kernel(lhs_dens)[1], g.kernel(rhs_dens)[1])
-    lhs_fn = f.kernel(lhs_dens, den)[0]
-    rhs_fn = g.kernel(rhs_dens, den)[0]
+    (lhs_fn, rhs_fn), den = kernels([(f, _dens(grid, *(dg,) * n)),
+                                     (g, _dens(grid, dphi, df))])
 
     tol = _tolerance(mode)
     max_dev = 0 if mode.is_exact else mode.zero()
@@ -298,9 +296,8 @@ def equal_on_grid(f: IVFunction, h: IVFunction, grid: Grid) -> bool:
     kernels and the equality rule of `check_homogeneity`."""
     pts = _kernel_points(grid)
     dens = _dens(grid, *(grid.resolution,) * f.arity)
-    den = lcm(f.kernel(dens)[1], h.kernel(dens)[1])
+    (f_fn, h_fn), _ = kernels([(f, dens), (h, dens)])
     tol = _tolerance(grid.mode)
-    f_fn, h_fn = f.kernel(dens, den)[0], h.kernel(dens, den)[0]
     return all(
         x == y or _deviation(x, y) <= tol
         for x, y in zip(
@@ -315,24 +312,34 @@ def check_idempotency(
     grid: Grid,
     budget: int = DEFAULT_BUDGET,
 ) -> CheckReport:
-    """Check F(X,...,X) = X for every grid point."""
+    """Check F(X,...,X) = X for every grid point, on the kernel of F, by the
+    equality rule of `check_homogeneity`."""
     mode = grid.mode
     check_budget(len(grid.points), budget=budget)
-    max_dev = mode.zero()
+    m, n = grid.resolution, f.arity
+    fn, den = f.kernel(_dens(grid, *(m,) * n), m)
+    k = den // m if mode.is_exact else 1  # X's endpoints over den
+    tol = _tolerance(mode)
+    max_dev = 0 if mode.is_exact else mode.zero()
+    first = None
+    for i, x in enumerate(_kernel_points(grid)):
+        out, want = fn(*(x,) * n), (x[0] * k, x[1] * k)
+        if out != want:
+            dev = _deviation(out, want)
+            if dev > max_dev:
+                max_dev = dev
+            if first is None and dev > tol:
+                first = i
     cex = None
-    for x in grid.points:
-        out = f(*(x,) * f.arity)
-        dev = mode.deviation(out, x)
-        if dev > max_dev:
-            max_dev = dev
-        if cex is None and not mode.intervals_equal(out, x):
-            cex = Counterexample(lam=None, xs=(x,), lhs=out, rhs=x)
+    if first is not None:
+        x = grid.points[first]
+        cex = Counterexample(lam=None, xs=(x,), lhs=f(*(x,) * n), rhs=x)
     return CheckReport(
         law="idempotency",
         verdict="pass" if cex is None else "fail",
         counterexample=cex,
         evaluations=len(grid.points),
-        max_deviation=max_dev,
+        max_deviation=Fraction(max_dev, den) if mode.is_exact else max_dev,
         mode=mode,
         resolution=grid.resolution,
     )

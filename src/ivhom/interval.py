@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -19,12 +18,50 @@ class IntervalError(ValueError):
     """Endpoints do not describe a valid closed subinterval of [0,1]."""
 
 
-@dataclass(frozen=True)
-class Interval:
+_set = object.__setattr__
+
+
+class _Value:
+    """An immutable value: it compares and hashes by class and fields, the
+    `__slots__` of its own class, and refuses attribute assignment. Unlike
+    `dataclasses`, it generates no methods with `exec` at import."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, self._values()))
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set "
+                             f"or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self._values()!r}"
+
+
+class Interval(_Value):
     """A closed interval [lo, hi] with 0 <= lo <= hi <= 1."""
 
-    lo: Number
-    hi: Number
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: Number, hi: Number) -> None:
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        self.__post_init__()  # hooked by perfbench to count constructions
 
     def __post_init__(self) -> None:
         if not 0 <= self.lo <= 1:
@@ -106,8 +143,7 @@ def compare(order: str, x: Interval, y: Interval) -> Ordering:
     return Ordering.LESS if kx < ky else Ordering.GREATER
 
 
-@dataclass(frozen=True)
-class NumericMode:
+class NumericMode(_Value):
     """Numeric regime for evaluation and equality.
 
     exact: endpoints are rationals, equality is literal.
@@ -115,14 +151,14 @@ class NumericMode:
     differences are within eps.
     """
 
-    kind: str
-    eps: float = 1e-9
+    __slots__ = ("kind", "eps")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("exact", "float"):
-            raise ValueError(f"unknown numeric mode {self.kind!r}")
-        if not 0 <= self.eps < float("inf"):
-            raise ValueError(f"eps must be finite and nonnegative, got {self.eps!r}")
+    def __init__(self, kind: str, eps: float = 1e-9) -> None:
+        if kind not in ("exact", "float"):
+            raise ValueError(f"unknown numeric mode {kind!r}")
+        if not 0 <= eps < float("inf"):
+            raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
+        super().__init__(kind, eps)
 
     @property
     def is_exact(self) -> bool:

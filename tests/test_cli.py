@@ -245,6 +245,24 @@ def test_deeply_nested_expression_exit_2():
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
+def test_startup_imports_no_dataclasses():
+    # a fresh interpreter, so that no other test's imports count
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ivhom
+
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(ivhom.__file__).resolve().parents[1])}
+    code = ("import sys, ivhom.cli; ivhom.cli.build_parser(); "
+            "print('dataclasses' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("argv", [
     ("eval", "--f", "pow_3000000", "[1/2,1/2]"),
     ("check", "--f", "pow_20000", "--g", "P", "--resolution", "3"),

@@ -137,3 +137,17 @@ def test_nesting_too_deep_is_an_expr_error():
         node = Call("neg", (node,))
     with pytest.raises(ExprError, match="nested too deeply to compile"):
         IVFunction("deep", 1, node)
+
+
+def test_node_hash_is_cached_and_does_not_recurse():
+    def chain(depth):
+        node = Var(1)
+        for _ in range(depth):
+            node = Call("neg", (node,))
+        return node
+
+    deep = chain(10_000)
+    assert hash(deep) == hash(chain(10_000)) != hash(chain(9_999))
+    assert {deep: 1}[deep] == 1
+    assert chain(3) == chain(3) and hash(chain(3)) == hash(chain(3))
+    assert Var(2) != Proj(2) and Const(0, 1) != Const(0, Fraction(1, 2))

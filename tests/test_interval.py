@@ -179,10 +179,12 @@ def test_float_mode_equality():
 
 
 def test_mode_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown numeric mode 'interval'"):
         NumericMode("interval")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
         NumericMode("float", -1.0)
+    with pytest.raises(ValueError, match="eps must be finite"):
+        NumericMode(kind="float", eps=float("inf"))
 
 
 # --- the interval algebra in exact mode, on random rational intervals ---

@@ -41,9 +41,11 @@ from ivhom.homogeneity import (
     Counterexample,
     _separable,
     check_homogeneity,
+    check_idempotency,
     check_section_bijective,
     equal_on_grid,
     make_grid,
+    run_theorem1,
 )
 from ivhom.interval import (
     EXACT,
@@ -181,6 +183,24 @@ PATHS = (
 )
 
 
+def count_kernels(monkeypatch):
+    """Count the functions `expr._compile` generates, and their calls."""
+    compiles, calls = [0], [0]
+    compile_ = expr._compile
+
+    def counting_compile(*args):
+        compiles[0] += 1
+        fn = compile_(*args)
+
+        def counted(*xs):
+            calls[0] += 1
+            return fn(*xs)
+        return counted
+
+    monkeypatch.setattr(expr, "_compile", counting_compile)
+    return compiles, calls
+
+
 @pytest.mark.parametrize(
     "f,g,phi,mode,separable", PATHS,
     ids=[f"{f.name}/{f.arity}-{g.name}-{phi.name}-{mode.kind}"
@@ -190,24 +210,28 @@ def test_sweep_path_follows_ir(monkeypatch, f, g, phi, mode, separable):
     """`neg` anywhere, or `psum` in float mode, keeps the full sweep; every
     other law is swept on the m+1 degenerate points only."""
     assert _separable(mode, f, g, phi) is separable
-    calls = [0]
-    kernel = expr._Compiled.kernel
-
-    def counting_kernel(self, *args):
-        fn, den = kernel(self, *args)
-
-        def counted(*xs):
-            calls[0] += 1
-            return fn(*xs)
-        return counted, den
-
-    monkeypatch.setattr(expr._Compiled, "kernel", counting_kernel)
+    compiles, calls = count_kernels(monkeypatch)
     grid = make_grid(3, mode)
     report = check_homogeneity(f, g, phi, grid)
     p, n = 4 if separable else len(grid), f.arity
     # the F table, a G row and phi per Λ, and the two sides per tuple
     assert calls[0] == p**n + p * p + p + 2 * p ** (n + 1)
+    assert compiles[0] == 5  # G, phi, F, and the two sides
     assert report == reference_sweep(f, g, phi, grid)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.kind)
+def test_each_kernel_is_compiled_once(monkeypatch, mode):
+    grid = make_grid(3, mode)
+    min2, mean2 = get_function("min", 2), get_function("mean", 2)
+    compiles, _ = count_kernels(monkeypatch)
+    equal_on_grid(min2, mean2, grid)
+    assert compiles[0] == 2
+    check_idempotency(mean2, grid)
+    assert compiles[0] == 3
+    # fixed point and bijectivity evaluate Intervals, compiled with F and G
+    run_theorem1(mean2, P, grid.points[-1], grid)
+    assert compiles[0] == 3 + 5 + 1
 
 
 def test_float_psum_is_not_monotone():
@@ -270,6 +294,37 @@ def test_equal_on_grid_matches_interval_comparison(mode):
             for xs in itertools.product(grid.points, repeat=2)
         )
         assert equal_on_grid(f, h, grid) == want, (f.name, h.name)
+
+
+def reference_idempotency(f, grid):
+    """The idempotency check as a loop over Interval evaluations."""
+    mode = grid.mode
+    max_dev, cex = mode.zero(), None
+    for x in grid.points:
+        out = f(*(x,) * f.arity)
+        max_dev = max(max_dev, mode.deviation(out, x))
+        if cex is None and not mode.intervals_equal(out, x):
+            cex = Counterexample(None, (x,), out, x)
+    return CheckReport("idempotency", "pass" if cex is None else "fail", cex,
+                       len(grid), max_dev, mode, grid.resolution)
+
+
+IDEMPOTENCY_FS = [
+    compile_ivfunction(parse_expr(src, arity), arity, name=src)
+    for src, arity in (("min(X1,[1/3,2/3])", 1), ("max(neg(X1),[1/3,2/3])", 1),
+                       ("psum(X1,[1/3,2/3])", 1), ("mean(X1,X2,[1/3,2/3])", 2),
+                       ("pow(mean(X1,[1/3,2/3]),2)", 1), ("neg(neg(X1))", 1))
+]
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.kind)
+@pytest.mark.parametrize("f", [*_registry(), *IDEMPOTENCY_FS],
+                         ids=lambda f: f"{f.name}/{f.arity}")
+def test_idempotency_matches_reference(f, mode):
+    grid = make_grid(6, mode)
+    report, want = check_idempotency(f, grid), reference_idempotency(f, grid)
+    assert report == want
+    assert type(report.max_deviation) is type(want.max_deviation)
 
 
 def reference_bijective(g, a, grid):
