@@ -1,15 +1,17 @@
 """The scalar-endpoint kernel against `Interval` evaluation.
 
 The sweeps of `homogeneity` run on the kernels that `IVFunction.kernel`
-compiles; these tests hold them to reference sweeps written here with
-`IVFunction.__call__`, which evaluates through the ops of `interval`. The
-reference always visits all s^(n+1) grid tuples, so it also checks the
-separable path, which visits only the m+1 degenerate points per argument.
+compiles; these tests hold them to reference sweeps written here over
+`tree_eval`, an oracle that walks the AST and applies the ops of
+`interval`, independent of any compiled code. The reference always visits
+all s^(n+1) grid tuples, so it also checks the separable path, which
+visits only the m+1 degenerate points per argument.
 """
 
 import itertools
 import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +20,10 @@ from ivhom import expr
 from ivhom.expr import (
     Call,
     Const,
+    LVar,
     OrderIso,
     Pow,
+    Proj,
     Var,
     compile_ivfunction,
     compile_scaling,
@@ -53,20 +57,59 @@ from ivhom.interval import (
     Interval,
     IntervalError,
     NumericMode,
+    complement,
+    join,
+    meet,
     prob_sum,
+    product,
 )
 
 MODES = (EXACT, FLOAT)
 #: resolution per arity, so that every reference sweep stays small
 RESOLUTION = {1: 5, 2: 3, 3: 2}
 
+#: the n-ary DSL ops, each a binary op of `interval` folded left
+_FOLDED = {"min": meet, "max": join, "mul": product, "psum": prob_sum}
+
+
+def tree_eval(node, env, num):
+    """The value of an AST at the Intervals of `env` (by parameter name),
+    with constants converted by `num`, Fraction or float."""
+    if isinstance(node, (Var, Proj)):
+        return env[f"X{node.index}"]
+    if isinstance(node, LVar):
+        return env["L"]
+    if isinstance(node, Const):
+        return Interval(num(node.lo), num(node.hi))
+    if isinstance(node, Pow):
+        return reduce(product, [tree_eval(node.arg, env, num)] * node.exponent)
+    args = [tree_eval(arg, env, num) for arg in node.args]
+    if node.ident == "neg":
+        return complement(*args)
+    if node.ident == "mean":
+        n = len(args)
+        lo, hi = sum(x.lo for x in args), sum(x.hi for x in args)
+        if num is float:
+            return Interval(lo / n, hi / n)
+        return Interval(Fraction(lo, n), Fraction(hi, n))
+    return reduce(_FOLDED[node.ident], args)
+
+
+def oracle(ingredient, mode):
+    """The ingredient as a function of Intervals, evaluated by `tree_eval`."""
+    num = Fraction if mode.is_exact else float
+    return lambda *xs: tree_eval(
+        ingredient.expr, dict(zip(ingredient.params, xs, strict=True)), num
+    )
+
 
 def reference_sweep(f, g, phi, grid, law="def1-homogeneity"):
     """The homogeneity sweep as nested loops over Interval evaluations."""
-    mode = grid.mode
+    mode, n = grid.mode, f.arity
+    f, g, phi = (oracle(x, mode) for x in (f, g, phi))
     max_dev, cex = mode.zero(), None
     for lam in grid.points:
-        for xs in itertools.product(grid.points, repeat=f.arity):
+        for xs in itertools.product(grid.points, repeat=n):
             lhs = f(*(g(lam, x) for x in xs))
             rhs = g(phi(lam), f(*xs))
             max_dev = max(max_dev, mode.deviation(lhs, rhs))
@@ -76,7 +119,7 @@ def reference_sweep(f, g, phi, grid, law="def1-homogeneity"):
         law=law,
         verdict="pass" if cex is None else "fail",
         counterexample=cex,
-        evaluations=len(grid) ** (f.arity + 1),
+        evaluations=len(grid) ** (n + 1),
         max_deviation=max_dev,
         mode=mode,
         resolution=grid.resolution,
@@ -110,8 +153,9 @@ def test_sweep_matches_reference(f, g, phi, mode):
 def first_failures(f, g, phi, grid):
     """The first grid tuple (by index) at which the lower law fails and the
     first at which the upper law fails, each None when there is none."""
-    mode, firsts = grid.mode, [None, None]
-    for t in itertools.product(range(len(grid)), repeat=f.arity + 1):
+    mode, n, firsts = grid.mode, f.arity, [None, None]
+    f, g, phi = (oracle(x, mode) for x in (f, g, phi))
+    for t in itertools.product(range(len(grid)), repeat=n + 1):
         lam, *xs = (grid.points[i] for i in t)
         lhs = f(*(g(lam, x) for x in xs))
         rhs = g(phi(lam), f(*xs))
@@ -289,8 +333,9 @@ def test_equal_on_grid_matches_interval_comparison(mode):
     fs = [get_function(name, 2) for name in FUNCTION_NAMES if name != "pow_2"]
     fs += [dual_ns(f) for f in fs]
     for f, h in itertools.product(fs, repeat=2):
+        f_ref, h_ref = oracle(f, mode), oracle(h, mode)
         want = all(
-            mode.intervals_equal(f(*xs), h(*xs))
+            mode.intervals_equal(f_ref(*xs), h_ref(*xs))
             for xs in itertools.product(grid.points, repeat=2)
         )
         assert equal_on_grid(f, h, grid) == want, (f.name, h.name)
@@ -298,10 +343,11 @@ def test_equal_on_grid_matches_interval_comparison(mode):
 
 def reference_idempotency(f, grid):
     """The idempotency check as a loop over Interval evaluations."""
-    mode = grid.mode
+    mode, n = grid.mode, f.arity
+    f = oracle(f, mode)
     max_dev, cex = mode.zero(), None
     for x in grid.points:
-        out = f(*(x,) * f.arity)
+        out = f(*(x,) * n)
         max_dev = max(max_dev, mode.deviation(out, x))
         if cex is None and not mode.intervals_equal(out, x):
             cex = Counterexample(None, (x,), out, x)
@@ -331,7 +377,7 @@ def reference_bijective(g, a, grid):
     """Pairwise O(s^2) scan: the smallest colliding (i, j), else the first
     unattained grid point."""
     mode, pts = grid.mode, grid.points
-    images = [g(x, a) for x in pts]
+    images = [oracle(g, mode)(x, a) for x in pts]
     for i, j in itertools.combinations(range(len(pts)), 2):
         if mode.intervals_equal(images[i], images[j]):
             return "collide", (pts[i], pts[j]), images[i], images[j]
@@ -389,12 +435,13 @@ def test_kernel_breach_raises_interval_error():
 def test_kernel_of_long_expression_compiles(src):
     # no generated expression may nest as deep as the source is long
     f = compile_ivfunction(parse_expr(src, 1), 1)
-    x = Interval(Fraction(1, 2), Fraction(1, 1))
     fn, den = f.kernel((2,))
     lo, hi = fn((1, 2))
-    assert (Fraction(lo, den), Fraction(hi, den)) == (f(x).lo, f(x).hi)
+    want = oracle(f, EXACT)(Interval(Fraction(1, 2), Fraction(1, 1)))
+    assert (Fraction(lo, den), Fraction(hi, den)) == (want.lo, want.hi)
     fn, _ = f.kernel(None)
-    assert fn((0.5, 1.0)) == (f(Interval(0.5, 1.0)).lo, f(Interval(0.5, 1.0)).hi)
+    want = oracle(f, FLOAT)(Interval(0.5, 1.0))
+    assert fn((0.5, 1.0)) == (want.lo, want.hi)
 
 
 # --- random expressions: exact kernel == Fraction interval evaluation ---
@@ -445,10 +492,12 @@ def test_exact_kernel_equals_interval_evaluation(node, args, scale):
     dens, xs = args
     f = compile_ivfunction(node, 3)
     fn, den = f.kernel(dens)
-    want = f(*(Interval(Fraction(lo, d), Fraction(hi, d))
-               for (lo, hi), d in zip(xs, dens)))
+    intervals = [Interval(Fraction(lo, d), Fraction(hi, d))
+                 for (lo, hi), d in zip(xs, dens)]
+    want = oracle(f, EXACT)(*intervals)
     lo, hi = fn(*xs)
     assert (Fraction(lo, den), Fraction(hi, den)) == (want.lo, want.hi)
+    assert f(*intervals) == want
     scaled, out_den = f.kernel(dens, den * scale)
     assert out_den == den * scale and scaled(*xs) == (lo * scale, hi * scale)
 
@@ -460,10 +509,14 @@ def test_float_kernel_equals_interval_evaluation(node, args):
     floats = [(lo / d, hi / d) for (lo, hi), d in zip(xs, dens)]
     f = compile_ivfunction(node, 3)
     fn, den = f.kernel(None)
+    intervals = [Interval(lo, hi) for lo, hi in floats]
     try:
-        want = f(*(Interval(lo, hi) for lo, hi in floats))
-    except IntervalError:  # a rounding breach must be found by both
+        want = oracle(f, FLOAT)(*intervals)
+    except IntervalError:  # a rounding breach must be found by all three
         with pytest.raises(IntervalError):
             fn(*floats)
+        with pytest.raises(IntervalError):
+            f(*intervals)
         return
     assert den == 1 and fn(*floats) == (want.lo, want.hi)
+    assert f(*intervals) == want
