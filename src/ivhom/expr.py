@@ -2,8 +2,11 @@
 
 Built-in and user-defined IV-functions, scalings and order isomorphisms are
 all ASTs over the nodes below, and `_compile` is the one place an AST
-becomes a callable: a function of `Interval`s for `__call__`, or a
-scalar-endpoint kernel (`kernel`) for the sweeps of `homogeneity`.
+becomes a callable: a scalar-endpoint kernel (`kernel`). The same kernels
+serve the sweeps of `homogeneity` and `__call__` on `Interval`s. An exact
+call passes the `Fraction` endpoints themselves as numerators over
+denominator 1, which a kernel built only of ring ops, comparisons and int
+literals evaluates exactly; a float call passes the doubles.
 
 Grammar:
     expr  := call | var | const
@@ -20,12 +23,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import reduce
 from math import lcm
 from typing import Callable, Union
 
-from .interval import (Interval, _set, _Value, complement, join, meet,
-                       prob_sum, product)
+from .interval import Interval, _set, _Value
 
 
 class ExprError(ValueError):
@@ -94,29 +95,8 @@ class Call(_Node):
 Node = Union[Var, LVar, Const, Pow, Proj, Call]
 
 
-def _mean(*xs: Interval) -> Interval:
-    n = len(xs)
-    lo = sum(x.lo for x in xs)
-    hi = sum(x.hi for x in xs)
-    if isinstance(lo, float) or isinstance(hi, float):
-        return Interval(lo / n, hi / n)
-    return Interval(Fraction(lo, n), Fraction(hi, n))
-
-
-def _pow(x: Interval, k: int) -> Interval:
-    return reduce(product, [x] * k)
-
-
-#: The one op table: DSL identifier -> interval operation.
-_OPS = {
-    "min": meet,
-    "max": join,
-    "mul": product,
-    "psum": prob_sum,
-    "neg": complement,
-    "mean": _mean,
-    "pow": _pow,
-}
+#: The DSL's operations; `_ScalarTarget` compiles each of them.
+_OPS = {"min", "max", "mul", "psum", "neg", "mean", "pow"}
 #: binary ops applied to n arguments by folding left, as functools.reduce does
 _FOLDED = {"min", "max", "mul", "psum"}
 
@@ -327,51 +307,6 @@ def dual(node: Node) -> Node:
     return Call("neg", (negate_leaves(node),))
 
 
-class _Target:
-    """Where `_compile` sends the code of each node; see the two subclasses."""
-
-    def __init__(self) -> None:
-        self.env: dict = {}
-        self.lines: list[str] = []
-        self.locals = 0
-
-    def local(self, src: str) -> str:
-        name = f"t{self.locals}"
-        self.locals += 1
-        self.lines.append(f"    {name} = {src}\n")
-        return name
-
-    def head(self, params: tuple[str, ...]) -> str:
-        return ""
-
-
-class _IntervalTarget(_Target):
-    """A function of `Interval` arguments that calls the ops of `_OPS`.
-
-    Constants are built with `num`: Fractions for exact arguments, doubles
-    for float ones, so no Fraction leaks into a float result.
-    """
-
-    def __init__(self, num: type) -> None:
-        super().__init__()
-        self.env.update(_OPS)
-        self.num = num
-
-    def var(self, name: str) -> str:
-        return name
-
-    def const(self, c: Const) -> str:
-        name = f"c{len(self.env)}"
-        self.env[name] = Interval(self.num(c.lo), self.num(c.hi))
-        return name
-
-    def op(self, ident: str, args: tuple[str, ...]) -> str:
-        return self.local(f"{ident}({', '.join(args)})")
-
-    def pow(self, arg: str, k: int) -> str:
-        return self.local(f"pow({arg}, {k:d})")
-
-
 def _breach(lo, hi, den: int) -> None:
     """Raise the IntervalError of the intermediate [lo/den, hi/den]: called
     exactly when `0 <= lo <= hi <= den` fails, which `Interval` rejects."""
@@ -381,7 +316,8 @@ def _breach(lo, hi, den: int) -> None:
 
 
 def _fold_pow(x: float, k: int) -> float:
-    """x multiplied by itself k times, left to right, as `_pow` folds."""
+    """x multiplied by itself k times, left to right, as repeated
+    `interval.product` does."""
     acc = x
     for _ in range(k - 1):
         acc *= x
@@ -392,26 +328,35 @@ def _scaled(x: str, k: int) -> str:
     return x if k == 1 else f"{x} * {k:d}"
 
 
-class _ScalarTarget(_Target):
-    """A function of one (lo, hi) endpoint tuple per parameter that returns
-    one (lo, hi) tuple and builds no `Interval`.
+class _ScalarTarget:
+    """Where `_compile` sends the code of each node: a function of one
+    (lo, hi) endpoint tuple per parameter that returns one (lo, hi) tuple
+    and builds no `Interval`.
 
-    Exact mode (`dens` given): endpoints are int numerators and `dens` holds
+    Exact mode (`dens` given): endpoints are numerators and `dens` holds
     each parameter's denominator. Every node's denominator is fixed here,
     before any call: `mul` multiplies them, `pow` raises to its exponent,
     `psum` is a*Db + (Da-a)*b over Da*Db, `min`/`max`/`neg` work over a
     common denominator, `mean` over n times the common one, and a constant
-    over its own; `result` scales the result to a multiple of that. Float
-    mode (`dens` None): endpoints are doubles, combined in the op order of
-    `interval`, so the results equal those of the Interval target. Each
-    intermediate is range-checked like an `Interval`.
+    over its own; `result` scales the result to a multiple of that. The
+    code uses only ring ops, comparisons and int literals, so `Fraction`
+    numerators over denominator 1 work as well as ints. Float mode (`dens`
+    None): endpoints are doubles, combined in the op order of `interval`.
+    Each intermediate is range-checked like an `Interval`.
     """
 
     def __init__(self, params, dens) -> None:
-        super().__init__()
-        self.env.update(_breach=_breach, _fold_pow=_fold_pow)
+        self.env: dict = {"_breach": _breach, "_fold_pow": _fold_pow}
+        self.lines: list[str] = []
+        self.locals = 0
         self.exact = dens is not None
         self.dens = dict(zip(params, dens, strict=True)) if self.exact else {}
+
+    def local(self, src: str) -> str:
+        name = f"t{self.locals}"
+        self.locals += 1
+        self.lines.append(f"    {name} = {src}\n")
+        return name
 
     def head(self, params: tuple[str, ...]) -> str:
         return "".join(f"    {p}l, {p}h = {p}\n" for p in params)
@@ -432,7 +377,7 @@ class _ScalarTarget(_Target):
         return f"{name}l", f"{name}h", self.dens.get(name, 1)
 
     def const(self, c: Const) -> tuple:
-        Interval(c.lo, c.hi)  # the same check as the Interval target's
+        Interval(c.lo, c.hi)  # a constant must be an interval of [0,1]
         if not self.exact:
             return repr(float(c.lo)), repr(float(c.hi)), 1
         lo, hi = Fraction(c.lo), Fraction(c.hi)
@@ -496,7 +441,7 @@ class _ScalarTarget(_Target):
         return f"({lo}, {hi})"
 
 
-def _trace(node: Node, target: _Target):
+def _trace(node: Node, target: _ScalarTarget):
     """Send the code of an AST to `target` and return the result's ref.
 
     Each distinct subtree is computed once, into local variables, in the
@@ -532,11 +477,13 @@ def _trace(node: Node, target: _Target):
         raise ExprError("expression nested too deeply to compile", 1, 1) from None
 
 
-def _compile(params: tuple[str, ...], target: _Target, result: str) -> Callable:
+def _compile(params: tuple[str, ...], target: _ScalarTarget,
+             result: str) -> Callable:
     """A flat Python function of `params`, compiled from the code sent to
-    `target`, that returns `result`. The generated source holds only op
-    names from `_OPS`, integer and float literals, and the names of locals
-    and constants: no text of the user's expression reaches it."""
+    `target`, that returns `result`. The generated source holds only
+    arithmetic, comparisons, integer and float literals, and the names of
+    parameters, locals and the helpers `_breach` and `_fold_pow`: no text
+    of the user's expression reaches it."""
     exec(
         f"def fn({', '.join(params)}):\n{target.head(params)}"
         f"{''.join(target.lines)}    return {result}\n",
@@ -547,19 +494,29 @@ def _compile(params: tuple[str, ...], target: _Target, result: str) -> Callable:
 
 class _Compiled(_Value):
     """The compiled forms of an ingredient's `expr` over its `params`: slots
-    of this base, so the ingredient's equality and hash leave them out."""
+    of this base, so the ingredient's equality and hash leave them out.
+
+    `fns` holds the (kernel, denominator) that evaluates `Interval`s, one
+    per mode: the exact one, over denominator 1, is compiled at
+    construction, so that an expression that cannot compile fails there;
+    the float one on the first float call.
+    """
 
     __slots__ = ("params", "fns")
 
     def _compile_expr(self, params: tuple[str, ...]) -> None:
         _set(self, "params", params)
-        targets = [_IntervalTarget(num) for num in (Fraction, float)]
-        _set(self, "fns", tuple(_compile(params, t, _trace(self.expr, t))
-                                for t in targets))
+        _set(self, "fns", [self.kernel((1,) * len(params)), None])
 
     def _apply(self, xs: tuple[Interval, ...]) -> Interval:
-        # float arguments get the function whose constants are doubles
-        return self.fns[isinstance(xs[0].lo, float)](*xs)
+        is_float = isinstance(xs[0].lo, float)
+        if self.fns[is_float] is None:
+            self.fns[is_float] = self.kernel(None)
+        fn, den = self.fns[is_float]
+        lo, hi = fn(*((x.lo, x.hi) for x in xs))
+        if is_float:
+            return Interval(lo, hi)
+        return Interval(Fraction(lo, den), Fraction(hi, den))
 
     def kernel(self, dens: tuple[int, ...] | None = None,
                out_den: int = 1) -> tuple[Callable, int]:
