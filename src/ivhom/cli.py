@@ -19,6 +19,7 @@ from .functions import (
     get_function,
     get_iso,
     get_scaling,
+    resolve_arity,
 )
 from .homogeneity import (
     DEFAULT_BUDGET,
@@ -153,16 +154,20 @@ def _numeric_mode(args: argparse.Namespace) -> NumericMode:
     return NumericMode("float", float(args.epsilon))
 
 
-def _resolve_f(args: argparse.Namespace) -> IVFunction:
+def _f_arity(args: argparse.Namespace) -> int:
+    """The arity of --f, known and checked before F is parsed or built."""
     if not args.f:
         raise UsageError("--f is required")
+    if args.arity is None and args.f.startswith("expr:"):
+        raise UsageError("--arity is required when --f is an expression")
+    return resolve_arity(args.f, args.arity)
+
+
+def _resolve_f(args: argparse.Namespace, n: int) -> IVFunction:
     if args.f.startswith("expr:"):
-        if args.arity is None:
-            raise UsageError("--arity is required when --f is an expression")
         src = args.f[len("expr:"):]
-        ast = parse_expr(src, args.arity)
-        return compile_ivfunction(ast, args.arity, name=src)
-    return get_function(args.f, args.arity)
+        return compile_ivfunction(parse_expr(src, n), n, name=src)
+    return get_function(args.f, n)
 
 
 def _resolve_g(args: argparse.Namespace):
@@ -176,15 +181,16 @@ def _resolve_g(args: argparse.Namespace):
 def _run(args: argparse.Namespace, out) -> int:
     mode = _numeric_mode(args)
     command = args.command
+    n = _f_arity(args)
 
     if command == "eval":
-        f = _resolve_f(args)
-        xs = [parse_interval(s, mode) for s in args.intervals]
-        if len(xs) != f.arity:
+        if len(args.intervals) != n:
             raise UsageError(
-                f"{f.name} expects {f.arity} interval(s), got {len(xs)}"
+                f"{args.f.removeprefix('expr:')} expects {n} interval(s), "
+                f"got {len(args.intervals)}"
             )
-        print(format_interval(f(*xs), mode), file=out)
+        xs = [parse_interval(s, mode) for s in args.intervals]
+        print(format_interval(_resolve_f(args, n)(*xs), mode), file=out)
         return EXIT_PASS
 
     if args.resolution < 1:
@@ -193,10 +199,11 @@ def _run(args: argparse.Namespace, out) -> int:
         raise UsageError("--budget must be >= 1")
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
-    f = _resolve_f(args)
-    # refuse before the grid, whose size grows with the resolution squared
-    check_budget(*sweep_sizes(command, grid_size(args.resolution), f.arity),
+    # refuse before F is compiled and before the grid, whose size grows
+    # with the resolution squared
+    check_budget(*sweep_sizes(command, grid_size(args.resolution), n),
                  budget=args.budget)
+    f = _resolve_f(args, n)
     grid = make_grid(args.resolution, mode)
 
     if command == "check":

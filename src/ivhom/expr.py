@@ -16,7 +16,8 @@ Grammar:
     ident := "min" | "max" | "mul" | "psum" | "neg" | "mean" | "pow" | "proj"
 
 pow takes (expr, positive-integer-literal); proj takes an integer-literal
-argument index. Numbers are decimals or rationals like 1/3.
+argument index. Numbers are decimals or rationals like 1/3; a zero
+denominator is a syntax error.
 """
 
 from __future__ import annotations
@@ -105,6 +106,9 @@ _FOLDED = {"min", "max", "mul", "psum"}
 #: decimal literals, which Python refuses beyond 4,300 digits; up to this
 #: limit an arity-1 `pow` law within the default budget stays below that.
 MAX_POW_EXPONENT = 1000
+#: The largest arity of an IV-function. `mul` over n arguments has the
+#: denominator m^n, as `pow(e,n)` has, so the limit is the same.
+MAX_ARITY = MAX_POW_EXPONENT
 
 _IDENTS = {*_OPS, "proj"}
 # minimum argument counts; None marks special-cased forms (pow, proj)
@@ -215,13 +219,23 @@ class _Parser:
         tok = self.next()
         if tok.kind != "number":
             self.fail(f"expected number, found {_show(tok)}", tok)
-        return Fraction(tok.text)
+        return self.convert(Fraction, tok)
 
     def integer(self) -> int:
         tok = self.next()
         if tok.kind != "number" or not tok.text.isdigit():
             self.fail("expected integer literal", tok)
-        return int(tok.text)
+        return self.convert(int, tok)
+
+    def convert(self, kind: type, tok: _Token):
+        """The number token as `kind`; `1/0`, `1.5/2` or a literal of more
+        digits than Python converts is a syntax error at the token."""
+        try:
+            return kind(tok.text)
+        except ZeroDivisionError:
+            self.fail(f"zero denominator in {tok.text!r}", tok)
+        except ValueError:
+            self.fail(f"invalid number {tok.text!r}", tok)
 
     def call(self) -> Node:
         ident = self.next()
@@ -281,10 +295,15 @@ def max_var_index(node: Node) -> int:
                default=0)
 
 
+def check_arity(arity: int) -> None:
+    """Refuse an arity outside 1..MAX_ARITY before anything is built."""
+    if not 1 <= arity <= MAX_ARITY:
+        raise ValueError(f"arity must be from 1 to {MAX_ARITY}, got {arity}")
+
+
 def parse_expr(src: str, arity: int) -> Node:
     """Parse and check variable indices against the declared arity."""
-    if arity < 1:
-        raise ValueError("arity must be a positive integer")
+    check_arity(arity)
     node = _Parser(src).parse()
     hi = max_var_index(node)
     if hi > arity:
@@ -547,8 +566,7 @@ class IVFunction(_Compiled):
     __slots__ = ("name", "arity", "expr")
 
     def __init__(self, name: str, arity: int, expr: Node) -> None:
-        if arity < 1:
-            raise ValueError("arity must be a positive integer")
+        check_arity(arity)
         super().__init__(name, arity, expr)
         self._compile_expr(tuple(f"X{i}" for i in range(1, arity + 1)))
 

@@ -19,6 +19,7 @@ from .expr import (
     Pow,
     ScalingFunction,
     Var,
+    check_arity,
     dual,
 )
 
@@ -57,13 +58,21 @@ _POW_RE = re.compile(r"\Apow_(\d+)\Z")
 FUNCTION_NAMES = ("min", "max", "product", "mean", "proj_1", "proj_2", "pow_2")
 
 
+def resolve_arity(name: str, arity: int | None) -> int:
+    """`arity`, checked against `expr.MAX_ARITY`, or when it is None the
+    default arity of registry function `name`: 1 for pow_<k>, else 2."""
+    n = (1 if _POW_RE.match(name) else 2) if arity is None else arity
+    check_arity(n)
+    return n
+
+
 def _make_function(name: str, arity: int | None) -> IVFunction:
+    n = resolve_arity(name, arity)
     pm = _PROJ_RE.match(name)
     if pm:
         k = int(pm.group(1))
         if k < 1:
             raise LookupError(f"projection index in {name!r} must be >= 1")
-        n = 2 if arity is None else arity
         if k > n:
             raise LookupError(f"{name} needs arity >= {k}, got {n}")
         return IVFunction(name, n, Var(k))
@@ -76,12 +85,10 @@ def _make_function(name: str, arity: int | None) -> IVFunction:
             raise LookupError(
                 f"exponent in {name!r} exceeds the limit of {MAX_POW_EXPONENT}"
             )
-        n = 1 if arity is None else arity
         if n != 1:
             raise LookupError(f"{name} is unary; got arity {n}")
         return IVFunction(name, 1, Pow(_X1, k))
     if name in _NARY:
-        n = 2 if arity is None else arity
         xs = tuple(Var(i) for i in range(1, n + 1))
         return IVFunction(name, n, Call(_NARY[name], xs))
     raise LookupError(_unknown(name))

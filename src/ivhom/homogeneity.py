@@ -35,14 +35,16 @@ DEFAULT_BUDGET = 10**7
 
 
 class BudgetExceededError(RuntimeError):
-    """The sweep would exceed the evaluation budget; refuse, never sample."""
+    """The sweep would exceed the evaluation budget; refuse, never sample.
 
-    def __init__(self, tuple_count: int, budget: int):
+    The sweep covers s^k grid tuples, named as a power: in decimal the
+    count can run to thousands of digits."""
+
+    def __init__(self, s: int, k: int, budget: int):
         super().__init__(
-            f"sweep needs {2 * tuple_count} side-evaluations over "
-            f"{tuple_count} tuples, exceeding the budget of {budget}"
+            f"a sweep of {s}^{k} grid tuples needs 2 side-evaluations per "
+            f"tuple, more than the budget of {budget}"
         )
-        self.tuple_count = tuple_count
         self.budget = budget
 
 
@@ -121,23 +123,28 @@ class PipelineReport(_Value):
         return "pass" if all(r.passed for _, r in self.checks) else "fail"
 
 
-def check_budget(*tuple_counts: int, budget: int) -> None:
+def check_budget(*sweeps: tuple[int, int], budget: int) -> None:
     """Refuse unless each sweep's 2 side-evaluations per tuple fit the
-    budget; the counts are checked in the order their sweeps would run."""
-    for tuple_count in tuple_counts:
-        if 2 * tuple_count > budget:
-            raise BudgetExceededError(tuple_count, budget)
+    budget. A sweep (s, k), k >= 1, covers s^k tuples; the sweeps are
+    checked in the order they would run, and each power is multiplied out
+    only until it passes the budget."""
+    for s, k in sweeps:
+        count = 1
+        for _ in range(k):
+            count *= s
+            if 2 * count > budget:
+                raise BudgetExceededError(s, k, budget)
 
 
-def sweep_sizes(command: str, s: int, n: int) -> tuple[int, ...]:
-    """The tuples of each sweep a command runs, in the order they run, for
-    s grid points and an F of arity n."""
+def sweep_sizes(command: str, s: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Each sweep a command runs, in the order they run, as the (s, k) of
+    its s^k tuples, for s grid points and an F of arity n."""
     return {
-        "check": (s ** (n + 1),),
-        "idempotent": (s,),
-        "theorem1": (1, s, s ** (n + 1), s),
-        "prop2": (s ** (n + 1), s ** (n + 1)),
-        "dual": (s**n,),
+        "check": ((s, n + 1),),
+        "idempotent": ((s, 1),),
+        "theorem1": ((1, 1), (s, 1), (s, n + 1), (s, 1)),
+        "prop2": ((s, n + 1), (s, n + 1)),
+        "dual": ((s, n),),
     }[command]
 
 
@@ -221,8 +228,8 @@ def check_homogeneity(
         )
     s = len(grid)
     n = f.arity
+    check_budget((s, n + 1), budget=budget)
     total = s ** (n + 1)
-    check_budget(total, budget=budget)
 
     pts = _kernel_points(grid)
     m = grid.resolution
@@ -315,7 +322,7 @@ def check_idempotency(
     """Check F(X,...,X) = X for every grid point, on the kernel of F, by the
     equality rule of `check_homogeneity`."""
     mode = grid.mode
-    check_budget(len(grid.points), budget=budget)
+    check_budget((len(grid), 1), budget=budget)
     m, n = grid.resolution, f.arity
     fn, den = f.kernel(_dens(grid, *(m,) * n), m)
     k = den // m if mode.is_exact else 1  # X's endpoints over den
@@ -365,7 +372,7 @@ def check_section_bijective(
     """
     mode = grid.mode
     pts = grid.points
-    check_budget(len(pts), budget=budget)
+    check_budget((len(pts), 1), budget=budget)
     images = [g(x, a) for x in pts]
 
     def report(cex: Optional[Counterexample], note: str) -> CheckReport:

@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ivhom
 from ivhom.cli import main
 
 
@@ -10,6 +14,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_child(*argv):
+    """Run the CLI in a child process, so that a traceback would reach its
+    stderr; the timeout only keeps a hang from stalling the suite."""
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(ivhom.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-m", "ivhom.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 def test_check_min_pass(capsys):
@@ -224,22 +237,63 @@ def test_budget_refused_before_grid_is_built(capsys, monkeypatch, command):
     assert code == 3 and "budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "--f", "min", "--arity", "1000", "--resolution", "2",
+     "--budget", "10"),
+    ("eval", "--f", "min", "--arity", "1000", "[0,1]"),
+    ("eval", "--f", "expr:min(X1,X2,X3)", "--arity", "3", "[0,1]"),
+], ids=["check", "eval-registry", "eval-dsl"])
+def test_refused_before_f_is_built(capsys, monkeypatch, argv):
+    from ivhom import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("F was built before the request was checked")
+
+    monkeypatch.setattr(cli, "_resolve_f", never)
+    code, out, err = run(capsys, *argv)
+    assert code == (2 if argv[0] == "eval" else 3) and out == ""
+    assert ("expects" if argv[0] == "eval" else "budget") in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("check", "--f", "min", "--arity", "20000", "--resolution", "2",
+      "--budget", "10"), "arity must be from 1 to 1000, got 20000"),
+    (("eval", "--f", "min", "--arity", "20000", "[0,1]"),
+     "arity must be from 1 to 1000, got 20000"),
+    (("idempotent", "--f", "min", "--arity", "100000", "--resolution", "1"),
+     "arity must be from 1 to 1000, got 100000"),
+    (("check", "--f", "proj_999999999", "--arity", "999999999"),
+     "arity must be from 1 to 1000, got 999999999"),
+], ids=["check", "eval", "idempotent", "proj"])
+def test_arity_above_limit_exit_2(argv, message):
+    proc = run_child(*argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_refusal_names_a_huge_sweep_as_a_power():
+    # 45451^1001 has over 4,300 digits, more than Python prints in decimal
+    proc = run_child("check", "--f", "min", "--arity", "1000",
+                     "--resolution", "300", "--budget", "10")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "45451^1001 grid tuples" in proc.stderr
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("eval", "--f", "expr:min(X1,[1/0,1])", "--arity", "1", "[0,1]"),
+     "zero denominator in '1/0' (line 1, column 9)"),
+    (("check", "--f", "min", "--g", "expr:mul(L,[0/0,1])"),
+     "zero denominator in '0/0' (line 1, column 8)"),
+], ids=["eval-f", "check-g"])
+def test_zero_denominator_in_expression_exit_2(argv, message):
+    proc = run_child(*argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_deeply_nested_expression_exit_2():
-    # run as a child process, so that a traceback would reach its stderr
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import ivhom
-
     src = "neg(" * 1500 + "X1" + ")" * 1500
-    env = {**os.environ,
-           "PYTHONPATH": str(Path(ivhom.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "ivhom.cli", "eval", "--arity", "1",
-         "--f", f"expr:{src}", "[0,1]"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_child("eval", "--arity", "1", "--f", f"expr:{src}", "[0,1]")
     assert proc.returncode == 2
     assert "expression nested too deeply" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
@@ -247,12 +301,6 @@ def test_deeply_nested_expression_exit_2():
 
 def test_startup_imports_no_dataclasses():
     # a fresh interpreter, so that no other test's imports count
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import ivhom
-
     env = {**os.environ,
            "PYTHONPATH": str(Path(ivhom.__file__).resolve().parents[1])}
     code = ("import sys, ivhom.cli; ivhom.cli.build_parser(); "

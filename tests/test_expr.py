@@ -2,8 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ivhom.expr import (
+    MAX_ARITY,
     Call,
     Const,
     ExprError,
@@ -18,7 +20,7 @@ from ivhom.expr import (
 )
 from ivhom.functions import P, get_function
 from ivhom.homogeneity import make_grid
-from ivhom.interval import Interval
+from ivhom.interval import Interval, IntervalError
 
 GRID = make_grid(3).points
 
@@ -151,3 +153,37 @@ def test_node_hash_is_cached_and_does_not_recurse():
     assert {deep: 1}[deep] == 1
     assert chain(3) == chain(3) and hash(chain(3)) == hash(chain(3))
     assert Var(2) != Proj(2) and Const(0, 1) != Const(0, Fraction(1, 2))
+
+
+def test_arity_limit():
+    assert get_function("mean", MAX_ARITY).arity == MAX_ARITY
+    # refused before 10^9 variables or parameter names are built
+    with pytest.raises(ValueError, match="arity must be from 1 to 1000"):
+        get_function("proj_1", 10**9)
+    with pytest.raises(ValueError, match="arity must be from 1 to 1000"):
+        IVFunction("f", 10**9, Var(1))
+    with pytest.raises(ValueError, match="arity must be from 1 to 1000"):
+        parse_expr("X1", MAX_ARITY + 1)
+
+
+#: DSL tokens, some of them run together, and text the DSL does not accept
+_SOUP = ("min", "max", "mul", "psum", "neg", "mean", "pow", "proj", "frob",
+         "L", "X1", "X2", "X0", "(", ")", "[", "]", ",", " ", "\n", "@",
+         "0", "1", "2", "1/3", "0.5", "3/2", "1/0", "0/0", "1.5/2",
+         "min(", "neg(", "mul(L,", "pow(X1,", "X1,", "[0,1]", "[1/3,2/3]",
+         "[1/0,1]", "[1,0]")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_SOUP), max_size=25), st.integers(1, 2),
+       st.booleans())
+def test_fuzzed_source_gives_ast_or_expr_error(tokens, arity, scaling):
+    src = "".join(tokens)
+    try:
+        node = parse_expr(src, arity)
+        if scaling:
+            compile_scaling(node)
+        else:
+            compile_ivfunction(node, arity)
+    except (ExprError, IntervalError):
+        pass

@@ -1,11 +1,14 @@
 """The scalar-endpoint kernel against `Interval` evaluation.
 
-The sweeps of `homogeneity` run on the kernels that `IVFunction.kernel`
-compiles; these tests hold them to reference sweeps written here over
-`tree_eval`, an oracle that walks the AST and applies the ops of
-`interval`, independent of any compiled code. The reference always visits
-all s^(n+1) grid tuples, so it also checks the separable path, which
-visits only the m+1 degenerate points per argument.
+One kernel per expression is the only evaluator: the sweeps of
+`homogeneity` run on the kernels that `IVFunction.kernel` compiles, and
+`IVFunction.__call__` runs a kernel too, on the `Fraction` endpoints
+themselves as numerators over denominator 1 in exact mode, or on the
+doubles in float mode. These tests hold both uses to `tree_eval`, an
+oracle that walks the AST and applies the ops of `interval`, independent
+of any compiled code, and the sweeps to reference sweeps over it. The
+reference always visits all s^(n+1) grid tuples, so it also checks the
+separable path, which visits only the m+1 degenerate points per argument.
 """
 
 import itertools
