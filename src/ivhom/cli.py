@@ -186,8 +186,7 @@ def _run(args: argparse.Namespace, out) -> int:
     if command == "eval":
         if len(args.intervals) != n:
             raise UsageError(
-                f"{args.f.removeprefix('expr:')} expects {n} interval(s), "
-                f"got {len(args.intervals)}"
+                f"{args.f} expects {n} interval(s), got {len(args.intervals)}"
             )
         xs = [parse_interval(s, mode) for s in args.intervals]
         print(format_interval(_resolve_f(args, n)(*xs), mode), file=out)

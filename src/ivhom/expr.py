@@ -198,7 +198,7 @@ class _Parser:
             m = re.fullmatch(r"X(\d+)", tok.text)
             if m:
                 self.next()
-                idx = int(m.group(1))
+                idx = self.convert(int, tok, m.group(1))
                 if idx < 1:
                     self.fail("variable index must be >= 1", tok)
                 return Var(idx)
@@ -227,15 +227,17 @@ class _Parser:
             self.fail("expected integer literal", tok)
         return self.convert(int, tok)
 
-    def convert(self, kind: type, tok: _Token):
-        """The number token as `kind`; `1/0`, `1.5/2` or a literal of more
-        digits than Python converts is a syntax error at the token."""
+    def convert(self, kind: type, tok: _Token, text: str | None = None):
+        """`text`, by default the token's, as `kind`; `1/0`, `1.5/2` or a
+        literal of more digits than Python converts is a syntax error at
+        the token."""
+        text = tok.text if text is None else text
         try:
-            return kind(tok.text)
+            return kind(text)
         except ZeroDivisionError:
-            self.fail(f"zero denominator in {tok.text!r}", tok)
+            self.fail(f"zero denominator in {text!r}", tok)
         except ValueError:
-            self.fail(f"invalid number {tok.text!r}", tok)
+            self.fail(f"invalid number {text!r}", tok)
 
     def call(self) -> Node:
         ident = self.next()
@@ -527,7 +529,12 @@ class _Compiled(_Value):
         _set(self, "params", params)
         _set(self, "fns", [self.kernel((1,) * len(params)), None])
 
-    def _apply(self, xs: tuple[Interval, ...]) -> Interval:
+    def __call__(self, *xs: Interval) -> Interval:
+        """The value at one Interval per parameter, in the mode of the
+        first one's endpoints."""
+        if len(xs) != len(self.params):
+            raise TypeError(f"{self.name} expects {len(self.params)} "
+                            f"argument(s), got {len(xs)}")
         is_float = isinstance(xs[0].lo, float)
         if self.fns[is_float] is None:
             self.fns[is_float] = self.kernel(None)
@@ -570,13 +577,6 @@ class IVFunction(_Compiled):
         super().__init__(name, arity, expr)
         self._compile_expr(tuple(f"X{i}" for i in range(1, arity + 1)))
 
-    def __call__(self, *xs: Interval) -> Interval:
-        if len(xs) != self.arity:
-            raise TypeError(
-                f"{self.name} expects {self.arity} argument(s), got {len(xs)}"
-            )
-        return self._apply(xs)
-
 
 class ScalingFunction(_Compiled):
     """A scaling function G(L, X1): an AST over L and X1, compiled."""
@@ -586,9 +586,6 @@ class ScalingFunction(_Compiled):
     def __init__(self, name: str, expr: Node) -> None:
         super().__init__(name, expr)
         self._compile_expr(("L", "X1"))
-
-    def __call__(self, a: Interval, b: Interval) -> Interval:
-        return self._apply((a, b))
 
 
 class OrderIso(_Compiled):
@@ -603,9 +600,6 @@ class OrderIso(_Compiled):
     def __init__(self, name: str, expr: Node, exact_ok: bool = True) -> None:
         super().__init__(name, expr, exact_ok)
         self._compile_expr(("X1",))
-
-    def __call__(self, x: Interval) -> Interval:
-        return self._apply((x,))
 
 
 def compile_ivfunction(node: Node, arity: int, name: str = "expr") -> IVFunction:

@@ -37,12 +37,14 @@ DEFAULT_BUDGET = 10**7
 class BudgetExceededError(RuntimeError):
     """The sweep would exceed the evaluation budget; refuse, never sample.
 
-    The sweep covers s^k grid tuples, named as a power: in decimal the
-    count can run to thousands of digits."""
+    The sweep covers s^k grid tuples. That count is named as a power, and
+    s only when it is at most the budget: in decimal either can run to
+    more digits than Python converts."""
 
     def __init__(self, s: int, k: int, budget: int):
+        size = f"{s}^{k}" if s <= budget else f"over {budget}"
         super().__init__(
-            f"a sweep of {s}^{k} grid tuples needs 2 side-evaluations per "
+            f"a sweep of {size} grid tuples needs 2 side-evaluations per "
             f"tuple, more than the budget of {budget}"
         )
         self.budget = budget

@@ -271,12 +271,18 @@ def test_arity_above_limit_exit_2(argv, message):
     assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_refusal_names_a_huge_sweep_as_a_power():
+@pytest.mark.parametrize("argv,message", [
     # 45451^1001 has over 4,300 digits, more than Python prints in decimal
-    proc = run_child("check", "--f", "min", "--arity", "1000",
-                     "--resolution", "300", "--budget", "10")
+    (("check", "--f", "min", "--arity", "1000", "--resolution", "300"),
+     "a sweep of 45451^1001 grid tuples"),
+    # and so has s itself at a resolution of 10^2500
+    (("idempotent", "--f", "min", "--resolution", "1" + "0" * 2500),
+     "a sweep of over 10000000 grid tuples"),
+], ids=["power", "grid-size"])
+def test_refusal_of_a_huge_sweep_exit_3(argv, message):
+    proc = run_child(*argv)
     assert proc.returncode == 3 and proc.stdout == ""
-    assert "45451^1001 grid tuples" in proc.stderr
+    assert message in proc.stderr
 
 
 @pytest.mark.parametrize("argv,message", [

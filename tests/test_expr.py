@@ -63,7 +63,14 @@ def test_syntax_error_position():
         "X0",
         "",
         "min(X1,X2) junk",
+        "min(X1,[1/0,1])",
+        "min(X1,[0/0,1])",
+        "min(X1,[1.5/2,1])",
+        # more digits than Python converts to an int
+        "X" + "1" * 5000,
+        "pow(X1," + "9" * 5000 + ")",
     ],
+    ids=lambda src: src if len(src) < 40 else src[:20] + "...",
 )
 def test_syntax_errors(src):
     with pytest.raises(ExprError):
