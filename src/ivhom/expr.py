@@ -2,8 +2,9 @@
 
 Built-in and user-defined IV-functions, scalings and order isomorphisms are
 all ASTs over the nodes below, and `_compile` is the one place an AST
-becomes a callable: a scalar-endpoint kernel (`kernel`). The same kernels
-serve the sweeps of `homogeneity` and `__call__` on `Interval`s. An exact
+becomes a callable: a scalar-endpoint kernel (`kernel`), or the fused loop
+of one homogeneity law (`sweep`). The kernels serve the sweeps of
+`homogeneity` and `__call__` on `Interval`s. An exact
 call passes the `Fraction` endpoints themselves as numerators over
 denominator 1, which a kernel built only of ring ops, comparisons and int
 literals evaluates exactly; a float call passes the doubles.
@@ -292,6 +293,27 @@ def uses_ops(node: Node, idents: set[str]) -> bool:
     return any(isinstance(n, Call) and n.ident in idents for n in _walk(node))
 
 
+def parities(node: Node) -> dict[str, set[int]]:
+    """For each variable of the AST, "L" or "X<k>" (`proj(k)` too), the
+    parities of the number of `neg` calls above its occurrences: {0}, {1}
+    or {0, 1}."""
+    out: dict[str, set[int]] = {}
+
+    def visit(n: Node, odd: int) -> None:
+        if isinstance(n, (Var, Proj)):
+            out.setdefault(f"X{n.index:d}", set()).add(odd)
+        elif isinstance(n, LVar):
+            out.setdefault("L", set()).add(odd)
+        elif isinstance(n, Pow):
+            visit(n.arg, odd)
+        elif isinstance(n, Call):
+            for arg in n.args:
+                visit(arg, odd ^ (n.ident == "neg"))
+
+    visit(node, 0)
+    return out
+
+
 def max_var_index(node: Node) -> int:
     return max((n.index for n in _walk(node) if isinstance(n, (Var, Proj))),
                default=0)
@@ -350,133 +372,134 @@ def _scaled(x: str, k: int) -> str:
 
 
 class _ScalarTarget:
-    """Where `_compile` sends the code of each node: a function of one
-    (lo, hi) endpoint tuple per parameter that returns one (lo, hi) tuple
-    and builds no `Interval`.
+    """Where `_trace` sends the code of each node: statements over scalar
+    endpoints that build no `Interval`.
 
-    Exact mode (`dens` given): endpoints are numerators and `dens` holds
-    each parameter's denominator. Every node's denominator is fixed here,
-    before any call: `mul` multiplies them, `pow` raises to its exponent,
-    `psum` is a*Db + (Da-a)*b over Da*Db, `min`/`max`/`neg` work over a
-    common denominator, `mean` over n times the common one, and a constant
-    over its own; `result` scales the result to a multiple of that. The
-    code uses only ring ops, comparisons and int literals, so `Fraction`
-    numerators over denominator 1 work as well as ints. Float mode (`dens`
-    None): endpoints are doubles, combined in the op order of `interval`.
-    Each intermediate is range-checked like an `Interval`.
+    A ref is the (lo, hi, den, level) of a node's value: the code of its
+    two endpoints, its denominator, and the loop level of the last variable
+    it reads. Each statement goes into `lines[level]`, so a sweep computes
+    it once per value of the variables it reads.
+
+    Exact mode: endpoints are numerators, and every node's denominator is
+    fixed here, before any call: `mul` multiplies them, `pow` raises to its
+    exponent, `psum` is a*Db + (Da-a)*b over Da*Db, `min`/`max`/`neg` work
+    over a common denominator, `mean` over n times the common one, and a
+    constant over its own. The code uses only ring ops, comparisons and int
+    literals, so `Fraction` numerators over denominator 1 work as well as
+    ints. Float mode: endpoints are doubles, combined in the op order of
+    `interval`.
+
+    `checked` range-checks every intermediate like an `Interval`. Without
+    it only float `psum` is checked: every other op maps intervals of [0,1]
+    to intervals of [0,1], but rounded a + (1-a)*b is not monotone in a.
     """
 
-    def __init__(self, params, dens) -> None:
+    def __init__(self, exact: bool, checked: bool = True, depth: int = 0) -> None:
         self.env: dict = {"_breach": _breach, "_fold_pow": _fold_pow}
-        self.lines: list[str] = []
+        self.lines: list[list[str]] = [[] for _ in range(depth + 1)]
         self.locals = 0
-        self.exact = dens is not None
-        self.dens = dict(zip(params, dens, strict=True)) if self.exact else {}
+        self.exact = exact
+        self.checked = checked
 
-    def local(self, src: str) -> str:
+    def local(self, src: str, level: int) -> str:
         name = f"t{self.locals}"
         self.locals += 1
-        self.lines.append(f"    {name} = {src}\n")
+        self.lines[level].append(f"{name} = {src}")
         return name
-
-    def head(self, params: tuple[str, ...]) -> str:
-        return "".join(f"    {p}l, {p}h = {p}\n" for p in params)
 
     def lit(self, den: int) -> str:
         """A denominator as a literal of the mode's number type."""
         return f"{den:d}" if self.exact else repr(float(den))
 
-    def pair(self, lo: str, hi: str, den: int) -> tuple:
-        lo, hi = self.local(lo), self.local(hi)
-        self.lines.append(
-            f"    if not {self.lit(0)} <= {lo} <= {hi} <= {self.lit(den)}: "
-            f"_breach({lo}, {hi}, {den:d})\n"
-        )
-        return lo, hi, den
-
-    def var(self, name: str) -> tuple:
-        return f"{name}l", f"{name}h", self.dens.get(name, 1)
+    def pair(self, lo: str, hi: str, den: int, level: int,
+             check: bool = False) -> tuple:
+        lo, hi = self.local(lo, level), self.local(hi, level)
+        if self.checked or check:
+            self.lines[level].append(
+                f"if not {self.lit(0)} <= {lo} <= {hi} <= {self.lit(den)}: "
+                f"_breach({lo}, {hi}, {den:d})"
+            )
+        return lo, hi, den, level
 
     def const(self, c: Const) -> tuple:
         Interval(c.lo, c.hi)  # a constant must be an interval of [0,1]
         if not self.exact:
-            return repr(float(c.lo)), repr(float(c.hi)), 1
+            return repr(float(c.lo)), repr(float(c.hi)), 1, 0
         lo, hi = Fraction(c.lo), Fraction(c.hi)
         den = lcm(lo.denominator, hi.denominator)
-        return f"{int(lo * den):d}", f"{int(hi * den):d}", den
+        return f"{int(lo * den):d}", f"{int(hi * den):d}", den, 0
 
-    def common(self, args: tuple) -> tuple[int, list]:
-        """The lcm of the args' denominators, and the args scaled to it."""
-        den = lcm(*(d for *_, d in args))
-        return den, [(_scaled(lo, den // d), _scaled(hi, den // d))
-                     for lo, hi, d in args]
-
-    def op(self, ident: str, args: tuple) -> tuple:
-        if ident == "neg":
-            (lo, hi, d), = args
-            return self.pair(f"{self.lit(d)} - {hi}", f"{self.lit(d)} - {lo}", d)
-        if ident == "mean":
-            den, xs = self.common(args)
-            los, his = (self.sum([x[i] for x in xs]) for i in (0, 1))
-            if self.exact:
-                return self.pair(los, his, len(args) * den)
-            return self.pair(f"({los}) / {len(args):d}", f"({his}) / {len(args):d}", 1)
-        (al, ah, da), (bl, bh, db) = args
-        if ident == "mul":
-            return self.pair(f"{al} * {bl}", f"{ah} * {bh}", da * db)
-        if ident == "psum":
-            one = self.lit(da)
-            return self.pair(f"{_scaled(al, db)} + ({one} - {al}) * {bl}",
-                             f"{_scaled(ah, db)} + ({one} - {ah}) * {bh}",
-                             da * db)
-        den, scaled = self.common(args)
-        # the conditional names each operand twice: compute a scaled one once
-        (al, ah), (bl, bh) = [
-            tuple(v if v.isidentifier() else self.local(v) for v in x)
-            for x in scaled
-        ]
-        cmp = "<=" if ident == "min" else ">="
-        return self.pair(f"{al} if {al} {cmp} {bl} else {bl}",
-                         f"{ah} if {ah} {cmp} {bh} else {bh}", den)
-
-    def sum(self, terms: list[str]) -> str:
-        """terms[0] + terms[1] + ..., added left to right, with each partial
-        sum but the last in a local so that no expression nests deeply."""
-        acc, *rest = terms
-        for term in rest[:-1]:
-            acc = self.local(f"{acc} + {term}")
-        return f"{acc} + {rest[-1]}" if rest else acc
-
-    def pow(self, arg: tuple, k: int) -> tuple:
-        lo, hi, d = arg
-        if self.exact:
-            return self.pair(f"{lo} ** {k:d}", f"{hi} ** {k:d}", d**k)
-        return self.pair(f"_fold_pow({lo}, {k:d})", f"_fold_pow({hi}, {k:d})", 1)
-
-    def result(self, ref: tuple, den: int) -> str:
-        """The (lo, hi) of `ref`, scaled in exact mode to `den`, a multiple
-        of its denominator."""
-        lo, hi, d = ref
+    def scaled(self, ref: tuple, den: int) -> tuple[str, ...]:
+        """The endpoints of `ref` as names, which code may use twice,
+        scaled in exact mode to `den`, a multiple of its denominator."""
+        lo, hi, d, level = ref
         if self.exact:
             lo, hi = _scaled(lo, den // d), _scaled(hi, den // d)
-        return f"({lo}, {hi})"
+        return tuple(x if x.isidentifier() else self.local(x, level)
+                     for x in (lo, hi))
+
+    def op(self, ident: str, args: tuple) -> tuple:
+        level = max(a[3] for a in args)
+        if ident == "neg":
+            (lo, hi, d, _), = args
+            return self.pair(f"{self.lit(d)} - {hi}", f"{self.lit(d)} - {lo}",
+                             d, level)
+        if ident == "mean":
+            den = lcm(*(a[2] for a in args))
+            los, his = (self.sum([(_scaled(a[i], den // a[2]), a[3])
+                                  for a in args]) for i in (0, 1))
+            if self.exact:
+                return self.pair(los, his, len(args) * den, level)
+            return self.pair(f"({los}) / {len(args):d}",
+                             f"({his}) / {len(args):d}", 1, level)
+        (al, ah, da, la), (bl, bh, db, _) = args
+        if ident == "mul":
+            return self.pair(f"{al} * {bl}", f"{ah} * {bh}", da * db, level)
+        if ident == "psum":
+            one = self.lit(da)
+            cl, ch = (self.local(f"{one} - {x}", la) for x in (al, ah))
+            return self.pair(f"{_scaled(al, db)} + {cl} * {bl}",
+                             f"{_scaled(ah, db)} + {ch} * {bh}",
+                             da * db, level, check=not self.exact)
+        # the conditional names each operand twice
+        den = lcm(da, db)
+        (al, ah), (bl, bh) = (self.scaled(a, den) for a in args)
+        cmp = "<=" if ident == "min" else ">="
+        return self.pair(f"{al} if {al} {cmp} {bl} else {bl}",
+                         f"{ah} if {ah} {cmp} {bh} else {bh}", den, level)
+
+    def sum(self, terms: list[tuple[str, int]]) -> str:
+        """The (code, level) terms added left to right, with each partial
+        sum but the last in a local so that no expression nests deeply."""
+        (acc, level), *rest = terms
+        for term, at in rest[:-1]:
+            level = max(level, at)
+            acc = self.local(f"{acc} + {term}", level)
+        return f"{acc} + {rest[-1][0]}" if rest else acc
+
+    def pow(self, arg: tuple, k: int) -> tuple:
+        lo, hi, d, level = arg
+        if self.exact:
+            return self.pair(f"{lo} ** {k:d}", f"{hi} ** {k:d}", d**k, level)
+        return self.pair(f"_fold_pow({lo}, {k:d})", f"_fold_pow({hi}, {k:d})",
+                         1, level)
 
 
-def _trace(node: Node, target: _ScalarTarget):
+def _trace(node: Node, target: _ScalarTarget, env: dict):
     """Send the code of an AST to `target` and return the result's ref.
 
-    Each distinct subtree is computed once, into local variables, in the
-    operation order of the tree, so float results match a direct
-    evaluation.
+    `env` holds the ref of each parameter, "L" or "X<k>". Each distinct
+    subtree is computed once, into local variables, in the operation order
+    of the tree, so float results match a direct evaluation.
     """
     names: dict = {}
 
     def ref(n: Node):
         if n not in names:
             if isinstance(n, (Var, Proj)):
-                names[n] = target.var(f"X{n.index:d}")
+                names[n] = env[f"X{n.index:d}"]
             elif isinstance(n, LVar):
-                names[n] = target.var("L")
+                names[n] = env["L"]
             elif isinstance(n, Const):
                 names[n] = target.const(n)
             elif isinstance(n, Pow):
@@ -498,19 +521,18 @@ def _trace(node: Node, target: _ScalarTarget):
         raise ExprError("expression nested too deeply to compile", 1, 1) from None
 
 
-def _compile(params: tuple[str, ...], target: _ScalarTarget,
-             result: str) -> Callable:
-    """A flat Python function of `params`, compiled from the code sent to
-    `target`, that returns `result`. The generated source holds only
+def _compile(source: list[str], env: dict) -> Callable:
+    """The function `fn` that the lines of `source` define, executed in
+    `env`. The generated source holds only loops over the arguments,
     arithmetic, comparisons, integer and float literals, and the names of
     parameters, locals and the helpers `_breach` and `_fold_pow`: no text
     of the user's expression reaches it."""
-    exec(
-        f"def fn({', '.join(params)}):\n{target.head(params)}"
-        f"{''.join(target.lines)}    return {result}\n",
-        target.env,
-    )
-    return target.env["fn"]
+    exec("".join(line + "\n" for line in source), env)
+    return env["fn"]
+
+
+def _indent(lines: list[str], depth: int) -> list[str]:
+    return ["    " * depth + line for line in lines]
 
 
 class _Compiled(_Value):
@@ -556,15 +578,87 @@ def kernels(parts, out_den: int = 1) -> tuple[list[Callable], int]:
     """The scalar-endpoint kernel of each (ingredient, dens) part, each
     compiled once, and the one denominator of all their results.
 
-    `dens` holds each parameter's denominator in exact mode and is None in
-    float mode, where the denominator is 1. Exact results are scaled to the
-    lcm of `out_den` and every part's own denominator.
+    A kernel takes one (lo, hi) tuple per parameter, returns one (lo, hi)
+    tuple, and range-checks every intermediate. `dens` holds each
+    parameter's denominator in exact mode and is None in float mode, where
+    the denominator is 1. Exact results are scaled to the lcm of `out_den`
+    and every part's own denominator.
     """
-    targets = [(x, _ScalarTarget(x.params, dens)) for x, dens in parts]
-    refs = [_trace(x.expr, t) for x, t in targets]
-    den = lcm(out_den, *(d for *_, d in refs)) if targets[0][1].exact else 1
-    return [_compile(x.params, t, t.result(ref, den))
-            for (x, t), ref in zip(targets, refs)], den
+    traced = []
+    for x, dens in parts:
+        t = _ScalarTarget(dens is not None)
+        env = {p: (f"{p}l", f"{p}h", d, 0)
+               for p, d in zip(x.params, dens or (1,) * len(x.params),
+                               strict=True)}
+        traced.append((x, t, _trace(x.expr, t, env)))
+    den = lcm(out_den, *(ref[2] for *_, ref in traced)) if traced[0][1].exact else 1
+    fns = []
+    for x, t, ref in traced:
+        lo, hi = t.scaled(ref, den)
+        fns.append(_compile([f"def fn({', '.join(x.params)}):",
+                             *(f"    {p}l, {p}h = {p}" for p in x.params),
+                             *_indent(t.lines[0], 1),
+                             f"    return ({lo}, {hi})"], t.env))
+    return fns, den
+
+
+def sweep(f: "IVFunction", g: "ScalingFunction",
+          dens: tuple[int, int, int] | None) -> tuple[Callable, int]:
+    """The homogeneity sweep of F(G(L,X1),...,G(L,Xn)) = G(phi(L),
+    F(X1,...,Xn)) as one generated function, and the one denominator of
+    both sides.
+
+    `fn(pts, f_table, g_fn, phi_fn, tol, max_dev)` takes the sweep points
+    as kernel arguments, F's kernel results on pts^n in
+    `itertools.product` order, and the kernels of G and phi. For each Λ in
+    `pts` it fills the row [G(Λ,x) for x in pts] and phi(Λ) with those
+    kernels, then runs n nested loops over the row, X1 outermost, walking
+    the F table in order. Both sides are inlined, and each subexpression is
+    computed in the loop of the last variable it reads. The kernels check
+    every input; inside the loops only float `psum` is range-checked (see
+    `_ScalarTarget`). It returns the largest endpoint deviation, at least
+    `max_dev`, and the pts indices (Λ, X1, ..., Xn) of the first tuple
+    whose lower endpoints, and of the first whose upper endpoints, differ
+    by more than `tol`, each None when there is none.
+
+    `dens` is the (G, phi, F) kernels' result denominators in exact mode,
+    None in float mode.
+    """
+    n = f.arity
+    dg, dphi, df = dens or (1, 1, 1)
+    t = _ScalarTarget(dens is not None, checked=False, depth=n)
+    lhs = _trace(f.expr, t, {f"X{i}": (f"X{i}l", f"X{i}h", dg, i)
+                             for i in range(1, n + 1)})
+    rhs = _trace(g.expr, t, {"L": ("Pl", "Ph", dphi, 0),
+                             "X1": ("Fl", "Fh", df, n)})
+    den = lcm(lhs[2], rhs[2]) if t.exact else 1
+    (al, ah), (bl, bh) = t.scaled(lhs, den), t.scaled(rhs, den)
+    at = ", ".join(["il", *(f"i{i}" for i in range(1, n + 1))])
+    t.lines[n] += [
+        f"if {al} != {bl} or {ah} != {bh}:",
+        f"    d = abs({al} - {bl})",
+        "    if d > max_dev: max_dev = d",
+        f"    if d > tol and first_lo is None: first_lo = {at}",
+        f"    d = abs({ah} - {bh})",
+        "    if d > max_dev: max_dev = d",
+        f"    if d > tol and first_hi is None: first_hi = {at}",
+    ]
+    source = [
+        "def fn(pts, f_table, g_fn, phi_fn, tol, max_dev):",
+        "    first_lo = first_hi = None",
+        "    R = range(len(pts))",
+        "    for il, lam in enumerate(pts):",
+        "        row = [g_fn(lam, x) for x in pts]",
+        "        Pl, Ph = phi_fn(lam)",
+        "        ft = iter(f_table)",
+        *_indent(t.lines[0], 2),
+    ]
+    for i in range(1, n + 1):
+        loop = (f"for i{i}, (X{i}l, X{i}h) in enumerate(row):" if i < n else
+                f"for i{i}, (X{i}l, X{i}h), (Fl, Fh) in zip(R, row, ft):")
+        source += [*_indent([loop], i + 1), *_indent(t.lines[i], i + 2)]
+    source.append("    return max_dev, first_lo, first_hi")
+    return _compile(source, t.env), den
 
 
 class IVFunction(_Compiled):

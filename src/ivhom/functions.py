@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 
 from .expr import (
+    MAX_ARITY,
     MAX_POW_EXPONENT,
     Call,
     IVFunction,
@@ -66,11 +67,21 @@ def resolve_arity(name: str, arity: int | None) -> int:
     return n
 
 
+def _suffix(name: str, digits: str, what: str, limit: int, limit_name: str) -> int:
+    """The integer suffix `digits` of registry name `name`. One with more
+    digits than `limit` exceeds it, and is refused before `int()`, which
+    Python refuses past 4,300 digits."""
+    if len(digits.lstrip("0")) > len(str(limit)):
+        raise LookupError(f"{what} in {name[:12]}... ({len(digits)} digits) "
+                          f"exceeds the limit of {limit} ({limit_name})")
+    return int(digits)
+
+
 def _make_function(name: str, arity: int | None) -> IVFunction:
     n = resolve_arity(name, arity)
     pm = _PROJ_RE.match(name)
     if pm:
-        k = int(pm.group(1))
+        k = _suffix(name, pm.group(1), "projection index", MAX_ARITY, "MAX_ARITY")
         if k < 1:
             raise LookupError(f"projection index in {name!r} must be >= 1")
         if k > n:
@@ -78,13 +89,13 @@ def _make_function(name: str, arity: int | None) -> IVFunction:
         return IVFunction(name, n, Var(k))
     wm = _POW_RE.match(name)
     if wm:
-        k = int(wm.group(1))
+        k = _suffix(name, wm.group(1), "exponent", MAX_POW_EXPONENT,
+                    "MAX_POW_EXPONENT")
         if k < 1:
             raise LookupError(f"exponent in {name!r} must be >= 1")
         if k > MAX_POW_EXPONENT:
-            raise LookupError(
-                f"exponent in {name!r} exceeds the limit of {MAX_POW_EXPONENT}"
-            )
+            raise LookupError(f"exponent in {name!r} exceeds the limit of "
+                              f"{MAX_POW_EXPONENT} (MAX_POW_EXPONENT)")
         if n != 1:
             raise LookupError(f"{name} is unary; got arity {n}")
         return IVFunction(name, 1, Pow(_X1, k))

@@ -6,10 +6,11 @@ a "fail" verdict carries the lexicographically smallest failing tuple in
 grid order.
 
 The sweeps run on the scalar kernels of `expr` (`IVFunction.kernel`):
-integer numerators in exact mode, doubles in float mode. `Interval` objects
-are built only for what a report shows. A homogeneity law whose
-ingredients are endpoint-wise (`_separable`) is decided on the degenerate
-grid points alone, which covers every grid tuple by construction.
+integer numerators in exact mode, doubles in float mode; a homogeneity law
+runs in one loop that `expr.sweep` generates for it. `Interval` objects
+are built only for what a report shows. A law in which each variable has
+one parity of `neg`s (`_separable`) is decided on the degenerate grid
+points alone, which covers every grid tuple by construction.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Optional
 
-from .expr import kernels, uses_ops
+from .expr import kernels, parities, sweep, uses_ops
 from .interval import EXACT, Interval, Number, NumericMode, _Value
 from .functions import (
     IDENTITY,
@@ -151,12 +152,18 @@ def sweep_sizes(command: str, s: int, n: int) -> tuple[tuple[int, int], ...]:
 
 
 def _kernel_points(grid: Grid) -> list[tuple]:
-    """The grid points as kernel arguments: numerators over the resolution
-    in exact mode, doubles in float mode."""
+    """The grid points as kernel arguments: their numerators (i, j) over the
+    resolution in exact mode, doubles in float mode."""
     if grid.mode.is_exact:
         m = grid.resolution
-        return [(int(p.lo * m), int(p.hi * m)) for p in grid.points]
+        return [(i, j) for i in range(m + 1) for j in range(i, m + 1)]
     return [(p.lo, p.hi) for p in grid.points]
+
+
+def _diagonal(m: int) -> list[int]:
+    """The grid index of each degenerate point [a/m,a/m], a = 0..m; the
+    grid index of [0,a/m] is a."""
+    return [a * (m + 1) - a * (a - 1) // 2 for a in range(m + 1)]
 
 
 def _dens(grid: Grid, *dens: int) -> Optional[tuple[int, ...]]:
@@ -176,25 +183,50 @@ def _deviation(x: tuple, y: tuple) -> Number:
     return max(abs(x[0] - y[0]), abs(x[1] - y[1]))
 
 
-def _nth_combo(k: int, s: int, n: int) -> tuple[int, ...]:
-    """The k-th tuple of itertools.product(range(s), repeat=n)."""
-    return tuple(k // s ** (n - 1 - j) % s for j in range(n))
+def _compose(a: set, b: set) -> set:
+    """The parities of a variable whose occurrences in `b` sit under
+    occurrences in `a` of the slot it fills."""
+    return {x ^ y for x in a for y in b}
 
 
-def _separable(mode: NumericMode, *ingredients) -> bool:
-    """Whether a law over these ingredients splits into a lower and an
-    upper scalar law over {0..m}^(n+1), decided from their ASTs alone.
+def _single_parities(mode: NumericMode, ingredients,
+                     variables: list[set]) -> Optional[tuple[bool, ...]]:
+    """Whether each variable is odd, when each has one parity and no
+    ingredient is float `psum`; else None."""
+    if not mode.is_exact and any(uses_ops(x.expr, {"psum"}) for x in ingredients):
+        return None
+    if any(len(p) > 1 for p in variables):
+        return None
+    return tuple(1 in p for p in variables)
 
-    Without `neg`, every kernel op computes a lower endpoint from lower
-    endpoints only and an upper one from upper ones only, so the degenerate
-    tuple ([a0,a0],...,[an,an]) gives the lower law at a and the upper law
-    at a. Every op is also monotone, so no grid tuple can break lo <= hi
-    on the way, and the full sweep would not raise either. In float mode
-    `psum`, a + (1-a)*b, is not monotone in a under rounding, so a law
-    with it keeps the full sweep.
+
+def _separable(mode: NumericMode, f: IVFunction, g: ScalingFunction,
+               phi: OrderIso) -> Optional[tuple[bool, ...]]:
+    """Whether each of L, X1..Xn is odd in the law, when the law splits into
+    a lower and an upper scalar law over {0..m}^(n+1); else None. Decided
+    from the ASTs alone.
+
+    `neg` maps [a,b] to [1-b,1-a], and every other op computes a lower
+    endpoint from lower endpoints only and an upper one from upper ones
+    only. So an occurrence of a variable under an even number of `neg`s
+    feeds its lower endpoint to the lower endpoint of the result, and one
+    under an odd number its upper endpoint. The parities compose through
+    the law: X_i has those of F's X_i under G's X1 on both sides; L has
+    those of G's L under each of F's X_i on the left, and those of phi's X1
+    under G's L on the right. When each variable has one parity, the lower
+    law reads one endpoint per variable and the upper law the other, and
+    the degenerate tuple ([a0,a0],...,[an,an]) gives both at a. Every op
+    but float `psum` maps intervals of [0,1] to intervals of [0,1], so no
+    grid tuple breaks lo <= hi on the way and the full sweep would not
+    raise either. Rounded a + (1-a)*b is not monotone in a, so a float law
+    with `psum` keeps the full sweep.
     """
-    excluded = {"neg"} if mode.is_exact else {"neg", "psum"}
-    return not any(uses_ops(x.expr, excluded) for x in ingredients)
+    pf, pg, pphi = (parities(x.expr) for x in (f, g, phi))
+    gl, gx = pg.get("L", set()), pg.get("X1", set())
+    fx = [pf.get(p, set()) for p in f.params]
+    lam = _compose(gl, pphi.get("X1", set())).union(*(_compose(p, gl) for p in fx))
+    return _single_parities(mode, (f, g, phi),
+                            [lam, *(_compose(p, gx) for p in fx)])
 
 
 def check_homogeneity(
@@ -210,14 +242,16 @@ def check_homogeneity(
 
     The sweep runs over the s grid points, or, when the law is `_separable`,
     over the m+1 degenerate points [k/m,k/m] only. The kernel of F fills a
-    table of its results on the sweep points, and for each Λ the kernel of
-    G fills a row, so memory stays O(s^n + s); each tuple then costs one F
-    and one G call. In exact mode both sides come out over one common
-    denominator, so they compare as integers. The first failure of each
-    endpoint is kept: on the degenerate points a lower failure at a is first
-    met on the grid at ([a0,a0],...), an upper one at b at ([0,b0],...), and
-    the earlier of the two grid tuples is reported. `evaluations` and the
-    budget count the s^(n+1) grid tuples the verdict covers.
+    table of its results on the sweep points, so memory stays O(s^n + s),
+    and the law's one generated loop (`expr.sweep`) does the rest. In exact
+    mode both sides come out over one common denominator, so they compare
+    as integers. The first failure of each endpoint is kept. On the
+    degenerate points a lower failure at a is first met on the grid at
+    [a,a] in an even coordinate and at [0,a] in an odd one, an upper
+    failure at b at [0,b] in an even coordinate and at [b,b] in an odd one;
+    both maps rise with a and b, so the earlier of the two grid tuples is
+    the lowest failing one. `evaluations` and the budget count the s^(n+1)
+    grid tuples the verdict covers.
     `workers` is accepted and has no effect: the sweep runs in one thread.
     """
     if grid is None:
@@ -235,51 +269,27 @@ def check_homogeneity(
 
     pts = _kernel_points(grid)
     m = grid.resolution
-    if _separable(mode, f, g, phi):
-        # grid indices of the failing tuples' points: [k/m,k/m] for the
-        # lower law at sweep point k, [0,k/m] (grid index k) for the upper
-        lo_index = [i for i, (lo, hi) in enumerate(pts) if lo == hi]
-        hi_index = range(m + 1)
-        pts = [pts[i] for i in lo_index]
+    odd = _separable(mode, f, g, phi)
+    if odd is None:
+        lo_index = hi_index = [range(s)] * (n + 1)
     else:
-        lo_index = hi_index = range(s)
+        diag, low = _diagonal(m), range(m + 1)
+        pts = [pts[i] for i in diag]
+        lo_index = [low if o else diag for o in odd]
+        hi_index = [diag if o else low for o in odd]
     g_fn, dg = g.kernel(_dens(grid, m, m))
     phi_fn, dphi = phi.kernel(_dens(grid, m))
     f_fn, df = f.kernel(_dens(grid, *(m,) * n))
     f_table = [f_fn(*xs) for xs in itertools.product(pts, repeat=n)]
-    (lhs_fn, rhs_fn), den = kernels([(f, _dens(grid, *(dg,) * n)),
-                                     (g, _dens(grid, dphi, df))])
+    sweep_fn, den = sweep(f, g, _dens(grid, dg, dphi, df))
+    max_dev, first_lo, first_hi = sweep_fn(
+        pts, f_table, g_fn, phi_fn, _tolerance(mode), 0 if mode.is_exact else 0.0
+    )
 
-    tol = _tolerance(mode)
-    max_dev = 0 if mode.is_exact else mode.zero()
-    first_lo = first_hi = None
-    for il, lam_ends in enumerate(pts):
-        g_row = [g_fn(lam_ends, x) for x in pts]
-        phi_lam = phi_fn(lam_ends)
-        for k, (args, fx) in enumerate(
-            zip(itertools.product(g_row, repeat=n), f_table)
-        ):
-            lhs = lhs_fn(*args)
-            rhs = rhs_fn(phi_lam, fx)
-            if lhs != rhs:
-                # _deviation(lhs, rhs), inlined and kept per endpoint: this
-                # branch runs on most tuples of a failing law
-                dev_lo = abs(lhs[0] - rhs[0])
-                dev_hi = abs(lhs[1] - rhs[1])
-                if dev_lo > max_dev:
-                    max_dev = dev_lo
-                if dev_hi > max_dev:
-                    max_dev = dev_hi
-                if first_lo is None and dev_lo > tol:
-                    first_lo = il, k
-                if first_hi is None and dev_hi > tol:
-                    first_hi = il, k
-
-    hits = []  # the grid indices of each endpoint's first failing tuple
-    for hit, index in ((first_lo, lo_index), (first_hi, hi_index)):
-        if hit is not None:
-            il, k = hit
-            hits.append(tuple(index[i] for i in (il, *_nth_combo(k, len(pts), n))))
+    # the grid indices of each endpoint's first failing tuple
+    hits = [tuple(index[i] for index, i in zip(maps, hit))
+            for hit, maps in ((first_lo, lo_index), (first_hi, hi_index))
+            if hit is not None]
     cex = None
     if hits:
         lam, *xs = (grid.points[i] for i in min(hits))
@@ -302,8 +312,14 @@ def check_homogeneity(
 
 def equal_on_grid(f: IVFunction, h: IVFunction, grid: Grid) -> bool:
     """Whether F and H (of one arity) agree on all s^n grid tuples, by the
-    kernels and the equality rule of `check_homogeneity`."""
+    kernels and the equality rule of `check_homogeneity`. When each X_i has
+    one parity across both (see `_separable`), the m+1 degenerate points
+    cover every grid tuple."""
     pts = _kernel_points(grid)
+    pf, ph = parities(f.expr), parities(h.expr)
+    variables = [pf.get(p, set()) | ph.get(p, set()) for p in f.params]
+    if _single_parities(grid.mode, (f, h), variables) is not None:
+        pts = [pts[i] for i in _diagonal(grid.resolution)]
     dens = _dens(grid, *(grid.resolution,) * f.arity)
     (f_fn, h_fn), _ = kernels([(f, dens), (h, dens)])
     tol = _tolerance(grid.mode)

@@ -330,6 +330,18 @@ def test_pow_exponent_above_limit_exit_2(capsys, argv):
     assert "exceeds the limit of 1000" in err
 
 
+@pytest.mark.parametrize("argv,limit", [
+    (("eval", "--f", "pow_" + "1" * 5000, "[0,1]"), "MAX_POW_EXPONENT"),
+    (("check", "--f", "proj_" + "1" * 5000, "--arity", "2", "--g", "P",
+      "--resolution", "2"), "MAX_ARITY"),
+], ids=["pow", "proj"])
+def test_registry_suffix_of_more_digits_than_python_converts_exit_2(argv, limit):
+    proc = run_child(*argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"exceeds the limit of 1000 ({limit})" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_pow_exponent_at_limit_runs(capsys):
     code, out, _ = run(capsys, "eval", "--f", "pow_1000", "[1,1]")
     assert code == 0 and out.strip() == "[1/1,1/1]"

@@ -139,10 +139,11 @@ def _registry():
                 continue
 
 
+#: every registry F and its N_S dual, against P, P_NS, pi2 and the dual of P
 CASES = [
     pytest.param(f, g, phi, mode, id=f"{f.name}/{f.arity}-{g.name}-{phi.name}-{mode.kind}")
-    for f in _registry()
-    for g in (P, P_NS, PI2)
+    for f in (*_registry(), *map(dual_ns, _registry()))
+    for g in (P, P_NS, PI2, dual_scaling_ns(P))
     for mode in MODES
     for phi in ((IDENTITY,) if mode.is_exact else (IDENTITY, SQUARE))
 ]
@@ -201,33 +202,53 @@ def test_separable_failure_matches_reference(f_src, g_src, kind, mode):
     f = compile_ivfunction(parse_expr(f_src, arity), arity, name=f_src)
     g = compile_scaling(parse_expr(g_src, 1), name=g_src)
     grid = make_grid(RESOLUTION[arity], mode)
-    assert _separable(mode, f, g, IDENTITY)
+    assert _separable(mode, f, g, IDENTITY) is not None
     assert _kind(*first_failures(f, g, IDENTITY, grid)) == kind
     report = check_homogeneity(f, g, IDENTITY, grid)
     assert report.verdict == "fail"
     assert report == reference_sweep(f, g, IDENTITY, grid)
 
 
-#: x -> 1-(1-x)^2: an order isomorphism with `neg` in its AST
+#: x -> 1-(1-x)^2: an order isomorphism with `neg` in its AST, all even
 NEG_SQUARE = OrderIso("neg_square", expr.dual(SQUARE.expr), exact_ok=False)
+#: x -> 1-x: not order-preserving, but it makes L odd on the right
+NEG = OrderIso("neg", parse_expr("neg(X1)", 1))
 MIN2 = get_function("min", 2)
+EVEN2, EVEN1 = (False,) * 3, (False,) * 2
 
-#: (F, G, phi, mode, whether the law is separable)
+
+def _dsl(src):
+    arity = 2 if "X2" in src else 1
+    return compile_ivfunction(parse_expr(src, arity), arity, name=src)
+
+
+def _dsl_scaling(src):
+    return compile_scaling(parse_expr(src, 1), name=src)
+
+
+#: (F, G, phi, mode, whether each of L, X1..Xn is odd; None: full sweep)
 PATHS = (
-    (MIN2, P, IDENTITY, EXACT, True),
-    (MIN2, P, IDENTITY, FLOAT, True),
-    (get_function("pow_2", 1), P, SQUARE, FLOAT, True),
-    (MIN2, P_NS, IDENTITY, EXACT, True),
-    (MIN2, P_NS, IDENTITY, FLOAT, False),
-    (get_function("mean", 2), P, IDENTITY, FLOAT, True),
-    (compile_ivfunction(parse_expr("psum(X1,[1/3,2/3])", 1), 1), P, IDENTITY,
-     EXACT, True),
-    (compile_ivfunction(parse_expr("psum(X1,[1/3,2/3])", 1), 1), P, IDENTITY,
-     FLOAT, False),
-    (dual_ns(MIN2), P, IDENTITY, EXACT, False),
-    (MIN2, dual_scaling_ns(P), IDENTITY, EXACT, False),
-    (MIN2, dual_scaling_ns(P), IDENTITY, FLOAT, False),
-    (MIN2, P, NEG_SQUARE, FLOAT, False),
+    (MIN2, P, IDENTITY, EXACT, EVEN2),
+    (MIN2, P, IDENTITY, FLOAT, EVEN2),
+    (get_function("pow_2", 1), P, SQUARE, FLOAT, EVEN1),
+    (MIN2, P_NS, IDENTITY, EXACT, EVEN2),
+    (MIN2, P_NS, IDENTITY, FLOAT, None),
+    (get_function("mean", 2), P, IDENTITY, FLOAT, EVEN2),
+    (_dsl("psum(X1,[1/3,2/3])"), P, IDENTITY, EXACT, EVEN1),
+    (_dsl("psum(X1,[1/3,2/3])"), P, IDENTITY, FLOAT, None),
+    (dual_ns(MIN2), P, IDENTITY, EXACT, EVEN2),
+    (MIN2, dual_scaling_ns(P), IDENTITY, EXACT, EVEN2),
+    (MIN2, dual_scaling_ns(P), IDENTITY, FLOAT, EVEN2),
+    (MIN2, P, NEG_SQUARE, FLOAT, EVEN2),
+    (dual_ns(get_function("product", 2)), dual_scaling_ns(P), IDENTITY, FLOAT,
+     EVEN2),
+    # X1 under one neg and under none
+    (_dsl("mul(X1,neg(X1))"), P, IDENTITY, EXACT, None),
+    # L odd on the left, even on the right
+    (_dsl("neg(X1)"), P, IDENTITY, EXACT, None),
+    (_dsl("neg(X1)"), P, NEG, EXACT, (True, True)),
+    (MIN2, _dsl_scaling("mul(L,neg(X1))"), IDENTITY, FLOAT, (False, True, True)),
+    (MIN2, _dsl_scaling("mul(neg(L),X1)"), IDENTITY, EXACT, (True, False, False)),
 )
 
 
@@ -250,14 +271,15 @@ def count_kernels(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "f,g,phi,mode,separable", PATHS,
+    "f,g,phi,mode,odd", PATHS,
     ids=[f"{f.name}/{f.arity}-{g.name}-{phi.name}-{mode.kind}"
          for f, g, phi, mode, _ in PATHS],
 )
-def test_sweep_path_follows_ir(monkeypatch, f, g, phi, mode, separable):
-    """`neg` anywhere, or `psum` in float mode, keeps the full sweep; every
-    other law is swept on the m+1 degenerate points only."""
-    assert _separable(mode, f, g, phi) is separable
+def test_sweep_path_follows_ir(monkeypatch, f, g, phi, mode, odd):
+    """A law in which each of L, X1..Xn has one parity of `neg`s above it,
+    and no `psum` in float mode, is swept on the m+1 degenerate points
+    only; every other law on the full grid."""
+    assert _separable(mode, f, g, phi) == odd
     grid = make_grid(3, mode)
     # compile the kernels that evaluate Intervals for the counterexample
     # first: then the counts below are the sweep's alone
@@ -265,11 +287,71 @@ def test_sweep_path_follows_ir(monkeypatch, f, g, phi, mode, separable):
     f(*(x,) * f.arity), g(x, x), phi(x)
     compiles, calls = count_kernels(monkeypatch)
     report = check_homogeneity(f, g, phi, grid)
-    p, n = 4 if separable else len(grid), f.arity
-    # the F table, a G row and phi per Λ, and the two sides per tuple
-    assert calls[0] == p**n + p * p + p + 2 * p ** (n + 1)
-    assert compiles[0] == 5  # G, phi, F, and the two sides
+    p, n = len(grid) if odd is None else 4, f.arity
+    # the F table, a G row and phi per Λ, and one call of the sweep
+    assert calls[0] == p**n + p * p + p + 1
+    assert compiles[0] == 4  # G, phi, F, and the sweep
     assert report == reference_sweep(f, g, phi, grid)
+
+
+#: laws with `neg`: (F, G, phi, the parities of L, X1..Xn or None, how the
+#: first failures relate). An odd variable's lower failure at a is first
+#: met at [0,a], its upper one at b at [b,b]; a variable with both
+#: parities keeps the full sweep.
+PARITY_LAWS = (
+    ("min(X1,X2)", "mul(L,neg(X1))", IDENTITY, (False, True, True),
+     "upper-first"),
+    ("mul(X1,X2)", "mul(L,neg(X1))", IDENTITY, (False, True, True),
+     "upper-first"),
+    ("max(X1,[1/3,2/3])", "mul(L,neg(X1))", IDENTITY, (False, True),
+     "both-at-once"),
+    ("min(X1,[1/2,1])", "mul(L,neg(X1))", IDENTITY, (False, True),
+     "upper-first"),
+    ("neg(mul(X1,X2))", "mul(L,X1)", NEG, (True, True, True), "lower-first"),
+    ("neg(max(X1,[0,1/2]))", "mul(L,X1)", NEG, (True, True), "lower-first"),
+    ("mul(X1,X2)", "mul(neg(L),X1)", IDENTITY, (True, False, False),
+     "lower-first"),
+    ("pow(X1,2)", "neg(mul(L,neg(X1)))", IDENTITY, (True, False),
+     "lower-first"),
+    ("neg(X1)", "X1", IDENTITY, (False, True), "pass"),
+    ("mul(X1,neg(X1))", "mul(L,X1)", IDENTITY, None, "upper-first"),
+    ("neg(X1)", "mul(L,X1)", IDENTITY, None, "both-at-once"),
+    # L under X1 (even) and X2 (odd) on the left
+    ("min(X1,neg(X2))", "psum(L,X1)", IDENTITY, None, "upper-first"),
+)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.kind)
+@pytest.mark.parametrize("f_src,g_src,phi,odd,kind", PARITY_LAWS,
+                         ids=[f"{f}-{g}-{phi.name}" for f, g, phi, *_ in PARITY_LAWS])
+def test_parity_law_matches_reference(f_src, g_src, phi, odd, kind, mode):
+    f, g = _dsl(f_src), _dsl_scaling(g_src)
+    grid = make_grid(RESOLUTION[f.arity], mode)
+    assert _separable(mode, f, g, phi) == odd
+    firsts = first_failures(f, g, phi, grid)
+    assert (_kind(*firsts) if any(firsts) else "pass") == kind
+    assert check_homogeneity(f, g, phi, grid) == reference_sweep(f, g, phi, grid)
+
+
+def test_sweep_raises_interval_error_at_float_psum():
+    """Inside the generated sweep float `psum` is still range-checked. G is
+    the constant [a, a+ulp], and F = max(min(psum(X1,[b,b]),[0,0]),X1) is
+    X1 on intervals, so the law holds and no counterexample is rebuilt; but
+    psum(G(Λ,X1),[b,b]) comes out inverted, as the reference sweep finds."""
+    a = float.fromhex("0x1.056bcd04279eep-2")
+    b = Fraction(float.fromhex("0x1.aef92dbc63747p-1"))
+    g = ScalingFunction("const", Const(Fraction(a), Fraction(math.nextafter(a, 1))))
+    zero = Const(Fraction(0), Fraction(0))
+    psum = Call("psum", (Var(1), Const(b, b)))
+    f = compile_ivfunction(
+        Call("max", (Call("min", (psum, zero)), Var(1))), 1)
+    grid = make_grid(2, FLOAT)
+    assert _separable(FLOAT, f, g, IDENTITY) is None
+    message = "inverted endpoints: lo=0.8821464334075363 > hi=0.8821464334075362"
+    with pytest.raises(IntervalError, match=message):
+        check_homogeneity(f, g, IDENTITY, grid)
+    with pytest.raises(IntervalError, match=message):
+        reference_sweep(f, g, IDENTITY, grid)
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.kind)
@@ -286,9 +368,10 @@ def test_each_kernel_is_compiled_once(monkeypatch, mode):
     assert compiles[0] == 3 + 3
     # fixed point and bijectivity evaluate Intervals: float ones through the
     # float kernels of F and G, compiled on their first call and kept
+    # each homogeneity step compiles G, phi, F and the sweep
     run_theorem1(mean2, p, grid.points[-1], grid)
     run_theorem1(mean2, p, grid.points[-1], grid)
-    assert compiles[0] == 3 + 3 + 2 * (5 + 1) + (0 if mode.is_exact else 2)
+    assert compiles[0] == 3 + 3 + 2 * (4 + 1) + (0 if mode.is_exact else 2)
 
 
 def test_float_psum_is_not_monotone():
@@ -303,8 +386,8 @@ def test_float_psum_is_not_monotone():
     with pytest.raises(IntervalError, match="inverted"):
         prob_sum(Interval(a, a_next), Interval(b, b))
     psum = compile_ivfunction(parse_expr("psum(X1,X2)", 2), 2)
-    assert not _separable(FLOAT, psum, P, IDENTITY)
-    assert _separable(EXACT, psum, P, IDENTITY)
+    assert _separable(FLOAT, psum, P, IDENTITY) is None
+    assert _separable(EXACT, psum, P, IDENTITY) == (False,) * 3
 
 
 EXPR_FS = (
@@ -345,6 +428,12 @@ def test_equal_on_grid_matches_interval_comparison(mode):
     grid = make_grid(3, mode)
     fs = [get_function(name, 2) for name in FUNCTION_NAMES if name != "pow_2"]
     fs += [dual_ns(f) for f in fs]
+    # X1 odd in both, equal; then X1 of both parities, where the first
+    # two agree on the degenerate points only
+    fs += [compile_ivfunction(parse_expr(src, 2), 2, name=src)
+           for src in ("min(neg(X1),X2)", "neg(max(X1,neg(X2)))",
+                       "mean(X1,neg(X1))", "max(min(X1,[1/2,1/2]),[1/2,1/2])",
+                       "min(mul(X1,neg(X1)),X2)")]
     for f, h in itertools.product(fs, repeat=2):
         f_ref, h_ref = oracle(f, mode), oracle(h, mode)
         want = all(
