@@ -608,7 +608,7 @@ def sweep(f: "IVFunction", g: "ScalingFunction",
     F(X1,...,Xn)) as one generated function, and the one denominator of
     both sides.
 
-    `fn(pts, f_table, g_fn, phi_fn, tol, max_dev)` takes the sweep points
+    `fn(pts, f_table, g_fn, phi_fn, tol)` takes the sweep points
     as kernel arguments, F's kernel results on pts^n in
     `itertools.product` order, and the kernels of G and phi. For each Λ in
     `pts` it fills the row [G(Λ,x) for x in pts] and phi(Λ) with those
@@ -616,10 +616,11 @@ def sweep(f: "IVFunction", g: "ScalingFunction",
     the F table in order. Both sides are inlined, and each subexpression is
     computed in the loop of the last variable it reads. The kernels check
     every input; inside the loops only float `psum` is range-checked (see
-    `_ScalarTarget`). It returns the largest endpoint deviation, at least
-    `max_dev`, and the pts indices (Λ, X1, ..., Xn) of the first tuple
-    whose lower endpoints, and of the first whose upper endpoints, differ
-    by more than `tol`, each None when there is none.
+    `_ScalarTarget`). It returns the largest endpoint deviation (0 of the
+    mode's number type when there is none), and the pts indices (Λ, X1,
+    ..., Xn) of the first tuple whose lower endpoints, and of the first
+    whose upper endpoints, differ by more than `tol`, each None when there
+    is none.
 
     `dens` is the (G, phi, F) kernels' result denominators in exact mode,
     None in float mode.
@@ -644,7 +645,8 @@ def sweep(f: "IVFunction", g: "ScalingFunction",
         f"    if d > tol and first_hi is None: first_hi = {at}",
     ]
     source = [
-        "def fn(pts, f_table, g_fn, phi_fn, tol, max_dev):",
+        "def fn(pts, f_table, g_fn, phi_fn, tol):",
+        f"    max_dev = {t.lit(0)}",
         "    first_lo = first_hi = None",
         "    R = range(len(pts))",
         "    for il, lam in enumerate(pts):",

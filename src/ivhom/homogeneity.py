@@ -282,9 +282,8 @@ def check_homogeneity(
     f_fn, df = f.kernel(_dens(grid, *(m,) * n))
     f_table = [f_fn(*xs) for xs in itertools.product(pts, repeat=n)]
     sweep_fn, den = sweep(f, g, _dens(grid, dg, dphi, df))
-    max_dev, first_lo, first_hi = sweep_fn(
-        pts, f_table, g_fn, phi_fn, _tolerance(mode), 0 if mode.is_exact else 0.0
-    )
+    max_dev, first_lo, first_hi = sweep_fn(pts, f_table, g_fn, phi_fn,
+                                           _tolerance(mode))
 
     # the grid indices of each endpoint's first failing tuple
     hits = [tuple(index[i] for index, i in zip(maps, hit))
