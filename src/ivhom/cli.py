@@ -2,41 +2,21 @@
 
 Exit codes: 0 = verdict pass (or informational success), 1 = verdict fail,
 2 = usage/config error, 3 = evaluation budget refused.
+
+A run parses its flags, builds the numeric mode, resolves the arity and
+passes the budget gate (`gate`) before it imports the engine (`expr`,
+`functions`, `homogeneity`, `report`), so a refusal loads none of it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .expr import ExprError, compile_ivfunction, compile_scaling, parse_expr
-from .functions import (
-    FUNCTION_NAMES,
-    IVFunction,
-    dual_ns,
-    get_function,
-    get_iso,
-    get_scaling,
-    resolve_arity,
-)
-from .homogeneity import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    UnsupportedModeError,
-    check_budget,
-    check_homogeneity,
-    check_idempotency,
-    equal_on_grid,
-    grid_size,
-    make_grid,
-    run_prop2,
-    run_theorem1,
-    sweep_sizes,
-)
-from .interval import IntervalError, NumericMode, format_interval, parse_interval
-from .report import emit_report
+from .gate import (DEFAULT_BUDGET, BudgetExceededError, UnsupportedModeError,
+                   check_budget, grid_size, resolve_arity, sweep_sizes)
+from .interval import NumericMode, format_interval, parse_interval
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -123,10 +103,12 @@ def _check_config_value(key: str, value) -> None:
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     if args.config:
+        import json
+
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config {args.config!r}: {exc}")
         if not isinstance(cfg, dict):
             raise UsageError("config file must hold a JSON object")
@@ -163,7 +145,10 @@ def _f_arity(args: argparse.Namespace) -> int:
     return resolve_arity(args.f, args.arity)
 
 
-def _resolve_f(args: argparse.Namespace, n: int) -> IVFunction:
+def _resolve_f(args: argparse.Namespace, n: int):
+    from .expr import compile_ivfunction, parse_expr
+    from .functions import get_function
+
     if args.f.startswith("expr:"):
         src = args.f[len("expr:"):]
         return compile_ivfunction(parse_expr(src, n), n, name=src)
@@ -171,6 +156,9 @@ def _resolve_f(args: argparse.Namespace, n: int) -> IVFunction:
 
 
 def _resolve_g(args: argparse.Namespace):
+    from .expr import compile_scaling, parse_expr
+    from .functions import get_scaling
+
     if args.g.startswith("expr:"):
         src = args.g[len("expr:"):]
         ast = parse_expr(src, 1)
@@ -198,10 +186,14 @@ def _run(args: argparse.Namespace, out) -> int:
         raise UsageError("--budget must be >= 1")
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
-    # refuse before F is compiled and before the grid, whose size grows
-    # with the resolution squared
+    # refuse before the engine is imported, before F is compiled and before
+    # the grid, whose size grows with the resolution squared
     check_budget(*sweep_sizes(command, grid_size(args.resolution), n),
                  budget=args.budget)
+    from .functions import get_iso
+    from .homogeneity import (check_homogeneity, check_idempotency, make_grid,
+                              run_prop2, run_theorem1)
+
     f = _resolve_f(args, n)
     grid = make_grid(args.resolution, mode)
 
@@ -221,11 +213,16 @@ def _run(args: argparse.Namespace, out) -> int:
     else:  # pragma: no cover
         raise AssertionError(command)
 
+    from .report import emit_report
+
     print(emit_report(report, args.output), file=out)
     return EXIT_PASS if report.verdict == "pass" else EXIT_FAIL
 
 
-def _run_dual(args: argparse.Namespace, f: IVFunction, grid, out) -> int:
+def _run_dual(args: argparse.Namespace, f, grid, out) -> int:
+    from .functions import FUNCTION_NAMES, dual_ns, get_function
+    from .homogeneity import equal_on_grid
+
     # each candidate is compared with the dual on all s^n tuples
     dual = dual_ns(f)
     matches = []
@@ -245,6 +242,8 @@ def _run_dual(args: argparse.Namespace, f: IVFunction, grid, out) -> int:
         "mode": grid.mode.kind,
     }
     if args.output == "json":
+        import json
+
         print(json.dumps(payload, indent=2), file=out)
     elif args.output == "csv":
         print(f"dual,{f.name},{';'.join(matches)}", file=out)
@@ -269,14 +268,8 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"ivhom: budget refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (
-        UsageError,
-        UnsupportedModeError,
-        ExprError,
-        IntervalError,
-        LookupError,
-        ValueError,
-    ) as exc:
+    # UsageError, IntervalError and expr.ExprError are ValueErrors
+    except (UnsupportedModeError, LookupError, ValueError) as exc:
         print(f"ivhom: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -28,6 +28,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Union
 
+from .gate import MAX_ARITY, MAX_POW_EXPONENT, check_arity
 from .interval import Interval, _set, _Value
 
 
@@ -101,15 +102,6 @@ Node = Union[Var, LVar, Const, Pow, Proj, Call]
 _OPS = {"min", "max", "mul", "psum", "neg", "mean", "pow"}
 #: binary ops applied to n arguments by folding left, as functools.reduce does
 _FOLDED = {"min", "max", "mul", "psum"}
-
-#: The largest exponent of a DSL `pow(e,k)` and of a registry `pow_<k>`.
-#: An exact kernel writes denominators such as m^k into its source as
-#: decimal literals, which Python refuses beyond 4,300 digits; up to this
-#: limit an arity-1 `pow` law within the default budget stays below that.
-MAX_POW_EXPONENT = 1000
-#: The largest arity of an IV-function. `mul` over n arguments has the
-#: denominator m^n, as `pow(e,n)` has, so the limit is the same.
-MAX_ARITY = MAX_POW_EXPONENT
 
 _IDENTS = {*_OPS, "proj"}
 # minimum argument counts; None marks special-cased forms (pow, proj)
@@ -317,12 +309,6 @@ def parities(node: Node) -> dict[str, set[int]]:
 def max_var_index(node: Node) -> int:
     return max((n.index for n in _walk(node) if isinstance(n, (Var, Proj))),
                default=0)
-
-
-def check_arity(arity: int) -> None:
-    """Refuse an arity outside 1..MAX_ARITY before anything is built."""
-    if not 1 <= arity <= MAX_ARITY:
-        raise ValueError(f"arity must be from 1 to {MAX_ARITY}, got {arity}")
 
 
 def parse_expr(src: str, arity: int) -> Node:

@@ -11,8 +11,6 @@ from __future__ import annotations
 import re
 
 from .expr import (
-    MAX_ARITY,
-    MAX_POW_EXPONENT,
     Call,
     IVFunction,
     LVar,
@@ -20,9 +18,9 @@ from .expr import (
     Pow,
     ScalingFunction,
     Var,
-    check_arity,
     dual,
 )
+from .gate import MAX_ARITY, MAX_POW_EXPONENT, POW_RE, resolve_arity
 
 _X1 = Var(1)
 
@@ -53,18 +51,9 @@ _ISOS = {"identity": IDENTITY, "square": SQUARE}
 _NARY = {"min": "min", "max": "max", "product": "mul", "mean": "mean"}
 
 _PROJ_RE = re.compile(r"\Aproj_(\d+)\Z")
-_POW_RE = re.compile(r"\Apow_(\d+)\Z")
 
 #: Names of the shipped IV-functions (with their default arities).
 FUNCTION_NAMES = ("min", "max", "product", "mean", "proj_1", "proj_2", "pow_2")
-
-
-def resolve_arity(name: str, arity: int | None) -> int:
-    """`arity`, checked against `expr.MAX_ARITY`, or when it is None the
-    default arity of registry function `name`: 1 for pow_<k>, else 2."""
-    n = (1 if _POW_RE.match(name) else 2) if arity is None else arity
-    check_arity(n)
-    return n
 
 
 def _suffix(name: str, digits: str, what: str, limit: int, limit_name: str) -> int:
@@ -87,7 +76,7 @@ def _make_function(name: str, arity: int | None) -> IVFunction:
         if k > n:
             raise LookupError(f"{name} needs arity >= {k}, got {n}")
         return IVFunction(name, n, Var(k))
-    wm = _POW_RE.match(name)
+    wm = POW_RE.match(name)
     if wm:
         k = _suffix(name, wm.group(1), "exponent", MAX_POW_EXPONENT,
                     "MAX_POW_EXPONENT")

@@ -21,6 +21,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .expr import kernels, parities, sweep, uses_ops
+# callers also import BudgetExceededError and grid_size from here
+from .gate import (DEFAULT_BUDGET, BudgetExceededError, UnsupportedModeError,
+                   check_budget, grid_size, sweep_sizes)
 from .interval import EXACT, Interval, Number, NumericMode, _Value
 from .functions import (
     IDENTITY,
@@ -31,28 +34,6 @@ from .functions import (
     dual_ns,
     dual_scaling_ns,
 )
-
-DEFAULT_BUDGET = 10**7
-
-
-class BudgetExceededError(RuntimeError):
-    """The sweep would exceed the evaluation budget; refuse, never sample.
-
-    The sweep covers s^k grid tuples. That count is named as a power, and
-    s only when it is at most the budget: in decimal either can run to
-    more digits than Python converts."""
-
-    def __init__(self, s: int, k: int, budget: int):
-        size = f"{s}^{k}" if s <= budget else f"over {budget}"
-        super().__init__(
-            f"a sweep of {size} grid tuples needs 2 side-evaluations per "
-            f"tuple, more than the budget of {budget}"
-        )
-        self.budget = budget
-
-
-class UnsupportedModeError(RuntimeError):
-    """An ingredient cannot be evaluated in the requested numeric mode."""
 
 
 class Grid(_Value):
@@ -66,11 +47,6 @@ class Grid(_Value):
 
     def __len__(self) -> int:
         return len(self.points)
-
-
-def grid_size(m: int) -> int:
-    """The number s of grid points at resolution m."""
-    return (m + 1) * (m + 2) // 2
 
 
 def make_grid(m: int, mode: NumericMode = EXACT) -> Grid:
@@ -124,31 +100,6 @@ class PipelineReport(_Value):
     @property
     def verdict(self) -> str:
         return "pass" if all(r.passed for _, r in self.checks) else "fail"
-
-
-def check_budget(*sweeps: tuple[int, int], budget: int) -> None:
-    """Refuse unless each sweep's 2 side-evaluations per tuple fit the
-    budget. A sweep (s, k), k >= 1, covers s^k tuples; the sweeps are
-    checked in the order they would run, and each power is multiplied out
-    only until it passes the budget."""
-    for s, k in sweeps:
-        count = 1
-        for _ in range(k):
-            count *= s
-            if 2 * count > budget:
-                raise BudgetExceededError(s, k, budget)
-
-
-def sweep_sizes(command: str, s: int, n: int) -> tuple[tuple[int, int], ...]:
-    """Each sweep a command runs, in the order they run, as the (s, k) of
-    its s^k tuples, for s grid points and an F of arity n."""
-    return {
-        "check": ((s, n + 1),),
-        "idempotent": ((s, 1),),
-        "theorem1": ((1, 1), (s, 1), (s, n + 1), (s, 1)),
-        "prop2": ((s, n + 1), (s, n + 1)),
-        "dual": ((s, n),),
-    }[command]
 
 
 def _kernel_points(grid: Grid) -> list[tuple]:

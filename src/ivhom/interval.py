@@ -165,7 +165,12 @@ class NumericMode(_Value):
         return self.kind == "exact"
 
     def convert(self, v: Number) -> Number:
-        return Fraction(v) if self.is_exact else float(v)
+        if self.is_exact:
+            return Fraction(v)
+        try:
+            return float(v)
+        except OverflowError:  # past the largest double: inf, as float("1e400")
+            return float("inf") if v > 0 else float("-inf")
 
     def zero(self) -> Number:
         return Fraction(0) if self.is_exact else 0.0
@@ -186,12 +191,29 @@ EXACT = NumericMode("exact")
 FLOAT = NumericMode("float")
 
 _INTERVAL_RE = re.compile(r"\s*\[\s*([^,\[\]\s]+)\s*,\s*([^,\[\]\s]+)\s*\]\s*\Z")
+#: Python's default limit on the digits of an int read from or written as
+#: a decimal string
+MAX_DIGITS = 4300
+_EXPONENT_RE = re.compile(r"[eE][-+]?([\d_]+)\Z")
 
 
 def parse_number(text: str, mode: NumericMode = EXACT) -> Number:
-    """Parse a decimal ("0.25") or rational ("1/3") endpoint."""
+    """Parse a decimal ("0.25") or rational ("1/3") endpoint.
+
+    `Fraction` multiplies out 10 to the power of the exponent, so
+    `1e999999999` would run for minutes. A literal whose digits and
+    exponent together pass `MAX_DIGITS` is refused before it is built."""
+    text = text.strip()
+    e = _EXPONENT_RE.search(text)
+    exponent = e.group(1).replace("_", "").lstrip("0") if e else ""
+    digits = sum(c.isdigit() for c in (text[:e.start()] if e else text))
+    if (len(exponent) > len(str(MAX_DIGITS))
+            or digits + int(exponent or 0) > MAX_DIGITS):
+        shown = text if len(text) <= 40 else text[:37] + "..."
+        raise IntervalError(f"cannot parse number {shown!r}: its digits and "
+                            f"exponent exceed the limit of {MAX_DIGITS}")
     try:
-        value = Fraction(text.strip())
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise IntervalError(f"cannot parse number {text!r}: {exc}") from exc
     return mode.convert(value)

@@ -16,13 +16,20 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_child(*argv):
-    """Run the CLI in a child process, so that a traceback would reach its
-    stderr; the timeout only keeps a hang from stalling the suite."""
+def run_python(*args):
+    """Run a fresh interpreter that imports this `ivhom`, so that no other
+    test's imports count; the timeout only keeps a hang from stalling the
+    suite."""
     env = {**os.environ,
            "PYTHONPATH": str(Path(ivhom.__file__).resolve().parents[1])}
-    return subprocess.run([sys.executable, "-m", "ivhom.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+def run_child(*argv):
+    """Run the CLI in a child process, so that a traceback would reach its
+    stderr."""
+    return run_python("-m", "ivhom.cli", *argv)
 
 
 def test_check_min_pass(capsys):
@@ -226,12 +233,14 @@ def test_pipeline_refused_before_any_check(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("command", ["check", "idempotent", "theorem1", "prop2",
                                      "dual"])
 def test_budget_refused_before_grid_is_built(capsys, monkeypatch, command):
-    from ivhom import cli
+    # the command line imports make_grid only after the gate passes, so the
+    # patch is made where it is defined
+    from ivhom import homogeneity
 
     def never(*args, **kwargs):
         raise AssertionError("the grid was built before the budget gate")
 
-    monkeypatch.setattr(cli, "make_grid", never)
+    monkeypatch.setattr(homogeneity, "make_grid", never)
     code, _, err = run(capsys, command, "--f", "min", "--resolution", "800",
                        "--budget", "10", "--mode", "exact")
     assert code == 3 and "budget" in err
@@ -306,15 +315,78 @@ def test_deeply_nested_expression_exit_2():
 
 
 def test_startup_imports_no_dataclasses():
-    # a fresh interpreter, so that no other test's imports count
-    env = {**os.environ,
-           "PYTHONPATH": str(Path(ivhom.__file__).resolve().parents[1])}
-    code = ("import sys, ivhom.cli; ivhom.cli.build_parser(); "
-            "print('dataclasses' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=60)
+    proc = run_python("-c", "import sys, ivhom.cli; ivhom.cli.build_parser(); "
+                      "print('dataclasses' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+#: builds the parser, runs the command line on its arguments, if any, and
+#: prints which of the engine's modules it imported
+ENGINE_PROBE = """
+import sys, ivhom.cli as cli
+cli.build_parser()
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+engine = ("ivhom.expr", "ivhom.functions", "ivhom.homogeneity", "ivhom.report",
+          "json")
+print([m for m in engine if m in sys.modules])
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv,size,budget", [
+    ((), None, None),
+    (("prop2", "--f", "min", "--resolution", "40"), "861^3", 10000000),
+    (("theorem1", "--f", "min", "--g", "P", "--resolution", "40",
+      "--budget", "1800"), "861^3", 1800),
+], ids=["parser", "prop2", "theorem1"])
+def test_refusal_loads_no_engine(argv, size, budget):
+    proc = run_python("-c", ENGINE_PROBE, *argv)
+    assert proc.stdout.strip() == "[]"
+    if argv:
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            f"ivhom: budget refused: a sweep of {size} grid tuples needs 2 "
+            f"side-evaluations per tuple, more than the budget of {budget}\n")
+    else:
+        assert proc.returncode == 0 and proc.stderr == ""
+
+
+@pytest.mark.parametrize("argv,literal", [
+    # Fraction would multiply out 10^999999999, for minutes
+    (("eval", "--f", "min", "[1e999999999,1]", "[0,1]"), "1e999999999"),
+    (("eval", "--f", "min", "[1e-5000,1]", "[1e-5000,1]"), "1e-5000"),
+    (("eval", "--f", "min", "[0," + "1" * 5000 + "/3]", "[0,1]"),
+     "1" * 37 + "..."),
+    (("theorem1", "--f", "min", "--resolution", "2", "--a",
+      "[1e999999999,1]"), "1e999999999"),
+], ids=["exponent", "negative-exponent", "digits", "theorem1-a"])
+def test_interval_literal_past_the_digit_limit_exit_2(argv, literal):
+    proc = run_child(*argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert (f"cannot parse number {literal!r}: its digits and exponent exceed "
+            "the limit of 4300") in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("literal,message", [
+    ("[1e400,1]", "lo=inf outside [0,1]"),
+    ("[0,-1e400]", "hi=-inf outside [0,1]"),
+])
+def test_float_overflowing_literal_exit_2(literal, message):
+    proc = run_child("eval", "--mode", "float", "--f", "min", literal, "[0,1]")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"ivhom: error: {message}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_config_not_utf8_names_the_file(tmp_path):
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes(b'{"f": "m\xefn"}')
+    proc = run_child("check", "--config", str(cfg))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"ivhom: error: cannot read config {str(cfg)!r}: 'utf-8' codec" \
+        in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [
