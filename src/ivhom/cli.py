@@ -70,14 +70,20 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand. When `argv` starts with a subcommand,
+    only that one gets its flags: they are all that parsing `argv` reads,
+    and the help and errors stay the same."""
     parser = argparse.ArgumentParser(
         prog="ivhom",
         description="Exhaustive grid checks for interval-valued homogeneity laws.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
     for command, (help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
+        if only not in (None, command):
+            continue
         for name in flags + _COMMON:
             p.add_argument(f"--{name}", **_FLAGS[name])
         if command == "eval":
@@ -177,7 +183,8 @@ def _run(args: argparse.Namespace, out) -> int:
                 f"{args.f} expects {n} interval(s), got {len(args.intervals)}"
             )
         xs = [parse_interval(s, mode) for s in args.intervals]
-        print(format_interval(_resolve_f(args, n)(*xs), mode), file=out)
+        print(format_interval(_resolve_f(args, n)(*xs), mode, "result"),
+              file=out)
         return EXIT_PASS
 
     if args.resolution < 1:
@@ -257,7 +264,7 @@ def _run_dual(args: argparse.Namespace, f, grid, out) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = build_parser(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -227,12 +227,26 @@ def parse_interval(text: str, mode: NumericMode = EXACT) -> Interval:
     return Interval(parse_number(m.group(1), mode), parse_number(m.group(2), mode))
 
 
-def format_number(v: Number, mode: NumericMode) -> str:
-    if mode.is_exact:
-        f = Fraction(v)
+def too_long(what: str) -> str:
+    """The message for an int, `what`, that Python will not write as text."""
+    return (f"{what} has more than {MAX_DIGITS} digits, Python's limit for "
+            "writing an integer as text; use --mode float")
+
+
+def format_number(v: Number, mode: NumericMode, role: str = "number") -> str:
+    """`v` as text, "p/q" in exact mode; `role` names it in the error for a
+    numerator or denominator past `MAX_DIGITS` digits."""
+    if not mode.is_exact:
+        return repr(float(v))
+    f = Fraction(v)
+    try:
         return f"{f.numerator}/{f.denominator}"
-    return repr(float(v))
+    except ValueError:
+        raise IntervalError(too_long(f"the numerator or denominator of the "
+                                     f"{role}")) from None
 
 
-def format_interval(x: Interval, mode: NumericMode) -> str:
-    return f"[{format_number(x.lo, mode)},{format_number(x.hi, mode)}]"
+def format_interval(x: Interval, mode: NumericMode,
+                    role: str = "interval") -> str:
+    return (f"[{format_number(x.lo, mode, f'lower endpoint of the {role}')},"
+            f"{format_number(x.hi, mode, f'upper endpoint of the {role}')}]")

@@ -1,12 +1,12 @@
 """Report serialization: JSON, CSV, and human-readable text.
 
 Numbers are decimal strings in float mode and "p/q" strings in exact mode,
-so exact verdicts survive serialization without loss.
+so exact verdicts survive serialization without loss. Only the JSON writer
+and reader import `json`.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Union
 
@@ -54,7 +54,8 @@ def check_to_dict(report: CheckReport) -> dict:
         "verdict": report.verdict,
         "counterexample": _cex_dict(report.counterexample, report.mode),
         "evaluations": report.evaluations,
-        "max_deviation": format_number(report.max_deviation, report.mode),
+        "max_deviation": format_number(report.max_deviation, report.mode,
+                                       "maximum deviation"),
         "mode": _mode_dict(report.mode),
         "resolution": report.resolution,
     }
@@ -106,14 +107,14 @@ def to_json(report: Report) -> str:
         d = pipeline_to_dict(report)
     else:
         d = check_to_dict(report)
+    import json
+
     return json.dumps(d, indent=2)
 
 
 def _dev_str(dev: Number, mode: NumericMode) -> str:
     # compact form for csv/text: "0", "1/16", "2.5e-13"
-    if mode.is_exact:
-        return str(Fraction(dev))
-    return repr(float(dev))
+    return format_number(dev, mode, "maximum deviation").removesuffix("/1")
 
 
 def to_csv(report: Report) -> str:
@@ -193,4 +194,6 @@ def emit_report(report: Report, fmt: str) -> str:
 
 def parse_check_report(text: str) -> CheckReport:
     """Inverse of to_json for single-check reports."""
+    import json
+
     return check_from_dict(json.loads(text))

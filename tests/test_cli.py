@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ivhom
-from ivhom.cli import main
+from ivhom.cli import _COMMANDS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -327,11 +327,12 @@ ENGINE_PROBE = """
 import sys, ivhom.cli as cli
 cli.build_parser()
 code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-engine = ("ivhom.expr", "ivhom.functions", "ivhom.homogeneity", "ivhom.report",
-          "json")
+engine = ("ivhom.dsl", "ivhom.expr", "ivhom.functions", "ivhom.homogeneity",
+          "ivhom.report", "json")
 print([m for m in engine if m in sys.modules])
 sys.exit(code)
 """
+ENGINE = ["ivhom.expr", "ivhom.functions", "ivhom.homogeneity", "ivhom.report"]
 
 
 @pytest.mark.parametrize("argv,size,budget", [
@@ -350,6 +351,47 @@ def test_refusal_loads_no_engine(argv, size, budget):
             f"side-evaluations per tuple, more than the budget of {budget}\n")
     else:
         assert proc.returncode == 0 and proc.stderr == ""
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (("check", "--f", "min", "--resolution", "2", "--output", "text"), ENGINE),
+    (("check", "--f", "min", "--resolution", "2", "--output", "csv"), ENGINE),
+    (("check", "--f", "min", "--resolution", "2"), ENGINE + ["json"]),
+    (("dual", "--f", "min", "--resolution", "2", "--output", "text"),
+     ENGINE[:3]),
+    (("check", "--f", "expr:min(X1,X2)", "--arity", "2", "--resolution", "2",
+      "--output", "text"), ["ivhom.dsl"] + ENGINE),
+    (("check", "--f", "min", "--g", "expr:mul(L,X1)", "--resolution", "2",
+      "--output", "csv"), ["ivhom.dsl"] + ENGINE),
+    (("eval", "--f", "min", "[0,1]", "[1,1]"), ENGINE[:2]),
+], ids=["text", "csv", "json", "dual-text", "expr-f", "expr-g", "eval"])
+def test_modules_each_command_loads(argv, loaded):
+    """Only `expr:` arguments compile the DSL front end, and only JSON output
+    loads `json`."""
+    proc = run_python("-c", ENGINE_PROBE, *argv)
+    assert proc.returncode in (0, 1) and proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == repr(loaded)
+
+
+@pytest.mark.parametrize("argv", [
+    ("-h",), *((command, "-h") for command in _COMMANDS),
+    ("check", "--nope"), ("check", "--mode", "bad"),
+    ("idempotent", "--output", "xml"), ("eval", "--f", "min", "--budget", "x"),
+    ("frobnicate",), (), ("--f", "min", "check"),
+    ("check", "--f", "min", "--g", "P_NS", "--mode", "float"),
+    ("eval", "--f", "min", "[0,1]", "[1,1]"),
+], ids=lambda argv: " ".join(argv) or "no-command")
+def test_parser_of_one_subcommand_parses_like_the_full_parser(capsys, argv):
+    """`build_parser(argv)` adds only the flags of `argv`'s subcommand; its
+    output, exit code and result are those of the full parser."""
+    results = []
+    for parser in (build_parser(), build_parser(list(argv))):
+        try:
+            outcome = vars(parser.parse_args(list(argv)))
+        except SystemExit as exc:
+            outcome = exc.code
+        results.append((outcome, *capsys.readouterr()))
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("argv,literal", [
@@ -412,6 +454,25 @@ def test_registry_suffix_of_more_digits_than_python_converts_exit_2(argv, limit)
     assert proc.returncode == 2 and proc.stdout == ""
     assert f"exceeds the limit of 1000 ({limit})" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv,role", [
+    (("eval", "--f", "product", "[1e-2200,1]", "[1e-2200,1]"),
+     "the numerator or denominator of the lower endpoint of the result"),
+    (("check", "--f", "expr:pow(pow(X1,1000),100)", "--arity", "1",
+      "--resolution", "3", "--output", "csv"),
+     "an exact denominator of the compiled expression"),
+], ids=["eval-endpoint", "check-denominator"])
+def test_exact_value_past_the_digit_limit_exit_2(argv, role):
+    """Python writes no int of more than 4300 digits as text; the message
+    says which value it was and that float mode has no such limit."""
+    proc = run_child(*argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(
+        f"ivhom: error: {role} has more than 4300 digits, Python's limit for "
+        "writing an integer as text; use --mode float")
+    assert "Traceback" not in proc.stderr
+    assert run_child(*argv, "--mode", "float").returncode in (0, 1)
 
 
 def test_pow_exponent_at_limit_runs(capsys):

@@ -15,8 +15,8 @@ from ivhom.expr import (
     Proj,
     ScalingFunction,
     Var,
-    _Token,
 )
+from ivhom.dsl import _Token
 from ivhom.functions import IDENTITY, P, SQUARE, get_function
 from ivhom.homogeneity import (
     CheckReport,
