@@ -5,7 +5,8 @@ Exit codes: 0 = verdict pass (or informational success), 1 = verdict fail,
 
 A run parses its flags, builds the numeric mode, resolves the arity and
 passes the budget gate (`gate`) before it imports the engine (`expr`,
-`functions`, `homogeneity`, `report`), so a refusal loads none of it.
+`functions`, `homogeneity`, `report`), so a refusal loads none of it. This
+is the only budget gate: the engine checks no budget of its own.
 """
 
 from __future__ import annotations
@@ -162,13 +163,15 @@ def _resolve_f(args: argparse.Namespace, n: int):
 
 
 def _resolve_g(args: argparse.Namespace):
-    from .expr import compile_scaling, parse_expr
     from .functions import get_scaling
 
     if args.g.startswith("expr:"):
+        from .dsl import _Parser
+        from .expr import compile_scaling
+
+        # parsed with no declared arity: compile_scaling names what G may use
         src = args.g[len("expr:"):]
-        ast = parse_expr(src, 1)
-        return compile_scaling(ast, name=src)
+        return compile_scaling(_Parser(src).parse(), name=src)
     return get_scaling(args.g)
 
 
@@ -193,6 +196,7 @@ def _run(args: argparse.Namespace, out) -> int:
         raise UsageError("--budget must be >= 1")
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
+    a = parse_interval(args.a, mode) if command == "theorem1" else None
     # refuse before the engine is imported, before F is compiled and before
     # the grid, whose size grows with the resolution squared
     check_budget(*sweep_sizes(command, grid_size(args.resolution), n),
@@ -205,16 +209,13 @@ def _run(args: argparse.Namespace, out) -> int:
     grid = make_grid(args.resolution, mode)
 
     if command == "check":
-        report = check_homogeneity(
-            f, _resolve_g(args), get_iso(args.phi), grid, budget=args.budget
-        )
+        report = check_homogeneity(f, _resolve_g(args), get_iso(args.phi), grid)
     elif command == "idempotent":
-        report = check_idempotency(f, grid, budget=args.budget)
+        report = check_idempotency(f, grid)
     elif command == "theorem1":
-        a = parse_interval(args.a, mode)
-        report = run_theorem1(f, _resolve_g(args), a, grid, budget=args.budget)
+        report = run_theorem1(f, _resolve_g(args), a, grid)
     elif command == "prop2":
-        report = run_prop2(f, grid, budget=args.budget)
+        report = run_prop2(f, grid)
     elif command == "dual":
         return _run_dual(args, f, grid, out)
     else:  # pragma: no cover
@@ -253,7 +254,7 @@ def _run_dual(args: argparse.Namespace, f, grid, out) -> int:
 
         print(json.dumps(payload, indent=2), file=out)
     elif args.output == "csv":
-        print(f"dual,{f.name},{';'.join(matches)}", file=out)
+        print(f"dual,{_csv_field(f.name)},{';'.join(matches)}", file=out)
     else:
         eq = ", ".join(matches) if matches else "no registry function"
         print(
@@ -261,6 +262,14 @@ def _run_dual(args: argparse.Namespace, f, grid, out) -> int:
             file=out,
         )
     return EXIT_PASS
+
+
+def _csv_field(text: str) -> str:
+    """`text` as one CSV field: quoted, with inner quotes doubled, when it
+    holds a comma, quote, CR or LF (RFC 4180)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def main(argv=None) -> int:

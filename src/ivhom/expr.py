@@ -21,10 +21,15 @@ from .interval import Interval, _set, _Value, too_long
 
 
 class ExprError(ValueError):
-    """Syntax or arity error in a DSL expression, with 1-based position."""
+    """Syntax, arity or compile error in an expression. A parser error
+    carries its 1-based source position; an error found after parsing has
+    none, and its message names no position."""
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(self, message: str, line: int | None = None,
+                 column: int | None = None):
+        if line is not None:
+            message = f"{message} (line {line}, column {column})"
+        super().__init__(message)
         self.line = line
         self.column = column
 
@@ -143,7 +148,7 @@ def parse_expr(src: str, arity: int) -> Node:
     node = _Parser(src).parse()
     hi = max_var_index(node)
     if hi > arity:
-        raise ExprError(f"variable X{hi} exceeds declared arity {arity}", 1, 1)
+        raise ExprError(f"variable X{hi} exceeds declared arity {arity}")
     return node
 
 
@@ -184,8 +189,8 @@ def _int_lit(n: int, what: str) -> str:
     try:
         return f"{n:d}"
     except ValueError:
-        raise ExprError(too_long(f"an exact {what} of the compiled expression"),
-                        1, 1) from None
+        raise ExprError(
+            too_long(f"an exact {what} of the compiled expression")) from None
 
 
 def _scaled(x: str, k: int) -> str:
@@ -327,7 +332,7 @@ def _trace(node: Node, target: _ScalarTarget, env: dict):
             elif isinstance(n, Pow):
                 names[n] = target.pow(ref(n.arg), n.exponent)
             elif n.ident not in _OPS:
-                raise ExprError(f"unknown operation {n.ident!r}", 1, 1)
+                raise ExprError(f"unknown operation {n.ident!r}")
             elif n.ident in _FOLDED:
                 acc, *rest = map(ref, n.args)
                 for arg in rest:
@@ -340,7 +345,7 @@ def _trace(node: Node, target: _ScalarTarget, env: dict):
     try:
         return ref(node)
     except RecursionError:  # ref recurses once per nesting level
-        raise ExprError("expression nested too deeply to compile", 1, 1) from None
+        raise ExprError("expression nested too deeply to compile") from None
 
 
 def _compile(source: list[str], env: dict) -> Callable:
@@ -522,12 +527,12 @@ class OrderIso(_Compiled):
 
 def compile_ivfunction(node: Node, arity: int, name: str = "expr") -> IVFunction:
     if uses_l(node):
-        raise ExprError("IV-function expressions may not use L", 1, 1)
+        raise ExprError("IV-function expressions may not use L")
     return IVFunction(name, arity, node)
 
 
 def compile_scaling(node: Node, name: str = "expr") -> ScalingFunction:
     """Compile an expression over {L, X1} into a scaling function G(L, X1)."""
     if max_var_index(node) > 1:
-        raise ExprError("scaling expressions may only use L and X1", 1, 1)
+        raise ExprError("scaling expressions may only use L and X1")
     return ScalingFunction(name, node)

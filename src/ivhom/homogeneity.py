@@ -11,6 +11,10 @@ runs in one loop that `expr.sweep` generates for it. `Interval` objects
 are built only for what a report shows. A law in which each variable has
 one parity of `neg`s (`_separable`) is decided on the degenerate grid
 points alone, which covers every grid tuple by construction.
+
+No function here checks a budget or takes a worker count: the command
+line (`cli`) is the one budget gate, and it refuses an over-budget run
+before it imports this module.
 """
 
 from __future__ import annotations
@@ -21,9 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .expr import kernels, parities, sweep, uses_ops
-# callers also import BudgetExceededError and grid_size from here
-from .gate import (DEFAULT_BUDGET, BudgetExceededError, UnsupportedModeError,
-                   check_budget, grid_size, sweep_sizes)
+from .gate import UnsupportedModeError
 from .interval import EXACT, Interval, Number, NumericMode, _Value
 from .functions import (
     IDENTITY,
@@ -185,8 +187,6 @@ def check_homogeneity(
     g: ScalingFunction,
     phi: OrderIso = IDENTITY,
     grid: Grid = None,
-    budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
     law: str = "def1-homogeneity",
 ) -> CheckReport:
     """Sweep F(G(L,X1),...,G(L,Xn)) = G(phi(L), F(X1,...,Xn)) over grid^(n+1).
@@ -201,9 +201,8 @@ def check_homogeneity(
     [a,a] in an even coordinate and at [0,a] in an odd one, an upper
     failure at b at [0,b] in an even coordinate and at [b,b] in an odd one;
     both maps rise with a and b, so the earlier of the two grid tuples is
-    the lowest failing one. `evaluations` and the budget count the s^(n+1)
-    grid tuples the verdict covers.
-    `workers` is accepted and has no effect: the sweep runs in one thread.
+    the lowest failing one. `evaluations` counts the s^(n+1) grid tuples
+    the verdict covers.
     """
     if grid is None:
         raise TypeError("grid is required")
@@ -215,7 +214,6 @@ def check_homogeneity(
         )
     s = len(grid)
     n = f.arity
-    check_budget((s, n + 1), budget=budget)
     total = s ** (n + 1)
 
     pts = _kernel_points(grid)
@@ -282,15 +280,10 @@ def equal_on_grid(f: IVFunction, h: IVFunction, grid: Grid) -> bool:
     )
 
 
-def check_idempotency(
-    f: IVFunction,
-    grid: Grid,
-    budget: int = DEFAULT_BUDGET,
-) -> CheckReport:
+def check_idempotency(f: IVFunction, grid: Grid) -> CheckReport:
     """Check F(X,...,X) = X for every grid point, on the kernel of F, by the
     equality rule of `check_homogeneity`."""
     mode = grid.mode
-    check_budget((len(grid), 1), budget=budget)
     m, n = grid.resolution, f.arity
     fn, den = f.kernel(_dens(grid, *(m,) * n), m)
     k = den // m if mode.is_exact else 1  # X's endpoints over den
@@ -320,12 +313,8 @@ def check_idempotency(
     )
 
 
-def check_section_bijective(
-    g: ScalingFunction,
-    a: Interval,
-    grid: Grid,
-    budget: int = DEFAULT_BUDGET,
-) -> CheckReport:
+def check_section_bijective(g: ScalingFunction, a: Interval,
+                            grid: Grid) -> CheckReport:
     """Grid-certify that X -> G(X, A) is a bijection.
 
     Pass means injective on grid points and grid-surjective (every grid
@@ -340,7 +329,6 @@ def check_section_bijective(
     """
     mode = grid.mode
     pts = grid.points
-    check_budget((len(pts), 1), budget=budget)
     images = [g(x, a) for x in pts]
 
     def report(cex: Optional[Counterexample], note: str) -> CheckReport:
@@ -408,23 +396,17 @@ def _check_fixed_point(f: IVFunction, a: Interval, grid: Grid) -> CheckReport:
     )
 
 
-def run_theorem1(
-    f: IVFunction,
-    g: ScalingFunction,
-    a: Interval,
-    grid: Grid,
-    budget: int = DEFAULT_BUDGET,
-) -> PipelineReport:
+def run_theorem1(f: IVFunction, g: ScalingFunction, a: Interval,
+                 grid: Grid) -> PipelineReport:
     """Premises: F(A,..,A)=A, G(.,A) bijective, F G-homogeneous; then F
     must be idempotent. Idempotency is always run, informationally when a
     premise fails; premises-pass with conclusion-fail is flagged as a
     violation (an implementation-bug signal on exact closed grids).
     """
-    check_budget(*sweep_sizes("theorem1", len(grid), f.arity), budget=budget)
     fixed = _check_fixed_point(f, a, grid)
-    bij = check_section_bijective(g, a, grid, budget=budget)
-    hom = check_homogeneity(f, g, IDENTITY, grid, budget=budget)
-    idem = check_idempotency(f, grid, budget=budget)
+    bij = check_section_bijective(g, a, grid)
+    hom = check_homogeneity(f, g, IDENTITY, grid)
+    idem = check_idempotency(f, grid)
     if fixed.passed and bij.passed and hom.passed:
         status = "confirmed" if idem.passed else "violation"
     else:
@@ -443,23 +425,14 @@ def run_theorem1(
     )
 
 
-def run_prop2(
-    f: IVFunction,
-    grid: Grid,
-    budget: int = DEFAULT_BUDGET,
-) -> PipelineReport:
+def run_prop2(f: IVFunction, grid: Grid) -> PipelineReport:
     """If F is P-homogeneous, its standard-negation dual must be
     homogeneous w.r.t. the dual scaling (the probabilistic sum). The dual
     check is always run, informationally when the premise fails.
     """
-    check_budget(*sweep_sizes("prop2", len(grid), f.arity), budget=budget)
-    base = check_homogeneity(f, P, IDENTITY, grid, budget=budget)
-    f_dual = dual_ns(f)
-    p_dual = dual_scaling_ns(P)
-    dual = check_homogeneity(
-        f_dual, p_dual, IDENTITY, grid, budget=budget,
-        law="def1-homogeneity-dual",
-    )
+    base = check_homogeneity(f, P, IDENTITY, grid)
+    dual = check_homogeneity(dual_ns(f), dual_scaling_ns(P), IDENTITY, grid,
+                             law="def1-homogeneity-dual")
     if base.passed:
         status = "confirmed" if dual.passed else "violation"
     else:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -127,6 +129,40 @@ def test_budget_refusal_exit_3(capsys):
         capsys, "check", "--f", "min", "--resolution", "4", "--budget", "10",
     )
     assert code == 3 and "budget" in err
+
+
+def test_budget_refusal_names_the_power(capsys):
+    code, _, err = run(
+        capsys, "check", "--f", "min", "--resolution", "2", "--budget", "100",
+    )
+    assert code == 3 and "a sweep of 6^3 grid tuples" in err
+
+
+def test_scaling_expression_names_its_variables(capsys):
+    code, _, err = run(capsys, "check", "--f", "min", "--g", "expr:mul(L,X2)")
+    assert code == 2
+    assert "scaling expressions may only use L and X1" in err
+    assert "arity" not in err
+
+
+@pytest.mark.parametrize("src", ["min(X1,X2)", "min(X1,\r\nX2)"])
+def test_dual_csv_row_of_an_expression(capsys, src):
+    code, out, _ = run(capsys, "dual", "--f", f"expr:{src}", "--arity", "2",
+                       "--resolution", "2", "--output", "csv")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [["dual", src, "max"]]
+
+
+def test_theorem1_reads_a_before_any_work(capsys, monkeypatch):
+    from ivhom import cli, homogeneity
+
+    def never(*args, **kwargs):
+        raise AssertionError("work was done before --a was read")
+
+    monkeypatch.setattr(homogeneity, "make_grid", never)
+    monkeypatch.setattr(cli, "_resolve_f", never)
+    code, out, err = run(capsys, "theorem1", "--f", "min", "--a", "[2,1]")
+    assert code == 2 and out == "" and "outside [0,1]" in err
 
 
 def test_square_exact_refused(capsys):
@@ -292,6 +328,20 @@ def test_refusal_of_a_huge_sweep_exit_3(argv, message):
     proc = run_child(*argv)
     assert proc.returncode == 3 and proc.stdout == ""
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("check", "--f", "expr:pow(pow(X1,1000),100)", "--arity", "1",
+      "--resolution", "3"), "has more than 4300 digits"),
+    (("check", "--f", "expr:mul(L,X1)", "--arity", "1"),
+     "IV-function expressions may not use L"),
+    (("check", "--f", "expr:min(X1,X2)", "--arity", "1"),
+     "variable X2 exceeds declared arity 1"),
+], ids=["digits", "uses-L", "arity"])
+def test_compile_error_names_no_position(argv, message):
+    proc = run_child(*argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert message in proc.stderr and "line 1, column 1" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv,message", [

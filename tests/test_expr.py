@@ -144,8 +144,10 @@ def test_nesting_too_deep_is_an_expr_error():
     node = Var(1)
     for _ in range(5000):
         node = Call("neg", (node,))
-    with pytest.raises(ExprError, match="nested too deeply to compile"):
+    with pytest.raises(ExprError, match="nested too deeply to compile") as exc:
         IVFunction("deep", 1, node)
+    # a compile error has no source position and names none
+    assert exc.value.line is None and "line" not in str(exc.value)
 
 
 def test_node_hash_is_cached_and_does_not_recurse():

@@ -14,7 +14,6 @@ from ivhom.functions import (
     get_function,
 )
 from ivhom.homogeneity import (
-    BudgetExceededError,
     Counterexample,
     UnsupportedModeError,
     check_homogeneity,
@@ -99,21 +98,6 @@ def test_pi2_universal(name):
     grid = make_grid(3)
     r = check_homogeneity(get_function(name), PI2, IDENTITY, grid)
     assert r.verdict == "pass" and r.max_deviation == 0
-
-
-def test_budget_refusal():
-    grid = make_grid(2)
-    with pytest.raises(BudgetExceededError, match=r"6\^3 grid tuples"):
-        check_homogeneity(get_function("min", 2), P, IDENTITY, grid, budget=100)
-
-
-def test_worker_count_does_not_change_report():
-    grid = make_grid(2)
-    f = get_function("product", 2)
-    reports = [
-        check_homogeneity(f, P, IDENTITY, grid, workers=w) for w in (1, 2, 8)
-    ]
-    assert reports[0] == reports[1] == reports[2]
 
 
 def test_monotone_refutation_m2_vs_m4():
