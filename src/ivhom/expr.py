@@ -109,11 +109,6 @@ def uses_l(node: Node) -> bool:
     return any(isinstance(n, LVar) for n in _walk(node))
 
 
-def uses_ops(node: Node, idents: set[str]) -> bool:
-    """Whether any call in the AST applies one of the ops in `idents`."""
-    return any(isinstance(n, Call) and n.ident in idents for n in _walk(node))
-
-
 def parities(node: Node) -> dict[str, set[int]]:
     """For each variable of the AST, "L" or "X<k>" (`proj(k)` too), the
     parities of the number of `neg` calls above its occurrences: {0}, {1}
@@ -208,16 +203,16 @@ class _ScalarTarget:
 
     Exact mode: endpoints are numerators, and every node's denominator is
     fixed here, before any call: `mul` multiplies them, `pow` raises to its
-    exponent, `psum` is a*Db + (Da-a)*b over Da*Db, `min`/`max`/`neg` work
-    over a common denominator, `mean` over n times the common one, and a
-    constant over its own. The code uses only ring ops, comparisons and int
-    literals, so `Fraction` numerators over denominator 1 work as well as
-    ints. Float mode: endpoints are doubles, combined in the op order of
-    `interval`.
+    exponent, `psum` is Da*Db - (Da-a)*(Db-b) over Da*Db, `min`/`max`/`neg`
+    work over a common denominator, `mean` over n times the common one, and
+    a constant over its own. The code uses only ring ops, comparisons and
+    int literals, so `Fraction` numerators over denominator 1 work as well
+    as ints. Float mode: endpoints are doubles, combined in the op order of
+    `interval`, with every denominator 1.0.
 
-    `checked` range-checks every intermediate like an `Interval`. Without
-    it only float `psum` is checked: every other op maps intervals of [0,1]
-    to intervals of [0,1], but rounded a + (1-a)*b is not monotone in a.
+    `checked` range-checks every intermediate like an `Interval`. Every op
+    is monotone and maps intervals of [0,1] to intervals of [0,1] in both
+    modes, so code that reads only checked inputs needs no check.
     """
 
     def __init__(self, exact: bool, checked: bool = True, depth: int = 0) -> None:
@@ -237,10 +232,9 @@ class _ScalarTarget:
         """A denominator as a literal of the mode's number type."""
         return _int_lit(den, "denominator") if self.exact else repr(float(den))
 
-    def pair(self, lo: str, hi: str, den: int, level: int,
-             check: bool = False) -> tuple:
+    def pair(self, lo: str, hi: str, den: int, level: int) -> tuple:
         lo, hi = self.local(lo, level), self.local(hi, level)
-        if self.checked or check:
+        if self.checked:
             self.lines[level].append(
                 f"if not {self.lit(0)} <= {lo} <= {hi} <= {self.lit(den)}: "
                 f"_breach({lo}, {hi}, {den:d})"
@@ -279,15 +273,15 @@ class _ScalarTarget:
                 return self.pair(los, his, len(args) * den, level)
             return self.pair(f"({los}) / {len(args):d}",
                              f"({his}) / {len(args):d}", 1, level)
-        (al, ah, da, la), (bl, bh, db, _) = args
+        (al, ah, da, la), (bl, bh, db, lb) = args
         if ident == "mul":
             return self.pair(f"{al} * {bl}", f"{ah} * {bh}", da * db, level)
         if ident == "psum":
-            one = self.lit(da)
-            cl, ch = (self.local(f"{one} - {x}", la) for x in (al, ah))
-            return self.pair(f"{_scaled(al, db)} + {cl} * {bl}",
-                             f"{_scaled(ah, db)} + {ch} * {bh}",
-                             da * db, level, check=not self.exact)
+            cl, ch = (self.local(f"{self.lit(da)} - {x}", la) for x in (al, ah))
+            dl, dh = (self.local(f"{self.lit(db)} - {x}", lb) for x in (bl, bh))
+            one = self.lit(da * db)
+            return self.pair(f"{one} - {cl} * {dl}", f"{one} - {ch} * {dh}",
+                             da * db, level)
         # the conditional names each operand twice
         den = lcm(da, db)
         (al, ah), (bl, bh) = (self.scaled(a, den) for a in args)
@@ -442,12 +436,11 @@ def sweep(f: "IVFunction", g: "ScalingFunction",
     kernels, then runs n nested loops over the row, X1 outermost, walking
     the F table in order. Both sides are inlined, and each subexpression is
     computed in the loop of the last variable it reads. The kernels check
-    every input; inside the loops only float `psum` is range-checked (see
-    `_ScalarTarget`). It returns the largest endpoint deviation (0 of the
-    mode's number type when there is none), and the pts indices (Λ, X1,
-    ..., Xn) of the first tuple whose lower endpoints, and of the first
-    whose upper endpoints, differ by more than `tol`, each None when there
-    is none.
+    every input, and the loops check nothing (see `_ScalarTarget`). It
+    returns the largest endpoint deviation (0 of the mode's number type
+    when there is none), and the pts indices (Λ, X1, ..., Xn) of the first
+    tuple whose lower endpoints, and of the first whose upper endpoints,
+    differ by more than `tol`, each None when there is none.
 
     `dens` is the (G, phi, F) kernels' result denominators in exact mode,
     None in float mode.

@@ -24,7 +24,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Optional
 
-from .expr import kernels, parities, sweep, uses_ops
+from .expr import kernels, parities, sweep
 from .gate import UnsupportedModeError
 from .interval import EXACT, Interval, Number, NumericMode, _Value
 from .functions import (
@@ -142,18 +142,14 @@ def _compose(a: set, b: set) -> set:
     return {x ^ y for x in a for y in b}
 
 
-def _single_parities(mode: NumericMode, ingredients,
-                     variables: list[set]) -> Optional[tuple[bool, ...]]:
-    """Whether each variable is odd, when each has one parity and no
-    ingredient is float `psum`; else None."""
-    if not mode.is_exact and any(uses_ops(x.expr, {"psum"}) for x in ingredients):
-        return None
+def _single_parities(variables: list[set]) -> Optional[tuple[bool, ...]]:
+    """Whether each variable is odd, when each has one parity; else None."""
     if any(len(p) > 1 for p in variables):
         return None
     return tuple(1 in p for p in variables)
 
 
-def _separable(mode: NumericMode, f: IVFunction, g: ScalingFunction,
+def _separable(f: IVFunction, g: ScalingFunction,
                phi: OrderIso) -> Optional[tuple[bool, ...]]:
     """Whether each of L, X1..Xn is odd in the law, when the law splits into
     a lower and an upper scalar law over {0..m}^(n+1); else None. Decided
@@ -169,24 +165,22 @@ def _separable(mode: NumericMode, f: IVFunction, g: ScalingFunction,
     under G's L on the right. When each variable has one parity, the lower
     law reads one endpoint per variable and the upper law the other, and
     the degenerate tuple ([a0,a0],...,[an,an]) gives both at a. Every op
-    but float `psum` maps intervals of [0,1] to intervals of [0,1], so no
-    grid tuple breaks lo <= hi on the way and the full sweep would not
-    raise either. Rounded a + (1-a)*b is not monotone in a, so a float law
-    with `psum` keeps the full sweep.
+    is monotone and maps intervals of [0,1] to intervals of [0,1] in both
+    modes, so no grid tuple breaks lo <= hi on the way and the full sweep
+    would not raise either.
     """
     pf, pg, pphi = (parities(x.expr) for x in (f, g, phi))
     gl, gx = pg.get("L", set()), pg.get("X1", set())
     fx = [pf.get(p, set()) for p in f.params]
     lam = _compose(gl, pphi.get("X1", set())).union(*(_compose(p, gl) for p in fx))
-    return _single_parities(mode, (f, g, phi),
-                            [lam, *(_compose(p, gx) for p in fx)])
+    return _single_parities([lam, *(_compose(p, gx) for p in fx)])
 
 
 def check_homogeneity(
     f: IVFunction,
     g: ScalingFunction,
-    phi: OrderIso = IDENTITY,
-    grid: Grid = None,
+    phi: OrderIso,
+    grid: Grid,
     law: str = "def1-homogeneity",
 ) -> CheckReport:
     """Sweep F(G(L,X1),...,G(L,Xn)) = G(phi(L), F(X1,...,Xn)) over grid^(n+1).
@@ -204,8 +198,6 @@ def check_homogeneity(
     the lowest failing one. `evaluations` counts the s^(n+1) grid tuples
     the verdict covers.
     """
-    if grid is None:
-        raise TypeError("grid is required")
     mode = grid.mode
     if mode.is_exact and not phi.exact_ok:
         raise UnsupportedModeError(
@@ -218,7 +210,7 @@ def check_homogeneity(
 
     pts = _kernel_points(grid)
     m = grid.resolution
-    odd = _separable(mode, f, g, phi)
+    odd = _separable(f, g, phi)
     if odd is None:
         lo_index = hi_index = [range(s)] * (n + 1)
     else:
@@ -266,7 +258,7 @@ def equal_on_grid(f: IVFunction, h: IVFunction, grid: Grid) -> bool:
     pts = _kernel_points(grid)
     pf, ph = parities(f.expr), parities(h.expr)
     variables = [pf.get(p, set()) | ph.get(p, set()) for p in f.params]
-    if _single_parities(grid.mode, (f, h), variables) is not None:
+    if _single_parities(variables) is not None:
         pts = [pts[i] for i in _diagonal(grid.resolution)]
     dens = _dens(grid, *(grid.resolution,) * f.arity)
     (f_fn, h_fn), _ = kernels([(f, dens), (h, dens)])

@@ -90,12 +90,12 @@ def complement(x: Interval) -> Interval:
 def prob_sum(x: Interval, y: Interval) -> Interval:
     """Probabilistic sum per endpoint: a + b - a*b.
 
-    Computed as a + (1-a)*b, which cannot leave [0,1] even in float
-    arithmetic; in exact mode the two forms are identical.
+    Computed as 1 - (1-a)*(1-b): each step rounds monotonically, so in
+    float arithmetic too the result stays in [0,1] and rises with a and b.
     """
     return Interval(
-        x.lo + (1 - x.lo) * y.lo,
-        x.hi + (1 - x.hi) * y.hi,
+        1 - (1 - x.lo) * (1 - y.lo),
+        1 - (1 - x.hi) * (1 - y.hi),
     )
 
 

@@ -2,22 +2,14 @@
 
 Numbers are decimal strings in float mode and "p/q" strings in exact mode,
 so exact verdicts survive serialization without loss. Only the JSON writer
-and reader import `json`.
+imports `json`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Union
 
-from .interval import (
-    Interval,
-    Number,
-    NumericMode,
-    format_interval,
-    format_number,
-    parse_interval,
-)
+from .interval import Number, NumericMode, format_interval, format_number
 from .homogeneity import CheckReport, Counterexample, PipelineReport
 
 Report = Union[CheckReport, PipelineReport]
@@ -28,12 +20,6 @@ def _mode_dict(mode: NumericMode) -> dict:
     if not mode.is_exact:
         d["epsilon"] = repr(mode.eps)
     return d
-
-
-def _mode_from_dict(d: dict) -> NumericMode:
-    if d["kind"] == "exact":
-        return NumericMode("exact")
-    return NumericMode("float", float(d["epsilon"]))
 
 
 def _cex_dict(cex: Counterexample | None, mode: NumericMode):
@@ -62,31 +48,6 @@ def check_to_dict(report: CheckReport) -> dict:
     if report.note is not None:
         d["note"] = report.note
     return d
-
-
-def check_from_dict(d: dict) -> CheckReport:
-    mode = _mode_from_dict(d["mode"])
-    num = Fraction if mode.is_exact else float
-    cex = None
-    if d["counterexample"] is not None:
-        c = d["counterexample"]
-        parse = lambda s: None if s is None else parse_interval(s, mode)
-        cex = Counterexample(
-            lam=parse(c["lambda"]),
-            xs=tuple(parse_interval(s, mode) for s in c["xs"]),
-            lhs=parse(c["lhs"]),
-            rhs=parse(c["rhs"]),
-        )
-    return CheckReport(
-        law=d["law"],
-        verdict=d["verdict"],
-        counterexample=cex,
-        evaluations=d["evaluations"],
-        max_deviation=num(d["max_deviation"]),
-        mode=mode,
-        resolution=d["resolution"],
-        note=d.get("note"),
-    )
 
 
 def pipeline_to_dict(report: PipelineReport) -> dict:
@@ -190,10 +151,3 @@ def emit_report(report: Report, fmt: str) -> str:
     if fmt == "text":
         return to_text(report)
     raise ValueError(f"unknown output format {fmt!r}")
-
-
-def parse_check_report(text: str) -> CheckReport:
-    """Inverse of to_json for single-check reports."""
-    import json
-
-    return check_from_dict(json.loads(text))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ivhom import expr
 from ivhom.expr import (
@@ -202,7 +202,7 @@ def test_separable_failure_matches_reference(f_src, g_src, kind, mode):
     f = compile_ivfunction(parse_expr(f_src, arity), arity, name=f_src)
     g = compile_scaling(parse_expr(g_src, 1), name=g_src)
     grid = make_grid(RESOLUTION[arity], mode)
-    assert _separable(mode, f, g, IDENTITY) is not None
+    assert _separable(f, g, IDENTITY) is not None
     assert _kind(*first_failures(f, g, IDENTITY, grid)) == kind
     report = check_homogeneity(f, g, IDENTITY, grid)
     assert report.verdict == "fail"
@@ -232,10 +232,10 @@ PATHS = (
     (MIN2, P, IDENTITY, FLOAT, EVEN2),
     (get_function("pow_2", 1), P, SQUARE, FLOAT, EVEN1),
     (MIN2, P_NS, IDENTITY, EXACT, EVEN2),
-    (MIN2, P_NS, IDENTITY, FLOAT, None),
+    (MIN2, P_NS, IDENTITY, FLOAT, EVEN2),
     (get_function("mean", 2), P, IDENTITY, FLOAT, EVEN2),
     (_dsl("psum(X1,[1/3,2/3])"), P, IDENTITY, EXACT, EVEN1),
-    (_dsl("psum(X1,[1/3,2/3])"), P, IDENTITY, FLOAT, None),
+    (_dsl("psum(X1,[1/3,2/3])"), P, IDENTITY, FLOAT, EVEN1),
     (dual_ns(MIN2), P, IDENTITY, EXACT, EVEN2),
     (MIN2, dual_scaling_ns(P), IDENTITY, EXACT, EVEN2),
     (MIN2, dual_scaling_ns(P), IDENTITY, FLOAT, EVEN2),
@@ -276,10 +276,10 @@ def count_kernels(monkeypatch):
          for f, g, phi, mode, _ in PATHS],
 )
 def test_sweep_path_follows_ir(monkeypatch, f, g, phi, mode, odd):
-    """A law in which each of L, X1..Xn has one parity of `neg`s above it,
-    and no `psum` in float mode, is swept on the m+1 degenerate points
-    only; every other law on the full grid."""
-    assert _separable(mode, f, g, phi) == odd
+    """A law in which each of L, X1..Xn has one parity of `neg`s above it
+    is swept on the m+1 degenerate points only, in both modes; every other
+    law on the full grid."""
+    assert _separable(f, g, phi) == odd
     grid = make_grid(3, mode)
     # compile the kernels that evaluate Intervals for the counterexample
     # first: then the counts below are the sweep's alone
@@ -327,31 +327,34 @@ PARITY_LAWS = (
 def test_parity_law_matches_reference(f_src, g_src, phi, odd, kind, mode):
     f, g = _dsl(f_src), _dsl_scaling(g_src)
     grid = make_grid(RESOLUTION[f.arity], mode)
-    assert _separable(mode, f, g, phi) == odd
+    assert _separable(f, g, phi) == odd
     firsts = first_failures(f, g, phi, grid)
     assert (_kind(*firsts) if any(firsts) else "pass") == kind
     assert check_homogeneity(f, g, phi, grid) == reference_sweep(f, g, phi, grid)
 
 
-def test_sweep_raises_interval_error_at_float_psum():
-    """Inside the generated sweep float `psum` is still range-checked. G is
-    the constant [a, a+ulp], and F = max(min(psum(X1,[b,b]),[0,0]),X1) is
-    X1 on intervals, so the law holds and no counterexample is rebuilt; but
-    psum(G(Λ,X1),[b,b]) comes out inverted, as the reference sweep finds."""
-    a = float.fromhex("0x1.056bcd04279eep-2")
-    b = Fraction(float.fromhex("0x1.aef92dbc63747p-1"))
-    g = ScalingFunction("const", Const(Fraction(a), Fraction(math.nextafter(a, 1))))
+#: a rises by one ulp to A_NEXT; rounded a + (1-a)*B fell there, from
+#: 0.8821464334075363 to 0.8821464334075362
+A = float.fromhex("0x1.056bcd04279eep-2")
+A_NEXT = math.nextafter(A, 1.0)
+B = float.fromhex("0x1.aef92dbc63747p-1")
+
+
+def test_float_psum_ulp_step_matches_reference():
+    """G is the constant [A, A_NEXT], and F = max(min(psum(X1,[B,B]),[0,0]),X1)
+    is X1 on intervals, so the law holds. psum(G(Λ,X1),[B,B]) once came out
+    inverted and raised; now it is an interval, the law is separable, and
+    the sweep gives the reference verdict."""
+    g = ScalingFunction("const", Const(Fraction(A), Fraction(A_NEXT)))
     zero = Const(Fraction(0), Fraction(0))
-    psum = Call("psum", (Var(1), Const(b, b)))
+    psum = Call("psum", (Var(1), Const(Fraction(B), Fraction(B))))
     f = compile_ivfunction(
         Call("max", (Call("min", (psum, zero)), Var(1))), 1)
     grid = make_grid(2, FLOAT)
-    assert _separable(FLOAT, f, g, IDENTITY) is None
-    message = "inverted endpoints: lo=0.8821464334075363 > hi=0.8821464334075362"
-    with pytest.raises(IntervalError, match=message):
-        check_homogeneity(f, g, IDENTITY, grid)
-    with pytest.raises(IntervalError, match=message):
-        reference_sweep(f, g, IDENTITY, grid)
+    assert _separable(f, g, IDENTITY) == EVEN1
+    report = check_homogeneity(f, g, IDENTITY, grid)
+    assert report.verdict == "pass"
+    assert report == reference_sweep(f, g, IDENTITY, grid)
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.kind)
@@ -374,20 +377,24 @@ def test_each_kernel_is_compiled_once(monkeypatch, mode):
     assert compiles[0] == 3 + 3 + 2 * (4 + 1) + (0 if mode.is_exact else 2)
 
 
-def test_float_psum_is_not_monotone():
-    """Why float `psum` keeps the full sweep: a + (1-a)*b can fall when a
-    rises by one ulp, so the interval of a grid tuple could come out
-    inverted where the degenerate points show nothing."""
-    a = float.fromhex("0x1.056bcd04279eep-2")
-    a_next = math.nextafter(a, 1.0)
-    b = float.fromhex("0x1.aef92dbc63747p-1")
-    assert a + (1 - a) * b == 0.8821464334075363
-    assert a_next + (1 - a_next) * b == 0.8821464334075362
-    with pytest.raises(IntervalError, match="inverted"):
-        prob_sum(Interval(a, a_next), Interval(b, b))
-    psum = compile_ivfunction(parse_expr("psum(X1,X2)", 2), 2)
-    assert _separable(FLOAT, psum, P, IDENTITY) is None
-    assert _separable(EXACT, psum, P, IDENTITY) == (False,) * 3
+_unit_doubles = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_unit_doubles, _unit_doubles, _unit_doubles)
+@example(A, A_NEXT, B)
+def test_float_psum_is_monotone(a, a_next, b):
+    """Float `psum` rises with each argument, is commutative and stays in
+    [0,1], in the kernel and in `interval.prob_sum` alike."""
+    a, a_next = sorted((a, a_next))
+    fn, _ = _dsl("psum(X1,X2)").kernel(None)
+    by_kernel = lambda x, y: fn((x, x), (y, y))[0]
+    by_interval = lambda x, y: prob_sum(Interval(x, x), Interval(y, y)).lo
+    for psum in (by_kernel, by_interval):
+        assert 0 <= psum(a, b) <= psum(a_next, b) <= 1
+        assert psum(b, a) <= psum(b, a_next)
+        assert psum(a, b) == psum(b, a)
+    assert fn((a, a_next), (b, b)) == (by_kernel(a, b), by_kernel(a_next, b))
 
 
 EXPR_FS = (
@@ -514,9 +521,9 @@ def test_float_constants_are_doubles():
     half = Interval(0.5, 0.5)
     assert type(f(half).lo) is float and type(f(half).hi) is float
     g = compile_ivfunction(parse_expr("psum([1/3,2/3],X1)", 1), 1)
-    # 1/3 + (1 - 1/3) * 0.5 in doubles, as `interval.prob_sum` computes it
+    # 1 - (1 - 1/3) * (1 - 0.5) in doubles, as `interval.prob_sum` computes it
     third = 1 / 3
-    assert g(half).lo == third + (1 - third) * 0.5 == 0.6666666666666667
+    assert g(half).lo == 1 - (1 - third) * (1 - 0.5) == 0.6666666666666666
     # exact arguments still meet exact constants
     assert g(Interval(Fraction(1, 2), Fraction(1, 2))).lo == Fraction(2, 3)
 
@@ -612,13 +619,7 @@ def test_float_kernel_equals_interval_evaluation(node, args):
     f = compile_ivfunction(node, 3)
     fn, den = f.kernel(None)
     intervals = [Interval(lo, hi) for lo, hi in floats]
-    try:
-        want = oracle(f, FLOAT)(*intervals)
-    except IntervalError:  # a rounding breach must be found by all three
-        with pytest.raises(IntervalError):
-            fn(*floats)
-        with pytest.raises(IntervalError):
-            f(*intervals)
-        return
+    # every op is monotone, so no rounding can breach an interval
+    want = oracle(f, FLOAT)(*intervals)
     assert den == 1 and fn(*floats) == (want.lo, want.hi)
     assert f(*intervals) == want
