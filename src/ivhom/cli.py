@@ -12,7 +12,6 @@ is the only budget gate: the engine checks no budget of its own.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .gate import (DEFAULT_BUDGET, BudgetExceededError, UnsupportedModeError,
@@ -32,7 +31,7 @@ _DEFAULTS = {
     "mode": "exact",
     "epsilon": 1e-9,
     "budget": DEFAULT_BUDGET,
-    "workers": os.cpu_count() or 1,
+    "workers": 1,
     "output": "json",
 }
 
@@ -45,7 +44,8 @@ class UsageError(ValueError):
 #: same types and choices
 _FLAGS = {
     "f": dict(help="IV-function: registry name or expr:<source>"),
-    "arity": dict(type=int, help="arity of --f (required for expr:)"),
+    "arity": dict(type=int, help="arity of --f (required for expr: except "
+                                 "in eval, which counts its literals)"),
     "g": dict(help="scaling function: registry name or expr:<source>"),
     "phi": dict(help="order isomorphism registry name"),
     "a": dict(help="fixed-point interval literal, e.g. [1,1]"),
@@ -88,7 +88,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         for name in flags + _COMMON:
             p.add_argument(f"--{name}", **_FLAGS[name])
         if command == "eval":
-            p.add_argument("intervals", nargs="*",
+            p.add_argument("intervals", nargs="+",
                            help="interval literals, e.g. [0.2,0.5]")
     return parser
 
@@ -144,12 +144,16 @@ def _numeric_mode(args: argparse.Namespace) -> NumericMode:
 
 
 def _f_arity(args: argparse.Namespace) -> int:
-    """The arity of --f, known and checked before F is parsed or built."""
+    """The arity of --f, known and checked before F is parsed or built;
+    without --arity, `eval` takes the number of its interval literals."""
     if not args.f:
         raise UsageError("--f is required")
-    if args.arity is None and args.f.startswith("expr:"):
+    arity = args.arity
+    if arity is None and args.command == "eval":
+        arity = len(args.intervals)
+    if arity is None and args.f.startswith("expr:"):
         raise UsageError("--arity is required when --f is an expression")
-    return resolve_arity(args.f, args.arity)
+    return resolve_arity(args.f, arity)
 
 
 def _resolve_f(args: argparse.Namespace, n: int):

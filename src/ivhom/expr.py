@@ -162,14 +162,6 @@ def dual(node: Node) -> Node:
     return Call("neg", (negate_leaves(node),))
 
 
-def _breach(lo, hi, den: int) -> None:
-    """Raise the IntervalError of the intermediate [lo/den, hi/den]: called
-    exactly when `0 <= lo <= hi <= den` fails, which `Interval` rejects."""
-    if den != 1:
-        lo, hi = Fraction(lo, den), Fraction(hi, den)
-    Interval(lo, hi)
-
-
 def _fold_pow(x: float, k: int) -> float:
     """x multiplied by itself k times, left to right, as repeated
     `interval.product` does."""
@@ -210,17 +202,16 @@ class _ScalarTarget:
     as ints. Float mode: endpoints are doubles, combined in the op order of
     `interval`, with every denominator 1.0.
 
-    `checked` range-checks every intermediate like an `Interval`. Every op
-    is monotone and maps intervals of [0,1] to intervals of [0,1] in both
-    modes, so code that reads only checked inputs needs no check.
+    Every op is monotone and maps intervals of [0,1] to intervals of [0,1]
+    in both modes, so valid arguments and constants (`const`) give valid
+    results.
     """
 
-    def __init__(self, exact: bool, checked: bool = True, depth: int = 0) -> None:
-        self.env: dict = {"_breach": _breach, "_fold_pow": _fold_pow}
+    def __init__(self, exact: bool, depth: int = 0) -> None:
+        self.env: dict = {"_fold_pow": _fold_pow}
         self.lines: list[list[str]] = [[] for _ in range(depth + 1)]
         self.locals = 0
         self.exact = exact
-        self.checked = checked
 
     def local(self, src: str, level: int) -> str:
         name = f"t{self.locals}"
@@ -233,13 +224,7 @@ class _ScalarTarget:
         return _int_lit(den, "denominator") if self.exact else repr(float(den))
 
     def pair(self, lo: str, hi: str, den: int, level: int) -> tuple:
-        lo, hi = self.local(lo, level), self.local(hi, level)
-        if self.checked:
-            self.lines[level].append(
-                f"if not {self.lit(0)} <= {lo} <= {hi} <= {self.lit(den)}: "
-                f"_breach({lo}, {hi}, {den:d})"
-            )
-        return lo, hi, den, level
+        return self.local(lo, level), self.local(hi, level), den, level
 
     def const(self, c: Const) -> tuple:
         Interval(c.lo, c.hi)  # a constant must be an interval of [0,1]
@@ -346,8 +331,8 @@ def _compile(source: list[str], env: dict) -> Callable:
     """The function `fn` that the lines of `source` define, executed in
     `env`. The generated source holds only loops over the arguments,
     arithmetic, comparisons, integer and float literals, and the names of
-    parameters, locals and the helpers `_breach` and `_fold_pow`: no text
-    of the user's expression reaches it."""
+    parameters, locals and the helper `_fold_pow`: no text of the user's
+    expression reaches it."""
     exec("".join(line + "\n" for line in source), env)
     return env["fn"]
 
@@ -361,9 +346,9 @@ class _Compiled(_Value):
     of this base, so the ingredient's equality and hash leave them out.
 
     `fns` holds the (kernel, denominator) that evaluates `Interval`s, one
-    per mode: the exact one, over denominator 1, is compiled at
-    construction, so that an expression that cannot compile fails there;
-    the float one on the first float call.
+    per mode (`evaluator`): the exact one, over denominator 1, is compiled
+    at construction, so that an expression that cannot compile fails there;
+    the float one when it is first asked for.
     """
 
     __slots__ = ("params", "fns")
@@ -379,13 +364,19 @@ class _Compiled(_Value):
             raise TypeError(f"{self.name} expects {len(self.params)} "
                             f"argument(s), got {len(xs)}")
         is_float = isinstance(xs[0].lo, float)
-        if self.fns[is_float] is None:
-            self.fns[is_float] = self.kernel(None)
-        fn, den = self.fns[is_float]
+        fn, den = self.evaluator(is_float)
         lo, hi = fn(*((x.lo, x.hi) for x in xs))
         if is_float:
             return Interval(lo, hi)
         return Interval(Fraction(lo, den), Fraction(hi, den))
+
+    def evaluator(self, is_float: bool) -> tuple[Callable, int]:
+        """The (kernel, denominator) that evaluates `Interval` endpoints of
+        one mode: `Fraction`s, as numerators over denominator 1, or doubles,
+        over 1. Each is compiled once."""
+        if self.fns[is_float] is None:
+            self.fns[is_float] = self.kernel(None)
+        return self.fns[is_float]
 
     def kernel(self, dens: tuple[int, ...] | None = None,
                out_den: int = 1) -> tuple[Callable, int]:
@@ -399,11 +390,10 @@ def kernels(parts, out_den: int = 1) -> tuple[list[Callable], int]:
     """The scalar-endpoint kernel of each (ingredient, dens) part, each
     compiled once, and the one denominator of all their results.
 
-    A kernel takes one (lo, hi) tuple per parameter, returns one (lo, hi)
-    tuple, and range-checks every intermediate. `dens` holds each
-    parameter's denominator in exact mode and is None in float mode, where
-    the denominator is 1. Exact results are scaled to the lcm of `out_den`
-    and every part's own denominator.
+    A kernel takes one (lo, hi) tuple per parameter and returns one (lo, hi)
+    tuple. `dens` holds each parameter's denominator in exact mode and is
+    None in float mode, where the denominator is 1. Exact results are
+    scaled to the lcm of `out_den` and every part's own denominator.
     """
     traced = []
     for x, dens in parts:
@@ -435,19 +425,18 @@ def sweep(f: "IVFunction", g: "ScalingFunction",
     `pts` it fills the row [G(Λ,x) for x in pts] and phi(Λ) with those
     kernels, then runs n nested loops over the row, X1 outermost, walking
     the F table in order. Both sides are inlined, and each subexpression is
-    computed in the loop of the last variable it reads. The kernels check
-    every input, and the loops check nothing (see `_ScalarTarget`). It
-    returns the largest endpoint deviation (0 of the mode's number type
-    when there is none), and the pts indices (Λ, X1, ..., Xn) of the first
-    tuple whose lower endpoints, and of the first whose upper endpoints,
-    differ by more than `tol`, each None when there is none.
+    computed in the loop of the last variable it reads. It returns the
+    largest endpoint deviation (0 of the mode's number type when there is
+    none), and the pts indices (Λ, X1, ..., Xn) of the first tuple whose
+    lower endpoints, and of the first whose upper endpoints, differ by more
+    than `tol`, each None when there is none.
 
     `dens` is the (G, phi, F) kernels' result denominators in exact mode,
     None in float mode.
     """
     n = f.arity
     dg, dphi, df = dens or (1, 1, 1)
-    t = _ScalarTarget(dens is not None, checked=False, depth=n)
+    t = _ScalarTarget(dens is not None, depth=n)
     lhs = _trace(f.expr, t, {f"X{i}": (f"X{i}l", f"X{i}h", dg, i)
                              for i in range(1, n + 1)})
     rhs = _trace(g.expr, t, {"L": ("Pl", "Ph", dphi, 0),

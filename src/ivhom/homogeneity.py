@@ -164,10 +164,7 @@ def _separable(f: IVFunction, g: ScalingFunction,
     those of G's L under each of F's X_i on the left, and those of phi's X1
     under G's L on the right. When each variable has one parity, the lower
     law reads one endpoint per variable and the upper law the other, and
-    the degenerate tuple ([a0,a0],...,[an,an]) gives both at a. Every op
-    is monotone and maps intervals of [0,1] to intervals of [0,1] in both
-    modes, so no grid tuple breaks lo <= hi on the way and the full sweep
-    would not raise either.
+    the degenerate tuple ([a0,a0],...,[an,an]) gives both at a.
     """
     pf, pg, pphi = (parities(x.expr) for x in (f, g, phi))
     gl, gx = pg.get("L", set()), pg.get("X1", set())
@@ -313,15 +310,18 @@ def check_section_bijective(g: ScalingFunction, a: Interval,
     point is attained up to numeric equality). This certifies the premise
     on the grid only; it proves nothing about the continuum.
 
-    The images are grouped by value, so exact mode takes O(s) steps. In
-    float mode, where eps-equality is not transitive, distinct values are
-    also compared with their neighbours in a window of eps around the
-    lower endpoint. A collision is reported as the lexicographically
-    smallest colliding pair of grid indices.
+    The images are the results of G's `Interval` evaluator kernel, grouped
+    by value, so exact mode takes O(s) steps; a target is a grid point
+    over that kernel's denominator. In float mode, where eps-equality is
+    not transitive, distinct values are also compared with their
+    neighbours in a window of eps around the lower endpoint. A collision is
+    reported as the lexicographically smallest colliding pair of grid
+    indices. `Interval`s are built only for the counterexample.
     """
     mode = grid.mode
     pts = grid.points
-    images = [g(x, a) for x in pts]
+    fn, den = g.evaluator(not mode.is_exact)
+    images = [fn((x.lo, x.hi), (a.lo, a.hi)) for x in pts]
 
     def report(cex: Optional[Counterexample], note: str) -> CheckReport:
         return CheckReport(
@@ -335,23 +335,25 @@ def check_section_bijective(g: ScalingFunction, a: Interval,
             note="grid-certified" + note,
         )
 
-    indices: dict[Interval, list[int]] = {}
+    indices: dict[tuple, list[int]] = {}
     for i, img in enumerate(images):
         indices.setdefault(img, []).append(i)
     if mode.is_exact:
-        def equal_images(x: Interval) -> list[Interval]:
+        def equal_images(x: tuple) -> list[tuple]:
             return [x] if x in indices else []
     else:
-        values = sorted(indices, key=lambda v: (v.lo, v.hi))
-        los = [v.lo for v in values]
+        eps = mode.eps
+        values = sorted(indices)
+        los = [v[0] for v in values]
 
-        def equal_images(x: Interval) -> list[Interval]:
-            lo = hi = bisect_left(los, x.lo)
-            while lo > 0 and mode.values_equal(los[lo - 1], x.lo):
+        # every value in the window has a lower endpoint within eps of x's
+        def equal_images(x: tuple) -> list[tuple]:
+            lo = hi = bisect_left(los, x[0])
+            while lo > 0 and x[0] - los[lo - 1] <= eps:
                 lo -= 1
-            while hi < len(los) and mode.values_equal(los[hi], x.lo):
+            while hi < len(los) and los[hi] - x[0] <= eps:
                 hi += 1
-            return [v for v in values[lo:hi] if mode.intervals_equal(v, x)]
+            return [v for v in values[lo:hi] if abs(v[1] - x[1]) <= eps]
 
     # the smallest pair within one value's indices, or across two values
     pairs = []
@@ -364,10 +366,10 @@ def check_section_bijective(g: ScalingFunction, a: Interval,
                 pairs.append(tuple(sorted((ix[0], indices[other][0]))))
     if pairs:
         i, j = min(pairs)
-        cex = Counterexample(None, (pts[i], pts[j]), images[i], images[j])
+        cex = Counterexample(None, (pts[i], pts[j]), g(pts[i], a), g(pts[j], a))
         return report(cex, ": not injective, two grid points collide")
     for target in pts:
-        if not equal_images(target):
+        if not equal_images((target.lo * den, target.hi * den)):
             cex = Counterexample(None, (), target, target)
             return report(cex, ": not surjective, grid point never attained")
     return report(None, "")

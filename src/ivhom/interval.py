@@ -65,12 +65,12 @@ class Interval(_Value):
 
     def __post_init__(self) -> None:
         if not 0 <= self.lo <= 1:
-            raise IntervalError(f"lo={self.lo!r} outside [0,1]")
+            raise IntervalError(f"lo={self.lo} outside [0,1]")
         if not 0 <= self.hi <= 1:
-            raise IntervalError(f"hi={self.hi!r} outside [0,1]")
+            raise IntervalError(f"hi={self.hi} outside [0,1]")
         if self.lo > self.hi:
             raise IntervalError(
-                f"inverted endpoints: lo={self.lo!r} > hi={self.hi!r}"
+                f"inverted endpoints: lo={self.lo} > hi={self.hi}"
             )
 
     def __repr__(self) -> str:

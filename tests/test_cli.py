@@ -97,8 +97,47 @@ def test_eval_command(capsys):
 
 
 def test_eval_wrong_argument_count(capsys):
-    code, _, err = run(capsys, "eval", "--f", "min", "[0.2,0.5]")
-    assert code == 2 and "interval" in err
+    code, _, err = run(capsys, "eval", "--f", "min", "--arity", "2",
+                       "[0.2,0.5]")
+    assert code == 2 and "min expects 2 interval(s), got 1" in err
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("--mode", "float", "--f", "expr:psum([1/3,2/3],X1)", "[0.5,0.5]"),
+     "[0.6666666666666666,0.8333333333333333]"),
+    (("--f", "expr:min(X1,X2)", "[0.2,0.5]", "[0.1,0.9]"), "[1/10,1/2]"),
+    (("--f", "min", "[0.2,0.5]"), "[1/5,1/2]"),
+    (("--f", "min", "[0.2,0.5]", "[0.1,0.3]", "[0.3,1]"), "[1/10,3/10]"),
+], ids=["expr-float", "expr-exact", "registry-1", "registry-3"])
+def test_eval_arity_is_the_literal_count(capsys, argv, want):
+    code, out, err = run(capsys, "eval", *argv)
+    assert code == 0 and out.strip() == want and err == ""
+
+
+def test_eval_needs_a_literal(capsys):
+    code, out, err = run(capsys, "eval", "--f", "min")
+    assert code == 2 and out == ""
+    assert "the following arguments are required: intervals" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    *((("check", "--f", f"expr:min(X1,{c})", "--arity", "1", "--mode", mode),
+       message)
+      for c, message in (("[2/3,1/3]", "inverted endpoints: lo=2/3 > hi=1/3"),
+                         ("[0,3/2]", "hi=3/2 outside [0,1]"))
+      for mode in ("exact", "float")),
+    (("eval", "--f", "min", "[2/3,1/3]", "[0,1]"),
+     "inverted endpoints: lo=2/3 > hi=1/3"),
+], ids=["inverted-constant-exact", "inverted-constant-float",
+        "constant-out-of-range-exact", "constant-out-of-range-float",
+        "inverted-literal"])
+def test_invalid_interval_names_its_endpoints(capsys, argv, message):
+    """Values are checked where they enter: a DSL constant when F is
+    compiled, in either mode, and a literal when it is read; a rational
+    endpoint reads p/q."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"ivhom: error: {message}\n"
 
 
 def test_expr_function_and_scaling(capsys):
@@ -511,7 +550,7 @@ def test_registry_suffix_of_more_digits_than_python_converts_exit_2(argv, limit)
      "the numerator or denominator of the lower endpoint of the result"),
     (("check", "--f", "expr:pow(pow(X1,1000),100)", "--arity", "1",
       "--resolution", "3", "--output", "csv"),
-     "an exact denominator of the compiled expression"),
+     "an exact scale factor of the compiled expression"),
 ], ids=["eval-endpoint", "check-denominator"])
 def test_exact_value_past_the_digit_limit_exit_2(argv, role):
     """Python writes no int of more than 4300 digits as text; the message

@@ -59,7 +59,6 @@ from ivhom.interval import (
     EXACT,
     FLOAT,
     Interval,
-    IntervalError,
     NumericMode,
     complement,
     join,
@@ -526,17 +525,6 @@ def test_float_constants_are_doubles():
     assert g(half).lo == 1 - (1 - third) * (1 - 0.5) == 0.6666666666666666
     # exact arguments still meet exact constants
     assert g(Interval(Fraction(1, 2), Fraction(1, 2))).lo == Fraction(2, 3)
-
-
-def test_kernel_breach_raises_interval_error():
-    neg = compile_ivfunction(parse_expr("neg(X1)", 1), 1)
-    fn, den = neg.kernel((4,))
-    assert fn((1, 3)) == (1, 3) and den == 4
-    with pytest.raises(IntervalError, match="inverted"):
-        fn((3, 2))  # [3/4,1/2] is no interval
-    fn, _ = neg.kernel(None)
-    with pytest.raises(IntervalError):
-        fn((0.5, 1.5))
 
 
 @pytest.mark.parametrize("src", ("pow(X1,1000)",  # the largest exponent
