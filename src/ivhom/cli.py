@@ -157,12 +157,19 @@ def _f_arity(args: argparse.Namespace) -> int:
 
 
 def _resolve_f(args: argparse.Namespace, n: int):
-    from .expr import compile_ivfunction, parse_expr
+    from .expr import ExprError, compile_ivfunction, parse_expr
     from .functions import get_function
 
     if args.f.startswith("expr:"):
         src = args.f[len("expr:"):]
-        return compile_ivfunction(parse_expr(src, n), n, name=src)
+        try:
+            node = parse_expr(src, n)
+        except ExprError as err:  # only the arity check gives no position
+            if err.line is not None or args.arity is not None:
+                raise
+            raise UsageError(f"{args.f} reads more variables than the {n} "
+                             "interval literal(s) given") from None
+        return compile_ivfunction(node, n, name=src)
     return get_function(args.f, n)
 
 

@@ -419,17 +419,18 @@ def sweep(f: "IVFunction", g: "ScalingFunction",
     F(X1,...,Xn)) as one generated function, and the one denominator of
     both sides.
 
-    `fn(pts, f_table, g_fn, phi_fn, tol)` takes the sweep points
-    as kernel arguments, F's kernel results on pts^n in
-    `itertools.product` order, and the kernels of G and phi. For each Λ in
-    `pts` it fills the row [G(Λ,x) for x in pts] and phi(Λ) with those
-    kernels, then runs n nested loops over the row, X1 outermost, walking
-    the F table in order. Both sides are inlined, and each subexpression is
-    computed in the loop of the last variable it reads. It returns the
-    largest endpoint deviation (0 of the mode's number type when there is
-    none), and the pts indices (Λ, X1, ..., Xn) of the first tuple whose
-    lower endpoints, and of the first whose upper endpoints, differ by more
-    than `tol`, each None when there is none.
+    `fn(lams, xpts, f_table, g_fn, phi_fn, tol)` takes the sweep points of
+    Λ and the list of sweep points of each X_i, as kernel arguments, F's
+    kernel results on `itertools.product(*xpts)` in order, and the kernels
+    of G and phi. For each Λ in `lams` it fills one row [G(Λ,x) for x in
+    xpts[i]] per X_i and phi(Λ) with those kernels, then runs n nested
+    loops, one over each row, X1 outermost, walking the F table in order.
+    Both sides are inlined, and each subexpression is computed in the loop
+    of the last variable it reads. It returns the largest endpoint
+    deviation (0 of the mode's number type when there is none), and the
+    positions (Λ, X1, ..., Xn) in those point lists of the first tuple
+    whose lower endpoints, and of the first whose upper endpoints, differ
+    by more than `tol`, each None when there is none.
 
     `dens` is the (G, phi, F) kernels' result denominators in exact mode,
     None in float mode.
@@ -444,6 +445,7 @@ def sweep(f: "IVFunction", g: "ScalingFunction",
     den = lcm(lhs[2], rhs[2]) if t.exact else 1
     (al, ah), (bl, bh) = t.scaled(lhs, den), t.scaled(rhs, den)
     at = ", ".join(["il", *(f"i{i}" for i in range(1, n + 1))])
+    rows = ", ".join(f"row{i}" for i in range(1, n + 1))
     t.lines[n] += [
         f"if {al} != {bl} or {ah} != {bh}:",
         f"    d = abs({al} - {bl})",
@@ -454,19 +456,19 @@ def sweep(f: "IVFunction", g: "ScalingFunction",
         f"    if d > tol and first_hi is None: first_hi = {at}",
     ]
     source = [
-        "def fn(pts, f_table, g_fn, phi_fn, tol):",
+        "def fn(lams, xpts, f_table, g_fn, phi_fn, tol):",
         f"    max_dev = {t.lit(0)}",
         "    first_lo = first_hi = None",
-        "    R = range(len(pts))",
-        "    for il, lam in enumerate(pts):",
-        "        row = [g_fn(lam, x) for x in pts]",
+        "    R = range(len(xpts[-1]))",
+        "    for il, lam in enumerate(lams):",
+        f"        {rows}, = [[g_fn(lam, x) for x in xs] for xs in xpts]",
         "        Pl, Ph = phi_fn(lam)",
         "        ft = iter(f_table)",
         *_indent(t.lines[0], 2),
     ]
     for i in range(1, n + 1):
-        loop = (f"for i{i}, (X{i}l, X{i}h) in enumerate(row):" if i < n else
-                f"for i{i}, (X{i}l, X{i}h), (Fl, Fh) in zip(R, row, ft):")
+        loop = (f"for i{i}, (X{i}l, X{i}h) in enumerate(row{i}):" if i < n else
+                f"for i{i}, (X{i}l, X{i}h), (Fl, Fh) in zip(R, row{i}, ft):")
         source += [*_indent([loop], i + 1), *_indent(t.lines[i], i + 2)]
     source.append("    return max_dev, first_lo, first_hi")
     return _compile(source, t.env), den

@@ -8,9 +8,10 @@ grid order.
 The sweeps run on the scalar kernels of `expr` (`IVFunction.kernel`):
 integer numerators in exact mode, doubles in float mode; a homogeneity law
 runs in one loop that `expr.sweep` generates for it. `Interval` objects
-are built only for what a report shows. A law in which each variable has
-one parity of `neg`s (`_separable`) is decided on the degenerate grid
-points alone, which covers every grid tuple by construction.
+are built only for what a report shows. Each variable of a law with one
+parity of `neg`s above it is swept on the m+1 degenerate grid points alone,
+and one with both parities on all s points (`_coordinates`), which covers
+every grid tuple by construction.
 
 No function here checks a budget or takes a worker count: the command
 line (`cli`) is the one budget gate, and it refuses an over-budget run
@@ -113,12 +114,6 @@ def _kernel_points(grid: Grid) -> list[tuple]:
     return [(p.lo, p.hi) for p in grid.points]
 
 
-def _diagonal(m: int) -> list[int]:
-    """The grid index of each degenerate point [a/m,a/m], a = 0..m; the
-    grid index of [0,a/m] is a."""
-    return [a * (m + 1) - a * (a - 1) // 2 for a in range(m + 1)]
-
-
 def _dens(grid: Grid, *dens: int) -> Optional[tuple[int, ...]]:
     """Kernel denominators: `dens` in exact mode, None in float mode."""
     return dens if grid.mode.is_exact else None
@@ -142,18 +137,10 @@ def _compose(a: set, b: set) -> set:
     return {x ^ y for x in a for y in b}
 
 
-def _single_parities(variables: list[set]) -> Optional[tuple[bool, ...]]:
-    """Whether each variable is odd, when each has one parity; else None."""
-    if any(len(p) > 1 for p in variables):
-        return None
-    return tuple(1 in p for p in variables)
-
-
-def _separable(f: IVFunction, g: ScalingFunction,
-               phi: OrderIso) -> Optional[tuple[bool, ...]]:
-    """Whether each of L, X1..Xn is odd in the law, when the law splits into
-    a lower and an upper scalar law over {0..m}^(n+1); else None. Decided
-    from the ASTs alone.
+def _homogeneity_law(f: IVFunction, g: ScalingFunction,
+                     phi: OrderIso) -> list[set]:
+    """The parities of `neg`s above each of L, X1..Xn in the law, decided
+    from the ASTs alone: {0}, {1}, {0, 1}, or empty for an unused variable.
 
     `neg` maps [a,b] to [1-b,1-a], and every other op computes a lower
     endpoint from lower endpoints only and an upper one from upper ones
@@ -162,15 +149,36 @@ def _separable(f: IVFunction, g: ScalingFunction,
     under an odd number its upper endpoint. The parities compose through
     the law: X_i has those of F's X_i under G's X1 on both sides; L has
     those of G's L under each of F's X_i on the left, and those of phi's X1
-    under G's L on the right. When each variable has one parity, the lower
-    law reads one endpoint per variable and the upper law the other, and
-    the degenerate tuple ([a0,a0],...,[an,an]) gives both at a.
+    under G's L on the right.
     """
     pf, pg, pphi = (parities(x.expr) for x in (f, g, phi))
     gl, gx = pg.get("L", set()), pg.get("X1", set())
     fx = [pf.get(p, set()) for p in f.params]
     lam = _compose(gl, pphi.get("X1", set())).union(*(_compose(p, gl) for p in fx))
-    return _single_parities([lam, *(_compose(p, gx) for p in fx)])
+    return [lam, *(_compose(p, gx) for p in fx)]
+
+
+def _coordinates(grid: Grid, variables: list[set]) -> list[tuple]:
+    """For each variable's parities, the grid indices its coordinate sweeps
+    and the maps from a swept position to the first grid index at which a
+    lower, and an upper, failure there is met.
+
+    The lower law reads the lower endpoint of an even variable, the upper
+    one of an odd variable and both of a mixed one; the upper law the other
+    endpoint of each. So a coordinate of one parity sweeps the m+1
+    degenerate points [a,a] (grid index a(m+1) - a(a-1)/2), which give both
+    endpoints at a, and a failure at a is first met at [a,a] if read from
+    the lower endpoint and at [0,a] (grid index a) if from the upper one. A
+    mixed coordinate sweeps all s points and maps to itself. Every map
+    rises, so the first failure in sweep order maps to the lowest failing
+    grid tuple.
+    """
+    m, every = grid.resolution, range(len(grid))
+    low = range(m + 1)
+    diag = [a * (m + 1) - a * (a - 1) // 2 for a in low]
+    return [(every, every, every) if len(p) > 1 else
+            (diag, low, diag) if 1 in p else (diag, diag, low)
+            for p in variables]
 
 
 def check_homogeneity(
@@ -182,18 +190,14 @@ def check_homogeneity(
 ) -> CheckReport:
     """Sweep F(G(L,X1),...,G(L,Xn)) = G(phi(L), F(X1,...,Xn)) over grid^(n+1).
 
-    The sweep runs over the s grid points, or, when the law is `_separable`,
-    over the m+1 degenerate points [k/m,k/m] only. The kernel of F fills a
-    table of its results on the sweep points, so memory stays O(s^n + s),
-    and the law's one generated loop (`expr.sweep`) does the rest. In exact
-    mode both sides come out over one common denominator, so they compare
-    as integers. The first failure of each endpoint is kept. On the
-    degenerate points a lower failure at a is first met on the grid at
-    [a,a] in an even coordinate and at [0,a] in an odd one, an upper
-    failure at b at [0,b] in an even coordinate and at [b,b] in an odd one;
-    both maps rise with a and b, so the earlier of the two grid tuples is
-    the lowest failing one. `evaluations` counts the s^(n+1) grid tuples
-    the verdict covers.
+    Each of L, X1..Xn sweeps the points that `_coordinates` gives for its
+    parities in the law (`_homogeneity_law`). The kernel of F fills a table
+    of its results on the product of the X coordinates' points, and the
+    law's one generated loop (`expr.sweep`) does the rest. In exact mode
+    both sides come out over one common denominator, so they compare as
+    integers. The first failure of each endpoint is mapped to the grid by
+    `_coordinates`, and the earlier of the two is the lowest failing grid
+    tuple. `evaluations` counts the s^(n+1) grid tuples the verdict covers.
     """
     mode = grid.mode
     if mode.is_exact and not phi.exact_ok:
@@ -201,32 +205,21 @@ def check_homogeneity(
             f"order isomorphism {phi.name!r} has an irrational inverse; "
             "it is only available in float mode"
         )
-    s = len(grid)
-    n = f.arity
-    total = s ** (n + 1)
-
+    m, n = grid.resolution, f.arity
     pts = _kernel_points(grid)
-    m = grid.resolution
-    odd = _separable(f, g, phi)
-    if odd is None:
-        lo_index = hi_index = [range(s)] * (n + 1)
-    else:
-        diag, low = _diagonal(m), range(m + 1)
-        pts = [pts[i] for i in diag]
-        lo_index = [low if o else diag for o in odd]
-        hi_index = [diag if o else low for o in odd]
+    coords = _coordinates(grid, _homogeneity_law(f, g, phi))
+    lams, *xpts = ([pts[i] for i in index] for index, _, _ in coords)
     g_fn, dg = g.kernel(_dens(grid, m, m))
     phi_fn, dphi = phi.kernel(_dens(grid, m))
     f_fn, df = f.kernel(_dens(grid, *(m,) * n))
-    f_table = [f_fn(*xs) for xs in itertools.product(pts, repeat=n)]
+    f_table = [f_fn(*xs) for xs in itertools.product(*xpts)]
     sweep_fn, den = sweep(f, g, _dens(grid, dg, dphi, df))
-    max_dev, first_lo, first_hi = sweep_fn(pts, f_table, g_fn, phi_fn,
+    max_dev, first_lo, first_hi = sweep_fn(lams, xpts, f_table, g_fn, phi_fn,
                                            _tolerance(mode))
 
     # the grid indices of each endpoint's first failing tuple
-    hits = [tuple(index[i] for index, i in zip(maps, hit))
-            for hit, maps in ((first_lo, lo_index), (first_hi, hi_index))
-            if hit is not None]
+    hits = [tuple(c[side][i] for c, i in zip(coords, hit))
+            for side, hit in ((1, first_lo), (2, first_hi)) if hit is not None]
     cex = None
     if hits:
         lam, *xs = (grid.points[i] for i in min(hits))
@@ -240,7 +233,7 @@ def check_homogeneity(
         law=law,
         verdict="pass" if cex is None else "fail",
         counterexample=cex,
-        evaluations=total,
+        evaluations=len(grid) ** (n + 1),
         max_deviation=Fraction(max_dev, den) if mode.is_exact else max_dev,
         mode=mode,
         resolution=grid.resolution,
@@ -249,23 +242,21 @@ def check_homogeneity(
 
 def equal_on_grid(f: IVFunction, h: IVFunction, grid: Grid) -> bool:
     """Whether F and H (of one arity) agree on all s^n grid tuples, by the
-    kernels and the equality rule of `check_homogeneity`. When each X_i has
-    one parity across both (see `_separable`), the m+1 degenerate points
-    cover every grid tuple."""
+    kernels and the equality rule of `check_homogeneity`. Each X_i sweeps
+    the points that `_coordinates` gives for its parities in F and H
+    together."""
     pts = _kernel_points(grid)
     pf, ph = parities(f.expr), parities(h.expr)
     variables = [pf.get(p, set()) | ph.get(p, set()) for p in f.params]
-    if _single_parities(variables) is not None:
-        pts = [pts[i] for i in _diagonal(grid.resolution)]
+    xpts = [[pts[i] for i in index]
+            for index, _, _ in _coordinates(grid, variables)]
     dens = _dens(grid, *(grid.resolution,) * f.arity)
     (f_fn, h_fn), _ = kernels([(f, dens), (h, dens)])
     tol = _tolerance(grid.mode)
     return all(
         x == y or _deviation(x, y) <= tol
-        for x, y in zip(
-            itertools.starmap(f_fn, itertools.product(pts, repeat=f.arity)),
-            itertools.starmap(h_fn, itertools.product(pts, repeat=h.arity)),
-        )
+        for x, y in zip(itertools.starmap(f_fn, itertools.product(*xpts)),
+                        itertools.starmap(h_fn, itertools.product(*xpts)))
     )
 
 

@@ -114,6 +114,17 @@ def test_eval_arity_is_the_literal_count(capsys, argv, want):
     assert code == 0 and out.strip() == want and err == ""
 
 
+@pytest.mark.parametrize("argv,message", [
+    ((), "expr:min(X1,X2) reads more variables than the 1 interval literal(s) "
+         "given"),
+    (("--arity", "1"), "variable X2 exceeds declared arity 1"),
+], ids=["literal-count", "declared"])
+def test_eval_names_where_its_arity_came_from(capsys, argv, message):
+    code, out, err = run(capsys, "eval", "--f", "expr:min(X1,X2)", *argv,
+                         "[0,1]")
+    assert code == 2 and out == "" and message in err
+
+
 def test_eval_needs_a_literal(capsys):
     code, out, err = run(capsys, "eval", "--f", "min")
     assert code == 2 and out == ""

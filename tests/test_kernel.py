@@ -8,11 +8,13 @@ doubles in float mode. These tests hold both uses to `tree_eval`, an
 oracle that walks the AST and applies the ops of `interval`, independent
 of any compiled code, and the sweeps to reference sweeps over it. The
 reference always visits all s^(n+1) grid tuples, so it also checks the
-separable path, which visits only the m+1 degenerate points per argument.
+reduced sweep, which visits only the m+1 degenerate points in each
+coordinate that has one parity of `neg`s.
 """
 
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import reduce
 
@@ -47,7 +49,7 @@ from ivhom.functions import (
 from ivhom.homogeneity import (
     CheckReport,
     Counterexample,
-    _separable,
+    _homogeneity_law,
     check_homogeneity,
     check_idempotency,
     check_section_bijective,
@@ -201,7 +203,7 @@ def test_separable_failure_matches_reference(f_src, g_src, kind, mode):
     f = compile_ivfunction(parse_expr(f_src, arity), arity, name=f_src)
     g = compile_scaling(parse_expr(g_src, 1), name=g_src)
     grid = make_grid(RESOLUTION[arity], mode)
-    assert _separable(f, g, IDENTITY) is not None
+    assert all(len(p) <= 1 for p in _homogeneity_law(f, g, IDENTITY))
     assert _kind(*first_failures(f, g, IDENTITY, grid)) == kind
     report = check_homogeneity(f, g, IDENTITY, grid)
     assert report.verdict == "fail"
@@ -213,11 +215,13 @@ NEG_SQUARE = OrderIso("neg_square", expr.dual(SQUARE.expr), exact_ok=False)
 #: x -> 1-x: not order-preserving, but it makes L odd on the right
 NEG = OrderIso("neg", parse_expr("neg(X1)", 1))
 MIN2 = get_function("min", 2)
-EVEN2, EVEN1 = (False,) * 3, (False,) * 2
+#: the parities of `neg`s above a variable: even, odd or mixed
+E, O, M = {0}, {1}, {0, 1}
+EVEN2, EVEN1 = [E] * 3, [E] * 2
 
 
 def _dsl(src):
-    arity = 2 if "X2" in src else 1
+    arity = max(k for k in (1, 2, 3) if f"X{k}" in src)
     return compile_ivfunction(parse_expr(src, arity), arity, name=src)
 
 
@@ -225,7 +229,7 @@ def _dsl_scaling(src):
     return compile_scaling(parse_expr(src, 1), name=src)
 
 
-#: (F, G, phi, mode, whether each of L, X1..Xn is odd; None: full sweep)
+#: (F, G, phi, mode, the parities of each of L, X1..Xn)
 PATHS = (
     (MIN2, P, IDENTITY, EXACT, EVEN2),
     (MIN2, P, IDENTITY, FLOAT, EVEN2),
@@ -242,12 +246,14 @@ PATHS = (
     (dual_ns(get_function("product", 2)), dual_scaling_ns(P), IDENTITY, FLOAT,
      EVEN2),
     # X1 under one neg and under none
-    (_dsl("mul(X1,neg(X1))"), P, IDENTITY, EXACT, None),
+    (_dsl("mul(X1,neg(X1))"), P, IDENTITY, EXACT, [M, M]),
     # L odd on the left, even on the right
-    (_dsl("neg(X1)"), P, IDENTITY, EXACT, None),
-    (_dsl("neg(X1)"), P, NEG, EXACT, (True, True)),
-    (MIN2, _dsl_scaling("mul(L,neg(X1))"), IDENTITY, FLOAT, (False, True, True)),
-    (MIN2, _dsl_scaling("mul(neg(L),X1)"), IDENTITY, EXACT, (True, False, False)),
+    (_dsl("neg(X1)"), P, IDENTITY, EXACT, [M, O]),
+    (_dsl("neg(X1)"), P, NEG, EXACT, [O, O]),
+    (MIN2, _dsl_scaling("mul(L,neg(X1))"), IDENTITY, FLOAT, [E, O, O]),
+    (MIN2, _dsl_scaling("mul(neg(L),X1)"), IDENTITY, EXACT, [O, E, E]),
+    (_dsl("mul(X1,neg(X2))"), P, IDENTITY, FLOAT, [M, E, O]),
+    (MIN2, _dsl_scaling("mul(L,max(X1,neg(X1)))"), IDENTITY, EXACT, [E, M, M]),
 )
 
 
@@ -270,15 +276,15 @@ def count_kernels(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "f,g,phi,mode,odd", PATHS,
+    "f,g,phi,mode,law", PATHS,
     ids=[f"{f.name}/{f.arity}-{g.name}-{phi.name}-{mode.kind}"
          for f, g, phi, mode, _ in PATHS],
 )
-def test_sweep_path_follows_ir(monkeypatch, f, g, phi, mode, odd):
-    """A law in which each of L, X1..Xn has one parity of `neg`s above it
-    is swept on the m+1 degenerate points only, in both modes; every other
-    law on the full grid."""
-    assert _separable(f, g, phi) == odd
+def test_sweep_path_follows_ir(monkeypatch, f, g, phi, mode, law):
+    """Each of L, X1..Xn with one parity of `neg`s above it is swept on the
+    m+1 degenerate points only, and one with both parities on the full
+    grid, in both modes."""
+    assert _homogeneity_law(f, g, phi) == law
     grid = make_grid(3, mode)
     # compile the kernels that evaluate Intervals for the counterexample
     # first: then the counts below are the sweep's alone
@@ -286,50 +292,84 @@ def test_sweep_path_follows_ir(monkeypatch, f, g, phi, mode, odd):
     f(*(x,) * f.arity), g(x, x), phi(x)
     compiles, calls = count_kernels(monkeypatch)
     report = check_homogeneity(f, g, phi, grid)
-    p, n = len(grid) if odd is None else 4, f.arity
-    # the F table, a G row and phi per Λ, and one call of the sweep
-    assert calls[0] == p**n + p * p + p + 1
+    pl, *px = (len(grid) if p == M else 4 for p in law)
+    # the F table, a G row per X_i and phi per Λ, and one call of the sweep
+    assert calls[0] == math.prod(px) + pl * (sum(px) + 1) + 1
     assert compiles[0] == 4  # G, phi, F, and the sweep
     assert report == reference_sweep(f, g, phi, grid)
 
 
-#: laws with `neg`: (F, G, phi, the parities of L, X1..Xn or None, how the
-#: first failures relate). An odd variable's lower failure at a is first
-#: met at [0,a], its upper one at b at [b,b]; a variable with both
-#: parities keeps the full sweep.
+#: laws with `neg`: (F, G, phi, the parities of L, X1..Xn, how the first
+#: failures relate). An odd variable's lower failure at a is first met at
+#: [0,a], its upper one at b at [b,b]; a variable with both parities is
+#: swept on the full grid.
 PARITY_LAWS = (
-    ("min(X1,X2)", "mul(L,neg(X1))", IDENTITY, (False, True, True),
-     "upper-first"),
-    ("mul(X1,X2)", "mul(L,neg(X1))", IDENTITY, (False, True, True),
-     "upper-first"),
-    ("max(X1,[1/3,2/3])", "mul(L,neg(X1))", IDENTITY, (False, True),
-     "both-at-once"),
-    ("min(X1,[1/2,1])", "mul(L,neg(X1))", IDENTITY, (False, True),
-     "upper-first"),
-    ("neg(mul(X1,X2))", "mul(L,X1)", NEG, (True, True, True), "lower-first"),
-    ("neg(max(X1,[0,1/2]))", "mul(L,X1)", NEG, (True, True), "lower-first"),
-    ("mul(X1,X2)", "mul(neg(L),X1)", IDENTITY, (True, False, False),
-     "lower-first"),
-    ("pow(X1,2)", "neg(mul(L,neg(X1)))", IDENTITY, (True, False),
-     "lower-first"),
-    ("neg(X1)", "X1", IDENTITY, (False, True), "pass"),
-    ("mul(X1,neg(X1))", "mul(L,X1)", IDENTITY, None, "upper-first"),
-    ("neg(X1)", "mul(L,X1)", IDENTITY, None, "both-at-once"),
+    ("min(X1,X2)", "mul(L,neg(X1))", IDENTITY, [E, O, O], "upper-first"),
+    ("mul(X1,X2)", "mul(L,neg(X1))", IDENTITY, [E, O, O], "upper-first"),
+    ("max(X1,[1/3,2/3])", "mul(L,neg(X1))", IDENTITY, [E, O], "both-at-once"),
+    ("min(X1,[1/2,1])", "mul(L,neg(X1))", IDENTITY, [E, O], "upper-first"),
+    ("neg(mul(X1,X2))", "mul(L,X1)", NEG, [O, O, O], "lower-first"),
+    ("neg(max(X1,[0,1/2]))", "mul(L,X1)", NEG, [O, O], "lower-first"),
+    ("mul(X1,X2)", "mul(neg(L),X1)", IDENTITY, [O, E, E], "lower-first"),
+    ("pow(X1,2)", "neg(mul(L,neg(X1)))", IDENTITY, [O, E], "lower-first"),
+    ("neg(X1)", "X1", IDENTITY, [set(), O], "pass"),
+    ("mul(X1,neg(X1))", "mul(L,X1)", IDENTITY, [M, M], "upper-first"),
+    ("neg(X1)", "mul(L,X1)", IDENTITY, [M, O], "both-at-once"),
     # L under X1 (even) and X2 (odd) on the left
-    ("min(X1,neg(X2))", "psum(L,X1)", IDENTITY, None, "upper-first"),
+    ("min(X1,neg(X2))", "psum(L,X1)", IDENTITY, [M, E, O], "upper-first"),
+    ("mul(X1,neg(X2))", "mul(L,X1)", IDENTITY, [M, E, O], "upper-first"),
+    ("min(X1,X2)", "mul(X1,max(L,neg(L)))", IDENTITY, [M, E, E], "pass"),
+    # X mixed, L not
+    ("min(X1,X2)", "mul(L,max(X1,neg(X1)))", IDENTITY, [E, M, M],
+     "upper-first"),
+    ("X1", "mul(L,max(X1,neg(X1)))", IDENTITY, [E, M], "pass"),
+    # L and an X mixed
+    ("max(mul(X1,X2),neg(X1))", "mul(L,X1)", IDENTITY, [M, M, E],
+     "both-at-once"),
+    ("X1", "mul(max(L,neg(L)),max(X1,neg(X1)))", IDENTITY, [M, M], "pass"),
+    # one mixed X between single-parity ones
+    ("min(X1,mul(X2,neg(X2)),X3)", "mul(L,X1)", IDENTITY, [M, E, M, E],
+     "upper-first"),
+    ("min(neg(X1),max(X2,neg(X2)),X3)", "X1", IDENTITY, [set(), O, M, E],
+     "pass"),
 )
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.kind)
-@pytest.mark.parametrize("f_src,g_src,phi,odd,kind", PARITY_LAWS,
+@pytest.mark.parametrize("f_src,g_src,phi,law,kind", PARITY_LAWS,
                          ids=[f"{f}-{g}-{phi.name}" for f, g, phi, *_ in PARITY_LAWS])
-def test_parity_law_matches_reference(f_src, g_src, phi, odd, kind, mode):
+def test_parity_law_matches_reference(f_src, g_src, phi, law, kind, mode):
     f, g = _dsl(f_src), _dsl_scaling(g_src)
     grid = make_grid(RESOLUTION[f.arity], mode)
-    assert _separable(f, g, phi) == odd
+    assert _homogeneity_law(f, g, phi) == law
     firsts = first_failures(f, g, phi, grid)
     assert (_kind(*firsts) if any(firsts) else "pass") == kind
     assert check_homogeneity(f, g, phi, grid) == reference_sweep(f, g, phi, grid)
+
+
+def _negs(k):
+    node = Var(1)
+    for _ in range(k):
+        node = Call("neg", (node,))
+    return compile_ivfunction(node, 1)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.kind)
+def test_deep_neg_chain_is_swept(mode):
+    """950 `neg`s over X1 are X1, which is P-homogeneous; 951 are neg(X1),
+    which is not. Reading the parities of so deep a law stays within the
+    recursion limit wherever compiling it does. The checks run on a thread
+    of their own, whose stack starts empty, as a command's nearly does."""
+    grid = make_grid(2, mode)
+
+    def check(k):
+        return check_homogeneity(_negs(k), P, IDENTITY, grid)
+
+    with ThreadPoolExecutor(1) as pool:
+        even, odd = pool.map(check, (950, 951))
+    assert even.verdict == "pass"
+    assert odd.verdict == "fail"
+    assert odd == check(1)
 
 
 #: a rises by one ulp to A_NEXT; rounded a + (1-a)*B fell there, from
@@ -342,15 +382,15 @@ B = float.fromhex("0x1.aef92dbc63747p-1")
 def test_float_psum_ulp_step_matches_reference():
     """G is the constant [A, A_NEXT], and F = max(min(psum(X1,[B,B]),[0,0]),X1)
     is X1 on intervals, so the law holds. psum(G(Λ,X1),[B,B]) once came out
-    inverted and raised; now it is an interval, the law is separable, and
-    the sweep gives the reference verdict."""
+    inverted and raised; now it is an interval, and the sweep on the
+    degenerate points gives the reference verdict."""
     g = ScalingFunction("const", Const(Fraction(A), Fraction(A_NEXT)))
     zero = Const(Fraction(0), Fraction(0))
     psum = Call("psum", (Var(1), Const(Fraction(B), Fraction(B))))
     f = compile_ivfunction(
         Call("max", (Call("min", (psum, zero)), Var(1))), 1)
     grid = make_grid(2, FLOAT)
-    assert _separable(f, g, IDENTITY) == EVEN1
+    assert _homogeneity_law(f, g, IDENTITY) == [set(), set()]  # G reads neither
     report = check_homogeneity(f, g, IDENTITY, grid)
     assert report.verdict == "pass"
     assert report == reference_sweep(f, g, IDENTITY, grid)
@@ -435,11 +475,13 @@ def test_equal_on_grid_matches_interval_comparison(mode):
     fs = [get_function(name, 2) for name in FUNCTION_NAMES if name != "pow_2"]
     fs += [dual_ns(f) for f in fs]
     # X1 odd in both, equal; then X1 of both parities, where the first
-    # two agree on the degenerate points only
+    # two agree on the degenerate points only; then X1 of both parities
+    # and X2 even, where the last two agree wherever X1 is degenerate
     fs += [compile_ivfunction(parse_expr(src, 2), 2, name=src)
            for src in ("min(neg(X1),X2)", "neg(max(X1,neg(X2)))",
                        "mean(X1,neg(X1))", "max(min(X1,[1/2,1/2]),[1/2,1/2])",
-                       "min(mul(X1,neg(X1)),X2)")]
+                       "min(mul(X1,neg(X1)),X2)", "min(mean(X1,neg(X1)),X2)",
+                       "min([1/2,1/2],X2)")]
     for f, h in itertools.product(fs, repeat=2):
         f_ref, h_ref = oracle(f, mode), oracle(h, mode)
         want = all(
