@@ -3,10 +3,13 @@
 Exit codes: 0 = verdict pass (or informational success), 1 = verdict fail,
 2 = usage/config error, 3 = evaluation budget refused.
 
-A run parses its flags, builds the numeric mode, resolves the arity and
-passes the budget gate (`gate`) before it imports the engine (`expr`,
-`functions`, `homogeneity`, `report`), so a refusal loads none of it. This
-is the only budget gate: the engine checks no budget of its own.
+A run parses its flags, checks the float epsilon, resolves the arity and
+passes the budget gate (`gate`) before it imports `interval` and the engine
+(`expr`, `functions`, `homogeneity`, `report`), so a refusal loads only
+this module and `gate`. Two commands load `interval` first: `theorem1`
+reads its `--a` before the gate, so that a bad literal exits 2 before a
+refusal, and `eval` is not gated. This is the only budget gate: the engine
+checks no budget of its own.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ import argparse
 import sys
 
 from .gate import (DEFAULT_BUDGET, BudgetExceededError, UnsupportedModeError,
-                   check_budget, grid_size, resolve_arity, sweep_sizes)
-from .interval import NumericMode, format_interval, parse_interval
+                   check_budget, check_epsilon, grid_size, resolve_arity,
+                   sweep_sizes)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -137,7 +140,9 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _numeric_mode(args: argparse.Namespace) -> NumericMode:
+def _numeric_mode(args: argparse.Namespace):
+    from .interval import NumericMode
+
     if args.mode == "exact":
         return NumericMode("exact")
     return NumericMode("float", float(args.epsilon))
@@ -187,15 +192,19 @@ def _resolve_g(args: argparse.Namespace):
 
 
 def _run(args: argparse.Namespace, out) -> int:
-    mode = _numeric_mode(args)
+    if args.mode == "float":  # NumericMode's check, before `interval` loads
+        check_epsilon(float(args.epsilon))
     command = args.command
     n = _f_arity(args)
 
     if command == "eval":
+        from .interval import format_interval, parse_interval
+
         if len(args.intervals) != n:
             raise UsageError(
                 f"{args.f} expects {n} interval(s), got {len(args.intervals)}"
             )
+        mode = _numeric_mode(args)
         xs = [parse_interval(s, mode) for s in args.intervals]
         print(format_interval(_resolve_f(args, n)(*xs), mode, "result"),
               file=out)
@@ -207,7 +216,10 @@ def _run(args: argparse.Namespace, out) -> int:
         raise UsageError("--budget must be >= 1")
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
-    a = parse_interval(args.a, mode) if command == "theorem1" else None
+    if command == "theorem1":  # a bad --a exits 2 before a refusal
+        from .interval import parse_interval
+
+        a = parse_interval(args.a, _numeric_mode(args))
     # refuse before the engine is imported, before F is compiled and before
     # the grid, whose size grows with the resolution squared
     check_budget(*sweep_sizes(command, grid_size(args.resolution), n),
@@ -217,7 +229,7 @@ def _run(args: argparse.Namespace, out) -> int:
                               run_prop2, run_theorem1)
 
     f = _resolve_f(args, n)
-    grid = make_grid(args.resolution, mode)
+    grid = make_grid(args.resolution, _numeric_mode(args))
 
     if command == "check":
         report = check_homogeneity(f, _resolve_g(args), get_iso(args.phi), grid)
@@ -228,7 +240,7 @@ def _run(args: argparse.Namespace, out) -> int:
     elif command == "prop2":
         report = run_prop2(f, grid)
     elif command == "dual":
-        return _run_dual(args, f, grid, out)
+        return _run_dual(f, grid, args.output, out)
     else:  # pragma: no cover
         raise AssertionError(command)
 
@@ -238,9 +250,10 @@ def _run(args: argparse.Namespace, out) -> int:
     return EXIT_PASS if report.verdict == "pass" else EXIT_FAIL
 
 
-def _run_dual(args: argparse.Namespace, f, grid, out) -> int:
+def _run_dual(f, grid, fmt: str, out) -> int:
     from .functions import FUNCTION_NAMES, dual_ns, get_function
     from .homogeneity import equal_on_grid
+    from .report import emit_dual
 
     # each candidate is compared with the dual on all s^n tuples
     dual = dual_ns(f)
@@ -252,35 +265,8 @@ def _run_dual(args: argparse.Namespace, f, grid, out) -> int:
             continue
         if equal_on_grid(dual, cand, grid):
             matches.append(name)
-    payload = {
-        "command": "dual",
-        "function": f.name,
-        "dual": dual.name,
-        "equals_registry": matches,
-        "resolution": grid.resolution,
-        "mode": grid.mode.kind,
-    }
-    if args.output == "json":
-        import json
-
-        print(json.dumps(payload, indent=2), file=out)
-    elif args.output == "csv":
-        print(f"dual,{_csv_field(f.name)},{';'.join(matches)}", file=out)
-    else:
-        eq = ", ".join(matches) if matches else "no registry function"
-        print(
-            f"dual of {f.name} equals {eq} on the m={grid.resolution} grid",
-            file=out,
-        )
+    print(emit_dual(f.name, dual.name, matches, grid, fmt), file=out)
     return EXIT_PASS
-
-
-def _csv_field(text: str) -> str:
-    """`text` as one CSV field: quoted, with inner quotes doubled, when it
-    holds a comma, quote, CR or LF (RFC 4180)."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def main(argv=None) -> int:

@@ -423,8 +423,9 @@ def sweep(f: "IVFunction", g: "ScalingFunction",
     Λ and the list of sweep points of each X_i, as kernel arguments, F's
     kernel results on `itertools.product(*xpts)` in order, and the kernels
     of G and phi. For each Λ in `lams` it fills one row [G(Λ,x) for x in
-    xpts[i]] per X_i and phi(Λ) with those kernels, then runs n nested
-    loops, one over each row, X1 outermost, walking the F table in order.
+    xs] per distinct list object xs in `xpts`, which every X_i that sweeps
+    it shares, and phi(Λ) with those kernels, then runs n nested loops, one
+    over the row of each X_i, X1 outermost, walking the F table in order.
     Both sides are inlined, and each subexpression is computed in the loop
     of the last variable it reads. It returns the largest endpoint
     deviation (0 of the mode's number type when there is none), and the
@@ -460,8 +461,11 @@ def sweep(f: "IVFunction", g: "ScalingFunction",
         f"    max_dev = {t.lit(0)}",
         "    first_lo = first_hi = None",
         "    R = range(len(xpts[-1]))",
+        "    shared = {id(xs): xs for xs in xpts}",
         "    for il, lam in enumerate(lams):",
-        f"        {rows}, = [[g_fn(lam, x) for x in xs] for xs in xpts]",
+        "        made = {k: [g_fn(lam, x) for x in xs]",
+        "                for k, xs in shared.items()}",
+        f"        {rows}, = [made[id(xs)] for xs in xpts]",
         "        Pl, Ph = phi_fn(lam)",
         "        ft = iter(f_table)",
         *_indent(t.lines[0], 2),

@@ -1,9 +1,12 @@
-"""What a run checks before the engine loads: arity limits and the budget.
+"""What a run checks before the engine loads: the float tolerance, arity
+limits and the budget.
 
 This module imports no other part of `ivhom`, so a command that refuses
-its request (exit 2 for an arity out of range, exit 3 for a sweep over
-the budget) loads only this, `interval` and the command line. `expr`,
-`functions` and `homogeneity` import these names from here.
+its request (exit 2 for a bad epsilon or an arity out of range, exit 3 for
+a sweep over the budget) loads only this and the command line; `theorem1`
+also loads `interval` to read its `--a` first, and `eval`, which is not
+gated, loads it to read its literals. `interval`, `expr`, `functions` and
+`homogeneity` import these names from here.
 """
 
 from __future__ import annotations
@@ -42,6 +45,12 @@ class BudgetExceededError(RuntimeError):
 
 class UnsupportedModeError(RuntimeError):
     """An ingredient cannot be evaluated in the requested numeric mode."""
+
+
+def check_epsilon(eps: float) -> None:
+    """Refuse a float-mode tolerance that is negative, infinite or NaN."""
+    if not 0 <= eps < float("inf"):
+        raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
 
 
 def check_arity(arity: int) -> None:

@@ -171,7 +171,8 @@ def _coordinates(grid: Grid, variables: list[set]) -> list[tuple]:
     the lower endpoint and at [0,a] (grid index a) if from the upper one. A
     mixed coordinate sweeps all s points and maps to itself. Every map
     rises, so the first failure in sweep order maps to the lowest failing
-    grid tuple.
+    grid tuple. Coordinates that sweep the same points share one index
+    list object.
     """
     m, every = grid.resolution, range(len(grid))
     low = range(m + 1)
@@ -208,7 +209,10 @@ def check_homogeneity(
     m, n = grid.resolution, f.arity
     pts = _kernel_points(grid)
     coords = _coordinates(grid, _homogeneity_law(f, g, phi))
-    lams, *xpts = ([pts[i] for i in index] for index, _, _ in coords)
+    # one point list per index list, so that the sweep fills one G row for
+    # all the X_i that share it
+    points = {id(index): [pts[i] for i in index] for index, _, _ in coords}
+    lams, *xpts = (points[id(index)] for index, _, _ in coords)
     g_fn, dg = g.kernel(_dens(grid, m, m))
     phi_fn, dphi = phi.kernel(_dens(grid, m))
     f_fn, df = f.kernel(_dens(grid, *(m,) * n))

@@ -11,6 +11,8 @@ import re
 from fractions import Fraction
 from typing import Union
 
+from .gate import check_epsilon
+
 Number = Union[int, float, Fraction]
 
 
@@ -156,8 +158,7 @@ class NumericMode(_Value):
     def __init__(self, kind: str, eps: float = 1e-9) -> None:
         if kind not in ("exact", "float"):
             raise ValueError(f"unknown numeric mode {kind!r}")
-        if not 0 <= eps < float("inf"):
-            raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
+        check_epsilon(eps)
         super().__init__(kind, eps)
 
     @property

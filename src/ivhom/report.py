@@ -1,8 +1,9 @@
 """Report serialization: JSON, CSV, and human-readable text.
 
 Numbers are decimal strings in float mode and "p/q" strings in exact mode,
-so exact verdicts survive serialization without loss. Only the JSON writer
-imports `json`.
+so exact verdicts survive serialization without loss. `emit_report`
+writes the report of a check or pipeline, `emit_dual` that of `dual`. Only
+the JSON writers import `json`.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from typing import Union
 
 from .interval import Number, NumericMode, format_interval, format_number
-from .homogeneity import CheckReport, Counterexample, PipelineReport
+from .homogeneity import CheckReport, Counterexample, Grid, PipelineReport
 
 Report = Union[CheckReport, PipelineReport]
 
@@ -151,3 +152,32 @@ def emit_report(report: Report, fmt: str) -> str:
     if fmt == "text":
         return to_text(report)
     raise ValueError(f"unknown output format {fmt!r}")
+
+
+def _csv_field(text: str) -> str:
+    """`text` as one CSV field: quoted, with inner quotes doubled, when it
+    holds a comma, quote, CR or LF (RFC 4180)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def emit_dual(function: str, dual: str, matches: list[str], grid: Grid,
+              fmt: str) -> str:
+    """The report of `dual`: the registry functions, `matches`, that equal
+    `dual`, the standard-negation dual of `function`, on `grid`."""
+    if fmt == "json":
+        import json
+
+        return json.dumps({
+            "command": "dual",
+            "function": function,
+            "dual": dual,
+            "equals_registry": matches,
+            "resolution": grid.resolution,
+            "mode": grid.mode.kind,
+        }, indent=2)
+    if fmt == "csv":
+        return f"dual,{_csv_field(function)},{';'.join(matches)}"
+    eq = ", ".join(matches) if matches else "no registry function"
+    return f"dual of {function} equals {eq} on the m={grid.resolution} grid"

@@ -292,6 +292,20 @@ def test_non_finite_epsilon_rejected(capsys, eps):
     assert code == 2 and "eps" in err
 
 
+@pytest.mark.parametrize("argv,bad,message", [
+    (("check", "--f", "min", "--mode", "float", "--arity", "3",
+      "--resolution", "30"), ("--epsilon", "nan"),
+     "ivhom: error: eps must be finite and nonnegative, got nan\n"),
+    (("theorem1", "--f", "min", "--resolution", "80", "--budget", "7000"),
+     ("--a", "[2,1]"), "ivhom: error: lo=2 outside [0,1]\n"),
+], ids=["epsilon", "theorem1-a"])
+def test_usage_error_before_refusal(capsys, argv, bad, message):
+    """An over-budget request with a bad epsilon or --a exits 2, not 3: both
+    are checked before the budget gate."""
+    assert run(capsys, *argv)[0] == 3
+    assert run(capsys, *argv, *bad) == (2, "", message)
+
+
 def test_dual_budget_refusal_exit_3(capsys):
     code, _, err = run(capsys, "dual", "--f", "min", "--arity", "4",
                        "--resolution", "20", "--budget", "10")
@@ -416,9 +430,10 @@ def test_deeply_nested_expression_exit_2():
 
 def test_startup_imports_no_dataclasses():
     proc = run_python("-c", "import sys, ivhom.cli; ivhom.cli.build_parser(); "
-                      "print('dataclasses' in sys.modules)")
+                      "print([m for m in ('dataclasses', 'fractions', "
+                      "'ivhom.interval') if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 #: builds the parser, runs the command line on its arguments, if any, and
@@ -427,23 +442,25 @@ ENGINE_PROBE = """
 import sys, ivhom.cli as cli
 cli.build_parser()
 code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-engine = ("ivhom.dsl", "ivhom.expr", "ivhom.functions", "ivhom.homogeneity",
-          "ivhom.report", "json")
+engine = ("ivhom.interval", "fractions", "decimal", "ivhom.dsl", "ivhom.expr",
+          "ivhom.functions", "ivhom.homogeneity", "ivhom.report", "json")
 print([m for m in engine if m in sys.modules])
 sys.exit(code)
 """
+INTERVAL = ["ivhom.interval", "fractions", "decimal"]
 ENGINE = ["ivhom.expr", "ivhom.functions", "ivhom.homogeneity", "ivhom.report"]
 
 
-@pytest.mark.parametrize("argv,size,budget", [
-    ((), None, None),
-    (("prop2", "--f", "min", "--resolution", "40"), "861^3", 10000000),
+@pytest.mark.parametrize("argv,size,budget,loaded", [
+    ((), None, None, []),
+    (("prop2", "--f", "min", "--resolution", "40"), "861^3", 10000000, []),
+    # theorem1 reads --a before the gate
     (("theorem1", "--f", "min", "--g", "P", "--resolution", "40",
-      "--budget", "1800"), "861^3", 1800),
+      "--budget", "1800"), "861^3", 1800, INTERVAL),
 ], ids=["parser", "prop2", "theorem1"])
-def test_refusal_loads_no_engine(argv, size, budget):
+def test_refusal_loads_no_engine(argv, size, budget, loaded):
     proc = run_python("-c", ENGINE_PROBE, *argv)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == repr(loaded)
     if argv:
         assert proc.returncode == 3
         assert proc.stderr == (
@@ -454,16 +471,19 @@ def test_refusal_loads_no_engine(argv, size, budget):
 
 
 @pytest.mark.parametrize("argv,loaded", [
-    (("check", "--f", "min", "--resolution", "2", "--output", "text"), ENGINE),
-    (("check", "--f", "min", "--resolution", "2", "--output", "csv"), ENGINE),
-    (("check", "--f", "min", "--resolution", "2"), ENGINE + ["json"]),
+    (("check", "--f", "min", "--resolution", "2", "--output", "text"),
+     INTERVAL + ENGINE),
+    (("check", "--f", "min", "--resolution", "2", "--output", "csv"),
+     INTERVAL + ENGINE),
+    (("check", "--f", "min", "--resolution", "2"),
+     INTERVAL + ENGINE + ["json"]),
     (("dual", "--f", "min", "--resolution", "2", "--output", "text"),
-     ENGINE[:3]),
+     INTERVAL + ENGINE),
     (("check", "--f", "expr:min(X1,X2)", "--arity", "2", "--resolution", "2",
-      "--output", "text"), ["ivhom.dsl"] + ENGINE),
+      "--output", "text"), INTERVAL + ["ivhom.dsl"] + ENGINE),
     (("check", "--f", "min", "--g", "expr:mul(L,X1)", "--resolution", "2",
-      "--output", "csv"), ["ivhom.dsl"] + ENGINE),
-    (("eval", "--f", "min", "[0,1]", "[1,1]"), ENGINE[:2]),
+      "--output", "csv"), INTERVAL + ["ivhom.dsl"] + ENGINE),
+    (("eval", "--f", "min", "[0,1]", "[1,1]"), INTERVAL + ENGINE[:2]),
 ], ids=["text", "csv", "json", "dual-text", "expr-f", "expr-g", "eval"])
 def test_modules_each_command_loads(argv, loaded):
     """Only `expr:` arguments compile the DSL front end, and only JSON output

@@ -293,8 +293,9 @@ def test_sweep_path_follows_ir(monkeypatch, f, g, phi, mode, law):
     compiles, calls = count_kernels(monkeypatch)
     report = check_homogeneity(f, g, phi, grid)
     pl, *px = (len(grid) if p == M else 4 for p in law)
-    # the F table, a G row per X_i and phi per Λ, and one call of the sweep
-    assert calls[0] == math.prod(px) + pl * (sum(px) + 1) + 1
+    # the F table, a G row per distinct X point list (all s grid points, or
+    # the m+1 = 4 degenerate ones) and phi per Λ, and one call of the sweep
+    assert calls[0] == math.prod(px) + pl * (sum(set(px)) + 1) + 1
     assert compiles[0] == 4  # G, phi, F, and the sweep
     assert report == reference_sweep(f, g, phi, grid)
 
