@@ -18,8 +18,8 @@ import argparse
 import sys
 
 from .gate import (DEFAULT_BUDGET, BudgetExceededError, UnsupportedModeError,
-                   check_budget, check_epsilon, grid_size, resolve_arity,
-                   sweep_sizes)
+                   as_double, check_budget, check_epsilon, grid_size,
+                   resolve_arity, sweep_sizes)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -145,7 +145,7 @@ def _numeric_mode(args: argparse.Namespace):
 
     if args.mode == "exact":
         return NumericMode("exact")
-    return NumericMode("float", float(args.epsilon))
+    return NumericMode("float", args.epsilon)
 
 
 def _f_arity(args: argparse.Namespace) -> int:
@@ -192,8 +192,10 @@ def _resolve_g(args: argparse.Namespace):
 
 
 def _run(args: argparse.Namespace, out) -> int:
+    # a --config integer past the largest double is inf, and so refused
+    args.epsilon = as_double(args.epsilon)
     if args.mode == "float":  # NumericMode's check, before `interval` loads
-        check_epsilon(float(args.epsilon))
+        check_epsilon(args.epsilon)
     command = args.command
     n = _f_arity(args)
 

@@ -11,17 +11,17 @@ Grammar:
 
 pow takes (expr, positive-integer-literal); proj takes an integer-literal
 argument index. Numbers are decimals or rationals like 1/3; a zero
-denominator is a syntax error.
+denominator is a syntax error. A constant's endpoints are exact, made by
+`interval.fraction`, so only a source with a constant loads `fractions`.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .expr import _OPS, Call, Const, ExprError, LVar, Node, Pow, Proj, Var
 from .gate import MAX_POW_EXPONENT
-from .interval import _Value
+from .interval import _Value, fraction
 
 _IDENTS = {*_OPS, "proj"}
 # minimum argument counts; None marks special-cased forms (pow, proj)
@@ -132,7 +132,7 @@ class _Parser:
         tok = self.next()
         if tok.kind != "number":
             self.fail(f"expected number, found {_show(tok)}", tok)
-        return self.convert(Fraction, tok)
+        return self.convert(fraction, tok)
 
     def integer(self) -> int:
         tok = self.next()
@@ -140,10 +140,10 @@ class _Parser:
             self.fail("expected integer literal", tok)
         return self.convert(int, tok)
 
-    def convert(self, kind: type, tok: _Token, text: str | None = None):
-        """`text`, by default the token's, as `kind`; `1/0`, `1.5/2` or a
-        literal of more digits than Python converts is a syntax error at
-        the token."""
+    def convert(self, kind, tok: _Token, text: str | None = None):
+        """`kind(text)`, where `text` is by default the token's; `1/0`,
+        `1.5/2` or a literal of more digits than Python converts is a
+        syntax error at the token."""
         text = tok.text if text is None else text
         try:
             return kind(text)

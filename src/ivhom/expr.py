@@ -8,16 +8,22 @@ serve the sweeps of `homogeneity` and `__call__` on `Interval`s. An exact
 call passes the `Fraction` endpoints themselves as numerators over
 denominator 1, which a kernel built only of ring ops, comparisons and int
 literals evaluates exactly; a float call passes the doubles.
+
+An ingredient traces its AST when it is built, so an expression that
+cannot compile fails there, but it compiles the kernel that evaluates
+`Interval`s of a mode only when that is first called. A passing `check`
+compiles G, phi, F and its sweep, and nothing else. Exact numbers come from
+`interval.fraction`, so a float run with no DSL constant loads no
+`fractions`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import Callable, Union
 
 from .gate import MAX_ARITY, check_arity
-from .interval import Interval, _set, _Value, too_long
+from .interval import Interval, _set, _Value, fraction, too_long
 
 
 class ExprError(ValueError):
@@ -230,7 +236,7 @@ class _ScalarTarget:
         Interval(c.lo, c.hi)  # a constant must be an interval of [0,1]
         if not self.exact:
             return repr(float(c.lo)), repr(float(c.hi)), 1, 0
-        lo, hi = Fraction(c.lo), Fraction(c.hi)
+        lo, hi = fraction(c.lo), fraction(c.hi)
         den = lcm(lo.denominator, hi.denominator)
         return (_int_lit(int(lo * den), "constant"),
                 _int_lit(int(hi * den), "constant"), den, 0)
@@ -346,16 +352,17 @@ class _Compiled(_Value):
     of this base, so the ingredient's equality and hash leave them out.
 
     `fns` holds the (kernel, denominator) that evaluates `Interval`s, one
-    per mode (`evaluator`): the exact one, over denominator 1, is compiled
-    at construction, so that an expression that cannot compile fails there;
-    the float one when it is first asked for.
+    per mode (`evaluator`), each compiled when it is first asked for. The
+    exact kernel's code is traced at construction too, so that an
+    expression that cannot compile fails there.
     """
 
     __slots__ = ("params", "fns")
 
     def _compile_expr(self, params: tuple[str, ...]) -> None:
         _set(self, "params", params)
-        _set(self, "fns", [self.kernel((1,) * len(params)), None])
+        _set(self, "fns", [None, None])
+        _sources([(self, (1,) * len(params))])
 
     def __call__(self, *xs: Interval) -> Interval:
         """The value at one Interval per parameter, in the mode of the
@@ -368,14 +375,15 @@ class _Compiled(_Value):
         lo, hi = fn(*((x.lo, x.hi) for x in xs))
         if is_float:
             return Interval(lo, hi)
-        return Interval(Fraction(lo, den), Fraction(hi, den))
+        return Interval(fraction(lo, den), fraction(hi, den))
 
     def evaluator(self, is_float: bool) -> tuple[Callable, int]:
         """The (kernel, denominator) that evaluates `Interval` endpoints of
         one mode: `Fraction`s, as numerators over denominator 1, or doubles,
-        over 1. Each is compiled once."""
+        over 1. Each is compiled on its first call, and once."""
         if self.fns[is_float] is None:
-            self.fns[is_float] = self.kernel(None)
+            self.fns[is_float] = self.kernel(
+                None if is_float else (1,) * len(self.params))
         return self.fns[is_float]
 
     def kernel(self, dens: tuple[int, ...] | None = None,
@@ -395,6 +403,14 @@ def kernels(parts, out_den: int = 1) -> tuple[list[Callable], int]:
     None in float mode, where the denominator is 1. Exact results are
     scaled to the lcm of `out_den` and every part's own denominator.
     """
+    sources, den = _sources(parts, out_den)
+    return [_compile(*source) for source in sources], den
+
+
+def _sources(parts, out_den: int = 1) -> tuple[list[tuple], int]:
+    """The (source lines, env) of each part's kernel, as `kernels` takes
+    its arguments, and the denominator of their results: all of `kernels`
+    but `exec`."""
     traced = []
     for x, dens in parts:
         t = _ScalarTarget(dens is not None)
@@ -403,14 +419,14 @@ def kernels(parts, out_den: int = 1) -> tuple[list[Callable], int]:
                                strict=True)}
         traced.append((x, t, _trace(x.expr, t, env)))
     den = lcm(out_den, *(ref[2] for *_, ref in traced)) if traced[0][1].exact else 1
-    fns = []
+    sources = []
     for x, t, ref in traced:
         lo, hi = t.scaled(ref, den)
-        fns.append(_compile([f"def fn({', '.join(x.params)}):",
-                             *(f"    {p}l, {p}h = {p}" for p in x.params),
-                             *_indent(t.lines[0], 1),
-                             f"    return ({lo}, {hi})"], t.env))
-    return fns, den
+        sources.append(([f"def fn({', '.join(x.params)}):",
+                         *(f"    {p}l, {p}h = {p}" for p in x.params),
+                         *_indent(t.lines[0], 1),
+                         f"    return ({lo}, {hi})"], t.env))
+    return sources, den
 
 
 def sweep(f: "IVFunction", g: "ScalingFunction",

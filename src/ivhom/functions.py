@@ -8,8 +8,6 @@ the compiler that turns each AST into a callable, live in `expr`.
 
 from __future__ import annotations
 
-import re
-
 from .expr import (
     Call,
     IVFunction,
@@ -20,7 +18,7 @@ from .expr import (
     Var,
     dual,
 )
-from .gate import MAX_ARITY, MAX_POW_EXPONENT, POW_RE, resolve_arity
+from .gate import MAX_ARITY, MAX_POW_EXPONENT, name_suffix, resolve_arity
 
 _X1 = Var(1)
 
@@ -50,8 +48,6 @@ _ISOS = {"identity": IDENTITY, "square": SQUARE}
 #: n-ary registry functions and the DSL op each applies to X1..Xn
 _NARY = {"min": "min", "max": "max", "product": "mul", "mean": "mean"}
 
-_PROJ_RE = re.compile(r"\Aproj_(\d+)\Z")
-
 #: Names of the shipped IV-functions (with their default arities).
 FUNCTION_NAMES = ("min", "max", "product", "mean", "proj_1", "proj_2", "pow_2")
 
@@ -68,17 +64,17 @@ def _suffix(name: str, digits: str, what: str, limit: int, limit_name: str) -> i
 
 def _make_function(name: str, arity: int | None) -> IVFunction:
     n = resolve_arity(name, arity)
-    pm = _PROJ_RE.match(name)
-    if pm:
-        k = _suffix(name, pm.group(1), "projection index", MAX_ARITY, "MAX_ARITY")
+    digits = name_suffix(name, "proj_")
+    if digits:
+        k = _suffix(name, digits, "projection index", MAX_ARITY, "MAX_ARITY")
         if k < 1:
             raise LookupError(f"projection index in {name!r} must be >= 1")
         if k > n:
             raise LookupError(f"{name} needs arity >= {k}, got {n}")
         return IVFunction(name, n, Var(k))
-    wm = POW_RE.match(name)
-    if wm:
-        k = _suffix(name, wm.group(1), "exponent", MAX_POW_EXPONENT,
+    digits = name_suffix(name, "pow_")
+    if digits:
+        k = _suffix(name, digits, "exponent", MAX_POW_EXPONENT,
                     "MAX_POW_EXPONENT")
         if k < 1:
             raise LookupError(f"exponent in {name!r} must be >= 1")

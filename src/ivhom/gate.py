@@ -1,17 +1,18 @@
 """What a run checks before the engine loads: the float tolerance, arity
 limits and the budget.
 
-This module imports no other part of `ivhom`, so a command that refuses
-its request (exit 2 for a bad epsilon or an arity out of range, exit 3 for
-a sweep over the budget) loads only this and the command line; `theorem1`
-also loads `interval` to read its `--a` first, and `eval`, which is not
-gated, loads it to read its literals. `interval`, `expr`, `functions` and
-`homogeneity` import these names from here.
+This module imports no other part of `ivhom` and compiles no regular
+expression: `name_suffix` reads a registry name such as `pow_2` (and
+`functions` reads `proj_<k>` with it), and `as_double` makes an epsilon
+past the largest double inf, as `interval` does with any number. So a
+command that refuses its request (exit 2 for a bad epsilon or an arity out
+of range, exit 3 for a sweep over the budget) loads only this and the
+command line; `theorem1` also loads `interval` to read its `--a` first,
+and `eval`, which is not gated, loads it to read its literals. `interval`,
+`expr`, `functions` and `homogeneity` import these names from here.
 """
 
 from __future__ import annotations
-
-import re
 
 DEFAULT_BUDGET = 10**7
 
@@ -24,7 +25,14 @@ MAX_POW_EXPONENT = 1000
 #: denominator m^n, as `pow(e,n)` has, so the limit is the same.
 MAX_ARITY = MAX_POW_EXPONENT
 
-POW_RE = re.compile(r"\Apow_(\d+)\Z")
+
+def name_suffix(name: str, prefix: str) -> str | None:
+    """The digits that follow `prefix` in registry name `name`, such as "2"
+    in "pow_2", or None unless they are all the rest of `name` and there is
+    at least one. `str.isdecimal` accepts what a regular expression's `\\d`
+    matches."""
+    digits = name[len(prefix):]
+    return digits if name.startswith(prefix) and digits.isdecimal() else None
 
 
 class BudgetExceededError(RuntimeError):
@@ -47,6 +55,15 @@ class UnsupportedModeError(RuntimeError):
     """An ingredient cannot be evaluated in the requested numeric mode."""
 
 
+def as_double(v) -> float:
+    """`v` as a float, or inf or -inf past the largest double, as
+    `float("1e400")` gives, where `float()` of a large int raises."""
+    try:
+        return float(v)
+    except OverflowError:
+        return float("inf") if v > 0 else float("-inf")
+
+
 def check_epsilon(eps: float) -> None:
     """Refuse a float-mode tolerance that is negative, infinite or NaN."""
     if not 0 <= eps < float("inf"):
@@ -62,7 +79,7 @@ def check_arity(arity: int) -> None:
 def resolve_arity(name: str, arity: int | None) -> int:
     """`arity`, checked against `MAX_ARITY`, or when it is None the
     default arity of registry function `name`: 1 for pow_<k>, else 2."""
-    n = (1 if POW_RE.match(name) else 2) if arity is None else arity
+    n = (1 if name_suffix(name, "pow_") else 2) if arity is None else arity
     check_arity(n)
     return n
 

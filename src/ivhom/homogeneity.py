@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .expr import kernels, parities, sweep
 from .gate import UnsupportedModeError
-from .interval import EXACT, Interval, Number, NumericMode, _Value
+from .interval import EXACT, Interval, Number, NumericMode, _Value, fraction
 from .functions import (
     IDENTITY,
     IVFunction,
@@ -56,7 +55,7 @@ def make_grid(m: int, mode: NumericMode = EXACT) -> Grid:
     if m < 1:
         raise ValueError("grid resolution must be >= 1")
     if mode.is_exact:
-        values = [Fraction(i, m) for i in range(m + 1)]
+        values = [fraction(i, m) for i in range(m + 1)]
     else:
         values = [i / m for i in range(m + 1)]
     points = tuple(
@@ -238,7 +237,7 @@ def check_homogeneity(
         verdict="pass" if cex is None else "fail",
         counterexample=cex,
         evaluations=len(grid) ** (n + 1),
-        max_deviation=Fraction(max_dev, den) if mode.is_exact else max_dev,
+        max_deviation=fraction(max_dev, den) if mode.is_exact else max_dev,
         mode=mode,
         resolution=grid.resolution,
     )
@@ -291,7 +290,7 @@ def check_idempotency(f: IVFunction, grid: Grid) -> CheckReport:
         verdict="pass" if cex is None else "fail",
         counterexample=cex,
         evaluations=len(grid.points),
-        max_deviation=Fraction(max_dev, den) if mode.is_exact else max_dev,
+        max_deviation=fraction(max_dev, den) if mode.is_exact else max_dev,
         mode=mode,
         resolution=grid.resolution,
     )
@@ -309,9 +308,9 @@ def check_section_bijective(g: ScalingFunction, a: Interval,
     by value, so exact mode takes O(s) steps; a target is a grid point
     over that kernel's denominator. In float mode, where eps-equality is
     not transitive, distinct values are also compared with their
-    neighbours in a window of eps around the lower endpoint. A collision is
-    reported as the lexicographically smallest colliding pair of grid
-    indices. `Interval`s are built only for the counterexample.
+    neighbours within eps, which `_float_lookup` finds by bisection. A
+    collision is reported as the lexicographically smallest colliding pair
+    of grid indices. `Interval`s are built only for the counterexample.
     """
     mode = grid.mode
     pts = grid.points
@@ -337,18 +336,7 @@ def check_section_bijective(g: ScalingFunction, a: Interval,
         def equal_images(x: tuple) -> list[tuple]:
             return [x] if x in indices else []
     else:
-        eps = mode.eps
-        values = sorted(indices)
-        los = [v[0] for v in values]
-
-        # every value in the window has a lower endpoint within eps of x's
-        def equal_images(x: tuple) -> list[tuple]:
-            lo = hi = bisect_left(los, x[0])
-            while lo > 0 and x[0] - los[lo - 1] <= eps:
-                lo -= 1
-            while hi < len(los) and los[hi] - x[0] <= eps:
-                hi += 1
-            return [v for v in values[lo:hi] if abs(v[1] - x[1]) <= eps]
+        equal_images = _float_lookup(indices, mode.eps)
 
     # the smallest pair within one value's indices, or across two values
     pairs = []
@@ -368,6 +356,30 @@ def check_section_bijective(g: ScalingFunction, a: Interval,
             cex = Counterexample(None, (), target, target)
             return report(cex, ": not surjective, grid point never attained")
     return report(None, "")
+
+
+def _float_lookup(values, eps: float) -> Callable[[tuple], list[tuple]]:
+    """The lookup, for a pair of doubles (lo, hi), of the pairs in `values`
+    within eps of it at both endpoints. The pairs are kept by lower
+    endpoint: bisection finds the lower endpoints within eps, and in each
+    one's sorted uppers those within eps, so a lookup takes O(log s) steps
+    plus one for each pair it finds."""
+    rows: dict = {}
+    for lo, hi in sorted(values):
+        rows.setdefault(lo, []).append(hi)
+    los = list(rows)
+    return lambda x: [(lo, hi) for lo in _within(los, x[0], eps)
+                      for hi in _within(rows[lo], x[1], eps)]
+
+
+def _within(xs: list, x: float, eps: float) -> list:
+    """The run of the sorted doubles `xs` that lie within eps of `x`."""
+    lo = hi = bisect_left(xs, x)
+    while lo > 0 and x - xs[lo - 1] <= eps:
+        lo -= 1
+    while hi < len(xs) and xs[hi] - x <= eps:
+        hi += 1
+    return xs[lo:hi]
 
 
 def _check_fixed_point(f: IVFunction, a: Interval, grid: Grid) -> CheckReport:

@@ -1,19 +1,34 @@
-"""Closed subintervals of [0,1]: construction, arithmetic, negation, orders.
+"""Closed subintervals of [0,1]: construction, arithmetic, negation, the
+numeric modes, and the text form of numbers and intervals.
 
 Endpoints may be ints, floats, or `fractions.Fraction`; all operations are
 pure and preserve the numeric type of their inputs (exact stays exact).
+Every exact number of the package is made by `fraction`, which imports
+`fractions` (and with it `decimal` and `numbers`) on its first call. So a
+float run that reads no interval literal and no DSL constant never loads
+them. The pattern of an interval literal is compiled on first use, and the
+orders of intervals live in `algebra`, which no command imports.
 """
 
 from __future__ import annotations
 
-import enum
 import re
-from fractions import Fraction
 from typing import Union
 
-from .gate import check_epsilon
+from .gate import as_double, check_epsilon
 
-Number = Union[int, float, Fraction]
+Number = Union[int, float, "Fraction"]
+
+_Fraction = None
+
+
+def fraction(numerator, denominator=None):
+    """`Fraction(numerator, denominator)`: the one constructor of exact
+    numbers, which imports `fractions` when it is first called."""
+    global _Fraction
+    if _Fraction is None:
+        from fractions import Fraction as _Fraction
+    return _Fraction(numerator, denominator)
 
 
 class IntervalError(ValueError):
@@ -111,40 +126,6 @@ def join(x: Interval, y: Interval) -> Interval:
     return Interval(max(x.lo, y.lo), max(x.hi, y.hi))
 
 
-class Ordering(enum.Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-    INCOMPARABLE = "incomparable"
-
-
-#: Recognized comparator kinds. "componentwise" is a partial order; the
-#: other three are total orders refining it (admissible orders).
-ORDER_KINDS = ("componentwise", "lex-lo", "lex-hi", "midpoint-width")
-
-
-def compare(order: str, x: Interval, y: Interval) -> Ordering:
-    if order == "componentwise":
-        if x.lo == y.lo and x.hi == y.hi:
-            return Ordering.EQUAL
-        if x.lo <= y.lo and x.hi <= y.hi:
-            return Ordering.LESS
-        if x.lo >= y.lo and x.hi >= y.hi:
-            return Ordering.GREATER
-        return Ordering.INCOMPARABLE
-    if order == "lex-lo":
-        kx, ky = (x.lo, x.hi), (y.lo, y.hi)
-    elif order == "lex-hi":
-        kx, ky = (x.hi, x.lo), (y.hi, y.lo)
-    elif order == "midpoint-width":
-        kx, ky = (x.lo + x.hi, x.hi - x.lo), (y.lo + y.hi, y.hi - y.lo)
-    else:
-        raise ValueError(f"unknown order {order!r}; choose from {ORDER_KINDS}")
-    if kx == ky:
-        return Ordering.EQUAL
-    return Ordering.LESS if kx < ky else Ordering.GREATER
-
-
 class NumericMode(_Value):
     """Numeric regime for evaluation and equality.
 
@@ -166,15 +147,10 @@ class NumericMode(_Value):
         return self.kind == "exact"
 
     def convert(self, v: Number) -> Number:
-        if self.is_exact:
-            return Fraction(v)
-        try:
-            return float(v)
-        except OverflowError:  # past the largest double: inf, as float("1e400")
-            return float("inf") if v > 0 else float("-inf")
+        return fraction(v) if self.is_exact else as_double(v)
 
     def zero(self) -> Number:
-        return Fraction(0) if self.is_exact else 0.0
+        return fraction(0) if self.is_exact else 0.0
 
     def values_equal(self, a: Number, b: Number) -> bool:
         if self.is_exact:
@@ -191,11 +167,13 @@ class NumericMode(_Value):
 EXACT = NumericMode("exact")
 FLOAT = NumericMode("float")
 
-_INTERVAL_RE = re.compile(r"\s*\[\s*([^,\[\]\s]+)\s*,\s*([^,\[\]\s]+)\s*\]\s*\Z")
+#: the text of an interval literal and of a number's exponent; `re`
+#: compiles each on its first use and caches it
+_INTERVAL = r"\s*\[\s*([^,\[\]\s]+)\s*,\s*([^,\[\]\s]+)\s*\]\s*\Z"
+_EXPONENT = r"[eE][-+]?([\d_]+)\Z"
 #: Python's default limit on the digits of an int read from or written as
 #: a decimal string
 MAX_DIGITS = 4300
-_EXPONENT_RE = re.compile(r"[eE][-+]?([\d_]+)\Z")
 
 
 def parse_number(text: str, mode: NumericMode = EXACT) -> Number:
@@ -205,7 +183,7 @@ def parse_number(text: str, mode: NumericMode = EXACT) -> Number:
     `1e999999999` would run for minutes. A literal whose digits and
     exponent together pass `MAX_DIGITS` is refused before it is built."""
     text = text.strip()
-    e = _EXPONENT_RE.search(text)
+    e = re.search(_EXPONENT, text)
     exponent = e.group(1).replace("_", "").lstrip("0") if e else ""
     digits = sum(c.isdigit() for c in (text[:e.start()] if e else text))
     if (len(exponent) > len(str(MAX_DIGITS))
@@ -214,7 +192,7 @@ def parse_number(text: str, mode: NumericMode = EXACT) -> Number:
         raise IntervalError(f"cannot parse number {shown!r}: its digits and "
                             f"exponent exceed the limit of {MAX_DIGITS}")
     try:
-        value = Fraction(text)
+        value = fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise IntervalError(f"cannot parse number {text!r}: {exc}") from exc
     return mode.convert(value)
@@ -222,7 +200,7 @@ def parse_number(text: str, mode: NumericMode = EXACT) -> Number:
 
 def parse_interval(text: str, mode: NumericMode = EXACT) -> Interval:
     """Parse the textual form "[lo,hi]" with decimal or rational endpoints."""
-    m = _INTERVAL_RE.match(text)
+    m = re.match(_INTERVAL, text)
     if m is None:
         raise IntervalError(f"cannot parse interval {text!r}; expected [lo,hi]")
     return Interval(parse_number(m.group(1), mode), parse_number(m.group(2), mode))
@@ -239,7 +217,7 @@ def format_number(v: Number, mode: NumericMode, role: str = "number") -> str:
     numerator or denominator past `MAX_DIGITS` digits."""
     if not mode.is_exact:
         return repr(float(v))
-    f = Fraction(v)
+    f = fraction(v)
     try:
         return f"{f.numerator}/{f.denominator}"
     except ValueError:

@@ -12,12 +12,11 @@ from fractions import Fraction
 
 import pytest
 
+from ivhom.algebra import Ordering, compare
 from ivhom.cli import main as cli_main
 from ivhom.interval import (
     Interval,
     NumericMode,
-    Ordering,
-    compare,
     complement,
     join,
     meet,

@@ -442,12 +442,13 @@ ENGINE_PROBE = """
 import sys, ivhom.cli as cli
 cli.build_parser()
 code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-engine = ("ivhom.interval", "fractions", "decimal", "ivhom.dsl", "ivhom.expr",
-          "ivhom.functions", "ivhom.homogeneity", "ivhom.report", "json")
+engine = ("ivhom.interval", "fractions", "decimal", "numbers", "ivhom.dsl",
+          "ivhom.expr", "ivhom.functions", "ivhom.homogeneity", "ivhom.report",
+          "json")
 print([m for m in engine if m in sys.modules])
 sys.exit(code)
 """
-INTERVAL = ["ivhom.interval", "fractions", "decimal"]
+INTERVAL = ["ivhom.interval", "fractions", "decimal", "numbers"]
 ENGINE = ["ivhom.expr", "ivhom.functions", "ivhom.homogeneity", "ivhom.report"]
 
 
@@ -484,13 +485,40 @@ def test_refusal_loads_no_engine(argv, size, budget, loaded):
     (("check", "--f", "min", "--g", "expr:mul(L,X1)", "--resolution", "2",
       "--output", "csv"), INTERVAL + ["ivhom.dsl"] + ENGINE),
     (("eval", "--f", "min", "[0,1]", "[1,1]"), INTERVAL + ENGINE[:2]),
-], ids=["text", "csv", "json", "dual-text", "expr-f", "expr-g", "eval"])
+    (("check", "--f", "min", "--resolution", "2", "--mode", "float",
+      "--output", "text"), ["ivhom.interval"] + ENGINE),
+    (("check", "--f", "product", "--resolution", "2", "--mode", "float",
+      "--output", "text"), ["ivhom.interval"] + ENGINE),
+    (("check", "--f", "expr:min(X1,X2)", "--arity", "2", "--resolution", "2",
+      "--mode", "float", "--output", "text"),
+     ["ivhom.interval", "ivhom.dsl"] + ENGINE),
+    (("check", "--f", "expr:max(X1,[0,1/2])", "--arity", "1", "--g", "pi2",
+      "--resolution", "2", "--mode", "float", "--output", "text"),
+     INTERVAL + ["ivhom.dsl"] + ENGINE),
+    (("theorem1", "--f", "min", "--resolution", "2", "--mode", "float",
+      "--output", "text"), INTERVAL + ENGINE),
+], ids=["text", "csv", "json", "dual-text", "expr-f", "expr-g", "eval",
+        "float", "float-fail", "float-expr-f", "float-constant",
+        "float-theorem1"])
 def test_modules_each_command_loads(argv, loaded):
     """Only `expr:` arguments compile the DSL front end, and only JSON output
-    loads `json`."""
+    loads `json`. `fractions` loads only for exact values, interval literals
+    (theorem1's `--a`) and DSL constants: a float run with registry or
+    constant-free `expr:` ingredients makes no exact number, even for a
+    counterexample."""
     proc = run_python("-c", ENGINE_PROBE, *argv)
     assert proc.returncode in (0, 1) and proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == repr(loaded)
+
+
+def test_registry_import_compiles_no_kernel():
+    """Importing `functions` builds its five ingredients, which trace their
+    expressions, but compiles no kernel."""
+    proc = run_python("-c", "import ivhom.expr as e; made = []; "
+                      "e._compile = lambda *a: made.append(a); "
+                      "import ivhom.functions; print(len(made))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 @pytest.mark.parametrize("argv", [
@@ -540,6 +568,19 @@ def test_float_overflowing_literal_exit_2(literal, message):
     assert proc.returncode == 2 and proc.stdout == ""
     assert f"ivhom: error: {message}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("sign,shown", [("", "inf"), ("-", "-inf")])
+def test_config_epsilon_past_the_double_range_exit_2(tmp_path, sign, shown):
+    """A JSON integer past the largest double is inf, as --epsilon 1e400
+    is, and so refused."""
+    cfg = tmp_path / "big.json"
+    cfg.write_text('{"epsilon": %s1%s}' % (sign, "0" * 400))
+    proc = run_child("check", "--f", "min", "--mode", "float", "--config",
+                     str(cfg))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("ivhom: error: eps must be finite and nonnegative, "
+                           f"got {shown}\n")
 
 
 def test_config_not_utf8_names_the_file(tmp_path):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ivhom import expr
 from ivhom.expr import (
     MAX_ARITY,
     Call,
@@ -11,8 +12,10 @@ from ivhom.expr import (
     ExprError,
     IVFunction,
     LVar,
+    OrderIso,
     Pow,
     Proj,
+    ScalingFunction,
     Var,
     compile_ivfunction,
     compile_scaling,
@@ -148,6 +151,26 @@ def test_nesting_too_deep_is_an_expr_error():
         IVFunction("deep", 1, node)
     # a compile error has no source position and names none
     assert exc.value.line is None and "line" not in str(exc.value)
+
+
+@pytest.mark.parametrize("node,error,message", [
+    (Call("foo", (Var(1),)), ExprError, "unknown operation 'foo'"),
+    (Call("min", (Var(1), Const(0, 2))), IntervalError, "hi=2 outside"),
+    (Call("min", (Var(1), Const(Fraction(1, 3**10000), 1))), ExprError,
+     "more than 4300 digits"),
+], ids=["op", "constant", "digits"])
+@pytest.mark.parametrize("make", [
+    lambda e: IVFunction("f", 1, e), lambda e: ScalingFunction("g", e),
+    lambda e: OrderIso("phi", e)], ids=["F", "G", "phi"])
+def test_bad_expression_fails_at_construction(monkeypatch, make, node, error,
+                                              message):
+    """Construction traces the expression, so it raises what compiling
+    would, though it compiles no kernel."""
+    compiled = []
+    monkeypatch.setattr(expr, "_compile", lambda *args: compiled.append(args))
+    with pytest.raises(error, match=message):
+        make(node)
+    assert compiled == []
 
 
 def test_node_hash_is_cached_and_does_not_recurse():

@@ -4,14 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from ivhom.algebra import Ordering, compare
 from ivhom.interval import (
     EXACT,
     FLOAT,
     Interval,
     IntervalError,
     NumericMode,
-    Ordering,
-    compare,
     complement,
     format_interval,
     join,

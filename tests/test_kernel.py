@@ -14,6 +14,7 @@ coordinate that has one parity of `neg`s.
 
 import itertools
 import math
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import reduce
@@ -49,6 +50,7 @@ from ivhom.functions import (
 from ivhom.homogeneity import (
     CheckReport,
     Counterexample,
+    _float_lookup,
     _homogeneity_law,
     check_homogeneity,
     check_idempotency,
@@ -65,6 +67,7 @@ from ivhom.interval import (
     complement,
     join,
     meet,
+    parse_interval,
     prob_sum,
     product,
 )
@@ -401,20 +404,28 @@ def test_float_psum_ulp_step_matches_reference():
 def test_each_kernel_is_compiled_once(monkeypatch, mode):
     grid = make_grid(3, mode)
     compiles, _ = count_kernels(monkeypatch)
-    # construction compiles one kernel: the exact one that evaluates Intervals
-    min2, mean2 = get_function("min", 2), get_function("mean", 2)
-    p = ScalingFunction("P", P.expr)
-    assert compiles[0] == 3
+    # construction traces each expression but compiles no kernel
+    min2, mean2, product2 = (get_function(name, 2)
+                             for name in ("min", "mean", "product"))
+    p, phi = ScalingFunction("P", P.expr), OrderIso("identity", IDENTITY.expr)
+    assert compiles[0] == 0
+    # a passing check compiles G, phi, F and the sweep
+    assert check_homogeneity(min2, p, phi, grid).passed
+    assert compiles[0] == 4
     equal_on_grid(min2, mean2, grid)
-    assert compiles[0] == 3 + 2
+    assert compiles[0] == 4 + 2
     check_idempotency(mean2, grid)
-    assert compiles[0] == 3 + 3
-    # fixed point and bijectivity evaluate Intervals: float ones through the
-    # float kernels of F and G, compiled on their first call and kept
-    # each homogeneity step compiles G, phi, F and the sweep
+    assert compiles[0] == 4 + 2 + 1
+    # fixed point and bijectivity evaluate Intervals, through the kernels of
+    # F and G for the mode, compiled on their first call and kept; each
+    # homogeneity step compiles G, phi, F and the sweep
     run_theorem1(mean2, p, grid.points[-1], grid)
     run_theorem1(mean2, p, grid.points[-1], grid)
-    assert compiles[0] == 3 + 3 + 2 * (4 + 1) + (0 if mode.is_exact else 2)
+    assert compiles[0] == 7 + 2 * (4 + 1) + 2
+    # a failing check also compiles the evaluators its counterexample calls:
+    # those of F and phi; G's was compiled for bijectivity
+    assert not check_homogeneity(product2, p, phi, grid).passed
+    assert compiles[0] == 19 + 4 + 2
 
 
 _unit_doubles = st.floats(0.0, 1.0)
@@ -556,6 +567,56 @@ def test_section_bijective_matches_pairwise_scan(g_src, mode):
         assert r.verdict == "fail"
         assert ("not injective" in r.note) == (kind == "collide")
         assert r.counterexample == Counterexample(None, xs, lhs, rhs)
+
+
+def window_scan(values, eps):
+    """The float lookup that `_float_lookup` replaced, kept as its
+    reference: bisect the sorted lower endpoints, walk every image whose
+    lower endpoint lies within eps, and keep those whose upper endpoint
+    does too. On a grid a whole row shares one lower endpoint, so each
+    lookup walks O(m) images."""
+    values = sorted(values)
+    los = [v[0] for v in values]
+
+    def lookup(x):
+        lo = hi = bisect_left(los, x[0])
+        while lo > 0 and x[0] - los[lo - 1] <= eps:
+            lo -= 1
+        while hi < len(los) and los[hi] - x[0] <= eps:
+            hi += 1
+        return [v for v in values[lo:hi] if abs(v[1] - x[1]) <= eps]
+    return lookup
+
+
+@pytest.mark.parametrize("g_src,a,eps,m,note", [
+    ("mul(L,X1)", "[1,1]", 1e-9, 30, ""),
+    # 1 - (1 - L) is L only within eps
+    ("psum(L,X1)", "[0,0]", 1e-9, 29, ""),
+    ("psum(L,X1)", "[0,0]", 0.0, 29, ": not surjective"),
+    # grid neighbours 1/30 apart are equal within eps
+    ("mul(L,X1)", "[1,1]", 0.05, 30, ": not injective"),
+    ("min(L,[1/2,1])", "[1,1]", 1e-9, 30, ": not injective"),
+    ("mul(L,X1)", "[0,0]", 1e-9, 7, ": not injective"),
+    ("max(L,neg(X1))", "[1/3,2/3]", 0.01, 12, ": not injective"),
+    ("mul(L,X1)", "[1/2,1/2]", 1e-9, 30, ": not surjective"),
+    ("mean(L,X1)", "[1,1]", 0.01, 30, ": not surjective"),
+    ("mean(L,X1)", "[1/3,2/3]", 0.003, 30, ": not surjective"),
+])
+def test_float_bijectivity_lookup_matches_window_scan(g_src, a, eps, m, note):
+    """`_float_lookup` finds, for every image and every grid target, the
+    images that the window scan finds, in the same order; so the colliding
+    pairs, and the counterexample, are the same."""
+    mode = NumericMode("float", eps)
+    g, grid = compile_scaling(parse_expr(g_src, 1)), make_grid(m, mode)
+    a = parse_interval(a, mode)
+    fn, _ = g.evaluator(True)
+    images = {fn((x.lo, x.hi), (a.lo, a.hi)) for x in grid.points}
+    lookup, want = _float_lookup(images, eps), window_scan(images, eps)
+    for x in [*images, *((t.lo, t.hi) for t in grid.points)]:
+        assert lookup(x) == want(x)
+    report = check_section_bijective(g, a, grid)
+    assert report.note.startswith("grid-certified" + note)
+    assert report.verdict == ("fail" if note else "pass")
 
 
 def test_float_constants_are_doubles():

@@ -74,6 +74,7 @@ def test_interval_repr():
 
 def test_ingredient_equality_ignores_compiled_forms():
     a, b = get_function("min", 2), get_function("min", 2)
+    assert a(HALF, HALF) == b(HALF, HALF)  # each compiles its own evaluator
     assert a.fns[0] is not b.fns[0]
     assert a == b and hash(a) == hash(b)
     assert a != IVFunction("min", 3, a.expr)
