@@ -13,17 +13,19 @@ pow takes (expr, positive-integer-literal); proj takes an integer-literal
 argument index. Numbers are decimals or rationals like 1/3; a zero
 denominator is a syntax error. A constant's endpoints are exact, made by
 `interval.fraction`, so only a source with a constant loads `fractions`.
+An expression deeper than `gate.MAX_DEPTH` is refused at its first token.
 """
 
 from __future__ import annotations
 
 import re
 
-from .expr import _OPS, Call, Const, ExprError, LVar, Node, Pow, Proj, Var
-from .gate import MAX_POW_EXPONENT
+from .expr import (_OPS, TOO_DEEP, Call, Const, ExprError, LVar, Node, Pow,
+                   Proj, Var)
+from .gate import MAX_DEPTH, MAX_POW_EXPONENT
 from .interval import _Value, fraction
 
-_IDENTS = {*_OPS, "proj"}
+_IDENTS = {*_OPS, "pow", "proj"}
 # minimum argument counts; None marks special-cased forms (pow, proj)
 _MIN_ARGS = {"min": 2, "max": 2, "mul": 2, "psum": 2, "neg": 1, "mean": 1}
 
@@ -91,17 +93,16 @@ class _Parser:
         return tok
 
     def parse(self) -> Node:
-        try:
-            node = self.expr()
-        except RecursionError:  # one Python frame or two per nesting level
-            self.fail("expression nested too deeply")
+        node = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             self.fail(f"unexpected trailing input {tok.text!r}", tok)
         return node
 
-    def expr(self) -> Node:
+    def expr(self, depth: int = 1) -> Node:
         tok = self.peek()
+        if depth > MAX_DEPTH:  # the tree would be deeper, so recurse no more
+            self.fail(TOO_DEEP, tok)
         if tok.kind == "punct" and tok.text == "[":
             return self.const()
         if tok.kind == "ident":
@@ -116,7 +117,7 @@ class _Parser:
                     self.fail("variable index must be >= 1", tok)
                 return Var(idx)
             if tok.text in _IDENTS:
-                return self.call()
+                return self.call(depth)
             self.fail(f"unknown identifier {tok.text!r}", tok)
         self.fail(f"expected expression, found {_show(tok)}", tok)
 
@@ -152,7 +153,7 @@ class _Parser:
         except ValueError:
             self.fail(f"invalid number {text!r}", tok)
 
-    def call(self) -> Node:
+    def call(self, depth: int) -> Node:
         ident = self.next()
         self.expect("(")
         if ident.text == "proj":
@@ -162,7 +163,7 @@ class _Parser:
                 self.fail("proj index must be >= 1", ident)
             return Proj(idx)
         if ident.text == "pow":
-            base = self.expr()
+            base = self.expr(depth + 1)
             self.expect(",")
             k = self.integer()
             self.expect(")")
@@ -172,10 +173,10 @@ class _Parser:
                 self.fail(f"pow exponent {k} exceeds the limit of "
                           f"{MAX_POW_EXPONENT}", ident)
             return Pow(base, k)
-        args = [self.expr()]
+        args = [self.expr(depth + 1)]
         while self.peek().text == ",":
             self.next()
-            args.append(self.expr())
+            args.append(self.expr(depth + 1))
         self.expect(")")
         if len(args) < _MIN_ARGS[ident.text]:
             self.fail(

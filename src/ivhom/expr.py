@@ -9,12 +9,12 @@ call passes the `Fraction` endpoints themselves as numerators over
 denominator 1, which a kernel built only of ring ops, comparisons and int
 literals evaluates exactly; a float call passes the doubles.
 
-An ingredient traces its AST when it is built, so an expression that
-cannot compile fails there, but it compiles the kernel that evaluates
-`Interval`s of a mode only when that is first called. A passing `check`
-compiles G, phi, F and its sweep, and nothing else. Exact numbers come from
-`interval.fraction`, so a float run with no DSL constant loads no
-`fractions`.
+An AST is valid once built: each node checks its op, constant, index and
+depth (`gate.MAX_DEPTH`), and each ingredient its variables. It is traced
+only when a kernel is compiled, each mode's `Interval` evaluator on its
+first call: a passing `check` traces G, phi, F and its sweep, so a float
+run traces no exact code. Exact numbers come from `interval.fraction`, so a
+float run with no DSL constant loads no `fractions`.
 """
 
 from __future__ import annotations
@@ -22,14 +22,14 @@ from __future__ import annotations
 from math import lcm
 from typing import Callable, Union
 
-from .gate import MAX_ARITY, check_arity
+from .gate import MAX_ARITY, MAX_DEPTH, check_arity
 from .interval import Interval, _set, _Value, fraction, too_long
 
 
 class ExprError(ValueError):
     """Syntax, arity or compile error in an expression. A parser error
-    carries its 1-based source position; an error found after parsing has
-    none, and its message names no position."""
+    carries its 1-based source position; one that a node, an ingredient or
+    the compiler finds has none, and its message names no position."""
 
     def __init__(self, message: str, line: int | None = None,
                  column: int | None = None):
@@ -40,16 +40,24 @@ class ExprError(ValueError):
         self.column = column
 
 
+#: the error for a node, or a source, deeper than `MAX_DEPTH`
+TOO_DEEP = f"expression nested too deeply: more than {MAX_DEPTH} levels"
+
+
 class _Node(_Value):
-    """An AST node. Its hash is computed once, at construction, from the
-    cached hashes of its children, so hashing a tree of any depth takes one
-    step and does not recurse."""
+    """An AST node. Its hash and its depth are computed once, at
+    construction, from those its children cached, so neither recurses, and
+    a node deeper than `MAX_DEPTH` is refused there. So each walk of a
+    built tree recurses at most `MAX_DEPTH` times, whoever calls it."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_depth")
 
-    def __init__(self, *values) -> None:
+    def __init__(self, *values, depth: int = 1) -> None:
+        if depth > MAX_DEPTH:
+            raise ExprError(TOO_DEEP)
         super().__init__(*values)
         _set(self, "_hash", hash((self.__class__, values)))
+        _set(self, "_depth", depth)
 
     def __hash__(self) -> int:
         return self._hash
@@ -59,6 +67,8 @@ class Var(_Node):
     __slots__ = ("index",)
 
     def __init__(self, index: int) -> None:
+        if index < 1:
+            raise ExprError(f"variable index must be >= 1, got {index}")
         super().__init__(index)
 
 
@@ -70,6 +80,7 @@ class Const(_Node):
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: Fraction, hi: Fraction) -> None:
+        Interval(lo, hi)  # a constant must be an interval of [0,1]
         super().__init__(lo, hi)
 
 
@@ -77,13 +88,15 @@ class Pow(_Node):
     __slots__ = ("arg", "exponent")
 
     def __init__(self, arg: "Node", exponent: int) -> None:
-        super().__init__(arg, exponent)
+        super().__init__(arg, exponent, depth=arg._depth + 1)
 
 
 class Proj(_Node):
     __slots__ = ("index",)
 
     def __init__(self, index: int) -> None:
+        if index < 1:
+            raise ExprError(f"proj index must be >= 1, got {index}")
         super().__init__(index)
 
 
@@ -91,28 +104,19 @@ class Call(_Node):
     __slots__ = ("ident", "args")
 
     def __init__(self, ident: str, args: tuple["Node", ...]) -> None:
-        super().__init__(ident, args)
+        if ident not in _OPS:
+            raise ExprError(f"unknown operation {ident!r}")
+        super().__init__(ident, args,
+                         depth=1 + max((a._depth for a in args), default=0))
 
 
 Node = Union[Var, LVar, Const, Pow, Proj, Call]
 
 
-#: The DSL's operations; `_ScalarTarget` compiles each of them.
-_OPS = {"min", "max", "mul", "psum", "neg", "mean", "pow"}
+#: The ops of a `Call`, which `_ScalarTarget.op` compiles; `pow` is a `Pow`.
+_OPS = {"min", "max", "mul", "psum", "neg", "mean"}
 #: binary ops applied to n arguments by folding left, as functools.reduce does
 _FOLDED = {"min", "max", "mul", "psum"}
-
-def _walk(node: Node):
-    yield node
-    if isinstance(node, Call):
-        for arg in node.args:
-            yield from _walk(arg)
-    elif isinstance(node, Pow):
-        yield from _walk(node.arg)
-
-
-def uses_l(node: Node) -> bool:
-    return any(isinstance(n, LVar) for n in _walk(node))
 
 
 def parities(node: Node) -> dict[str, set[int]]:
@@ -136,9 +140,11 @@ def parities(node: Node) -> dict[str, set[int]]:
     return out
 
 
-def max_var_index(node: Node) -> int:
-    return max((n.index for n in _walk(node) if isinstance(n, (Var, Proj))),
-               default=0)
+def _past_arity(variables, arity: int) -> str | None:
+    """The error for the highest X<k> of `variables`, names such as
+    `parities` gives, if k exceeds `arity`."""
+    hi = max((int(v[1:]) for v in variables if v != "L"), default=0)
+    return f"variable X{hi} exceeds declared arity {arity}" if hi > arity else None
 
 
 def parse_expr(src: str, arity: int) -> Node:
@@ -147,9 +153,9 @@ def parse_expr(src: str, arity: int) -> Node:
 
     check_arity(arity)
     node = _Parser(src).parse()
-    hi = max_var_index(node)
-    if hi > arity:
-        raise ExprError(f"variable X{hi} exceeds declared arity {arity}")
+    error = _past_arity(parities(node), arity)
+    if error:
+        raise ExprError(error)
     return node
 
 
@@ -209,8 +215,8 @@ class _ScalarTarget:
     `interval`, with every denominator 1.0.
 
     Every op is monotone and maps intervals of [0,1] to intervals of [0,1]
-    in both modes, so valid arguments and constants (`const`) give valid
-    results.
+    in both modes, so valid arguments and constants, which `Const` checks,
+    give valid results.
     """
 
     def __init__(self, exact: bool, depth: int = 0) -> None:
@@ -233,7 +239,6 @@ class _ScalarTarget:
         return self.local(lo, level), self.local(hi, level), den, level
 
     def const(self, c: Const) -> tuple:
-        Interval(c.lo, c.hi)  # a constant must be an interval of [0,1]
         if not self.exact:
             return repr(float(c.lo)), repr(float(c.hi)), 1, 0
         lo, hi = fraction(c.lo), fraction(c.hi)
@@ -316,8 +321,6 @@ def _trace(node: Node, target: _ScalarTarget, env: dict):
                 names[n] = target.const(n)
             elif isinstance(n, Pow):
                 names[n] = target.pow(ref(n.arg), n.exponent)
-            elif n.ident not in _OPS:
-                raise ExprError(f"unknown operation {n.ident!r}")
             elif n.ident in _FOLDED:
                 acc, *rest = map(ref, n.args)
                 for arg in rest:
@@ -327,10 +330,7 @@ def _trace(node: Node, target: _ScalarTarget, env: dict):
                 names[n] = target.op(n.ident, tuple(map(ref, n.args)))
         return names[n]
 
-    try:
-        return ref(node)
-    except RecursionError:  # ref recurses once per nesting level
-        raise ExprError("expression nested too deeply to compile") from None
+    return ref(node)
 
 
 def _compile(source: list[str], env: dict) -> Callable:
@@ -352,17 +352,22 @@ class _Compiled(_Value):
     of this base, so the ingredient's equality and hash leave them out.
 
     `fns` holds the (kernel, denominator) that evaluates `Interval`s, one
-    per mode (`evaluator`), each compiled when it is first asked for. The
-    exact kernel's code is traced at construction too, so that an
-    expression that cannot compile fails there.
+    per mode (`evaluator`), each traced and compiled when it is first asked
+    for. Construction traces nothing.
     """
 
     __slots__ = ("params", "fns")
 
-    def _compile_expr(self, params: tuple[str, ...]) -> None:
+    def _compile_expr(self, params: tuple[str, ...], misuse: str) -> None:
+        """Set `params` and `fns` if `expr` reads no other variable. Else
+        refuse it with `misuse`, or, for an F or phi that reads no L, with
+        the arity error of `parse_expr` for its highest X<k>."""
+        used = parities(self.expr).keys() - set(params)
+        if used:
+            raise ExprError(misuse if "L" in used | set(params)
+                            else _past_arity(used, len(params)))
         _set(self, "params", params)
         _set(self, "fns", [None, None])
-        _sources([(self, (1,) * len(params))])
 
     def __call__(self, *xs: Interval) -> Interval:
         """The value at one Interval per parameter, in the mode of the
@@ -403,14 +408,6 @@ def kernels(parts, out_den: int = 1) -> tuple[list[Callable], int]:
     None in float mode, where the denominator is 1. Exact results are
     scaled to the lcm of `out_den` and every part's own denominator.
     """
-    sources, den = _sources(parts, out_den)
-    return [_compile(*source) for source in sources], den
-
-
-def _sources(parts, out_den: int = 1) -> tuple[list[tuple], int]:
-    """The (source lines, env) of each part's kernel, as `kernels` takes
-    its arguments, and the denominator of their results: all of `kernels`
-    but `exec`."""
     traced = []
     for x, dens in parts:
         t = _ScalarTarget(dens is not None)
@@ -419,14 +416,14 @@ def _sources(parts, out_den: int = 1) -> tuple[list[tuple], int]:
                                strict=True)}
         traced.append((x, t, _trace(x.expr, t, env)))
     den = lcm(out_den, *(ref[2] for *_, ref in traced)) if traced[0][1].exact else 1
-    sources = []
+    fns = []
     for x, t, ref in traced:
         lo, hi = t.scaled(ref, den)
-        sources.append(([f"def fn({', '.join(x.params)}):",
-                         *(f"    {p}l, {p}h = {p}" for p in x.params),
-                         *_indent(t.lines[0], 1),
-                         f"    return ({lo}, {hi})"], t.env))
-    return sources, den
+        fns.append(_compile([f"def fn({', '.join(x.params)}):",
+                             *(f"    {p}l, {p}h = {p}" for p in x.params),
+                             *_indent(t.lines[0], 1),
+                             f"    return ({lo}, {hi})"], t.env))
+    return fns, den
 
 
 def sweep(f: "IVFunction", g: "ScalingFunction",
@@ -502,7 +499,8 @@ class IVFunction(_Compiled):
     def __init__(self, name: str, arity: int, expr: Node) -> None:
         check_arity(arity)
         super().__init__(name, arity, expr)
-        self._compile_expr(tuple(f"X{i}" for i in range(1, arity + 1)))
+        self._compile_expr(tuple(f"X{i}" for i in range(1, arity + 1)),
+                           "IV-function expressions may not use L")
 
 
 class ScalingFunction(_Compiled):
@@ -512,7 +510,8 @@ class ScalingFunction(_Compiled):
 
     def __init__(self, name: str, expr: Node) -> None:
         super().__init__(name, expr)
-        self._compile_expr(("L", "X1"))
+        self._compile_expr(("L", "X1"),
+                           "scaling expressions may only use L and X1")
 
 
 class OrderIso(_Compiled):
@@ -526,17 +525,13 @@ class OrderIso(_Compiled):
 
     def __init__(self, name: str, expr: Node, exact_ok: bool = True) -> None:
         super().__init__(name, expr, exact_ok)
-        self._compile_expr(("X1",))
+        self._compile_expr(("X1",), "order isomorphism expressions may not use L")
 
 
 def compile_ivfunction(node: Node, arity: int, name: str = "expr") -> IVFunction:
-    if uses_l(node):
-        raise ExprError("IV-function expressions may not use L")
     return IVFunction(name, arity, node)
 
 
 def compile_scaling(node: Node, name: str = "expr") -> ScalingFunction:
     """Compile an expression over {L, X1} into a scaling function G(L, X1)."""
-    if max_var_index(node) > 1:
-        raise ExprError("scaling expressions may only use L and X1")
     return ScalingFunction(name, node)

@@ -1,5 +1,5 @@
 """What a run checks before the engine loads: the float tolerance, arity
-limits and the budget.
+limits and the budget, and the limits of an expression.
 
 This module imports no other part of `ivhom` and compiles no regular
 expression: `name_suffix` reads a registry name such as `pow_2` (and
@@ -24,6 +24,10 @@ MAX_POW_EXPONENT = 1000
 #: The largest arity of an IV-function. `mul` over n arguments has the
 #: denominator m^n, as `pow(e,n)` has, so the limit is the same.
 MAX_ARITY = MAX_POW_EXPONENT
+#: The deepest expression: a leaf is 1 level deep, a call or `pow` one more
+#: than its deepest argument. Comparing two trees, the deepest walk, recurses
+#: 4 frames a level, so this keeps it within Python's default limit of 1,000.
+MAX_DEPTH = 200
 
 
 def name_suffix(name: str, prefix: str) -> str | None:

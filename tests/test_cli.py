@@ -10,6 +10,7 @@ import pytest
 
 import ivhom
 from ivhom.cli import _COMMANDS, build_parser, main
+from ivhom.gate import MAX_DEPTH
 
 
 def run(capsys, *argv):
@@ -512,13 +513,81 @@ def test_modules_each_command_loads(argv, loaded):
 
 
 def test_registry_import_compiles_no_kernel():
-    """Importing `functions` builds its five ingredients, which trace their
-    expressions, but compiles no kernel."""
+    """Importing `functions` builds its five ingredients, which compiles no
+    kernel."""
     proc = run_python("-c", "import ivhom.expr as e; made = []; "
                       "e._compile = lambda *a: made.append(a); "
                       "import ivhom.functions; print(len(made))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
+
+
+#: counts the exact and the float traces (`expr._ScalarTarget`s) and the
+#: kernels compiled in a fresh process: of a command line, or, with no
+#: arguments, of importing `functions` and building ingredients
+TRACE_PROBE = """
+import sys, ivhom.expr as e
+traced, compiled = [], []
+class Recording(e._ScalarTarget):
+    def __init__(self, exact, **kwargs):
+        traced.append(exact)
+        super().__init__(exact, **kwargs)
+e._ScalarTarget = Recording
+compile_ = e._compile
+e._compile = lambda *args: compiled.append(args) or compile_(*args)
+import ivhom.cli as cli
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+if not sys.argv[1:]:
+    from ivhom import functions as fs
+    for name in fs.FUNCTION_NAMES:
+        fs.dual_ns(fs.get_function(name))
+    fs.dual_scaling_ns(fs.P_NS)
+    e.compile_ivfunction(e.parse_expr("psum(X1,[1/3,2/3])", 1), 1)
+    e.compile_scaling(e.parse_expr("mul(L,neg(X1))", 1))
+print(traced.count(True), traced.count(False), len(compiled))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv,counts", [
+    ((), "0 0 0"),
+    (("check", "--mode", "float", "--f", "min", "--resolution", "2"), "0 4 4"),
+    (("check", "--mode", "float", "--f", "product", "--resolution", "2"),
+     "0 7 7"),
+    (("prop2", "--mode", "float", "--f", "min", "--resolution", "2"), "0 8 8"),
+    (("eval", "--mode", "float", "--f", "min", "[0,1]", "[1,1]"), "0 1 1"),
+    (("check", "--f", "min", "--resolution", "2"), "4 0 4"),
+], ids=["build", "float-check", "float-check-fail", "float-prop2",
+        "float-eval", "exact-check"])
+def test_a_run_traces_only_the_kernels_it_compiles(argv, counts):
+    """Building an ingredient traces nothing, so a float run traces no
+    exact code, and each kernel a run compiles is traced once: G, phi, F and
+    the sweep for each homogeneity check, and the evaluators of F, G and
+    phi for a counterexample."""
+    proc = run_python("-c", TRACE_PROBE, *argv)
+    assert proc.returncode in (0, 1) and proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == counts
+
+
+@pytest.mark.parametrize("command", ["prop2", "dual"])
+@pytest.mark.parametrize("depth", [MAX_DEPTH - 2, MAX_DEPTH - 1, MAX_DEPTH])
+def test_dual_past_the_depth_limit_exit_2(command, depth):
+    """An F within 2 levels of `MAX_DEPTH` parses, but its N_S dual, which
+    has a `neg` above F and above each variable, is past the limit. One
+    level less is accepted: an odd number of `neg`s over X1 is neg(X1),
+    which `prop2` finds not P-homogeneous (exit 1), an even one X1."""
+    src = "neg(" * (depth - 1) + "X1" + ")" * (depth - 1)
+    proc = run_child(command, "--f", f"expr:{src}", "--arity", "1",
+                     "--resolution", "2", "--output", "text")
+    assert "Traceback" not in proc.stderr
+    if depth == MAX_DEPTH - 2:
+        odd = (depth - 1) % 2
+        assert proc.returncode == (odd if command == "prop2" else 0)
+        assert proc.stderr == ""
+        return
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("ivhom: error: expression nested too deeply: more "
+                           f"than {MAX_DEPTH} levels\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -22,6 +22,7 @@ from ivhom.expr import (
     parse_expr,
 )
 from ivhom.functions import P, get_function
+from ivhom.gate import MAX_DEPTH
 from ivhom.homogeneity import make_grid
 from ivhom.interval import Interval, IntervalError
 
@@ -140,48 +141,101 @@ def test_neg_and_const_evaluate():
     assert c(GRID[0]) == Interval(Fraction(1, 3), Fraction(2, 3))
 
 
-def test_nesting_too_deep_is_an_expr_error():
-    with pytest.raises(ExprError, match="nested too deeply"):
-        parse_expr("neg(" * 1500 + "X1" + ")" * 1500, 1)
-    # deeper than the parser can produce: only the compiler recurses
+def chain(depth):
+    """neg(...neg(X1)...), `depth` levels deep."""
     node = Var(1)
-    for _ in range(5000):
+    for _ in range(depth - 1):
         node = Call("neg", (node,))
-    with pytest.raises(ExprError, match="nested too deeply to compile") as exc:
-        IVFunction("deep", 1, node)
-    # a compile error has no source position and names none
-    assert exc.value.line is None and "line" not in str(exc.value)
+    return node
 
 
-@pytest.mark.parametrize("node,error,message", [
-    (Call("foo", (Var(1),)), ExprError, "unknown operation 'foo'"),
-    (Call("min", (Var(1), Const(0, 2))), IntervalError, "hi=2 outside"),
-    (Call("min", (Var(1), Const(Fraction(1, 3**10000), 1))), ExprError,
-     "more than 4300 digits"),
-], ids=["op", "constant", "digits"])
+def chain_source(depth):
+    return "neg(" * (depth - 1) + "X1" + ")" * (depth - 1)
+
+
+def test_nesting_too_deep_is_an_expr_error():
+    deepest = chain(MAX_DEPTH)
+    assert parse_expr(chain_source(MAX_DEPTH), 1) == deepest
+    # the parser refuses the token one level past the limit
+    with pytest.raises(ExprError, match="nested too deeply: more than "
+                                        f"{MAX_DEPTH} levels") as exc:
+        parse_expr(chain_source(MAX_DEPTH + 1), 1)
+    assert (exc.value.line, exc.value.column) == (1, 4 * MAX_DEPTH + 1)
+    # a node one level past it is refused when it is built, with no
+    # source position, whatever its op
+    for make in (lambda a: Call("neg", (a,)), lambda a: Pow(a, 2),
+                 lambda a: Call("mean", (Var(1), a, Var(1)))):
+        with pytest.raises(ExprError, match="nested too deeply") as exc:
+            make(deepest)
+        assert exc.value.line is None and "line" not in str(exc.value)
+
+
+class _Recording(expr._ScalarTarget):
+    """A trace target that records whether each trace is exact."""
+
+    traced: list = []
+
+    def __init__(self, exact, **kwargs):
+        self.traced.append(exact)
+        super().__init__(exact, **kwargs)
+
+
+@pytest.mark.parametrize("node,error,message,built", [
+    (lambda: Call("foo", (Var(1),)), ExprError, "unknown operation 'foo'",
+     False),
+    (lambda: Call("min", (Var(1), Const(0, 2))), IntervalError,
+     "hi=2 outside", False),
+    (lambda: Call("min", (Var(1), Var(3))), ExprError,
+     "X3 exceeds declared arity 1|may only use L and X1", False),
+    (lambda: Call("min", (Var(1), Const(Fraction(1, 3**10000), 1))),
+     ExprError, "more than 4300 digits", True),
+], ids=["op", "constant", "variables", "digits"])
 @pytest.mark.parametrize("make", [
     lambda e: IVFunction("f", 1, e), lambda e: ScalingFunction("g", e),
     lambda e: OrderIso("phi", e)], ids=["F", "G", "phi"])
 def test_bad_expression_fails_at_construction(monkeypatch, make, node, error,
-                                              message):
-    """Construction traces the expression, so it raises what compiling
-    would, though it compiles no kernel."""
-    compiled = []
-    monkeypatch.setattr(expr, "_compile", lambda *args: compiled.append(args))
+                                              message, built):
+    """A node checks its op and its constant when it is built, and an
+    ingredient its variables, tracing nothing. An exact literal past
+    Python's digit limit is met only when the exact kernel is traced, and
+    the float evaluator of the same ingredient works."""
+    monkeypatch.setattr(_Recording, "traced", [])
+    monkeypatch.setattr(expr, "_ScalarTarget", _Recording)
+    made = []
     with pytest.raises(error, match=message):
-        make(node)
-    assert compiled == []
+        made.append(make(node()))
+        made[0].evaluator(False)
+    assert len(made) == built and _Recording.traced == [True] * built
+    if built:
+        fn, _ = made[0].evaluator(True)
+        assert fn(*[(0.5, 0.5)] * len(made[0].params)) == (0.0, 0.5)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: IVFunction("f", 1, Var(3)), "variable X3 exceeds declared arity 1"),
+    (lambda: IVFunction("f", 2, Call("mul", (LVar(), Var(5)))),
+     "IV-function expressions may not use L"),
+    (lambda: ScalingFunction("g", Call("min", (LVar(), Var(2)))),
+     "scaling expressions may only use L and X1"),
+    (lambda: OrderIso("phi", LVar()),
+     "order isomorphism expressions may not use L"),
+    (lambda: OrderIso("phi", Proj(2)), "variable X2 exceeds declared arity 1"),
+    (lambda: Var(0), "variable index must be >= 1, got 0"),
+    (lambda: Proj(-1), "proj index must be >= 1, got -1"),
+    # `pow` is a node of its own, which carries its exponent
+    (lambda: Call("pow", (Var(1), Var(1))), "unknown operation 'pow'"),
+], ids=["F-X3", "F-L", "G-X2", "phi-L", "phi-proj", "X0", "proj", "pow"])
+def test_bad_node_or_variable_is_an_expr_error(make, message):
+    """A node checks its index and op, and an ingredient every variable its
+    expression reads, when each is built."""
+    with pytest.raises(ExprError) as exc:
+        make()
+    assert str(exc.value) == message
 
 
 def test_node_hash_is_cached_and_does_not_recurse():
-    def chain(depth):
-        node = Var(1)
-        for _ in range(depth):
-            node = Call("neg", (node,))
-        return node
-
-    deep = chain(10_000)
-    assert hash(deep) == hash(chain(10_000)) != hash(chain(9_999))
+    deep = chain(MAX_DEPTH)
+    assert hash(deep) == hash(chain(MAX_DEPTH)) != hash(chain(MAX_DEPTH - 1))
     assert {deep: 1}[deep] == 1
     assert chain(3) == chain(3) and hash(chain(3)) == hash(chain(3))
     assert Var(2) != Proj(2) and Const(0, 1) != Const(0, Fraction(1, 2))

@@ -15,9 +15,8 @@ coordinate that has one parity of `neg`s.
 import itertools
 import math
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -47,6 +46,7 @@ from ivhom.functions import (
     dual_scaling_ns,
     get_function,
 )
+from ivhom.gate import MAX_DEPTH
 from ivhom.homogeneity import (
     CheckReport,
     Counterexample,
@@ -112,9 +112,10 @@ def oracle(ingredient, mode):
 
 
 def reference_sweep(f, g, phi, grid, law="def1-homogeneity"):
-    """The homogeneity sweep as nested loops over Interval evaluations."""
+    """The homogeneity sweep as nested loops over Interval evaluations,
+    each made once."""
     mode, n = grid.mode, f.arity
-    f, g, phi = (oracle(x, mode) for x in (f, g, phi))
+    f, g, phi = (cache(oracle(x, mode)) for x in (f, g, phi))
     max_dev, cex = mode.zero(), None
     for lam in grid.points:
         for xs in itertools.product(grid.points, repeat=n):
@@ -352,28 +353,26 @@ def test_parity_law_matches_reference(f_src, g_src, phi, law, kind, mode):
 
 
 def _negs(k):
-    node = Var(1)
-    for _ in range(k):
-        node = Call("neg", (node,))
-    return compile_ivfunction(node, 1)
+    src = "neg(" * k + "X1" + ")" * k
+    return compile_ivfunction(parse_expr(src, 1), 1)
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.kind)
 def test_deep_neg_chain_is_swept(mode):
-    """950 `neg`s over X1 are X1, which is P-homogeneous; 951 are neg(X1),
-    which is not. Reading the parities of so deep a law stays within the
-    recursion limit wherever compiling it does. The checks run on a thread
-    of their own, whose stack starts empty, as a command's nearly does."""
+    """A source at the declared depth limit, MAX_DEPTH - 1 `neg`s over X1,
+    parses and sweeps on the test's own stack, and so does one a level
+    less. An even number of `neg`s is X1, which is P-homogeneous, and an odd
+    one neg(X1), which is not. One `neg` more is past the limit."""
     grid = make_grid(2, mode)
 
     def check(k):
         return check_homogeneity(_negs(k), P, IDENTITY, grid)
 
-    with ThreadPoolExecutor(1) as pool:
-        even, odd = pool.map(check, (950, 951))
-    assert even.verdict == "pass"
-    assert odd.verdict == "fail"
-    assert odd == check(1)
+    assert check(0).verdict == "pass" and check(1).verdict == "fail"
+    for k in (MAX_DEPTH - 2, MAX_DEPTH - 1):
+        assert check(k) == check(k % 2)
+    with pytest.raises(expr.ExprError, match="nested too deeply"):
+        _negs(MAX_DEPTH)
 
 
 #: a rises by one ulp to A_NEXT; rounded a + (1-a)*B fell there, from
@@ -404,7 +403,7 @@ def test_float_psum_ulp_step_matches_reference():
 def test_each_kernel_is_compiled_once(monkeypatch, mode):
     grid = make_grid(3, mode)
     compiles, _ = count_kernels(monkeypatch)
-    # construction traces each expression but compiles no kernel
+    # construction traces no expression and compiles no kernel
     min2, mean2, product2 = (get_function(name, 2)
                              for name in ("min", "mean", "product"))
     p, phi = ScalingFunction("P", P.expr), OrderIso("identity", IDENTITY.expr)
@@ -715,3 +714,76 @@ def test_float_kernel_equals_interval_evaluation(node, args):
     want = oracle(f, FLOAT)(*intervals)
     assert den == 1 and fn(*floats) == (want.lo, want.hi)
     assert f(*intervals) == want
+
+
+# --- random laws: every sweep == the reference over the full grid ---
+
+
+def _random_exprs(leaves, max_leaves):
+    """Random ASTs over `leaves` and constants, with `neg`, `pow` and
+    mixed parities."""
+    return st.recursive(st.one_of(*leaves, _consts()), _calls,
+                        max_leaves=max_leaves)
+
+
+#: F (and H) over X1..Xn, G and phi
+_F_EXPRS = {n: _random_exprs([st.builds(Var, st.integers(1, n))], 6)
+            for n in (1, 2, 3)}
+_G_EXPRS = _random_exprs([st.just(LVar()), st.just(Var(1))], 4)
+_PHI_EXPRS = _random_exprs([st.just(Var(1))], 3)
+
+
+@st.composite
+def _resolution_arity(draw):
+    """m = 1..3 and an arity n = 1..2, or 3 at m <= 2."""
+    m = draw(st.integers(1, 3))
+    return m, draw(st.integers(1, 3 if m <= 2 else 2))
+
+
+@st.composite
+def _random_laws(draw):
+    m, n = draw(_resolution_arity())
+    return (m, compile_ivfunction(draw(_F_EXPRS[n]), n),
+            compile_scaling(draw(_G_EXPRS)),
+            OrderIso("phi", draw(_PHI_EXPRS)))
+
+
+@st.composite
+def _random_pairs(draw):
+    """F and H of one arity, where H is often F in another form."""
+    m, n = draw(_resolution_arity())
+    f = draw(_F_EXPRS[n])
+    h = draw(st.one_of(
+        _F_EXPRS[n], st.just(Call("neg", (Call("neg", (f,)),))),
+        st.builds(lambda op, e: Call(op, (f, e)),
+                  st.sampled_from(("min", "max")), _F_EXPRS[n])))
+    return m, compile_ivfunction(f, n), compile_ivfunction(h, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_laws())
+def test_random_law_matches_reference(law):
+    """A random F over X1..Xn, G over L and X1 and phi over X1: the sweep
+    gives the reference report in both modes."""
+    m, f, g, phi = law
+    for mode in MODES:
+        grid = make_grid(m, mode)
+        assert check_homogeneity(f, g, phi, grid) == reference_sweep(
+            f, g, phi, grid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_pairs())
+# X1 of both parities: equal on the degenerate points only, and everywhere
+@example((3, _dsl("mean(X1,neg(X1))"),
+          compile_ivfunction(parse_expr("[1/2,1/2]", 1), 1)))
+@example((2, _dsl("min(X1,neg(X1))"), _dsl("min(neg(X1),X1)")))
+def test_random_pair_equal_on_grid_matches_full_comparison(pair):
+    """`equal_on_grid` against an oracle comparison on all s^n tuples."""
+    m, f, h = pair
+    for mode in MODES:
+        grid = make_grid(m, mode)
+        f_ref, h_ref = oracle(f, mode), oracle(h, mode)
+        want = all(mode.intervals_equal(f_ref(*xs), h_ref(*xs))
+                   for xs in itertools.product(grid.points, repeat=f.arity))
+        assert equal_on_grid(f, h, grid) == want
