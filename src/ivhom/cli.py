@@ -222,8 +222,8 @@ def _run(args: argparse.Namespace, out) -> int:
         from .interval import parse_interval
 
         a = parse_interval(args.a, _numeric_mode(args))
-    # refuse before the engine is imported, before F is compiled and before
-    # the grid, whose size grows with the resolution squared
+    # refuse before the engine is imported and before F is compiled: what
+    # each sweep covers follows from the resolution and the arity alone
     check_budget(*sweep_sizes(command, grid_size(args.resolution), n),
                  budget=args.budget)
     from .functions import get_iso

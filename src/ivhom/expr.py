@@ -19,11 +19,11 @@ float run with no DSL constant loads no `fractions`.
 
 from __future__ import annotations
 
-from math import lcm
+from math import lcm, log10
 from typing import Callable, Union
 
 from .gate import MAX_ARITY, MAX_DEPTH, check_arity
-from .interval import Interval, _set, _Value, fraction, too_long
+from .interval import MAX_DIGITS, Interval, _set, _Value, fraction, too_long
 
 
 class ExprError(ValueError):
@@ -183,13 +183,17 @@ def _fold_pow(x: float, k: int) -> float:
     return acc
 
 
+def _too_long(what: str) -> ExprError:
+    """The error for an exact `what` that Python will not write as text."""
+    return ExprError(too_long(f"an exact {what} of the compiled expression"))
+
+
 def _int_lit(n: int, what: str) -> str:
     """`n` as an int literal of generated code."""
     try:
         return f"{n:d}"
     except ValueError:
-        raise ExprError(
-            too_long(f"an exact {what} of the compiled expression")) from None
+        raise _too_long(what) from None
 
 
 def _scaled(x: str, k: int) -> str:
@@ -297,6 +301,11 @@ class _ScalarTarget:
     def pow(self, arg: tuple, k: int) -> tuple:
         lo, hi, d, level = arg
         if self.exact:
+            # d**k >= 2**((b-1)k) for d of b bits: refuse one that must pass
+            # the digit limit before computing it, since nested powers
+            # multiply their exponents past what Python can compute
+            if (d.bit_length() - 1) * k * log10(2) >= MAX_DIGITS:
+                raise _too_long("denominator")
             return self.pair(f"{lo} ** {k:d}", f"{hi} ** {k:d}", d**k, level)
         return self.pair(f"_fold_pow({lo}, {k:d})", f"_fold_pow({hi}, {k:d})",
                          1, level)

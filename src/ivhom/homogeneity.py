@@ -5,13 +5,17 @@ verdict therefore always means exhaustive over the stated resolution, and
 a "fail" verdict carries the lexicographically smallest failing tuple in
 grid order.
 
-The sweeps run on the scalar kernels of `expr` (`IVFunction.kernel`):
-integer numerators in exact mode, doubles in float mode; a homogeneity law
-runs in one loop that `expr.sweep` generates for it. `Interval` objects
-are built only for what a report shows. Each variable of a law with one
-parity of `neg`s above it is swept on the m+1 degenerate grid points alone,
-and one with both parities on all s points (`_coordinates`), which covers
-every grid tuple by construction.
+A grid is its resolution m and its numeric mode. The engine names a grid
+point by its numerator pair (i, j) over m, i <= j, and grid order is the
+order of the pairs. The sweeps run on the scalar kernels of `expr`
+(`IVFunction.kernel`), on the pairs themselves in exact mode and on the
+doubles (i/m, j/m) in float mode: a homogeneity law in one loop that
+`expr.sweep` generates for it, idempotency and the comparison of two
+functions in one scan (`_compare`). Each variable with one parity of
+`neg`s above it is swept on the m+1 degenerate pairs (a, a) alone, and one
+with both parities on all s pairs (`_coordinates`), which covers every grid
+tuple by construction. An `Interval` is made from a pair only for a value
+that a report shows (`Grid.point`).
 
 No function here checks a budget or takes a worker count: the command
 line (`cli`) is the one budget gate, and it refuses an over-budget run
@@ -25,7 +29,7 @@ from bisect import bisect_left
 from typing import Callable, Optional
 
 from .expr import kernels, parities, sweep
-from .gate import UnsupportedModeError
+from .gate import UnsupportedModeError, grid_size
 from .interval import EXACT, Interval, Number, NumericMode, _Value, fraction
 from .functions import (
     IDENTITY,
@@ -39,31 +43,42 @@ from .functions import (
 
 
 class Grid(_Value):
-    """All intervals with endpoints in {0, 1/m, ..., 1}, sorted by (lo, hi)."""
+    """All intervals with endpoints in {0, 1/m, ..., 1}, sorted by (lo, hi):
+    s = (m+1)(m+2)/2 points at resolution m. A grid holds only its
+    resolution and mode; its points are the numerator pairs (i, j) over m,
+    i <= j, in order, and `point` makes the `Interval` of one of them."""
 
-    __slots__ = ("resolution", "mode", "points")
+    __slots__ = ("resolution", "mode")
 
-    def __init__(self, resolution: int, mode: NumericMode,
-                 points: tuple[Interval, ...]) -> None:
-        super().__init__(resolution, mode, points)
+    def __init__(self, resolution: int, mode: NumericMode) -> None:
+        super().__init__(resolution, mode)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return grid_size(self.resolution)
+
+    def point(self, pair: tuple[int, int]) -> Interval:
+        """The grid point with numerators `pair` over m, as an `Interval`."""
+        (i, j), m = pair, self.resolution
+        if self.mode.is_exact:
+            return Interval(fraction(i, m), fraction(j, m))
+        return Interval(i / m, j / m)
+
+    @property
+    def points(self) -> tuple[Interval, ...]:
+        """Every grid point as an `Interval`, in grid order, built on each
+        read."""
+        return tuple(map(self.point, _pairs(self.resolution)))
 
 
 def make_grid(m: int, mode: NumericMode = EXACT) -> Grid:
     if m < 1:
         raise ValueError("grid resolution must be >= 1")
-    if mode.is_exact:
-        values = [fraction(i, m) for i in range(m + 1)]
-    else:
-        values = [i / m for i in range(m + 1)]
-    points = tuple(
-        Interval(values[i], values[j])
-        for i in range(m + 1)
-        for j in range(i, m + 1)
-    )
-    return Grid(resolution=m, mode=mode, points=points)
+    return Grid(resolution=m, mode=mode)
+
+
+def _pairs(m: int) -> list[tuple[int, int]]:
+    """The numerator pairs of all s grid points, in grid order."""
+    return [(i, j) for i in range(m + 1) for j in range(i, m + 1)]
 
 
 class Counterexample(_Value):
@@ -104,15 +119,6 @@ class PipelineReport(_Value):
         return "pass" if all(r.passed for _, r in self.checks) else "fail"
 
 
-def _kernel_points(grid: Grid) -> list[tuple]:
-    """The grid points as kernel arguments: their numerators (i, j) over the
-    resolution in exact mode, doubles in float mode."""
-    if grid.mode.is_exact:
-        m = grid.resolution
-        return [(i, j) for i in range(m + 1) for j in range(i, m + 1)]
-    return [(p.lo, p.hi) for p in grid.points]
-
-
 def _dens(grid: Grid, *dens: int) -> Optional[tuple[int, ...]]:
     """Kernel denominators: `dens` in exact mode, None in float mode."""
     return dens if grid.mode.is_exact else None
@@ -124,10 +130,6 @@ def _tolerance(mode: NumericMode) -> Number:
     In float mode that is the eps rule of `NumericMode.intervals_equal`;
     in exact mode equality is literal."""
     return 0 if mode.is_exact else mode.eps
-
-
-def _deviation(x: tuple, y: tuple) -> Number:
-    return max(abs(x[0] - y[0]), abs(x[1] - y[1]))
 
 
 def _compose(a: set, b: set) -> set:
@@ -157,28 +159,77 @@ def _homogeneity_law(f: IVFunction, g: ScalingFunction,
     return [lam, *(_compose(p, gx) for p in fx)]
 
 
-def _coordinates(grid: Grid, variables: list[set]) -> list[tuple]:
-    """For each variable's parities, the grid indices its coordinate sweeps
-    and the maps from a swept position to the first grid index at which a
+def _coordinates(m: int, variables: list[set]) -> list[tuple[list, ...]]:
+    """For each variable's parities, the grid pairs its coordinate sweeps
+    and the maps from a swept position to the first grid pair at which a
     lower, and an upper, failure there is met.
 
     The lower law reads the lower endpoint of an even variable, the upper
     one of an odd variable and both of a mixed one; the upper law the other
     endpoint of each. So a coordinate of one parity sweeps the m+1
-    degenerate points [a,a] (grid index a(m+1) - a(a-1)/2), which give both
-    endpoints at a, and a failure at a is first met at [a,a] if read from
-    the lower endpoint and at [0,a] (grid index a) if from the upper one. A
-    mixed coordinate sweeps all s points and maps to itself. Every map
-    rises, so the first failure in sweep order maps to the lowest failing
-    grid tuple. Coordinates that sweep the same points share one index
-    list object.
+    degenerate pairs (a, a), which give both endpoints at a, and a failure
+    at a is first met at (a, a) if read from the lower endpoint and at
+    (0, a) if from the upper one. A mixed coordinate sweeps all s pairs and
+    maps to itself. Every map rises, so the first failure in sweep order
+    maps to the lowest failing grid tuple (`_lowest_failure`). Coordinates
+    that sweep the same pairs share one list object.
     """
-    m, every = grid.resolution, range(len(grid))
     low = range(m + 1)
-    diag = [a * (m + 1) - a * (a - 1) // 2 for a in low]
+    diag, zero = [(a, a) for a in low], [(0, a) for a in low]
+    every = _pairs(m) if any(len(p) > 1 for p in variables) else None
     return [(every, every, every) if len(p) > 1 else
-            (diag, low, diag) if 1 in p else (diag, diag, low)
+            (diag, zero, diag) if 1 in p else (diag, diag, zero)
             for p in variables]
+
+
+def _sweep_points(grid: Grid, coords: list[tuple[list, ...]]) -> list[list]:
+    """The pairs each coordinate sweeps as kernel arguments: the pairs
+    themselves in exact mode, doubles in float mode. Coordinates that sweep
+    one pair list share one point list."""
+    m, points = grid.resolution, {}
+    for swept, _, _ in coords:
+        if id(swept) not in points:
+            points[id(swept)] = (swept if grid.mode.is_exact else
+                                 [(i / m, j / m) for i, j in swept])
+    return [points[id(swept)] for swept, _, _ in coords]
+
+
+def _lowest_failure(coords: list[tuple[list, ...]], first_lo: Optional[tuple],
+                    first_hi: Optional[tuple]) -> Optional[tuple]:
+    """The lowest failing grid tuple, as pairs, from the positions in the
+    swept pairs of `coords` of the first lower and the first upper failure:
+    each is mapped to the grid by its side's maps, and the earlier of the
+    two is the lowest. None when neither law failed."""
+    hits = [tuple(c[side][i] for c, i in zip(coords, at))
+            for side, at in ((1, first_lo), (2, first_hi)) if at is not None]
+    return min(hits, default=None)
+
+
+def _compare(f_fn: Callable, h_fn: Callable, xpts: list[list],
+             mode: NumericMode, stop: bool = False) -> tuple:
+    """Compare the kernel results `f_fn(*xs)` and `h_fn(*xs)` on every tuple
+    xs of `itertools.product(*xpts)` by the equality rule of
+    `check_homogeneity`, and return what `expr.sweep` returns: the largest
+    endpoint deviation (0 of the mode's number type when there is none),
+    and the positions in `xpts` of the first tuple whose lower endpoints,
+    and of the first whose upper endpoints, differ by more than the
+    tolerance, each None when there is none. With `stop`, it returns at
+    the first such tuple."""
+    tol, max_dev = _tolerance(mode), 0 if mode.is_exact else 0.0
+    firsts = [None, None]
+    at = itertools.product(*(range(len(xs)) for xs in xpts))
+    for position, xs in zip(at, itertools.product(*xpts)):
+        x, y = f_fn(*xs), h_fn(*xs)
+        if x != y:
+            for side in (0, 1):
+                d = abs(x[side] - y[side])
+                if d > max_dev:
+                    max_dev = d
+                if d > tol and firsts[side] is None:
+                    firsts[side] = position
+            if stop and firsts != [None, None]:
+                break
+    return max_dev, *firsts
 
 
 def check_homogeneity(
@@ -190,14 +241,14 @@ def check_homogeneity(
 ) -> CheckReport:
     """Sweep F(G(L,X1),...,G(L,Xn)) = G(phi(L), F(X1,...,Xn)) over grid^(n+1).
 
-    Each of L, X1..Xn sweeps the points that `_coordinates` gives for its
+    Each of L, X1..Xn sweeps the pairs that `_coordinates` gives for its
     parities in the law (`_homogeneity_law`). The kernel of F fills a table
     of its results on the product of the X coordinates' points, and the
     law's one generated loop (`expr.sweep`) does the rest. In exact mode
     both sides come out over one common denominator, so they compare as
-    integers. The first failure of each endpoint is mapped to the grid by
-    `_coordinates`, and the earlier of the two is the lowest failing grid
-    tuple. `evaluations` counts the s^(n+1) grid tuples the verdict covers.
+    integers. `_lowest_failure` maps the first failure of each endpoint to
+    the lowest failing grid tuple, the counterexample. `evaluations` counts
+    the s^(n+1) grid tuples the verdict covers.
     """
     mode = grid.mode
     if mode.is_exact and not phi.exact_ok:
@@ -206,12 +257,9 @@ def check_homogeneity(
             "it is only available in float mode"
         )
     m, n = grid.resolution, f.arity
-    pts = _kernel_points(grid)
-    coords = _coordinates(grid, _homogeneity_law(f, g, phi))
-    # one point list per index list, so that the sweep fills one G row for
-    # all the X_i that share it
-    points = {id(index): [pts[i] for i in index] for index, _, _ in coords}
-    lams, *xpts = (points[id(index)] for index, _, _ in coords)
+    coords = _coordinates(m, _homogeneity_law(f, g, phi))
+    # the X_i that share a point list share one G row in the sweep
+    lams, *xpts = _sweep_points(grid, coords)
     g_fn, dg = g.kernel(_dens(grid, m, m))
     phi_fn, dphi = phi.kernel(_dens(grid, m))
     f_fn, df = f.kernel(_dens(grid, *(m,) * n))
@@ -219,13 +267,10 @@ def check_homogeneity(
     sweep_fn, den = sweep(f, g, _dens(grid, dg, dphi, df))
     max_dev, first_lo, first_hi = sweep_fn(lams, xpts, f_table, g_fn, phi_fn,
                                            _tolerance(mode))
-
-    # the grid indices of each endpoint's first failing tuple
-    hits = [tuple(c[side][i] for c, i in zip(coords, hit))
-            for side, hit in ((1, first_lo), (2, first_hi)) if hit is not None]
+    failure = _lowest_failure(coords, first_lo, first_hi)
     cex = None
-    if hits:
-        lam, *xs = (grid.points[i] for i in min(hits))
+    if failure is not None:
+        lam, *xs = map(grid.point, failure)
         cex = Counterexample(
             lam=lam,
             xs=tuple(xs),
@@ -246,50 +291,44 @@ def check_homogeneity(
 def equal_on_grid(f: IVFunction, h: IVFunction, grid: Grid) -> bool:
     """Whether F and H (of one arity) agree on all s^n grid tuples, by the
     kernels and the equality rule of `check_homogeneity`. Each X_i sweeps
-    the points that `_coordinates` gives for its parities in F and H
-    together."""
-    pts = _kernel_points(grid)
+    the pairs that `_coordinates` gives for its parities in F and H
+    together, and the scan stops at the first difference."""
     pf, ph = parities(f.expr), parities(h.expr)
-    variables = [pf.get(p, set()) | ph.get(p, set()) for p in f.params]
-    xpts = [[pts[i] for i in index]
-            for index, _, _ in _coordinates(grid, variables)]
+    coords = _coordinates(grid.resolution, [pf.get(p, set()) | ph.get(p, set())
+                                            for p in f.params])
     dens = _dens(grid, *(grid.resolution,) * f.arity)
     (f_fn, h_fn), _ = kernels([(f, dens), (h, dens)])
-    tol = _tolerance(grid.mode)
-    return all(
-        x == y or _deviation(x, y) <= tol
-        for x, y in zip(itertools.starmap(f_fn, itertools.product(*xpts)),
-                        itertools.starmap(h_fn, itertools.product(*xpts)))
-    )
+    _, *firsts = _compare(f_fn, h_fn, _sweep_points(grid, coords), grid.mode,
+                          stop=True)
+    return firsts == [None, None]
 
 
 def check_idempotency(f: IVFunction, grid: Grid) -> CheckReport:
     """Check F(X,...,X) = X for every grid point, on the kernel of F, by the
-    equality rule of `check_homogeneity`."""
+    equality rule of `check_homogeneity`.
+
+    X sweeps the pairs that `_coordinates` gives for its parities in the
+    law: those of every X_i in F, and the even one of X itself on the
+    right. So an F with no X_i under an odd number of `neg`s is checked on
+    the m+1 degenerate points, and one with such an X_i on all s."""
     mode = grid.mode
     m, n = grid.resolution, f.arity
     fn, den = f.kernel(_dens(grid, *(m,) * n), m)
     k = den // m if mode.is_exact else 1  # X's endpoints over den
-    tol = _tolerance(mode)
-    max_dev = 0 if mode.is_exact else mode.zero()
-    first = None
-    for i, x in enumerate(_kernel_points(grid)):
-        out, want = fn(*(x,) * n), (x[0] * k, x[1] * k)
-        if out != want:
-            dev = _deviation(out, want)
-            if dev > max_dev:
-                max_dev = dev
-            if first is None and dev > tol:
-                first = i
+    coords = _coordinates(m, [{0}.union(*parities(f.expr).values())])
+    max_dev, *firsts = _compare(lambda x: fn(*(x,) * n),
+                                lambda x: (x[0] * k, x[1] * k),
+                                _sweep_points(grid, coords), mode)
+    failure = _lowest_failure(coords, *firsts)
     cex = None
-    if first is not None:
-        x = grid.points[first]
+    if failure is not None:
+        x = grid.point(failure[0])
         cex = Counterexample(lam=None, xs=(x,), lhs=f(*(x,) * n), rhs=x)
     return CheckReport(
         law="idempotency",
         verdict="pass" if cex is None else "fail",
         counterexample=cex,
-        evaluations=len(grid.points),
+        evaluations=len(grid),
         max_deviation=fraction(max_dev, den) if mode.is_exact else max_dev,
         mode=mode,
         resolution=grid.resolution,
@@ -312,17 +351,20 @@ def check_section_bijective(g: ScalingFunction, a: Interval,
     collision is reported as the lexicographically smallest colliding pair
     of grid indices. `Interval`s are built only for the counterexample.
     """
-    mode = grid.mode
-    pts = grid.points
+    mode, m = grid.mode, grid.resolution
+    grid_pairs = _pairs(m)
+    # the endpoints of each grid point as the evaluator takes them
+    values = [fraction(i, m) if mode.is_exact else i / m for i in range(m + 1)]
+    points = [(values[i], values[j]) for i, j in grid_pairs]
     fn, den = g.evaluator(not mode.is_exact)
-    images = [fn((x.lo, x.hi), (a.lo, a.hi)) for x in pts]
+    images = [fn(x, (a.lo, a.hi)) for x in points]
 
     def report(cex: Optional[Counterexample], note: str) -> CheckReport:
         return CheckReport(
             law="section-bijective",
             verdict="pass" if cex is None else "fail",
             counterexample=cex,
-            evaluations=len(pts),
+            evaluations=len(grid),
             max_deviation=mode.zero(),
             mode=mode,
             resolution=grid.resolution,
@@ -339,20 +381,21 @@ def check_section_bijective(g: ScalingFunction, a: Interval,
         equal_images = _float_lookup(indices, mode.eps)
 
     # the smallest pair within one value's indices, or across two values
-    pairs = []
+    collisions = []
     for value, ix in indices.items():
         for other in equal_images(value):
             if other == value:
                 if len(ix) > 1:
-                    pairs.append((ix[0], ix[1]))
+                    collisions.append((ix[0], ix[1]))
             else:
-                pairs.append(tuple(sorted((ix[0], indices[other][0]))))
-    if pairs:
-        i, j = min(pairs)
-        cex = Counterexample(None, (pts[i], pts[j]), g(pts[i], a), g(pts[j], a))
+                collisions.append(tuple(sorted((ix[0], indices[other][0]))))
+    if collisions:
+        x, y = (grid.point(grid_pairs[i]) for i in min(collisions))
+        cex = Counterexample(None, (x, y), g(x, a), g(y, a))
         return report(cex, ": not injective, two grid points collide")
-    for target in pts:
-        if not equal_images((target.lo * den, target.hi * den)):
+    for (lo, hi), pair in zip(points, grid_pairs):
+        if not equal_images((lo * den, hi * den)):
+            target = grid.point(pair)
             cex = Counterexample(None, (), target, target)
             return report(cex, ": not surjective, grid point never attained")
     return report(None, "")

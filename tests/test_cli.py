@@ -19,20 +19,20 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_python(*args):
+def run_python(*args, timeout=60):
     """Run a fresh interpreter that imports this `ivhom`, so that no other
     test's imports count; the timeout only keeps a hang from stalling the
     suite."""
     env = {**os.environ,
            "PYTHONPATH": str(Path(ivhom.__file__).resolve().parents[1])}
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=60)
+                          text=True, env=env, timeout=timeout)
 
 
-def run_child(*argv):
+def run_child(*argv, timeout=60):
     """Run the CLI in a child process, so that a traceback would reach its
     stderr."""
-    return run_python("-m", "ivhom.cli", *argv)
+    return run_python("-m", "ivhom.cli", *argv, timeout=timeout)
 
 
 def test_check_min_pass(capsys):
@@ -479,8 +479,9 @@ def test_refusal_loads_no_engine(argv, size, budget, loaded):
      INTERVAL + ENGINE),
     (("check", "--f", "min", "--resolution", "2"),
      INTERVAL + ENGINE + ["json"]),
+    # the grid is numerator pairs, and a dual report shows no number
     (("dual", "--f", "min", "--resolution", "2", "--output", "text"),
-     INTERVAL + ENGINE),
+     ["ivhom.interval"] + ENGINE),
     (("check", "--f", "expr:min(X1,X2)", "--arity", "2", "--resolution", "2",
       "--output", "text"), INTERVAL + ["ivhom.dsl"] + ENGINE),
     (("check", "--f", "min", "--g", "expr:mul(L,X1)", "--resolution", "2",
@@ -691,7 +692,7 @@ def test_registry_suffix_of_more_digits_than_python_converts_exit_2(argv, limit)
      "the numerator or denominator of the lower endpoint of the result"),
     (("check", "--f", "expr:pow(pow(X1,1000),100)", "--arity", "1",
       "--resolution", "3", "--output", "csv"),
-     "an exact scale factor of the compiled expression"),
+     "an exact denominator of the compiled expression"),
 ], ids=["eval-endpoint", "check-denominator"])
 def test_exact_value_past_the_digit_limit_exit_2(argv, role):
     """Python writes no int of more than 4300 digits as text; the message
@@ -703,6 +704,22 @@ def test_exact_value_past_the_digit_limit_exit_2(argv, role):
         "writing an integer as text; use --mode float")
     assert "Traceback" not in proc.stderr
     assert run_child(*argv, "--mode", "float").returncode in (0, 1)
+
+
+def test_nested_powers_are_refused_before_they_are_computed():
+    """Nested powers multiply their exponents: over m=2 the exact denominator
+    of this F would have a billion bits. It is refused from its size before
+    it is computed, with the digit limit's message; the float run makes no
+    exact number and fails at once."""
+    argv = ("check", "--f", "expr:pow(pow(pow(X1,1000),1000),1000)",
+            "--arity", "1", "--resolution", "2")
+    proc = run_child(*argv, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        "ivhom: error: an exact denominator of the compiled expression has "
+        "more than 4300 digits, Python's limit for writing an integer as "
+        "text; use --mode float\n")
+    assert run_child(*argv, "--mode", "float", timeout=10).returncode == 1
 
 
 def test_pow_exponent_at_limit_runs(capsys):

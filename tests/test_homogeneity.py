@@ -58,6 +58,47 @@ def test_make_grid_rejects_zero():
         make_grid(0)
 
 
+def count_intervals(monkeypatch):
+    """Count the `Interval`s built from here on."""
+    built = [0]
+    post_init = Interval.__post_init__
+
+    def counting(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Interval, "__post_init__", counting)
+    return built
+
+
+def test_make_grid_builds_no_interval(monkeypatch):
+    built = count_intervals(monkeypatch)
+    grid = make_grid(3000)
+    assert len(grid) == 4504501 and built[0] == 0
+    lo, hi = grid.point((1, 3000)).lo, make_grid(3, FLOAT12).point((1, 3)).hi
+    assert built[0] == 2 and (lo, hi) == (Fraction(1, 3000), 1.0)
+
+
+@pytest.mark.parametrize("mode", ("exact", "float"))
+@pytest.mark.parametrize("argv,built", [
+    (("check", "--f", "min", "--budget", "2000000000"), 0),
+    (("idempotent", "--f", "min"), 0),
+    (("dual", "--f", "min"), 0),
+    # the counterexample: Λ, X1, X2, G(Λ,X1), G(Λ,X2) and F of them, and
+    # phi(Λ), F(X1,X2) and G of those two
+    (("check", "--f", "product", "--budget", "2000000000"), 9),
+], ids=["check", "idempotent", "dual", "check-fail"])
+def test_only_a_report_builds_intervals(monkeypatch, capsys, argv, built, mode):
+    """A passing run builds no `Interval`, and a failing one only its
+    counterexample: every sweep runs on numerator pairs or doubles."""
+    from ivhom.cli import main
+
+    count = count_intervals(monkeypatch)
+    code = main([*argv, "--resolution", "40", "--mode", mode])
+    capsys.readouterr()
+    assert (code, count[0]) == (1 if built else 0, built)
+
+
 def test_min_p_homogeneous():
     grid = make_grid(4)
     r = check_homogeneity(get_function("min", 2), P, IDENTITY, grid)

@@ -787,3 +787,29 @@ def test_random_pair_equal_on_grid_matches_full_comparison(pair):
         want = all(mode.intervals_equal(f_ref(*xs), h_ref(*xs))
                    for xs in itertools.product(grid.points, repeat=f.arity))
         assert equal_on_grid(f, h, grid) == want
+
+
+@st.composite
+def _random_idempotency(draw):
+    """m = 1..4 and a random F of arity 1..3."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    return m, compile_ivfunction(draw(_F_EXPRS[n]), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_idempotency())
+# X1 of both parities, checked on the full grid: idempotent; and failing
+# at [1,1] alone, where the degenerate sweep would map the upper failure
+# to [0,1]
+@example((4, _dsl("max(X1,min(X1,neg(X1)))")))
+@example((1, _dsl("min(X1,neg(X1))")))
+@example((3, _dsl("mean(X1,X2,min(X1,X2))")))
+def test_random_idempotency_matches_reference(case):
+    """A random F, with `neg`, `pow`, constants and mixed parities: the
+    idempotency check gives the reference report in both modes."""
+    m, f = case
+    for mode in MODES:
+        grid = make_grid(m, mode)
+        report, want = check_idempotency(f, grid), reference_idempotency(f, grid)
+        assert report == want
+        assert type(report.max_deviation) is type(want.max_deviation)
