@@ -208,8 +208,7 @@ def _run(args: argparse.Namespace, out) -> int:
             )
         mode = _numeric_mode(args)
         xs = [parse_interval(s, mode) for s in args.intervals]
-        print(format_interval(_resolve_f(args, n)(*xs), mode, "result"),
-              file=out)
+        _print(format_interval(_resolve_f(args, n)(*xs), mode, "result"), out)
         return EXIT_PASS
 
     if args.resolution < 1:
@@ -248,8 +247,22 @@ def _run(args: argparse.Namespace, out) -> int:
 
     from .report import emit_report
 
-    print(emit_report(report, args.output), file=out)
+    _print(emit_report(report, args.output), out)
     return EXIT_PASS if report.verdict == "pass" else EXIT_FAIL
+
+
+def _print(text: str, out) -> None:
+    """Print `text` to `out` and flush it. A reader that closed the pipe
+    ends the output, not the run: what is left of it, and the flush at
+    exit, go to the null device, so nothing reaches stderr and the exit
+    code stays the verdict's."""
+    try:
+        print(text, file=out)
+        out.flush()
+    except BrokenPipeError:
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
 
 
 def _run_dual(f, grid, fmt: str, out) -> int:
@@ -267,7 +280,7 @@ def _run_dual(f, grid, fmt: str, out) -> int:
             continue
         if equal_on_grid(dual, cand, grid):
             matches.append(name)
-    print(emit_dual(f.name, dual.name, matches, grid, fmt), file=out)
+    _print(emit_dual(f.name, dual.name, matches, grid, fmt), out)
     return EXIT_PASS
 
 

@@ -15,10 +15,16 @@ only when a kernel is compiled, each mode's `Interval` evaluator on its
 first call: a passing `check` traces G, phi, F and its sweep, so a float
 run traces no exact code. Exact numbers come from `interval.fraction`, so a
 float run with no DSL constant loads no `fractions`.
+
+Every op is representable: each endpoint of its result comes from one
+scalar formula, over the same endpoint of its arguments, or for `neg` over
+the other one. So `_trace` walks an AST once per endpoint, and each op of
+`_ScalarTarget` is written once. No walk compares two trees.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from math import lcm, log10
 from typing import Callable, Union
 
@@ -61,6 +67,26 @@ class _Node(_Value):
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other):
+        """Equal by class and fields, compared on an explicit stack, so no
+        depth recurses; unequal cached hashes decide at once."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]  # pairs of nodes, fields or a call's args
+        while stack:
+            a, b = stack.pop()
+            if isinstance(a, _Node):
+                if a.__class__ is not b.__class__ or a._hash != b._hash:
+                    return False
+                stack += zip(a._values(), b._values())
+            elif isinstance(a, tuple):
+                if len(a) != len(b):
+                    return False
+                stack += zip(a, b)
+            elif a != b:
+                return False
+        return True
 
 
 class Var(_Node):
@@ -201,22 +227,26 @@ def _scaled(x: str, k: int) -> str:
 
 
 class _ScalarTarget:
-    """Where `_trace` sends the code of each node: statements over scalar
-    endpoints that build no `Interval`.
+    """Where `_trace` sends the code of each endpoint of each node:
+    statements over scalar endpoints that build no `Interval`.
 
-    A ref is the (lo, hi, den, level) of a node's value: the code of its
-    two endpoints, its denominator, and the loop level of the last variable
-    it reads. Each statement goes into `lines[level]`, so a sweep computes
-    it once per value of the variables it reads.
+    A ref is the (code, den, level) of one endpoint of a node's value: its
+    code, its denominator, and the loop level of the last variable it
+    reads. Both endpoints of a node have one denominator. Each op writes
+    its one formula for one endpoint; each statement goes into
+    `lines[level]`, so a sweep computes it once per value of the variables
+    it reads, and equal code at one level is computed once, into one local
+    (`local`): the endpoints of equal subtrees, and any code the two
+    endpoints of a node share.
 
     Exact mode: endpoints are numerators, and every node's denominator is
     fixed here, before any call: `mul` multiplies them, `pow` raises to its
     exponent, `psum` is Da*Db - (Da-a)*(Db-b) over Da*Db, `min`/`max`/`neg`
     work over a common denominator, `mean` over n times the common one, and
-    a constant over its own. The code uses only ring ops, comparisons and
-    int literals, so `Fraction` numerators over denominator 1 work as well
-    as ints. Float mode: endpoints are doubles, combined in the op order of
-    `interval`, with every denominator 1.0.
+    a constant over the lcm of its endpoints' own. The code uses only ring
+    ops, comparisons and int literals, so `Fraction` numerators over
+    denominator 1 work as well as ints. Float mode: endpoints are doubles,
+    combined in the op order of `interval`, with every denominator 1.0.
 
     Every op is monotone and maps intervals of [0,1] to intervals of [0,1]
     in both modes, so valid arguments and constants, which `Const` checks,
@@ -226,68 +256,60 @@ class _ScalarTarget:
     def __init__(self, exact: bool, depth: int = 0) -> None:
         self.env: dict = {"_fold_pow": _fold_pow}
         self.lines: list[list[str]] = [[] for _ in range(depth + 1)]
-        self.locals = 0
+        self.names: dict[tuple[str, int], str] = {}
         self.exact = exact
 
     def local(self, src: str, level: int) -> str:
-        name = f"t{self.locals}"
-        self.locals += 1
-        self.lines[level].append(f"{name} = {src}")
-        return name
+        """The name of a local that holds `src`, computed at `level`: one
+        name for each distinct code at each level."""
+        if (src, level) not in self.names:
+            name = self.names[src, level] = f"t{len(self.names)}"
+            self.lines[level].append(f"{name} = {src}")
+        return self.names[src, level]
 
     def lit(self, den: int) -> str:
         """A denominator as a literal of the mode's number type."""
         return _int_lit(den, "denominator") if self.exact else repr(float(den))
 
-    def pair(self, lo: str, hi: str, den: int, level: int) -> tuple:
-        return self.local(lo, level), self.local(hi, level), den, level
-
-    def const(self, c: Const) -> tuple:
+    def const(self, c: Const, side: int) -> tuple:
         if not self.exact:
-            return repr(float(c.lo)), repr(float(c.hi)), 1, 0
-        lo, hi = fraction(c.lo), fraction(c.hi)
-        den = lcm(lo.denominator, hi.denominator)
-        return (_int_lit(int(lo * den), "constant"),
-                _int_lit(int(hi * den), "constant"), den, 0)
+            return repr(float((c.lo, c.hi)[side])), 1, 0
+        ends = fraction(c.lo), fraction(c.hi)
+        den = lcm(*(x.denominator for x in ends))
+        # both literals, so that a constant past the digit limit is refused
+        # on the first endpoint traced, whichever it is
+        return [_int_lit(int(x * den), "constant") for x in ends][side], den, 0
 
-    def scaled(self, ref: tuple, den: int) -> tuple[str, ...]:
-        """The endpoints of `ref` as names, which code may use twice,
-        scaled in exact mode to `den`, a multiple of its denominator."""
-        lo, hi, d, level = ref
-        if self.exact:
-            lo, hi = _scaled(lo, den // d), _scaled(hi, den // d)
-        return tuple(x if x.isidentifier() else self.local(x, level)
-                     for x in (lo, hi))
+    def scaled(self, ref: tuple, den: int) -> str:
+        """`ref` as a name, which code may use twice, scaled in exact mode
+        to `den`, a multiple of its denominator."""
+        x, d, level = ref
+        x = _scaled(x, den // d)  # in float mode both are 1
+        return x if x.isidentifier() else self.local(x, level)
 
     def op(self, ident: str, args: tuple) -> tuple:
-        level = max(a[3] for a in args)
-        if ident == "neg":
-            (lo, hi, d, _), = args
-            return self.pair(f"{self.lit(d)} - {hi}", f"{self.lit(d)} - {lo}",
-                             d, level)
+        level = max(a[2] for a in args)
+        if ident == "neg":  # of the other endpoint of its argument
+            (x, d, _), = args
+            return self.local(f"{self.lit(d)} - {x}", level), d, level
         if ident == "mean":
-            den = lcm(*(a[2] for a in args))
-            los, his = (self.sum([(_scaled(a[i], den // a[2]), a[3])
-                                  for a in args]) for i in (0, 1))
+            den = lcm(*(a[1] for a in args))
+            total = self.sum([(_scaled(x, den // d), at) for x, d, at in args])
             if self.exact:
-                return self.pair(los, his, len(args) * den, level)
-            return self.pair(f"({los}) / {len(args):d}",
-                             f"({his}) / {len(args):d}", 1, level)
-        (al, ah, da, la), (bl, bh, db, lb) = args
+                return self.local(total, level), len(args) * den, level
+            return self.local(f"({total}) / {len(args):d}", level), 1, level
+        (a, da, _), (b, db, _) = args
         if ident == "mul":
-            return self.pair(f"{al} * {bl}", f"{ah} * {bh}", da * db, level)
-        if ident == "psum":
-            cl, ch = (self.local(f"{self.lit(da)} - {x}", la) for x in (al, ah))
-            dl, dh = (self.local(f"{self.lit(db)} - {x}", lb) for x in (bl, bh))
+            return self.local(f"{a} * {b}", level), da * db, level
+        if ident == "psum":  # 1 - (1-a)*(1-b), with 1-a and 1-b as neg's
+            (ca, _, _), (cb, _, _) = (self.op("neg", (x,)) for x in args)
             one = self.lit(da * db)
-            return self.pair(f"{one} - {cl} * {dl}", f"{one} - {ch} * {dh}",
-                             da * db, level)
+            return self.local(f"{one} - {ca} * {cb}", level), da * db, level
         # the conditional names each operand twice
         den = lcm(da, db)
-        (al, ah), (bl, bh) = (self.scaled(a, den) for a in args)
+        a, b = (self.scaled(x, den) for x in args)
         cmp = "<=" if ident == "min" else ">="
-        return self.pair(f"{al} if {al} {cmp} {bl} else {bl}",
-                         f"{ah} if {ah} {cmp} {bh} else {bh}", den, level)
+        return self.local(f"{a} if {a} {cmp} {b} else {b}", level), den, level
 
     def sum(self, terms: list[tuple[str, int]]) -> str:
         """The (code, level) terms added left to right, with each partial
@@ -299,47 +321,51 @@ class _ScalarTarget:
         return f"{acc} + {rest[-1][0]}" if rest else acc
 
     def pow(self, arg: tuple, k: int) -> tuple:
-        lo, hi, d, level = arg
+        x, d, level = arg
         if self.exact:
             # d**k >= 2**((b-1)k) for d of b bits: refuse one that must pass
             # the digit limit before computing it, since nested powers
             # multiply their exponents past what Python can compute
             if (d.bit_length() - 1) * k * log10(2) >= MAX_DIGITS:
                 raise _too_long("denominator")
-            return self.pair(f"{lo} ** {k:d}", f"{hi} ** {k:d}", d**k, level)
-        return self.pair(f"_fold_pow({lo}, {k:d})", f"_fold_pow({hi}, {k:d})",
-                         1, level)
+            return self.local(f"{x} ** {k:d}", level), d**k, level
+        return self.local(f"_fold_pow({x}, {k:d})", level), 1, level
 
 
-def _trace(node: Node, target: _ScalarTarget, env: dict):
-    """Send the code of an AST to `target` and return the result's ref.
+def _trace(node: Node, target: _ScalarTarget, env: dict) -> tuple:
+    """Send the code of an AST to `target` and return the refs of the
+    result's lower and upper endpoint.
 
-    `env` holds the ref of each parameter, "L" or "X<k>". Each distinct
-    subtree is computed once, into local variables, in the operation order
-    of the tree, so float results match a direct evaluation.
+    `env` holds the (name, den, level) of each parameter, "L" or "X<k>":
+    its endpoints are the names `<name>l` and `<name>h`. Each endpoint is
+    traced on its own: every op but `neg` applies its formula to that
+    endpoint of its arguments, and `neg` to the other one. The walk
+    memoizes by node and endpoint, and compares no two trees: equal
+    subtrees give equal code, which `target` computes once. The code keeps
+    the operation order of the tree, so float results match a direct
+    evaluation.
     """
-    names: dict = {}
+    refs: dict = {}
 
-    def ref(n: Node):
-        if n not in names:
-            if isinstance(n, (Var, Proj)):
-                names[n] = env[f"X{n.index:d}"]
-            elif isinstance(n, LVar):
-                names[n] = env["L"]
+    def ref(n: Node, side: int) -> tuple:
+        key = id(n), side
+        if key not in refs:
+            if isinstance(n, (Var, Proj, LVar)):
+                name, den, level = env["L" if isinstance(n, LVar)
+                                       else f"X{n.index:d}"]
+                r = f"{name}{'lh'[side]}", den, level
             elif isinstance(n, Const):
-                names[n] = target.const(n)
+                r = target.const(n, side)
             elif isinstance(n, Pow):
-                names[n] = target.pow(ref(n.arg), n.exponent)
-            elif n.ident in _FOLDED:
-                acc, *rest = map(ref, n.args)
-                for arg in rest:
-                    acc = target.op(n.ident, (acc, arg))
-                names[n] = acc
-            else:
-                names[n] = target.op(n.ident, tuple(map(ref, n.args)))
-        return names[n]
+                r = target.pow(ref(n.arg, side), n.exponent)
+            else:  # `neg` reads the other endpoint of its argument
+                args = [ref(a, side ^ (n.ident == "neg")) for a in n.args]
+                r = (reduce(lambda x, y: target.op(n.ident, (x, y)), args)
+                     if n.ident in _FOLDED else target.op(n.ident, args))
+            refs[key] = r
+        return refs[key]
 
-    return ref(node)
+    return ref(node, 0), ref(node, 1)
 
 
 def _compile(source: list[str], env: dict) -> Callable:
@@ -420,14 +446,13 @@ def kernels(parts, out_den: int = 1) -> tuple[list[Callable], int]:
     traced = []
     for x, dens in parts:
         t = _ScalarTarget(dens is not None)
-        env = {p: (f"{p}l", f"{p}h", d, 0)
-               for p, d in zip(x.params, dens or (1,) * len(x.params),
-                               strict=True)}
+        env = {p: (p, d, 0) for p, d in zip(
+            x.params, dens or (1,) * len(x.params), strict=True)}
         traced.append((x, t, _trace(x.expr, t, env)))
-    den = lcm(out_den, *(ref[2] for *_, ref in traced)) if traced[0][1].exact else 1
+    den = lcm(out_den, *(lo[1] for *_, (lo, _) in traced)) if traced[0][1].exact else 1
     fns = []
-    for x, t, ref in traced:
-        lo, hi = t.scaled(ref, den)
+    for x, t, refs in traced:
+        lo, hi = (t.scaled(r, den) for r in refs)
         fns.append(_compile([f"def fn({', '.join(x.params)}):",
                              *(f"    {p}l, {p}h = {p}" for p in x.params),
                              *_indent(t.lines[0], 1),
@@ -461,23 +486,18 @@ def sweep(f: "IVFunction", g: "ScalingFunction",
     n = f.arity
     dg, dphi, df = dens or (1, 1, 1)
     t = _ScalarTarget(dens is not None, depth=n)
-    lhs = _trace(f.expr, t, {f"X{i}": (f"X{i}l", f"X{i}h", dg, i)
+    lhs = _trace(f.expr, t, {f"X{i}": (f"X{i}", dg, i)
                              for i in range(1, n + 1)})
-    rhs = _trace(g.expr, t, {"L": ("Pl", "Ph", dphi, 0),
-                             "X1": ("Fl", "Fh", df, n)})
-    den = lcm(lhs[2], rhs[2]) if t.exact else 1
-    (al, ah), (bl, bh) = t.scaled(lhs, den), t.scaled(rhs, den)
+    rhs = _trace(g.expr, t, {"L": ("P", dphi, 0), "X1": ("F", df, n)})
+    den = lcm(lhs[0][1], rhs[0][1]) if t.exact else 1
+    pairs = [(t.scaled(a, den), t.scaled(b, den)) for a, b in zip(lhs, rhs)]
     at = ", ".join(["il", *(f"i{i}" for i in range(1, n + 1))])
     rows = ", ".join(f"row{i}" for i in range(1, n + 1))
-    t.lines[n] += [
-        f"if {al} != {bl} or {ah} != {bh}:",
-        f"    d = abs({al} - {bl})",
-        "    if d > max_dev: max_dev = d",
-        f"    if d > tol and first_lo is None: first_lo = {at}",
-        f"    d = abs({ah} - {bh})",
-        "    if d > max_dev: max_dev = d",
-        f"    if d > tol and first_hi is None: first_hi = {at}",
-    ]
+    t.lines[n].append(f"if {' or '.join(f'{a} != {b}' for a, b in pairs)}:")
+    for (a, b), first in zip(pairs, ("first_lo", "first_hi")):
+        t.lines[n] += [f"    d = abs({a} - {b})",
+                       "    if d > max_dev: max_dev = d",
+                       f"    if d > tol and {first} is None: {first} = {at}"]
     source = [
         "def fn(lams, xpts, f_table, g_fn, phi_fn, tol):",
         f"    max_dev = {t.lit(0)}",

@@ -25,9 +25,10 @@ MAX_POW_EXPONENT = 1000
 #: denominator m^n, as `pow(e,n)` has, so the limit is the same.
 MAX_ARITY = MAX_POW_EXPONENT
 #: The deepest expression: a leaf is 1 level deep, a call or `pow` one more
-#: than its deepest argument. Comparing two trees, the deepest walk, recurses
-#: 4 frames a level, so this keeps it within Python's default limit of 1,000.
-MAX_DEPTH = 200
+#: than its deepest argument. The deepest walk, the parser's, recurses 2
+#: frames a level, so this keeps every walk within Python's default limit
+#: of 1,000 frames with room for the caller's.
+MAX_DEPTH = 400
 
 
 def name_suffix(name: str, prefix: str) -> str | None:

@@ -729,3 +729,96 @@ def test_pow_exponent_at_limit_runs(capsys):
                        "--arity", "1", "--g", "P", "--resolution", "3")
     # l^1000 x^1000 against l x^1000: a fail, over denominators of 3^2000
     assert code == 1 and json.loads(out)["verdict"] == "fail"
+
+
+def _square_of_chain(depth):
+    """mul(D,D), `depth` levels deep, with D a chain of `neg`s over X1."""
+    d = "neg(" * (depth - 2) + "X1" + ")" * (depth - 2)
+    return f"expr:mul({d},{d})"
+
+
+#: runs the CLI on its arguments below 100 frames of the caller's own
+PADDED_PROBE = """
+import sys
+from ivhom.cli import main
+def padded(k):
+    return padded(k - 1) if k else main(sys.argv[1:])
+sys.exit(padded(100))
+"""
+
+
+@pytest.mark.parametrize("command,depth,code", [
+    ("check", MAX_DEPTH, 1), ("eval", MAX_DEPTH, 0),
+    ("prop2", MAX_DEPTH - 2, 1), ("dual", MAX_DEPTH - 2, 0),
+    ("prop2", MAX_DEPTH, 2), ("dual", MAX_DEPTH, 2),
+])
+def test_deepest_expression_runs_below_a_padded_stack(command, depth, code):
+    """No walk recurses more than the parser's 2 frames a level, so an F at
+    `MAX_DEPTH` runs from a stack 100 frames deep, and so does the N_S dual
+    of one 2 levels less; the dual of one at the limit is past it. D is an
+    even chain, X1, so F is mul(X1,X1), which is not P-homogeneous."""
+    tail = ["[0,1/2]"] if command == "eval" else ["--resolution", "2"]
+    proc = run_python("-c", PADDED_PROBE, command, "--f",
+                      _square_of_chain(depth), "--arity", "1", *tail)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code
+    if code == 2:
+        assert proc.stderr == ("ivhom: error: expression nested too deeply: "
+                               f"more than {MAX_DEPTH} levels\n")
+    else:
+        assert proc.stderr == "" and proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv,code", [
+    (("check", "--f", "min", "--resolution", "2"), 0),
+    (("check", "--f", "product", "--resolution", "2"), 1),
+    (("idempotent", "--f", "min", "--resolution", "3", "--output", "text"), 0),
+    (("theorem1", "--f", "min", "--resolution", "2"), 0),
+    (("prop2", "--f", "min", "--resolution", "2", "--output", "csv"), 0),
+    (("dual", "--f", "min", "--resolution", "2"), 0),
+    (("eval", "--f", "min", "[0,1]", "[1,1]"), 0),
+], ids=lambda v: v if isinstance(v, int) else v[0])
+def test_closed_stdout_ends_the_run_quietly(unbuffered, argv, code):
+    """A reader that closed the pipe before the command wrote (here, before
+    the command started) gets nothing; the command writes nothing to
+    stderr, not even the interpreter's complaint at exit, and exits with its
+    verdict's code."""
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+           "PYTHONPATH": str(Path(ivhom.__file__).resolve().parents[1])}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ivhom.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, "")
+
+
+def test_no_command_compares_two_trees(capsys, monkeypatch):
+    """Tracing memoizes by node and endpoint, so no command compares two
+    ASTs, even on laws whose subtrees repeat."""
+    from ivhom import expr
+
+    calls = []
+    eq = expr._Node.__eq__
+    monkeypatch.setattr(expr._Node, "__eq__",
+                        lambda a, b: calls.append(1) or eq(a, b))
+    f = ("--f", "expr:min(max(X1,X1),mean(X2,X2,X1))", "--arity", "2")
+    square = ("--f", "expr:mul(X1,X1)", "--arity", "1")
+    small = ("--resolution", "2")
+    for argv in [
+        ("check", *f, "--g", "expr:psum(L,X1)", *small),
+        ("check", *square, *small, "--mode", "float"),
+        ("idempotent", *f, *small), ("idempotent", *square, *small),
+        ("theorem1", *f, "--g", "expr:psum(L,X1)", *small),
+        ("theorem1", *square, *small),
+        ("prop2", *f, *small), ("prop2", *square, *small),
+        ("dual", *f, *small), ("dual", *square, *small, "--mode", "float"),
+        ("eval", *f, "[0,1/2]", "[1/3,1]"), ("eval", *square, "[0,1/2]"),
+    ]:
+        assert main(list(argv)) in (0, 1), argv
+    capsys.readouterr()
+    assert calls == []

@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -239,6 +241,29 @@ def test_node_hash_is_cached_and_does_not_recurse():
     assert {deep: 1}[deep] == 1
     assert chain(3) == chain(3) and hash(chain(3)) == hash(chain(3))
     assert Var(2) != Proj(2) and Const(0, 1) != Const(0, Fraction(1, 2))
+
+
+def test_node_equality_does_not_recurse():
+    """Two distinct trees at the depth limit compare on an explicit stack,
+    within 50 frames of Python's recursion limit; a difference at a leaf,
+    in an op or in a call's argument count makes them unequal."""
+    deep = chain(MAX_DEPTH)
+    other_leaf = Var(2)
+    for _ in range(MAX_DEPTH - 1):
+        other_leaf = Call("neg", (other_leaf,))
+
+    def near_the_limit(k):
+        if k:
+            return near_the_limit(k - 1)
+        return (deep == chain(MAX_DEPTH), deep != other_leaf,
+                deep == chain(MAX_DEPTH - 1))
+
+    frames = len(inspect.stack())
+    assert near_the_limit(sys.getrecursionlimit() - frames - 50) == (
+        True, True, False)
+    x = Var(1)
+    assert Call("mean", (x, x)) != Call("mean", (x,)) != Call("max", (x,))
+    assert Const(0, 1) == Const(Fraction(0), Fraction(1)) != Var(1)
 
 
 def test_arity_limit():
