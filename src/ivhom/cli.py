@@ -251,13 +251,13 @@ def _run(args: argparse.Namespace, out) -> int:
     return EXIT_PASS if report.verdict == "pass" else EXIT_FAIL
 
 
-def _print(text: str, out) -> None:
+def _print(text: str, out, end: str = "\n") -> None:
     """Print `text` to `out` and flush it. A reader that closed the pipe
     ends the output, not the run: what is left of it, and the flush at
     exit, go to the null device, so nothing reaches stderr and the exit
     code stays the verdict's."""
     try:
-        print(text, file=out)
+        print(text, file=out, end=end)
         out.flush()
     except BrokenPipeError:
         import os
@@ -289,6 +289,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
+        _print("", sys.stdout, end="")  # flush the help argparse wrote
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         args = _merge_config(args)

@@ -3,8 +3,9 @@
 Built-in and user-defined IV-functions, scalings and order isomorphisms are
 all ASTs over the nodes below; `dsl` parses the `expr:` sources. `_compile`
 is the one place an AST becomes a callable: a scalar-endpoint kernel
-(`kernel`), or the fused loop of one homogeneity law (`sweep`). The kernels
-serve the sweeps of `homogeneity` and `__call__` on `Interval`s. An exact
+(`kernel`), or the fused loop of one law of homogeneity's shape (`sweep`),
+which also checks idempotency. The kernels serve the sweeps of
+`homogeneity` and `__call__` on `Interval`s. An exact
 call passes the `Fraction` endpoints themselves as numerators over
 denominator 1, which a kernel built only of ring ops, comparisons and int
 literals evaluates exactly; a float call passes the doubles.
@@ -28,7 +29,7 @@ from functools import reduce
 from math import lcm, log10
 from typing import Callable, Union
 
-from .gate import MAX_ARITY, MAX_DEPTH, check_arity
+from .gate import MAX_ARITY, MAX_DEPTH, MAX_POW_EXPONENT, check_arity
 from .interval import MAX_DIGITS, Interval, _set, _Value, fraction, too_long
 
 
@@ -114,6 +115,11 @@ class Pow(_Node):
     __slots__ = ("arg", "exponent")
 
     def __init__(self, arg: "Node", exponent: int) -> None:
+        if exponent < 1:
+            raise ExprError("pow exponent must be a positive integer")
+        if exponent > MAX_POW_EXPONENT:
+            raise ExprError(f"pow exponent {exponent} exceeds the limit of "
+                            f"{MAX_POW_EXPONENT}")
         super().__init__(arg, exponent, depth=arg._depth + 1)
 
 
@@ -132,6 +138,10 @@ class Call(_Node):
     def __init__(self, ident: str, args: tuple["Node", ...]) -> None:
         if ident not in _OPS:
             raise ExprError(f"unknown operation {ident!r}")
+        if ident == "neg" and len(args) != 1:
+            raise ExprError("neg takes exactly one argument")
+        if not args:
+            raise ExprError(f"{ident} needs at least one argument")
         super().__init__(ident, args,
                          depth=1 + max((a._depth for a in args), default=0))
 
@@ -185,19 +195,30 @@ def parse_expr(src: str, arity: int) -> Node:
     return node
 
 
-def dual(node: Node) -> Node:
-    """The standard-negation dual neg(F(neg(X1),...)), with L -> neg(L)."""
+def _map_leaves(node: Node, leaf: Callable[[Node], Node]) -> Node:
+    """`node` with each variable, X<k>, proj(k) or L, replaced by `leaf` of
+    it, in one walk of one frame a level."""
 
-    def negate_leaves(n: Node) -> Node:
+    def walk(n: Node) -> Node:
         if isinstance(n, (Var, Proj, LVar)):
-            return Call("neg", (n,))
+            return leaf(n)
         if isinstance(n, Pow):
-            return Pow(negate_leaves(n.arg), n.exponent)
+            return Pow(walk(n.arg), n.exponent)
         if isinstance(n, Call):
-            return Call(n.ident, tuple(map(negate_leaves, n.args)))
+            return Call(n.ident, tuple(map(walk, n.args)))
         return n
 
-    return Call("neg", (negate_leaves(node),))
+    return walk(node)
+
+
+def dual(node: Node) -> Node:
+    """The standard-negation dual neg(F(neg(X1),...)), with L -> neg(L)."""
+    return Call("neg", (_map_leaves(node, lambda n: Call("neg", (n,))),))
+
+
+def diagonal(node: Node) -> Node:
+    """F(X1,...,X1): each X<k> and proj(k) replaced by X1, and L kept."""
+    return _map_leaves(node, lambda n: n if isinstance(n, LVar) else Var(1))
 
 
 def _fold_pow(x: float, k: int) -> float:
@@ -426,22 +447,22 @@ class _Compiled(_Value):
                 None if is_float else (1,) * len(self.params))
         return self.fns[is_float]
 
-    def kernel(self, dens: tuple[int, ...] | None = None,
-               out_den: int = 1) -> tuple[Callable, int]:
+    def kernel(self, dens: tuple[int, ...] | None = None) -> tuple[Callable, int]:
         """The scalar-endpoint function and the denominator of its results,
         as `kernels` compiles them."""
-        (fn,), den = kernels([(self, dens)], out_den)
+        (fn,), den = kernels([(self, dens)])
         return fn, den
 
 
-def kernels(parts, out_den: int = 1) -> tuple[list[Callable], int]:
+def kernels(parts) -> tuple[list[Callable], int]:
     """The scalar-endpoint kernel of each (ingredient, dens) part, each
     compiled once, and the one denominator of all their results.
 
     A kernel takes one (lo, hi) tuple per parameter and returns one (lo, hi)
     tuple. `dens` holds each parameter's denominator in exact mode and is
     None in float mode, where the denominator is 1. Exact results are
-    scaled to the lcm of `out_den` and every part's own denominator.
+    scaled to the lcm of every part's own denominator, so the kernels of
+    two parts compare as integers.
     """
     traced = []
     for x, dens in parts:
@@ -449,7 +470,7 @@ def kernels(parts, out_den: int = 1) -> tuple[list[Callable], int]:
         env = {p: (p, d, 0) for p, d in zip(
             x.params, dens or (1,) * len(x.params), strict=True)}
         traced.append((x, t, _trace(x.expr, t, env)))
-    den = lcm(out_den, *(lo[1] for *_, (lo, _) in traced)) if traced[0][1].exact else 1
+    den = lcm(*(lo[1] for *_, (lo, _) in traced)) if traced[0][1].exact else 1
     fns = []
     for x, t, refs in traced:
         lo, hi = (t.scaled(r, den) for r in refs)
@@ -462,17 +483,18 @@ def kernels(parts, out_den: int = 1) -> tuple[list[Callable], int]:
 
 def sweep(f: "IVFunction", g: "ScalingFunction",
           dens: tuple[int, int, int] | None) -> tuple[Callable, int]:
-    """The homogeneity sweep of F(G(L,X1),...,G(L,Xn)) = G(phi(L),
-    F(X1,...,Xn)) as one generated function, and the one denominator of
-    both sides.
+    """The sweep of the law F(G(L,X1),...,G(L,Xn)) = G(phi(L),
+    H(X1,...,Xn)) as one generated function, and the one denominator of
+    both sides. Homogeneity is the law with H = F, and idempotency one
+    with H = X1 (`homogeneity`).
 
-    `fn(lams, xpts, f_table, g_fn, phi_fn, tol)` takes the sweep points of
-    Λ and the list of sweep points of each X_i, as kernel arguments, F's
+    `fn(lams, xpts, h_table, g_fn, phi_fn, tol)` takes the sweep points of
+    Λ and the list of sweep points of each X_i, as kernel arguments, H's
     kernel results on `itertools.product(*xpts)` in order, and the kernels
     of G and phi. For each Λ in `lams` it fills one row [G(Λ,x) for x in
     xs] per distinct list object xs in `xpts`, which every X_i that sweeps
     it shares, and phi(Λ) with those kernels, then runs n nested loops, one
-    over the row of each X_i, X1 outermost, walking the F table in order.
+    over the row of each X_i, X1 outermost, walking the H table in order.
     Both sides are inlined, and each subexpression is computed in the loop
     of the last variable it reads. It returns the largest endpoint
     deviation (0 of the mode's number type when there is none), and the
@@ -480,15 +502,15 @@ def sweep(f: "IVFunction", g: "ScalingFunction",
     whose lower endpoints, and of the first whose upper endpoints, differ
     by more than `tol`, each None when there is none.
 
-    `dens` is the (G, phi, F) kernels' result denominators in exact mode,
+    `dens` is the (G, phi, H) kernels' result denominators in exact mode,
     None in float mode.
     """
     n = f.arity
-    dg, dphi, df = dens or (1, 1, 1)
+    dg, dphi, dh = dens or (1, 1, 1)
     t = _ScalarTarget(dens is not None, depth=n)
     lhs = _trace(f.expr, t, {f"X{i}": (f"X{i}", dg, i)
                              for i in range(1, n + 1)})
-    rhs = _trace(g.expr, t, {"L": ("P", dphi, 0), "X1": ("F", df, n)})
+    rhs = _trace(g.expr, t, {"L": ("P", dphi, 0), "X1": ("H", dh, n)})
     den = lcm(lhs[0][1], rhs[0][1]) if t.exact else 1
     pairs = [(t.scaled(a, den), t.scaled(b, den)) for a, b in zip(lhs, rhs)]
     at = ", ".join(["il", *(f"i{i}" for i in range(1, n + 1))])
@@ -499,7 +521,7 @@ def sweep(f: "IVFunction", g: "ScalingFunction",
                        "    if d > max_dev: max_dev = d",
                        f"    if d > tol and {first} is None: {first} = {at}"]
     source = [
-        "def fn(lams, xpts, f_table, g_fn, phi_fn, tol):",
+        "def fn(lams, xpts, h_table, g_fn, phi_fn, tol):",
         f"    max_dev = {t.lit(0)}",
         "    first_lo = first_hi = None",
         "    R = range(len(xpts[-1]))",
@@ -509,12 +531,12 @@ def sweep(f: "IVFunction", g: "ScalingFunction",
         "                for k, xs in shared.items()}",
         f"        {rows}, = [made[id(xs)] for xs in xpts]",
         "        Pl, Ph = phi_fn(lam)",
-        "        ft = iter(f_table)",
+        "        ht = iter(h_table)",
         *_indent(t.lines[0], 2),
     ]
     for i in range(1, n + 1):
         loop = (f"for i{i}, (X{i}l, X{i}h) in enumerate(row{i}):" if i < n else
-                f"for i{i}, (X{i}l, X{i}h), (Fl, Fh) in zip(R, row{i}, ft):")
+                f"for i{i}, (X{i}l, X{i}h), (Hl, Hh) in zip(R, row{i}, ht):")
         source += [*_indent([loop], i + 1), *_indent(t.lines[i], i + 2)]
     source.append("    return max_dev, first_lo, first_hi")
     return _compile(source, t.env), den

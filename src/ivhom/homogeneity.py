@@ -9,13 +9,16 @@ A grid is its resolution m and its numeric mode. The engine names a grid
 point by its numerator pair (i, j) over m, i <= j, and grid order is the
 order of the pairs. The sweeps run on the scalar kernels of `expr`
 (`IVFunction.kernel`), on the pairs themselves in exact mode and on the
-doubles (i/m, j/m) in float mode: a homogeneity law in one loop that
-`expr.sweep` generates for it, idempotency and the comparison of two
-functions in one scan (`_compare`). Each variable with one parity of
-`neg`s above it is swept on the m+1 degenerate pairs (a, a) alone, and one
-with both parities on all s pairs (`_coordinates`), which covers every grid
-tuple by construction. An `Interval` is made from a pair only for a value
-that a report shows (`Grid.point`).
+doubles (i/m, j/m) in float mode. Homogeneity and idempotency are each a
+law F(G(L,X1),...,G(L,Xn)) = G(phi(L), H(X1,...,Xn)) (`_sweep_law`),
+checked in the one loop that `expr.sweep` generates for it; the comparison
+of two functions (`equal_on_grid`) is a yes/no scan that stops at the
+first difference. Each variable with one parity of `neg`s above it is
+swept on the m+1 degenerate pairs (a, a) alone, one with both parities on
+all s pairs, and one the law does not read on the pair (0, 0)
+(`_coordinates`), which covers every grid tuple by construction. An
+`Interval` is made from a pair only for a value that a report shows
+(`Grid.point`).
 
 No function here checks a budget or takes a worker count: the command
 line (`cli`) is the one budget gate, and it refuses an over-budget run
@@ -28,11 +31,12 @@ import itertools
 from bisect import bisect_left
 from typing import Callable, Optional
 
-from .expr import kernels, parities, sweep
+from .expr import diagonal, kernels, parities, sweep
 from .gate import UnsupportedModeError, grid_size
 from .interval import EXACT, Interval, Number, NumericMode, _Value, fraction
 from .functions import (
     IDENTITY,
+    PI2,
     IVFunction,
     OrderIso,
     P,
@@ -138,25 +142,36 @@ def _compose(a: set, b: set) -> set:
     return {x ^ y for x in a for y in b}
 
 
-def _homogeneity_law(f: IVFunction, g: ScalingFunction,
-                     phi: OrderIso) -> list[set]:
-    """The parities of `neg`s above each of L, X1..Xn in the law, decided
-    from the ASTs alone: {0}, {1}, {0, 1}, or empty for an unused variable.
+def _report(law: str, cex: Optional[Counterexample], evaluations: int,
+            max_deviation: Number, grid: Grid,
+            note: Optional[str] = None) -> CheckReport:
+    """The report of a check on `grid` that found `cex`, None for a pass."""
+    return CheckReport(law, "pass" if cex is None else "fail", cex,
+                       evaluations, max_deviation, grid.mode, grid.resolution,
+                       note)
+
+
+def _homogeneity_law(f: IVFunction, g: ScalingFunction, phi: OrderIso,
+                     h: IVFunction) -> list[set]:
+    """The parities of `neg`s above each of L, X1..Xn in the law of
+    `_sweep_law`, decided from the ASTs alone: {0}, {1}, {0, 1}, or empty
+    for a variable the law does not read.
 
     `neg` maps [a,b] to [1-b,1-a], and every other op computes a lower
     endpoint from lower endpoints only and an upper one from upper ones
     only. So an occurrence of a variable under an even number of `neg`s
     feeds its lower endpoint to the lower endpoint of the result, and one
     under an odd number its upper endpoint. The parities compose through
-    the law: X_i has those of F's X_i under G's X1 on both sides; L has
-    those of G's L under each of F's X_i on the left, and those of phi's X1
-    under G's L on the right.
+    the law: X_i has those of F's and H's X_i under G's X1; L has those of
+    G's L under each of F's X_i on the left, and those of phi's X1 under
+    G's L on the right.
     """
-    pf, pg, pphi = (parities(x.expr) for x in (f, g, phi))
+    pf, pg, pphi, ph = (parities(x.expr) for x in (f, g, phi, h))
     gl, gx = pg.get("L", set()), pg.get("X1", set())
     fx = [pf.get(p, set()) for p in f.params]
     lam = _compose(gl, pphi.get("X1", set())).union(*(_compose(p, gl) for p in fx))
-    return [lam, *(_compose(p, gx) for p in fx)]
+    return [lam, *(_compose(p | ph.get(x, set()), gx)
+                   for p, x in zip(fx, f.params))]
 
 
 def _coordinates(m: int, variables: list[set]) -> list[tuple[list, ...]]:
@@ -170,15 +185,18 @@ def _coordinates(m: int, variables: list[set]) -> list[tuple[list, ...]]:
     degenerate pairs (a, a), which give both endpoints at a, and a failure
     at a is first met at (a, a) if read from the lower endpoint and at
     (0, a) if from the upper one. A mixed coordinate sweeps all s pairs and
-    maps to itself. Every map rises, so the first failure in sweep order
+    maps to itself. A coordinate the law does not read sweeps the one pair
+    (0, 0): every value of it gives the same two sides, and (0, 0) is the
+    lowest grid pair. Every map rises, so the first failure in sweep order
     maps to the lowest failing grid tuple (`_lowest_failure`). Coordinates
     that sweep the same pairs share one list object.
     """
-    low = range(m + 1)
+    low, unread = range(m + 1), [(0, 0)]
     diag, zero = [(a, a) for a in low], [(0, a) for a in low]
     every = _pairs(m) if any(len(p) > 1 for p in variables) else None
     return [(every, every, every) if len(p) > 1 else
-            (diag, zero, diag) if 1 in p else (diag, diag, zero)
+            (diag, zero, diag) if 1 in p else
+            (diag, diag, zero) if p else (unread, unread, unread)
             for p in variables]
 
 
@@ -205,31 +223,40 @@ def _lowest_failure(coords: list[tuple[list, ...]], first_lo: Optional[tuple],
     return min(hits, default=None)
 
 
-def _compare(f_fn: Callable, h_fn: Callable, xpts: list[list],
-             mode: NumericMode, stop: bool = False) -> tuple:
-    """Compare the kernel results `f_fn(*xs)` and `h_fn(*xs)` on every tuple
-    xs of `itertools.product(*xpts)` by the equality rule of
-    `check_homogeneity`, and return what `expr.sweep` returns: the largest
-    endpoint deviation (0 of the mode's number type when there is none),
-    and the positions in `xpts` of the first tuple whose lower endpoints,
-    and of the first whose upper endpoints, differ by more than the
-    tolerance, each None when there is none. With `stop`, it returns at
-    the first such tuple."""
-    tol, max_dev = _tolerance(mode), 0 if mode.is_exact else 0.0
-    firsts = [None, None]
-    at = itertools.product(*(range(len(xs)) for xs in xpts))
-    for position, xs in zip(at, itertools.product(*xpts)):
-        x, y = f_fn(*xs), h_fn(*xs)
-        if x != y:
-            for side in (0, 1):
-                d = abs(x[side] - y[side])
-                if d > max_dev:
-                    max_dev = d
-                if d > tol and firsts[side] is None:
-                    firsts[side] = position
-            if stop and firsts != [None, None]:
-                break
-    return max_dev, *firsts
+def _sweep_law(f: IVFunction, g: ScalingFunction, phi: OrderIso,
+               h: IVFunction, grid: Grid) -> tuple[Optional[tuple], Number]:
+    """Sweep F(G(L,X1),...,G(L,Xn)) = G(phi(L), H(X1,...,Xn)) over
+    grid^(n+1), and return the lowest failing grid tuple, as pairs (None
+    when the law holds), and the largest endpoint deviation.
+
+    Each of L, X1..Xn sweeps the pairs that `_coordinates` gives for its
+    parities in the law (`_homogeneity_law`). The kernel of H fills a table
+    of its results on the product of the X coordinates' points, and the
+    law's one generated loop (`expr.sweep`) does the rest. In exact mode
+    both sides come out over one common denominator, so they compare as
+    integers, and equality is literal; in float mode two endpoints are
+    equal within the mode's eps. `_lowest_failure` maps the first failure
+    of each endpoint to the lowest failing grid tuple.
+    """
+    mode = grid.mode
+    if mode.is_exact and not phi.exact_ok:
+        raise UnsupportedModeError(
+            f"order isomorphism {phi.name!r} has an irrational inverse; "
+            "it is only available in float mode"
+        )
+    m, n = grid.resolution, f.arity
+    coords = _coordinates(m, _homogeneity_law(f, g, phi, h))
+    # the X_i that share a point list share one G row in the sweep
+    lams, *xpts = _sweep_points(grid, coords)
+    g_fn, dg = g.kernel(_dens(grid, m, m))
+    phi_fn, dphi = phi.kernel(_dens(grid, m))
+    h_fn, dh = h.kernel(_dens(grid, *(m,) * n))
+    h_table = [h_fn(*xs) for xs in itertools.product(*xpts)]
+    sweep_fn, den = sweep(f, g, _dens(grid, dg, dphi, dh))
+    max_dev, first_lo, first_hi = sweep_fn(lams, xpts, h_table, g_fn, phi_fn,
+                                           _tolerance(mode))
+    return (_lowest_failure(coords, first_lo, first_hi),
+            fraction(max_dev, den) if mode.is_exact else max_dev)
 
 
 def check_homogeneity(
@@ -239,35 +266,12 @@ def check_homogeneity(
     grid: Grid,
     law: str = "def1-homogeneity",
 ) -> CheckReport:
-    """Sweep F(G(L,X1),...,G(L,Xn)) = G(phi(L), F(X1,...,Xn)) over grid^(n+1).
-
-    Each of L, X1..Xn sweeps the pairs that `_coordinates` gives for its
-    parities in the law (`_homogeneity_law`). The kernel of F fills a table
-    of its results on the product of the X coordinates' points, and the
-    law's one generated loop (`expr.sweep`) does the rest. In exact mode
-    both sides come out over one common denominator, so they compare as
-    integers. `_lowest_failure` maps the first failure of each endpoint to
-    the lowest failing grid tuple, the counterexample. `evaluations` counts
-    the s^(n+1) grid tuples the verdict covers.
+    """Sweep F(G(L,X1),...,G(L,Xn)) = G(phi(L), F(X1,...,Xn)) over
+    grid^(n+1): the law of `_sweep_law` with H = F. The counterexample is
+    the lowest failing grid tuple, and `evaluations` counts the s^(n+1)
+    grid tuples the verdict covers.
     """
-    mode = grid.mode
-    if mode.is_exact and not phi.exact_ok:
-        raise UnsupportedModeError(
-            f"order isomorphism {phi.name!r} has an irrational inverse; "
-            "it is only available in float mode"
-        )
-    m, n = grid.resolution, f.arity
-    coords = _coordinates(m, _homogeneity_law(f, g, phi))
-    # the X_i that share a point list share one G row in the sweep
-    lams, *xpts = _sweep_points(grid, coords)
-    g_fn, dg = g.kernel(_dens(grid, m, m))
-    phi_fn, dphi = phi.kernel(_dens(grid, m))
-    f_fn, df = f.kernel(_dens(grid, *(m,) * n))
-    f_table = [f_fn(*xs) for xs in itertools.product(*xpts)]
-    sweep_fn, den = sweep(f, g, _dens(grid, dg, dphi, df))
-    max_dev, first_lo, first_hi = sweep_fn(lams, xpts, f_table, g_fn, phi_fn,
-                                           _tolerance(mode))
-    failure = _lowest_failure(coords, first_lo, first_hi)
+    failure, max_dev = _sweep_law(f, g, phi, f, grid)
     cex = None
     if failure is not None:
         lam, *xs = map(grid.point, failure)
@@ -277,62 +281,47 @@ def check_homogeneity(
             lhs=f(*(g(lam, x) for x in xs)),
             rhs=g(phi(lam), f(*xs)),
         )
-    return CheckReport(
-        law=law,
-        verdict="pass" if cex is None else "fail",
-        counterexample=cex,
-        evaluations=len(grid) ** (n + 1),
-        max_deviation=fraction(max_dev, den) if mode.is_exact else max_dev,
-        mode=mode,
-        resolution=grid.resolution,
-    )
+    return _report(law, cex, len(grid) ** (f.arity + 1), max_dev, grid)
 
 
 def equal_on_grid(f: IVFunction, h: IVFunction, grid: Grid) -> bool:
     """Whether F and H (of one arity) agree on all s^n grid tuples, by the
-    kernels and the equality rule of `check_homogeneity`. Each X_i sweeps
-    the pairs that `_coordinates` gives for its parities in F and H
-    together, and the scan stops at the first difference."""
+    equality rule of `_sweep_law`, on the kernels of both over one
+    denominator. Each X_i sweeps the pairs that `_coordinates` gives for
+    its parities in F and H together, and the scan stops at the first
+    difference."""
     pf, ph = parities(f.expr), parities(h.expr)
     coords = _coordinates(grid.resolution, [pf.get(p, set()) | ph.get(p, set())
                                             for p in f.params])
     dens = _dens(grid, *(grid.resolution,) * f.arity)
     (f_fn, h_fn), _ = kernels([(f, dens), (h, dens)])
-    _, *firsts = _compare(f_fn, h_fn, _sweep_points(grid, coords), grid.mode,
-                          stop=True)
-    return firsts == [None, None]
+    tol = _tolerance(grid.mode)
+    for xs in itertools.product(*_sweep_points(grid, coords)):
+        (a, b), (c, d) = f_fn(*xs), h_fn(*xs)
+        if abs(a - c) > tol or abs(b - d) > tol:
+            return False
+    return True
 
 
 def check_idempotency(f: IVFunction, grid: Grid) -> CheckReport:
-    """Check F(X,...,X) = X for every grid point, on the kernel of F, by the
-    equality rule of `check_homogeneity`.
+    """Check F(X,...,X) = X for every grid point: the law of `_sweep_law`
+    with F(X1,...,X1) (`expr.diagonal`) for F, pi2 for G, and the identity
+    for phi and for H, whose right side is X1.
 
-    X sweeps the pairs that `_coordinates` gives for its parities in the
-    law: those of every X_i in F, and the even one of X itself on the
-    right. So an F with no X_i under an odd number of `neg`s is checked on
-    the m+1 degenerate points, and one with such an X_i on all s."""
-    mode = grid.mode
-    m, n = grid.resolution, f.arity
-    fn, den = f.kernel(_dens(grid, *(m,) * n), m)
-    k = den // m if mode.is_exact else 1  # X's endpoints over den
-    coords = _coordinates(m, [{0}.union(*parities(f.expr).values())])
-    max_dev, *firsts = _compare(lambda x: fn(*(x,) * n),
-                                lambda x: (x[0] * k, x[1] * k),
-                                _sweep_points(grid, coords), mode)
-    failure = _lowest_failure(coords, *firsts)
+    So X sweeps the pairs that `_coordinates` gives for the parities of
+    every X_i in F, and the even one of X itself on the right: an F with no
+    X_i under an odd number of `neg`s is checked on the m+1 degenerate
+    points, and one with such an X_i on all s. Λ, which pi2 does not read,
+    sweeps one pair. F(X1,...,X1) is traced inline in F's own operation
+    order, so float results are those of F at (X,...,X).
+    """
+    diag = IVFunction(f.name, 1, diagonal(f.expr))
+    failure, max_dev = _sweep_law(diag, PI2, IDENTITY, IDENTITY, grid)
     cex = None
     if failure is not None:
-        x = grid.point(failure[0])
-        cex = Counterexample(lam=None, xs=(x,), lhs=f(*(x,) * n), rhs=x)
-    return CheckReport(
-        law="idempotency",
-        verdict="pass" if cex is None else "fail",
-        counterexample=cex,
-        evaluations=len(grid),
-        max_deviation=fraction(max_dev, den) if mode.is_exact else max_dev,
-        mode=mode,
-        resolution=grid.resolution,
-    )
+        x = grid.point(failure[1])
+        cex = Counterexample(lam=None, xs=(x,), lhs=f(*(x,) * f.arity), rhs=x)
+    return _report("idempotency", cex, len(grid), max_dev, grid)
 
 
 def check_section_bijective(g: ScalingFunction, a: Interval,
@@ -360,16 +349,8 @@ def check_section_bijective(g: ScalingFunction, a: Interval,
     images = [fn(x, (a.lo, a.hi)) for x in points]
 
     def report(cex: Optional[Counterexample], note: str) -> CheckReport:
-        return CheckReport(
-            law="section-bijective",
-            verdict="pass" if cex is None else "fail",
-            counterexample=cex,
-            evaluations=len(grid),
-            max_deviation=mode.zero(),
-            mode=mode,
-            resolution=grid.resolution,
-            note="grid-certified" + note,
-        )
+        return _report("section-bijective", cex, len(grid), mode.zero(), grid,
+                       "grid-certified" + note)
 
     indices: dict[tuple, list[int]] = {}
     for i, img in enumerate(images):
@@ -428,16 +409,9 @@ def _within(xs: list, x: float, eps: float) -> list:
 def _check_fixed_point(f: IVFunction, a: Interval, grid: Grid) -> CheckReport:
     mode = grid.mode
     out = f(*(a,) * f.arity)
-    ok = mode.intervals_equal(out, a)
-    return CheckReport(
-        law="fixed-point",
-        verdict="pass" if ok else "fail",
-        counterexample=None if ok else Counterexample(None, (a,) * f.arity, out, a),
-        evaluations=1,
-        max_deviation=mode.deviation(out, a),
-        mode=mode,
-        resolution=grid.resolution,
-    )
+    cex = (None if mode.intervals_equal(out, a)
+           else Counterexample(None, (a,) * f.arity, out, a))
+    return _report("fixed-point", cex, 1, mode.deviation(out, a), grid)
 
 
 def run_theorem1(f: IVFunction, g: ScalingFunction, a: Interval,

@@ -558,13 +558,17 @@ sys.exit(code)
     (("prop2", "--mode", "float", "--f", "min", "--resolution", "2"), "0 8 8"),
     (("eval", "--mode", "float", "--f", "min", "[0,1]", "[1,1]"), "0 1 1"),
     (("check", "--f", "min", "--resolution", "2"), "4 0 4"),
+    (("idempotent", "--mode", "float", "--f", "min", "--resolution", "2"),
+     "0 4 4"),
+    (("idempotent", "--f", "min", "--resolution", "2"), "4 0 4"),
 ], ids=["build", "float-check", "float-check-fail", "float-prop2",
-        "float-eval", "exact-check"])
+        "float-eval", "exact-check", "float-idempotent", "exact-idempotent"])
 def test_a_run_traces_only_the_kernels_it_compiles(argv, counts):
     """Building an ingredient traces nothing, so a float run traces no
     exact code, and each kernel a run compiles is traced once: G, phi, F and
-    the sweep for each homogeneity check, and the evaluators of F, G and
-    phi for a counterexample."""
+    the sweep for each homogeneity check, G (pi2), phi, H (X1) and the
+    sweep for idempotency, and the evaluators of F, G and phi for a
+    counterexample."""
     proc = run_python("-c", TRACE_PROBE, *argv)
     assert proc.returncode in (0, 1) and proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == counts
@@ -778,6 +782,9 @@ def test_deepest_expression_runs_below_a_padded_stack(command, depth, code):
     (("prop2", "--f", "min", "--resolution", "2", "--output", "csv"), 0),
     (("dual", "--f", "min", "--resolution", "2"), 0),
     (("eval", "--f", "min", "[0,1]", "[1,1]"), 0),
+    # argparse writes the help into stdout's buffer, which main flushes
+    pytest.param(("-h",), 0, id="help"),
+    pytest.param(("check", "-h"), 0, id="check-help"),
 ], ids=lambda v: v if isinstance(v, int) else v[0])
 def test_closed_stdout_ends_the_run_quietly(unbuffered, argv, code):
     """A reader that closed the pipe before the command wrote (here, before

@@ -24,9 +24,9 @@ from ivhom.expr import (
     parse_expr,
 )
 from ivhom.functions import P, get_function
-from ivhom.gate import MAX_DEPTH
+from ivhom.gate import MAX_DEPTH, MAX_POW_EXPONENT
 from ivhom.homogeneity import make_grid
-from ivhom.interval import Interval, IntervalError
+from ivhom.interval import FLOAT, Interval, IntervalError
 
 GRID = make_grid(3).points
 
@@ -226,13 +226,44 @@ def test_bad_expression_fails_at_construction(monkeypatch, make, node, error,
     (lambda: Proj(-1), "proj index must be >= 1, got -1"),
     # `pow` is a node of its own, which carries its exponent
     (lambda: Call("pow", (Var(1), Var(1))), "unknown operation 'pow'"),
-], ids=["F-X3", "F-L", "G-X2", "phi-L", "phi-proj", "X0", "proj", "pow"])
+    # the arguments of a call, and a power's exponent, with the parser's
+    # wording where it has the rule; the parser asks `min`, `max`, `mul`
+    # and `psum` for 2 arguments, but the registry builds them on one
+    (lambda: Call("min", ()), "min needs at least one argument"),
+    (lambda: Call("mean", ()), "mean needs at least one argument"),
+    (lambda: Call("neg", ()), "neg takes exactly one argument"),
+    (lambda: Call("neg", (Var(1), Var(1))), "neg takes exactly one argument"),
+    (lambda: IVFunction("f", 1, Pow(Var(1), 0)),
+     "pow exponent must be a positive integer"),
+    (lambda: Pow(Var(1), -1), "pow exponent must be a positive integer"),
+    (lambda: Pow(Var(1), MAX_POW_EXPONENT + 1),
+     f"pow exponent {MAX_POW_EXPONENT + 1} exceeds the limit of "
+     f"{MAX_POW_EXPONENT}"),
+], ids=["F-X3", "F-L", "G-X2", "phi-L", "phi-proj", "X0", "proj", "pow",
+        "min-none", "mean-none", "neg-none", "neg-two", "F-pow-0", "pow-neg",
+        "pow-past-limit"])
 def test_bad_node_or_variable_is_an_expr_error(make, message):
-    """A node checks its index and op, and an ingredient every variable its
-    expression reads, when each is built."""
+    """A node checks its index, its op, its argument count and its
+    exponent, and an ingredient every variable its expression reads, when
+    each is built."""
     with pytest.raises(ExprError) as exc:
         make()
     assert str(exc.value) == message
+
+
+def test_diagonal_reads_x1_for_every_variable():
+    """`diagonal` puts X1 in place of every X<k> and proj(k), under `neg`
+    and `pow` alike, and keeps constants; the result at X is F at
+    (X,...,X)."""
+    third = Const(Fraction(1, 3), Fraction(2, 3))
+    node = Call("mean", (Proj(3), Call("neg", (Var(2),)), Pow(Var(3), 2), third))
+    x1 = Var(1)
+    assert expr.diagonal(node) == Call(
+        "mean", (x1, Call("neg", (x1,)), Pow(x1, 2), third))
+    assert expr.diagonal(third) is third
+    f, diag = IVFunction("f", 3, node), IVFunction("d", 1, expr.diagonal(node))
+    for x in [*GRID, *make_grid(3, FLOAT).points]:
+        assert diag(x) == f(x, x, x)
 
 
 def test_node_hash_is_cached_and_does_not_recurse():

@@ -207,7 +207,7 @@ def test_separable_failure_matches_reference(f_src, g_src, kind, mode):
     f = compile_ivfunction(parse_expr(f_src, arity), arity, name=f_src)
     g = compile_scaling(parse_expr(g_src, 1), name=g_src)
     grid = make_grid(RESOLUTION[arity], mode)
-    assert all(len(p) <= 1 for p in _homogeneity_law(f, g, IDENTITY))
+    assert all(len(p) <= 1 for p in _homogeneity_law(f, g, IDENTITY, f))
     assert _kind(*first_failures(f, g, IDENTITY, grid)) == kind
     report = check_homogeneity(f, g, IDENTITY, grid)
     assert report.verdict == "fail"
@@ -258,6 +258,11 @@ PATHS = (
     (MIN2, _dsl_scaling("mul(neg(L),X1)"), IDENTITY, EXACT, [O, E, E]),
     (_dsl("mul(X1,neg(X2))"), P, IDENTITY, FLOAT, [M, E, O]),
     (MIN2, _dsl_scaling("mul(L,max(X1,neg(X1)))"), IDENTITY, EXACT, [E, M, M]),
+    # a variable the law does not read: L under pi2, X2 of proj_1
+    (MIN2, PI2, IDENTITY, EXACT, [set(), E, E]),
+    (_dsl("mul(X1,neg(X2))"), PI2, IDENTITY, FLOAT, [set(), E, O]),
+    (get_function("proj_1", 2), P, IDENTITY, FLOAT, [E, E, set()]),
+    (get_function("proj_1", 2), P_NS, IDENTITY, EXACT, [E, E, set()]),
 )
 
 
@@ -286,9 +291,10 @@ def count_kernels(monkeypatch):
 )
 def test_sweep_path_follows_ir(monkeypatch, f, g, phi, mode, law):
     """Each of L, X1..Xn with one parity of `neg`s above it is swept on the
-    m+1 degenerate points only, and one with both parities on the full
-    grid, in both modes."""
-    assert _homogeneity_law(f, g, phi) == law
+    m+1 degenerate points only, one with both parities on the full grid,
+    and one the law does not read on the one point [0,0], in both
+    modes."""
+    assert _homogeneity_law(f, g, phi, f) == law
     grid = make_grid(3, mode)
     # compile the kernels that evaluate Intervals for the counterexample
     # first: then the counts below are the sweep's alone
@@ -296,9 +302,10 @@ def test_sweep_path_follows_ir(monkeypatch, f, g, phi, mode, law):
     f(*(x,) * f.arity), g(x, x), phi(x)
     compiles, calls = count_kernels(monkeypatch)
     report = check_homogeneity(f, g, phi, grid)
-    pl, *px = (len(grid) if p == M else 4 for p in law)
-    # the F table, a G row per distinct X point list (all s grid points, or
-    # the m+1 = 4 degenerate ones) and phi per Λ, and one call of the sweep
+    pl, *px = (len(grid) if p == M else 4 if p else 1 for p in law)
+    # the F table, a G row per distinct X point list (all s grid points,
+    # the m+1 = 4 degenerate ones, or [0,0]) and phi per Λ, and one call of
+    # the sweep
     assert calls[0] == math.prod(px) + pl * (sum(set(px)) + 1) + 1
     assert compiles[0] == 4  # G, phi, F, and the sweep
     assert report == reference_sweep(f, g, phi, grid)
@@ -346,7 +353,7 @@ PARITY_LAWS = (
 def test_parity_law_matches_reference(f_src, g_src, phi, law, kind, mode):
     f, g = _dsl(f_src), _dsl_scaling(g_src)
     grid = make_grid(RESOLUTION[f.arity], mode)
-    assert _homogeneity_law(f, g, phi) == law
+    assert _homogeneity_law(f, g, phi, f) == law
     firsts = first_failures(f, g, phi, grid)
     assert (_kind(*firsts) if any(firsts) else "pass") == kind
     assert check_homogeneity(f, g, phi, grid) == reference_sweep(f, g, phi, grid)
@@ -393,7 +400,7 @@ def test_float_psum_ulp_step_matches_reference():
     f = compile_ivfunction(
         Call("max", (Call("min", (psum, zero)), Var(1))), 1)
     grid = make_grid(2, FLOAT)
-    assert _homogeneity_law(f, g, IDENTITY) == [set(), set()]  # G reads neither
+    assert _homogeneity_law(f, g, IDENTITY, f) == [set(), set()]  # G reads neither
     report = check_homogeneity(f, g, IDENTITY, grid)
     assert report.verdict == "pass"
     assert report == reference_sweep(f, g, IDENTITY, grid)
@@ -413,18 +420,20 @@ def test_each_kernel_is_compiled_once(monkeypatch, mode):
     assert compiles[0] == 4
     equal_on_grid(min2, mean2, grid)
     assert compiles[0] == 4 + 2
+    # idempotency is a law of the one sweep too: it compiles G (pi2), phi,
+    # H (X1) and the sweep, which traces F(X1,...,X1) inline
     check_idempotency(mean2, grid)
-    assert compiles[0] == 4 + 2 + 1
+    assert compiles[0] == 4 + 2 + 4
     # fixed point and bijectivity evaluate Intervals, through the kernels of
     # F and G for the mode, compiled on their first call and kept; each
-    # homogeneity step compiles G, phi, F and the sweep
+    # homogeneity and idempotency step compiles G, phi, F or H and the sweep
     run_theorem1(mean2, p, grid.points[-1], grid)
     run_theorem1(mean2, p, grid.points[-1], grid)
-    assert compiles[0] == 7 + 2 * (4 + 1) + 2
+    assert compiles[0] == 10 + 2 * (4 + 4) + 2
     # a failing check also compiles the evaluators its counterexample calls:
     # those of F and phi; G's was compiled for bijectivity
     assert not check_homogeneity(product2, p, phi, grid).passed
-    assert compiles[0] == 19 + 4 + 2
+    assert compiles[0] == 28 + 4 + 2
 
 
 _unit_doubles = st.floats(0.0, 1.0)
@@ -514,6 +523,27 @@ def reference_idempotency(f, grid):
             cex = Counterexample(None, (x,), out, x)
     return CheckReport("idempotency", "pass" if cex is None else "fail", cex,
                        len(grid), max_dev, mode, grid.resolution)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.kind)
+@pytest.mark.parametrize("src", ("min(X1,X2)", "mul(X1,neg(X2))",
+                                 "mean(X2,proj(1),[1/3,2/3])"))
+def test_idempotency_is_one_run_of_the_sweep(monkeypatch, src, mode):
+    """Idempotency is the law F(X1,...,X1) = X1 of the one generated loop,
+    with G = pi2: `check_idempotency` builds one sweep, for F(X1,...,X1)
+    and pi2, and runs it once."""
+    from ivhom import homogeneity
+
+    runs, sweep = [], homogeneity.sweep
+
+    def recording(f, g, dens):
+        fn, den = sweep(f, g, dens)
+        return (lambda *args: runs.append((f.expr, g)) or fn(*args)), den
+
+    monkeypatch.setattr(homogeneity, "sweep", recording)
+    f, grid = _dsl(src), make_grid(3, mode)
+    assert check_idempotency(f, grid) == reference_idempotency(f, grid)
+    assert runs == [(expr.diagonal(f.expr), PI2)]
 
 
 IDEMPOTENCY_FS = [
@@ -698,8 +728,12 @@ def test_exact_kernel_equals_interval_evaluation(node, args, scale):
     lo, hi = fn(*xs)
     assert (Fraction(lo, den), Fraction(hi, den)) == (want.lo, want.hi)
     assert f(*intervals) == want
-    scaled, out_den = f.kernel(dens, den * scale)
-    assert out_den == den * scale and scaled(*xs) == (lo * scale, hi * scale)
+    # beside a part over denominator `scale`, the results are scaled to the
+    # lcm of the two, so the kernels of both compare as integers
+    other = compile_ivfunction(Const(Fraction(0), Fraction(1, scale)), 3)
+    (scaled, _), common = expr.kernels([(f, dens), (other, dens)])
+    k = math.lcm(den, scale) // den
+    assert common == den * k and scaled(*xs) == (lo * k, hi * k)
 
 
 @settings(max_examples=300, deadline=None)
