@@ -2,20 +2,21 @@
 
 Built-in and user-defined IV-functions, scalings and order isomorphisms are
 all ASTs over the nodes below; `dsl` parses the `expr:` sources. `_compile`
-is the one place an AST becomes a callable: a scalar-endpoint kernel
-(`kernel`), or the fused loop of one law of homogeneity's shape (`sweep`),
-which also checks idempotency. The kernels serve the sweeps of
-`homogeneity` and `__call__` on `Interval`s. An exact
+is the one place an AST becomes a callable: a scalar-endpoint kernel of one
+ingredient (`_Compiled.kernel`), or the fused loop of one law of
+homogeneity's shape (`sweep`), which also checks idempotency. The kernels
+serve the sweeps of `homogeneity` and `__call__` on `Interval`s. An exact
 call passes the `Fraction` endpoints themselves as numerators over
 denominator 1, which a kernel built only of ring ops, comparisons and int
 literals evaluates exactly; a float call passes the doubles.
 
 An AST is valid once built: each node checks its op, constant, index and
 depth (`gate.MAX_DEPTH`), and each ingredient its variables. It is traced
-only when a kernel is compiled, each mode's `Interval` evaluator on its
-first call: a passing `check` traces G, phi, F and its sweep, so a float
-run traces no exact code. Exact numbers come from `interval.fraction`, so a
-float run with no DSL constant loads no `fractions`.
+only when a kernel is compiled, and an ingredient compiles its kernel
+once for each set of parameter denominators and keeps it. A passing
+`check` traces G, phi, F and its sweep, so a float run traces no exact
+code. Exact numbers come from `interval.fraction`, so a float run with no
+DSL constant loads no `fractions`.
 
 Every op is representable: each endpoint of its result comes from one
 scalar formula, over the same endpoint of its arguments, or for `neg` over
@@ -407,9 +408,10 @@ class _Compiled(_Value):
     """The compiled forms of an ingredient's `expr` over its `params`: slots
     of this base, so the ingredient's equality and hash leave them out.
 
-    `fns` holds the (kernel, denominator) that evaluates `Interval`s, one
-    per mode (`evaluator`), each traced and compiled when it is first asked
-    for. Construction traces nothing.
+    `fns` maps the `dens` of each kernel asked for (`kernel`) to its
+    (kernel, denominator), traced and compiled on the first request and
+    kept after that, so no kernel is compiled twice. Construction traces
+    nothing.
     """
 
     __slots__ = ("params", "fns")
@@ -423,62 +425,43 @@ class _Compiled(_Value):
             raise ExprError(misuse if "L" in used | set(params)
                             else _past_arity(used, len(params)))
         _set(self, "params", params)
-        _set(self, "fns", [None, None])
+        _set(self, "fns", {})
 
     def __call__(self, *xs: Interval) -> Interval:
         """The value at one Interval per parameter, in the mode of the
-        first one's endpoints."""
+        first one's endpoints: the kernel over `Fraction` endpoints, as
+        numerators over denominator 1, or over doubles."""
         if len(xs) != len(self.params):
             raise TypeError(f"{self.name} expects {len(self.params)} "
                             f"argument(s), got {len(xs)}")
         is_float = isinstance(xs[0].lo, float)
-        fn, den = self.evaluator(is_float)
+        fn, den = self.kernel(None if is_float else (1,) * len(xs))
         lo, hi = fn(*((x.lo, x.hi) for x in xs))
         if is_float:
             return Interval(lo, hi)
         return Interval(fraction(lo, den), fraction(hi, den))
 
-    def evaluator(self, is_float: bool) -> tuple[Callable, int]:
-        """The (kernel, denominator) that evaluates `Interval` endpoints of
-        one mode: `Fraction`s, as numerators over denominator 1, or doubles,
-        over 1. Each is compiled on its first call, and once."""
-        if self.fns[is_float] is None:
-            self.fns[is_float] = self.kernel(
-                None if is_float else (1,) * len(self.params))
-        return self.fns[is_float]
-
     def kernel(self, dens: tuple[int, ...] | None = None) -> tuple[Callable, int]:
-        """The scalar-endpoint function and the denominator of its results,
-        as `kernels` compiles them."""
-        (fn,), den = kernels([(self, dens)])
-        return fn, den
+        """The scalar-endpoint kernel and the denominator of its results,
+        compiled once for each `dens`.
 
-
-def kernels(parts) -> tuple[list[Callable], int]:
-    """The scalar-endpoint kernel of each (ingredient, dens) part, each
-    compiled once, and the one denominator of all their results.
-
-    A kernel takes one (lo, hi) tuple per parameter and returns one (lo, hi)
-    tuple. `dens` holds each parameter's denominator in exact mode and is
-    None in float mode, where the denominator is 1. Exact results are
-    scaled to the lcm of every part's own denominator, so the kernels of
-    two parts compare as integers.
-    """
-    traced = []
-    for x, dens in parts:
-        t = _ScalarTarget(dens is not None)
-        env = {p: (p, d, 0) for p, d in zip(
-            x.params, dens or (1,) * len(x.params), strict=True)}
-        traced.append((x, t, _trace(x.expr, t, env)))
-    den = lcm(*(lo[1] for *_, (lo, _) in traced)) if traced[0][1].exact else 1
-    fns = []
-    for x, t, refs in traced:
-        lo, hi = (t.scaled(r, den) for r in refs)
-        fns.append(_compile([f"def fn({', '.join(x.params)}):",
-                             *(f"    {p}l, {p}h = {p}" for p in x.params),
-                             *_indent(t.lines[0], 1),
-                             f"    return ({lo}, {hi})"], t.env))
-    return fns, den
+        The kernel takes one (lo, hi) tuple per parameter and returns one
+        (lo, hi) tuple. `dens` holds each parameter's denominator in exact
+        mode and is None in float mode, where every denominator is 1.
+        """
+        if dens not in self.fns:
+            t = _ScalarTarget(dens is not None)
+            env = {p: (p, d, 0) for p, d in zip(
+                self.params, dens or (1,) * len(self.params), strict=True)}
+            refs = _trace(self.expr, t, env)
+            den = refs[0][1]
+            lo, hi = (t.scaled(r, den) for r in refs)
+            fn = _compile([f"def fn({', '.join(self.params)}):",
+                           *(f"    {p}l, {p}h = {p}" for p in self.params),
+                           *_indent(t.lines[0], 1),
+                           f"    return ({lo}, {hi})"], t.env)
+            self.fns[dens] = fn, den
+        return self.fns[dens]
 
 
 def sweep(f: "IVFunction", g: "ScalingFunction",

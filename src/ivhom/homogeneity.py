@@ -8,12 +8,12 @@ grid order.
 A grid is its resolution m and its numeric mode. The engine names a grid
 point by its numerator pair (i, j) over m, i <= j, and grid order is the
 order of the pairs. The sweeps run on the scalar kernels of `expr`
-(`IVFunction.kernel`), on the pairs themselves in exact mode and on the
-doubles (i/m, j/m) in float mode. Homogeneity and idempotency are each a
-law F(G(L,X1),...,G(L,Xn)) = G(phi(L), H(X1,...,Xn)) (`_sweep_law`),
-checked in the one loop that `expr.sweep` generates for it; the comparison
-of two functions (`equal_on_grid`) is a yes/no scan that stops at the
-first difference. Each variable with one parity of `neg`s above it is
+(`IVFunction.kernel`, each compiled once for its denominators), on the
+pairs themselves in exact mode and on the doubles (i/m, j/m) in float
+mode. Homogeneity and idempotency are each a law F(G(L,X1),...,G(L,Xn)) =
+G(phi(L), H(X1,...,Xn)) (`_sweep_law`), checked in the one loop that
+`expr.sweep` generates for it; the comparison of two functions
+(`equal_on_grid`) is a yes/no scan that stops at the first difference. Each variable with one parity of `neg`s above it is
 swept on the m+1 degenerate pairs (a, a) alone, one with both parities on
 all s pairs, and one the law does not read on the pair (0, 0)
 (`_coordinates`), which covers every grid tuple by construction. An
@@ -31,7 +31,7 @@ import itertools
 from bisect import bisect_left
 from typing import Callable, Optional
 
-from .expr import diagonal, kernels, parities, sweep
+from .expr import diagonal, parities, sweep
 from .gate import UnsupportedModeError, grid_size
 from .interval import EXACT, Interval, Number, NumericMode, _Value, fraction
 from .functions import (
@@ -286,19 +286,21 @@ def check_homogeneity(
 
 def equal_on_grid(f: IVFunction, h: IVFunction, grid: Grid) -> bool:
     """Whether F and H (of one arity) agree on all s^n grid tuples, by the
-    equality rule of `_sweep_law`, on the kernels of both over one
-    denominator. Each X_i sweeps the pairs that `_coordinates` gives for
-    its parities in F and H together, and the scan stops at the first
-    difference."""
+    equality rule of `_sweep_law`, on the kernels of both. Each result is
+    compared cross-multiplied by the other kernel's denominator: in exact
+    mode that compares the two values, and in float mode both denominators
+    are 1, so the doubles compare as they are. Each X_i sweeps the pairs
+    that `_coordinates` gives for its parities in F and H together, and
+    the scan stops at the first difference."""
     pf, ph = parities(f.expr), parities(h.expr)
     coords = _coordinates(grid.resolution, [pf.get(p, set()) | ph.get(p, set())
                                             for p in f.params])
     dens = _dens(grid, *(grid.resolution,) * f.arity)
-    (f_fn, h_fn), _ = kernels([(f, dens), (h, dens)])
+    (f_fn, df), (h_fn, dh) = f.kernel(dens), h.kernel(dens)
     tol = _tolerance(grid.mode)
     for xs in itertools.product(*_sweep_points(grid, coords)):
         (a, b), (c, d) = f_fn(*xs), h_fn(*xs)
-        if abs(a - c) > tol or abs(b - d) > tol:
+        if abs(a * dh - c * df) > tol or abs(b * dh - d * df) > tol:
             return False
     return True
 
@@ -332,9 +334,10 @@ def check_section_bijective(g: ScalingFunction, a: Interval,
     point is attained up to numeric equality). This certifies the premise
     on the grid only; it proves nothing about the continuum.
 
-    The images are the results of G's `Interval` evaluator kernel, grouped
-    by value, so exact mode takes O(s) steps; a target is a grid point
-    over that kernel's denominator. In float mode, where eps-equality is
+    The images are the results of the kernel of G that `Interval`
+    evaluation runs (`ScalingFunction.__call__`), grouped by value, so
+    exact mode takes O(s) steps; a target is a grid point over that
+    kernel's denominator. In float mode, where eps-equality is
     not transitive, distinct values are also compared with their
     neighbours within eps, which `_float_lookup` finds by bisection. A
     collision is reported as the lexicographically smallest colliding pair
@@ -342,10 +345,10 @@ def check_section_bijective(g: ScalingFunction, a: Interval,
     """
     mode, m = grid.mode, grid.resolution
     grid_pairs = _pairs(m)
-    # the endpoints of each grid point as the evaluator takes them
+    # the endpoints of each grid point as `Interval` evaluation passes them
     values = [fraction(i, m) if mode.is_exact else i / m for i in range(m + 1)]
     points = [(values[i], values[j]) for i, j in grid_pairs]
-    fn, den = g.evaluator(not mode.is_exact)
+    fn, den = g.kernel(_dens(grid, 1, 1))
     images = [fn(x, (a.lo, a.hi)) for x in points]
 
     def report(cex: Optional[Counterexample], note: str) -> CheckReport:

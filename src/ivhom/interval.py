@@ -6,8 +6,8 @@ pure and preserve the numeric type of their inputs (exact stays exact).
 Every exact number of the package is made by `fraction`, which imports
 `fractions` (and with it `decimal` and `numbers`) on its first call. So a
 float run that reads no interval literal and no DSL constant never loads
-them. The pattern of an interval literal is compiled on first use, and the
-orders of intervals live in `algebra`, which no command imports.
+them. The pattern of an interval literal is compiled on first use. No
+command compares intervals by an order, so the package defines none.
 """
 
 from __future__ import annotations

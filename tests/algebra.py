@@ -1,15 +1,15 @@
 """Orders on closed subintervals of [0,1]: the componentwise partial order
 and three admissible total orders that refine it.
 
-No command compares intervals by an order, so no command imports this
-module.
+No command compares intervals by an order, so the orders live beside the
+tests that check them, and the package has none.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .interval import Interval
+from ivhom.interval import Interval
 
 
 class Ordering(enum.Enum):

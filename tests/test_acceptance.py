@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from ivhom.algebra import Ordering, compare
+from algebra import Ordering, compare
 from ivhom.cli import main as cli_main
 from ivhom.interval import (
     Interval,

@@ -554,24 +554,77 @@ sys.exit(code)
     ((), "0 0 0"),
     (("check", "--mode", "float", "--f", "min", "--resolution", "2"), "0 4 4"),
     (("check", "--mode", "float", "--f", "product", "--resolution", "2"),
-     "0 7 7"),
-    (("prop2", "--mode", "float", "--f", "min", "--resolution", "2"), "0 8 8"),
+     "0 4 4"),
+    (("prop2", "--mode", "float", "--f", "min", "--resolution", "2"), "0 7 7"),
     (("eval", "--mode", "float", "--f", "min", "[0,1]", "[1,1]"), "0 1 1"),
     (("check", "--f", "min", "--resolution", "2"), "4 0 4"),
     (("idempotent", "--mode", "float", "--f", "min", "--resolution", "2"),
-     "0 4 4"),
-    (("idempotent", "--f", "min", "--resolution", "2"), "4 0 4"),
+     "0 3 3"),
+    (("idempotent", "--f", "min", "--resolution", "2"), "3 0 3"),
 ], ids=["build", "float-check", "float-check-fail", "float-prop2",
         "float-eval", "exact-check", "float-idempotent", "exact-idempotent"])
 def test_a_run_traces_only_the_kernels_it_compiles(argv, counts):
     """Building an ingredient traces nothing, so a float run traces no
     exact code, and each kernel a run compiles is traced once: G, phi, F and
-    the sweep for each homogeneity check, G (pi2), phi, H (X1) and the
-    sweep for idempotency, and the evaluators of F, G and phi for a
-    counterexample."""
+    the sweep for each homogeneity check, G (pi2), phi (the identity, whose
+    kernel serves H = X1 too) and the sweep for idempotency, and a kernel
+    over denominator 1 of F, G or phi for an exact counterexample. A float
+    counterexample finds the sweep's kernels kept, and the dual step of
+    `prop2` the identity's."""
     proc = run_python("-c", TRACE_PROBE, *argv)
     assert proc.returncode in (0, 1) and proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == counts
+
+
+#: the kernels that `expr._compile` compiles in a fresh process, each keyed
+#: by its ingredient and the `dens` that `_Compiled.kernel` was asked for
+#: (a sweep, compiled outside it, has no key); prints those compiled more
+#: than once, by name
+KEY_PROBE = """
+import sys, ivhom.expr as e
+kernel, compile_ = e._Compiled.kernel, e._compile
+within, kept, compiled = [None], [], []
+def keyed(self, dens=None):
+    kept.append(self)  # alive to the end, so that no id is reused
+    within.append((self.name, id(self), dens))
+    try:
+        return kernel(self, dens)
+    finally:
+        within.pop()
+def recording(*args):
+    if within[-1] is not None:
+        compiled.append(within[-1])
+    return compile_(*args)
+e._Compiled.kernel, e._compile = keyed, recording
+import ivhom.cli as cli
+code = cli.main(sys.argv[1:])
+print(sorted({(name, dens) for name, i, dens in compiled
+              if compiled.count((name, i, dens)) > 1}))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("argv", [
+    ("check", "--f", "min"), ("check", "--f", "product"),
+    ("theorem1", "--f", "min"), ("theorem1", "--f", "product"),
+    ("prop2", "--f", "min"), ("prop2", "--f", "product"),
+    ("dual", "--f", "expr:mean(X1,X1)", "--arity", "2"),
+    ("dual", "--f", "expr:mul(X1,neg(X2))", "--arity", "2"),
+    ("idempotent", "--f", "min"), ("idempotent", "--f", "product"),
+    ("eval", "--f", "min", "[0,1/2]", "[1/3,1]"),
+], ids=" ".join)
+def test_no_run_compiles_a_kernel_twice(argv, mode):
+    """Each ingredient keeps the kernel it compiles for a set of
+    denominators, so no run of any command, passing or failing, compiles
+    the same kernel twice: `theorem1` asks for the identity's kernel over m
+    three times, as phi of its homogeneity step and as phi and H of its
+    idempotency step, and compiles it once."""
+    grid = () if argv[0] == "eval" else ("--resolution", "2")
+    proc = run_python("-c", KEY_PROBE, *argv, *grid, "--mode", mode,
+                      "--output", "text")
+    assert proc.returncode in (0, 1) and proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("command", ["prop2", "dual"])

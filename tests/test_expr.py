@@ -200,16 +200,16 @@ def test_bad_expression_fails_at_construction(monkeypatch, make, node, error,
     """A node checks its op and its constant when it is built, and an
     ingredient its variables, tracing nothing. An exact literal past
     Python's digit limit is met only when the exact kernel is traced, and
-    the float evaluator of the same ingredient works."""
+    the float kernel of the same ingredient works."""
     monkeypatch.setattr(_Recording, "traced", [])
     monkeypatch.setattr(expr, "_ScalarTarget", _Recording)
     made = []
     with pytest.raises(error, match=message):
         made.append(make(node()))
-        made[0].evaluator(False)
+        made[0].kernel((1,) * len(made[0].params))
     assert len(made) == built and _Recording.traced == [True] * built
     if built:
-        fn, _ = made[0].evaluator(True)
+        fn, _ = made[0].kernel(None)
         assert fn(*[(0.5, 0.5)] * len(made[0].params)) == (0.0, 0.5)
 
 

@@ -138,7 +138,7 @@ def test_square_iso_round_trip_float():
 
 
 def test_isos_fix_bounds_and_preserve_order():
-    from ivhom.algebra import Ordering, compare
+    from algebra import Ordering, compare
 
     for iso in (IDENTITY, SQUARE):
         assert iso(Interval(0, 0)) == Interval(0, 0)

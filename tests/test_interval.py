@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ivhom.algebra import Ordering, compare
+from algebra import Ordering, compare
 from ivhom.interval import (
     EXACT,
     FLOAT,

@@ -52,6 +52,7 @@ from ivhom.homogeneity import (
     Counterexample,
     _float_lookup,
     _homogeneity_law,
+    _sweep_law,
     check_homogeneity,
     check_idempotency,
     check_section_bijective,
@@ -266,6 +267,24 @@ PATHS = (
 )
 
 
+@pytest.fixture
+def uncompiled():
+    """Empty the kernels that the registry's singletons keep for the life of
+    the process, before the test and after it, so that the test's compile
+    counts do not depend on the tests that ran before it."""
+    singletons = (P, P_NS, PI2, IDENTITY, SQUARE)
+    for x in singletons:
+        x.fns.clear()
+    yield
+    for x in singletons:
+        x.fns.clear()
+
+
+def _uncompiled(x):
+    """An ingredient equal to `x` that has compiled no kernel yet."""
+    return type(x)(*x._values())
+
+
 def count_kernels(monkeypatch):
     """Count the functions `expr._compile` generates, and their calls."""
     compiles, calls = [0], [0]
@@ -296,19 +315,17 @@ def test_sweep_path_follows_ir(monkeypatch, f, g, phi, mode, law):
     modes."""
     assert _homogeneity_law(f, g, phi, f) == law
     grid = make_grid(3, mode)
-    # compile the kernels that evaluate Intervals for the counterexample
-    # first: then the counts below are the sweep's alone
-    x = grid.points[0]
-    f(*(x,) * f.arity), g(x, x), phi(x)
+    f, g, phi = map(_uncompiled, (f, g, phi))
     compiles, calls = count_kernels(monkeypatch)
-    report = check_homogeneity(f, g, phi, grid)
+    # the sweep alone, with no counterexample evaluated
+    _sweep_law(f, g, phi, f, grid)
     pl, *px = (len(grid) if p == M else 4 if p else 1 for p in law)
     # the F table, a G row per distinct X point list (all s grid points,
     # the m+1 = 4 degenerate ones, or [0,0]) and phi per Λ, and one call of
     # the sweep
     assert calls[0] == math.prod(px) + pl * (sum(set(px)) + 1) + 1
     assert compiles[0] == 4  # G, phi, F, and the sweep
-    assert report == reference_sweep(f, g, phi, grid)
+    assert check_homogeneity(f, g, phi, grid) == reference_sweep(f, g, phi, grid)
 
 
 #: laws with `neg`: (F, G, phi, the parities of L, X1..Xn, how the first
@@ -407,8 +424,8 @@ def test_float_psum_ulp_step_matches_reference():
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.kind)
-def test_each_kernel_is_compiled_once(monkeypatch, mode):
-    grid = make_grid(3, mode)
+def test_each_kernel_is_compiled_once(monkeypatch, uncompiled, mode):
+    grid, exact = make_grid(3, mode), mode.is_exact
     compiles, _ = count_kernels(monkeypatch)
     # construction traces no expression and compiles no kernel
     min2, mean2, product2 = (get_function(name, 2)
@@ -418,22 +435,28 @@ def test_each_kernel_is_compiled_once(monkeypatch, mode):
     # a passing check compiles G, phi, F and the sweep
     assert check_homogeneity(min2, p, phi, grid).passed
     assert compiles[0] == 4
+    # F's kernel over the grid's denominators is kept, so comparing F with
+    # another function compiles only the other's
     equal_on_grid(min2, mean2, grid)
-    assert compiles[0] == 4 + 2
-    # idempotency is a law of the one sweep too: it compiles G (pi2), phi,
-    # H (X1) and the sweep, which traces F(X1,...,X1) inline
+    assert compiles[0] == 4 + 1
+    # idempotency is a law of the one sweep too: it compiles G (pi2), phi
+    # (the identity), whose kernel serves H (X1) as well, and the sweep,
+    # which traces F(X1,...,X1) inline
     check_idempotency(mean2, grid)
-    assert compiles[0] == 4 + 2 + 4
-    # fixed point and bijectivity evaluate Intervals, through the kernels of
-    # F and G for the mode, compiled on their first call and kept; each
-    # homogeneity and idempotency step compiles G, phi, F or H and the sweep
+    assert compiles[0] == 5 + 3
+    # fixed point and bijectivity evaluate Intervals through the kernels of
+    # F and G over denominator 1, which in float mode are the kernels the
+    # sweeps use; the homogeneity and idempotency steps find every kernel
+    # kept, and compile only their sweeps
     run_theorem1(mean2, p, grid.points[-1], grid)
+    assert compiles[0] == 8 + 2 * exact + 2
     run_theorem1(mean2, p, grid.points[-1], grid)
-    assert compiles[0] == 10 + 2 * (4 + 4) + 2
-    # a failing check also compiles the evaluators its counterexample calls:
-    # those of F and phi; G's was compiled for bijectivity
+    assert compiles[0] == 10 + 2 * exact + 2
+    # a failing check compiles F and the sweep, and in exact mode also the
+    # kernels over denominator 1 that its counterexample calls: those of F
+    # and phi, as G's was compiled for bijectivity
     assert not check_homogeneity(product2, p, phi, grid).passed
-    assert compiles[0] == 28 + 4 + 2
+    assert compiles[0] == 12 + 2 * exact + 2 + 2 * exact
 
 
 _unit_doubles = st.floats(0.0, 1.0)
@@ -638,7 +661,7 @@ def test_float_bijectivity_lookup_matches_window_scan(g_src, a, eps, m, note):
     mode = NumericMode("float", eps)
     g, grid = compile_scaling(parse_expr(g_src, 1)), make_grid(m, mode)
     a = parse_interval(a, mode)
-    fn, _ = g.evaluator(True)
+    fn, _ = g.kernel(None)
     images = {fn((x.lo, x.hi), (a.lo, a.hi)) for x in grid.points}
     lookup, want = _float_lookup(images, eps), window_scan(images, eps)
     for x in [*images, *((t.lo, t.hi) for t in grid.points)]:
@@ -728,12 +751,18 @@ def test_exact_kernel_equals_interval_evaluation(node, args, scale):
     lo, hi = fn(*xs)
     assert (Fraction(lo, den), Fraction(hi, den)) == (want.lo, want.hi)
     assert f(*intervals) == want
-    # beside a part over denominator `scale`, the results are scaled to the
-    # lcm of the two, so the kernels of both compare as integers
+    # two kernels over different denominators compare cross-multiplied, as
+    # `equal_on_grid` compares them: mean(node,node) has f's values over
+    # twice its denominator, and the constant [0,1/scale] is over `scale`
+    twice = compile_ivfunction(Call("mean", (node, node)), 3)
+    fn2, den2 = twice.kernel(dens)
+    assert den2 == 2 * den
+    assert [x * den2 for x in (lo, hi)] == [x * den for x in fn2(*xs)]
     other = compile_ivfunction(Const(Fraction(0), Fraction(1, scale)), 3)
-    (scaled, _), common = expr.kernels([(f, dens), (other, dens)])
-    k = math.lcm(den, scale) // den
-    assert common == den * k and scaled(*xs) == (lo * k, hi * k)
+    fn3, den3 = other.kernel(dens)
+    assert den3 == scale
+    for x, y in zip((lo, hi), fn3(*xs)):
+        assert (x * den3 == y * den) == (Fraction(x, den) == Fraction(y, den3))
 
 
 @settings(max_examples=300, deadline=None)
