@@ -4,10 +4,11 @@ numeric modes, and the text form of numbers and intervals.
 Endpoints may be ints, floats, or `fractions.Fraction`; all operations are
 pure and preserve the numeric type of their inputs (exact stays exact).
 Every exact number of the package is made by `fraction`, which imports
-`fractions` (and with it `decimal` and `numbers`) on its first call. So a
-float run that reads no interval literal and no DSL constant never loads
-them. The pattern of an interval literal is compiled on first use. No
-command compares intervals by an order, so the package defines none.
+`fractions` (and with it `decimal` and `numbers`) on its first call. A
+float literal is read without it, so a float run that reads no DSL
+constant never loads them. The pattern of an interval literal is compiled
+on first use. No command compares intervals by an order, so the package
+defines none.
 """
 
 from __future__ import annotations
@@ -177,25 +178,42 @@ MAX_DIGITS = 4300
 
 
 def parse_number(text: str, mode: NumericMode = EXACT) -> Number:
-    """Parse a decimal ("0.25") or rational ("1/3") endpoint.
+    """Parse a decimal ("0.25") or rational ("1/3") endpoint: an optional
+    sign, then digits, with no "_" and no space inside.
 
     `Fraction` multiplies out 10 to the power of the exponent, so
     `1e999999999` would run for minutes. A literal whose digits and
-    exponent together pass `MAX_DIGITS` is refused before it is built."""
+    exponent together pass `MAX_DIGITS` is refused before it is built. In
+    float mode no `Fraction` is built: `float()` reads a decimal and
+    `int(p) / int(q)` a ratio, each correctly rounded, so the double is
+    bit for bit `float(Fraction(text))`, and each refuses what `Fraction`
+    refuses ("nan" and "inf" are not numbers here)."""
     text = text.strip()
     e = re.search(_EXPONENT, text)
+    mantissa = text[:e.start()] if e else text
     exponent = e.group(1).replace("_", "").lstrip("0") if e else ""
-    digits = sum(c.isdigit() for c in (text[:e.start()] if e else text))
-    if (len(exponent) > len(str(MAX_DIGITS))
-            or digits + int(exponent or 0) > MAX_DIGITS):
+    if (len(exponent) > len(str(MAX_DIGITS)) or sum(
+            c.isdigit() for c in mantissa) + int(exponent or 0) > MAX_DIGITS):
         shown = text if len(text) <= 40 else text[:37] + "..."
         raise IntervalError(f"cannot parse number {shown!r}: its digits and "
                             f"exponent exceed the limit of {MAX_DIGITS}")
+    num, slash, den = text.partition("/")
     try:
-        value = fraction(text)
+        # Python versions differ on whether Fraction reads "_" and spaces
+        # around "/": a literal may have neither, so it means the same on all
+        if "_" in text or text.split() != [text] or not mode.is_exact and (
+                "n" in text.lower() or slash and not den[:1].isdecimal()):
+            raise ValueError("expected a decimal or a ratio p/q")
+        if mode.is_exact:
+            return fraction(text)
+        value = int(num) / int(den) if slash else float(text)
+    except OverflowError:  # past the largest double, as float("1e400") is
+        value = float("-inf" if num[:1] == "-" else "inf")
     except (ValueError, ZeroDivisionError) as exc:
         raise IntervalError(f"cannot parse number {text!r}: {exc}") from exc
-    return mode.convert(value)
+    # Fraction has no -0, so -0 reads 0.0; a negative number that rounds to
+    # 0 reads -0.0, as float(Fraction(text)) gives
+    return value if value or any(c.isdigit() and int(c) for c in mantissa) else 0.0
 
 
 def parse_interval(text: str, mode: NumericMode = EXACT) -> Interval:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -7,9 +8,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import argparse_oracle
 import ivhom
-from ivhom.cli import _COMMANDS, build_parser, main
+from ivhom import cli
+from ivhom.cli import _COMMANDS, _FLAGS, main
 from ivhom.gate import MAX_DEPTH
 
 
@@ -432,20 +437,22 @@ def test_deeply_nested_expression_exit_2():
 def test_startup_imports_no_dataclasses():
     proc = run_python("-c", "import sys, ivhom.cli; ivhom.cli.build_parser(); "
                       "print([m for m in ('dataclasses', 'fractions', "
-                      "'ivhom.interval') if m in sys.modules])")
+                      "'ivhom.interval', 'argparse', 'gettext', 'locale') "
+                      "if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
 #: builds the parser, runs the command line on its arguments, if any, and
-#: prints which of the engine's modules it imported
+#: prints which of the engine's modules it imported, and whether it imported
+#: argparse, gettext or locale, which no command needs
 ENGINE_PROBE = """
 import sys, ivhom.cli as cli
 cli.build_parser()
 code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 engine = ("ivhom.interval", "fractions", "decimal", "numbers", "ivhom.dsl",
           "ivhom.expr", "ivhom.functions", "ivhom.homogeneity", "ivhom.report",
-          "json")
+          "json", "argparse", "gettext", "locale")
 print([m for m in engine if m in sys.modules])
 sys.exit(code)
 """
@@ -498,16 +505,18 @@ def test_refusal_loads_no_engine(argv, size, budget, loaded):
       "--resolution", "2", "--mode", "float", "--output", "text"),
      INTERVAL + ["ivhom.dsl"] + ENGINE),
     (("theorem1", "--f", "min", "--resolution", "2", "--mode", "float",
-      "--output", "text"), INTERVAL + ENGINE),
+      "--output", "text"), ["ivhom.interval"] + ENGINE),
+    (("eval", "--mode", "float", "--f", "min", "[0,1/3]", "[0.5,1e-0]"),
+     ["ivhom.interval"] + ENGINE[:2]),
 ], ids=["text", "csv", "json", "dual-text", "expr-f", "expr-g", "eval",
         "float", "float-fail", "float-expr-f", "float-constant",
-        "float-theorem1"])
+        "float-theorem1", "float-eval"])
 def test_modules_each_command_loads(argv, loaded):
     """Only `expr:` arguments compile the DSL front end, and only JSON output
-    loads `json`. `fractions` loads only for exact values, interval literals
-    (theorem1's `--a`) and DSL constants: a float run with registry or
-    constant-free `expr:` ingredients makes no exact number, even for a
-    counterexample."""
+    loads `json`. `fractions` loads only for exact values and DSL
+    constants: a float run reads its interval literals (theorem1's `--a`,
+    eval's arguments) without it, and one with registry or constant-free
+    `expr:` ingredients makes no exact number, even for a counterexample."""
     proc = run_python("-c", ENGINE_PROBE, *argv)
     assert proc.returncode in (0, 1) and proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == repr(loaded)
@@ -648,6 +657,39 @@ def test_dual_past_the_depth_limit_exit_2(command, depth):
                            f"than {MAX_DEPTH} levels\n")
 
 
+#: the command-line parser of earlier versions, which `cli.parse_args`
+#: must match; it is built once and reused, as argparse keeps no state
+#: between parses
+ORACLE = argparse_oracle.build_parser()
+
+
+def _outcome(parse, argv):
+    """What `parse` makes of `argv`: its fields, each value as its repr so
+    that nan equals nan and 0.0 differs from -0.0, or "help" or "error";
+    and what it wrote to stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            fields = parse(list(argv))
+        except SystemExit as exc:  # argparse: 0 after help, 2 for an error
+            fields = "error" if exc.code else "help"
+        except cli.UsageError:
+            fields = "error"
+    if fields is None:
+        fields = "help"
+    if isinstance(fields, dict):
+        fields = {key: repr(value) for key, value in fields.items()}
+    return fields, out.getvalue()
+
+
+def assert_parses_like_argparse(argv):
+    want, want_out = _outcome(lambda a: vars(ORACLE.parse_args(a)), argv)
+    got, got_out = _outcome(cli.parse_args, argv)
+    assert got == want
+    assert bool(got_out) == bool(want_out) == (want == "help")
+
+
 @pytest.mark.parametrize("argv", [
     ("-h",), *((command, "-h") for command in _COMMANDS),
     ("check", "--nope"), ("check", "--mode", "bad"),
@@ -656,17 +698,94 @@ def test_dual_past_the_depth_limit_exit_2(command, depth):
     ("check", "--f", "min", "--g", "P_NS", "--mode", "float"),
     ("eval", "--f", "min", "[0,1]", "[1,1]"),
 ], ids=lambda argv: " ".join(argv) or "no-command")
-def test_parser_of_one_subcommand_parses_like_the_full_parser(capsys, argv):
-    """`build_parser(argv)` adds only the flags of `argv`'s subcommand; its
-    output, exit code and result are those of the full parser."""
-    results = []
-    for parser in (build_parser(), build_parser(list(argv))):
-        try:
-            outcome = vars(parser.parse_args(list(argv)))
-        except SystemExit as exc:
-            outcome = exc.code
-        results.append((outcome, *capsys.readouterr()))
-    assert results[0] == results[1]
+def test_parser_of_one_subcommand_parses_like_the_full_parser(argv):
+    """`cli.parse_args` reads the flags of the named subcommand alone; its
+    help, exit code and result are those of the argparse parser of every
+    subcommand."""
+    assert_parses_like_argparse(argv)
+
+
+#: a flag: each name in full and by each prefix, --help's too, and options
+#: that no command has
+FLAGS = [f"--{n[:k]}" for n in (*_FLAGS, "help") for k in range(1, len(n) + 1)]
+#: values of each type and of none: numbers, negative numbers (only -1 and
+#: -.5 forms, which every supported argparse reads as values; releases
+#: differ on -1e-3, -1. and -1_0), choices and not, interval literals and
+#: words with a space or "=". No value is "--": Python 3.11's argparse
+#: reads --f=-- as f=[], and releases differ there too.
+VALUES = ["min", "P", "pi2", "expr:min(X1,X2)", "2", "0", "07", " 3 ", "\u0663",
+          "-1", "-12", "-.5", "-0.25", "1.5", "1e-3", "nan", "inf", "x", "",
+          "json", "csv", "text", "exact", "float", "bad", "[0,1]", "[1,1]",
+          "[0.2,0.5]", "a b", "-x y", "--f x", "--res=2 x", "-", "a=b"]
+
+
+@st.composite
+def command_lines(draw):
+    """Words that may ask for help or name an unknown option before the
+    command, the command (or none, or an unknown one), then flags: valid
+    pairs of the command's own flags, by name or prefix, mixed with any
+    flag, value, --flag=value, "--", -h and eval literals. "--" may not
+    come before the command, where argparse releases differ: 3.11's takes
+    it for the command."""
+    before = draw(st.sampled_from([[]] * 12 + [["-h"], ["--he"], ["--x"],
+                                                ["-x", "-hh"]]))
+    command = draw(st.sampled_from([*_COMMANDS, "frobnicate", None]))
+    names = _COMMANDS[command][1] + cli._COMMON if command in _COMMANDS else ()
+    typed = {int: ["1", "-3", "2", "0"], float: ["1e-9", "-.5", "0", "nan"]}
+    words = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 19))
+        if kind < 12 and names:  # a flag of the command with a value
+            name = draw(st.sampled_from(names))
+            flag = "--" + name[:draw(st.integers(1, len(name)))]
+            kind_, choices = _FLAGS[name][:2]
+            value = draw(st.sampled_from(
+                choices or typed.get(kind_) or ["min", "expr:min(X1,X2)", "[1,1]"]))
+            words += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+        elif kind < 15:
+            words += draw(st.lists(st.sampled_from(["[0,1]", "[1,1]", "x"]),
+                                   min_size=1, max_size=3))
+        elif kind == 15:
+            words.append(draw(st.sampled_from(["--", "--", "-h", "-hh", "--help",
+                                               "--h", "--=x", "--nope", "---"])))
+        elif kind < 18:
+            words.append(draw(st.sampled_from(FLAGS + VALUES)))
+        else:
+            words.append(draw(st.sampled_from(FLAGS + ["--"])) + "="
+                         + draw(st.sampled_from(VALUES)))
+    return [*before, *([command] if command else []), *words]
+
+
+@settings(max_examples=1200, deadline=None, derandomize=True)
+@given(command_lines())
+@example(["eval", "[0,1]", "--f", "min", "[1,1]"])
+@example(["eval", "--f", "min", "--", "[0,1]", "--", "-h"])
+@example(["eval", "--f", "min", "[0,1]", "--"])
+@example(["check", "--f", "min", "--"])
+@example(["theorem1", "--a", "[1,1]", "--ar", "1", "--a=[0,1]"])
+@example(["check", "--res", "2", "--o", "csv", "--epsilon", "-.5"])
+@example(["check", "--epsilon", "-1\n", "--resolution=-1"])
+@example(["idempotent", "--x", "-h", "--=x"])
+@example(["--x", "check", "-h"])
+def test_parser_reads_every_line_as_argparse_did(argv):
+    """On command lines that mix every command, flags by name and by prefix
+    (ambiguous ones too), --flag=value, repeats, negative numbers, -h and
+    --help, "--", stray values and eval literals: a line that argparse
+    accepts gives the same fields, one it refuses is refused, and one that
+    asks for help prints help."""
+    assert_parses_like_argparse(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--epsilon", "-1e-3"), ("check", "--f", "-1."),
+    ("check", "--budget", "-1_0"),
+])
+def test_a_number_argparse_did_not_read_is_an_option(capsys, argv):
+    """A word that starts with "-" is a value only when it is a negative
+    number by the pattern of the argparse of Python 3.10 and 3.11, -1 or
+    -.5, on every Python; so --epsilon -1e-3 stays an error."""
+    assert run(capsys, *argv) == (2, "", f"ivhom: error: {argv[1]} expects a "
+                                         "value\n")
 
 
 @pytest.mark.parametrize("argv,literal", [
@@ -835,7 +954,7 @@ def test_deepest_expression_runs_below_a_padded_stack(command, depth, code):
     (("prop2", "--f", "min", "--resolution", "2", "--output", "csv"), 0),
     (("dual", "--f", "min", "--resolution", "2"), 0),
     (("eval", "--f", "min", "[0,1]", "[1,1]"), 0),
-    # argparse writes the help into stdout's buffer, which main flushes
+    # the help goes to stdout through the same closed-pipe handling as reports
     pytest.param(("-h",), 0, id="help"),
     pytest.param(("check", "-h"), 0, id="check-help"),
 ], ids=lambda v: v if isinstance(v, int) else v[0])

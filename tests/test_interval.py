@@ -2,9 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from algebra import Ordering, compare
+from ivhom.gate import as_double
 from ivhom.interval import (
     EXACT,
     FLOAT,
@@ -16,6 +17,7 @@ from ivhom.interval import (
     join,
     meet,
     parse_interval,
+    parse_number,
     prob_sum,
     product,
 )
@@ -159,6 +161,66 @@ def test_parse_interval_rejects_garbage():
     for bad in ("0.2,0.5", "[0.2;0.5]", "[0.2,0.5", "[a,b]"):
         with pytest.raises(IntervalError):
             parse_interval(bad)
+
+
+#: pieces of number literals: signs, ASCII and Arabic-Indic digits, points,
+#: exponents, "/", "_", spaces, long runs of digits, and words that float()
+#: reads and Fraction does not
+NUMBER_PIECES = ["-", "+", "0", "1", "7", "12", "\u0663", "\u0660", ".", "5",
+                 "e", "E", "400", "/", "_", " ", "\t", "0" * 30, "9" * 20,
+                 "nan", "inf", "Infinity", "iNF", "x"]
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(NUMBER_PIECES), max_size=7).map("".join))
+@example("1/0")
+@example("1/-3")
+@example("1/+3")
+@example("-0")
+@example("-0e5")
+@example("-0/3")
+@example("-1e-400")
+@example("-" + "0." + "0" * 400 + "1")
+@example("1" * 400 + "/1")
+@example("-" + "1" * 400 + "/1")
+@example("1e400")
+@example("-1e400")
+@example("1_0")
+@example("1 /2")
+@example("1/ 2")
+@example(" 1/2\t")
+@example("\u0663/\u0667")
+@example("5e-324")
+@example("2.4703282292062328e-324")
+@example("9007199254740993")
+@example("1/3")
+def test_float_literal_reads_as_its_fraction(text):
+    """A float literal is read without `Fraction`, bit for bit the double
+    of the exact value (-0.0 and inf too), and the float reading refuses
+    exactly what the exact one refuses: `_`, a space inside, "nan" and
+    "inf" on every Python."""
+    try:
+        exact = parse_number(text, EXACT)
+    except IntervalError:
+        exact = None
+    try:
+        value = parse_number(text, FLOAT)
+    except IntervalError:
+        value = None
+    assert (exact is None) == (value is None)
+    if exact is not None:
+        assert type(exact) is Fraction and exact == Fraction(text)
+        assert value.hex() == as_double(exact).hex()
+
+
+@pytest.mark.parametrize("text", ["1_0", "1/1_0", "1 / 2", "1e1_0"])
+def test_number_with_an_underscore_or_a_space_refused(text):
+    """Python versions differ on whether Fraction reads "_" and spaces
+    around "/"; a literal means the same on every Python, so both are
+    refused."""
+    for mode in (EXACT, FLOAT):
+        with pytest.raises(IntervalError, match="expected a decimal or a ratio"):
+            parse_number(text, mode)
 
 
 @given(
