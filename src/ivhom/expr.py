@@ -26,9 +26,9 @@ the other one. So `_trace` walks an AST once per endpoint, and each op of
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import reduce
 from math import lcm, log10
-from typing import Callable, Union
 
 from .gate import MAX_ARITY, MAX_DEPTH, MAX_POW_EXPONENT, check_arity
 from .interval import MAX_DIGITS, Interval, _set, _Value, fraction, too_long
@@ -147,7 +147,8 @@ class Call(_Node):
                          depth=1 + max((a._depth for a in args), default=0))
 
 
-Node = Union[Var, LVar, Const, Pow, Proj, Call]
+#: a Var, LVar, Const, Pow, Proj or Call
+Node = _Node
 
 
 #: The ops of a `Call`, which `_ScalarTarget.op` compiles; `pow` is a `Pow`.

@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .expr import diagonal, parities, sweep
 from .gate import UnsupportedModeError, grid_size
-from .interval import EXACT, Interval, Number, NumericMode, _Value, fraction
+from .interval import (EXACT, TYPE_CHECKING, Interval, NumericMode, _Value,
+                       fraction)
 from .functions import (
     IDENTITY,
     PI2,
@@ -44,6 +45,9 @@ from .functions import (
     dual_ns,
     dual_scaling_ns,
 )
+
+if TYPE_CHECKING:
+    from .interval import Number
 
 
 class Grid(_Value):
@@ -88,8 +92,8 @@ def _pairs(m: int) -> list[tuple[int, int]]:
 class Counterexample(_Value):
     __slots__ = ("lam", "xs", "lhs", "rhs")
 
-    def __init__(self, lam: Optional[Interval], xs: tuple[Interval, ...],
-                 lhs: Optional[Interval], rhs: Optional[Interval]) -> None:
+    def __init__(self, lam: Interval | None, xs: tuple[Interval, ...],
+                 lhs: Interval | None, rhs: Interval | None) -> None:
         super().__init__(lam, xs, lhs, rhs)
 
 
@@ -98,9 +102,9 @@ class CheckReport(_Value):
                  "max_deviation", "mode", "resolution", "note")
 
     def __init__(self, law: str, verdict: str,  # verdict: "pass" | "fail"
-                 counterexample: Optional[Counterexample], evaluations: int,
+                 counterexample: Counterexample | None, evaluations: int,
                  max_deviation: Number, mode: NumericMode, resolution: int,
-                 note: Optional[str] = None) -> None:
+                 note: str | None = None) -> None:
         super().__init__(law, verdict, counterexample, evaluations,
                          max_deviation, mode, resolution, note)
 
@@ -123,7 +127,7 @@ class PipelineReport(_Value):
         return "pass" if all(r.passed for _, r in self.checks) else "fail"
 
 
-def _dens(grid: Grid, *dens: int) -> Optional[tuple[int, ...]]:
+def _dens(grid: Grid, *dens: int) -> tuple[int, ...] | None:
     """Kernel denominators: `dens` in exact mode, None in float mode."""
     return dens if grid.mode.is_exact else None
 
@@ -142,9 +146,9 @@ def _compose(a: set, b: set) -> set:
     return {x ^ y for x in a for y in b}
 
 
-def _report(law: str, cex: Optional[Counterexample], evaluations: int,
+def _report(law: str, cex: Counterexample | None, evaluations: int,
             max_deviation: Number, grid: Grid,
-            note: Optional[str] = None) -> CheckReport:
+            note: str | None = None) -> CheckReport:
     """The report of a check on `grid` that found `cex`, None for a pass."""
     return CheckReport(law, "pass" if cex is None else "fail", cex,
                        evaluations, max_deviation, grid.mode, grid.resolution,
@@ -212,8 +216,8 @@ def _sweep_points(grid: Grid, coords: list[tuple[list, ...]]) -> list[list]:
     return [points[id(swept)] for swept, _, _ in coords]
 
 
-def _lowest_failure(coords: list[tuple[list, ...]], first_lo: Optional[tuple],
-                    first_hi: Optional[tuple]) -> Optional[tuple]:
+def _lowest_failure(coords: list[tuple[list, ...]], first_lo: tuple | None,
+                    first_hi: tuple | None) -> tuple | None:
     """The lowest failing grid tuple, as pairs, from the positions in the
     swept pairs of `coords` of the first lower and the first upper failure:
     each is mapped to the grid by its side's maps, and the earlier of the
@@ -224,7 +228,7 @@ def _lowest_failure(coords: list[tuple[list, ...]], first_lo: Optional[tuple],
 
 
 def _sweep_law(f: IVFunction, g: ScalingFunction, phi: OrderIso,
-               h: IVFunction, grid: Grid) -> tuple[Optional[tuple], Number]:
+               h: IVFunction, grid: Grid) -> tuple[tuple | None, Number]:
     """Sweep F(G(L,X1),...,G(L,Xn)) = G(phi(L), H(X1,...,Xn)) over
     grid^(n+1), and return the lowest failing grid tuple, as pairs (None
     when the law holds), and the largest endpoint deviation.
@@ -351,7 +355,7 @@ def check_section_bijective(g: ScalingFunction, a: Interval,
     fn, den = g.kernel(_dens(grid, 1, 1))
     images = [fn(x, (a.lo, a.hi)) for x in points]
 
-    def report(cex: Optional[Counterexample], note: str) -> CheckReport:
+    def report(cex: Counterexample | None, note: str) -> CheckReport:
         return _report("section-bijective", cex, len(grid), mode.zero(), grid,
                        "grid-certified" + note)
 

@@ -14,11 +14,16 @@ defines none.
 from __future__ import annotations
 
 import re
-from typing import Union
 
 from .gate import as_double, check_epsilon
 
-Number = Union[int, float, "Fraction"]
+#: `typing.TYPE_CHECKING` without importing `typing`: the annotations are
+#: never evaluated, so `Number` and `Fraction` exist for type checkers alone
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Number = int | float | Fraction
 
 _Fraction = None
 

@@ -8,12 +8,13 @@ the JSON writers import `json`.
 
 from __future__ import annotations
 
-from typing import Union
-
-from .interval import Number, NumericMode, format_interval, format_number
+from .interval import (TYPE_CHECKING, NumericMode, format_interval,
+                       format_number)
 from .homogeneity import CheckReport, Counterexample, Grid, PipelineReport
 
-Report = Union[CheckReport, PipelineReport]
+if TYPE_CHECKING:
+    from .interval import Number
+Report = CheckReport | PipelineReport
 
 
 def _mode_dict(mode: NumericMode) -> dict:

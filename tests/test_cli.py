@@ -234,6 +234,22 @@ def test_usage_error_exit_2(capsys):
     assert run(capsys, "nonsense")[0] == 2
 
 
+@pytest.mark.parametrize("key", ["resolution", "budget", "workers"])
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_eval_checks_the_flags_that_check_does(tmp_path, capsys, key, given):
+    """`eval` sweeps no grid, yet it refuses a --resolution, --budget or
+    --workers below 1, from the command line or a --config file, with the
+    message of `check` and nothing on stdout."""
+    low = [f"--{key}", "0"]
+    if given == "config":
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: 0}))
+        low = ["--config", str(cfg)]
+    want = (2, "", f"ivhom: error: --{key} must be >= 1\n")
+    assert run(capsys, "check", "--f", "min", *low) == want
+    assert run(capsys, "eval", "--f", "min", *low, "[0,1]", "[1,1]") == want
+
+
 def test_exit_code_independent_of_format(capsys):
     for fmt in ("json", "csv", "text"):
         code, _, _ = run(
@@ -445,14 +461,15 @@ def test_startup_imports_no_dataclasses():
 
 #: builds the parser, runs the command line on its arguments, if any, and
 #: prints which of the engine's modules it imported, and whether it imported
-#: argparse, gettext or locale, which no command needs
+#: argparse, gettext, locale or typing, which no command needs; it runs
+#: under `python -S`, since a site hook may import any module at start-up
 ENGINE_PROBE = """
 import sys, ivhom.cli as cli
 cli.build_parser()
 code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 engine = ("ivhom.interval", "fractions", "decimal", "numbers", "ivhom.dsl",
           "ivhom.expr", "ivhom.functions", "ivhom.homogeneity", "ivhom.report",
-          "json", "argparse", "gettext", "locale")
+          "json", "argparse", "gettext", "locale", "typing")
 print([m for m in engine if m in sys.modules])
 sys.exit(code)
 """
@@ -468,7 +485,7 @@ ENGINE = ["ivhom.expr", "ivhom.functions", "ivhom.homogeneity", "ivhom.report"]
       "--budget", "1800"), "861^3", 1800, INTERVAL),
 ], ids=["parser", "prop2", "theorem1"])
 def test_refusal_loads_no_engine(argv, size, budget, loaded):
-    proc = run_python("-c", ENGINE_PROBE, *argv)
+    proc = run_python("-S", "-c", ENGINE_PROBE, *argv)
     assert proc.stdout.strip() == repr(loaded)
     if argv:
         assert proc.returncode == 3
@@ -517,7 +534,7 @@ def test_modules_each_command_loads(argv, loaded):
     constants: a float run reads its interval literals (theorem1's `--a`,
     eval's arguments) without it, and one with registry or constant-free
     `expr:` ingredients makes no exact number, even for a counterexample."""
-    proc = run_python("-c", ENGINE_PROBE, *argv)
+    proc = run_python("-S", "-c", ENGINE_PROBE, *argv)
     assert proc.returncode in (0, 1) and proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == repr(loaded)
 
@@ -974,6 +991,78 @@ def test_closed_stdout_ends_the_run_quietly(unbuffered, argv, code):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (code, "")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("check", "--f", "min", "--resolution", "2"), 0),
+    (("check", "--f", "product", "--resolution", "2"), 1),
+    (("check", "--f", "min", "--mode", "bad"), 2),
+    (("prop2", "--f", "min", "--resolution", "40"), 3),
+    (("-h",), 0),
+], ids=["pass", "fail", "usage", "refusal", "help"])
+def test_main_leaves_the_collector_as_it_found_it(capsys, argv, code):
+    """Only the process entry point freezes the collector: `main`, which
+    tests and benchmarks call in process, neither freezes nor disables
+    it."""
+    import gc
+
+    frozen = gc.get_freeze_count()
+    assert main(list(argv)) == code
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen and gc.isenabled()
+
+
+#: runs `ivhom.cli` as __main__, as `python -m ivhom.cli` does, after it
+#: registers an atexit handler, which therefore runs last; the handler
+#: writes to the file named by the first argument whether the collector
+#: held frozen objects and was enabled
+EXIT_PROBE = """
+import atexit, gc, runpy, sys
+
+path = sys.argv.pop(1)
+
+def probe():
+    with open(path, "w") as fh:
+        fh.write(f"frozen={gc.get_freeze_count() > 0} enabled={gc.isenabled()}")
+
+atexit.register(probe)
+runpy.run_module("ivhom.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("check", "--f", "min", "--resolution", "2"), 0),
+    (("check", "--f", "product", "--resolution", "2", "--output", "text"), 1),
+    (("eval", "--f", "min", "--resolution", "0", "[0,1]", "[1,1]"), 2),
+    (("prop2", "--f", "min", "--resolution", "40"), 3),
+    (("-h",), 0),
+    (("check", "-h"), 0),
+], ids=["pass", "fail", "usage", "refusal", "help", "check-help"])
+@pytest.mark.parametrize("reader", ["open", "closed"])
+def test_entry_point_freezes_the_heap_before_exit(tmp_path, capsys, argv,
+                                                   code, reader):
+    """The entry point freezes the collector before the interpreter
+    exits, and atexit handlers still run after it. The exit code, stdout
+    and stderr stay those of `main` in process, byte for byte; a reader
+    that closed stdout at once changes neither the code nor stderr."""
+    want = run(capsys, *argv)
+    assert want[0] == code
+    report = tmp_path / "probe.txt"
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(ivhom.__file__).resolve().parents[1])}
+    try:
+        proc = subprocess.run([sys.executable, "-c", EXIT_PROBE, str(report),
+                               *argv], stderr=subprocess.PIPE, env=env,
+                              stdout=write if reader == "closed" else
+                              subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write)
+    shown = want[1].encode() if reader == "open" else None
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, shown, want[2].encode())
+    assert report.read_text() == "frozen=True enabled=True"
 
 
 def test_no_command_compares_two_trees(capsys, monkeypatch):
