@@ -12,7 +12,8 @@ Grammar:
 pow takes (expr, positive-integer-literal); proj takes an integer-literal
 argument index. Numbers are decimals or rationals like 1/3; a zero
 denominator is a syntax error. A constant's endpoints are exact, made by
-`interval.fraction`, so only a source with a constant loads `fractions`.
+`interval.fraction`, so only a source with a constant that is not whole,
+such as `[0,1/2]`, loads `fractions`.
 An expression deeper than `gate.MAX_DEPTH` is refused at its first token.
 """
 
@@ -129,7 +130,7 @@ class _Parser:
         self.expect("]")
         return Const(lo, hi)
 
-    def number(self) -> Fraction:
+    def number(self) -> int | Fraction:
         tok = self.next()
         if tok.kind != "number":
             self.fail(f"expected number, found {_show(tok)}", tok)

@@ -6,9 +6,9 @@ is the one place an AST becomes a callable: a scalar-endpoint kernel of one
 ingredient (`_Compiled.kernel`), or the fused loop of one law of
 homogeneity's shape (`sweep`), which also checks idempotency. The kernels
 serve the sweeps of `homogeneity` and `__call__` on `Interval`s. An exact
-call passes the `Fraction` endpoints themselves as numerators over
-denominator 1, which a kernel built only of ring ops, comparisons and int
-literals evaluates exactly; a float call passes the doubles.
+call passes the endpoints themselves, ints or `Fraction`s, as numerators
+over denominator 1, which a kernel built only of ring ops, comparisons
+and int literals evaluates exactly; a float call passes the doubles.
 
 An AST is valid once built: each node checks its op, constant, index and
 depth (`gate.MAX_DEPTH`), and each ingredient its variables. It is traced
@@ -16,7 +16,8 @@ only when a kernel is compiled, and an ingredient compiles its kernel
 once for each set of parameter denominators and keeps it. A passing
 `check` traces G, phi, F and its sweep, so a float run traces no exact
 code. Exact numbers come from `interval.fraction`, so a float run with no
-DSL constant loads no `fractions`.
+DSL constant loads no `fractions`, and an exact run loads it only for a
+number that is not whole.
 
 Every op is representable: each endpoint of its result comes from one
 scalar formula, over the same endpoint of its arguments, or for `neg` over
@@ -107,7 +108,7 @@ class LVar(_Node):
 class Const(_Node):
     __slots__ = ("lo", "hi")
 
-    def __init__(self, lo: Fraction, hi: Fraction) -> None:
+    def __init__(self, lo: int | Fraction, hi: int | Fraction) -> None:
         Interval(lo, hi)  # a constant must be an interval of [0,1]
         super().__init__(lo, hi)
 
@@ -430,7 +431,7 @@ class _Compiled(_Value):
 
     def __call__(self, *xs: Interval) -> Interval:
         """The value at one Interval per parameter, in the mode of the
-        first one's endpoints: the kernel over `Fraction` endpoints, as
+        first one's endpoints: the kernel over exact endpoints, as
         numerators over denominator 1, or over doubles."""
         if len(xs) != len(self.params):
             raise TypeError(f"{self.name} expects {len(self.params)} "

@@ -338,22 +338,28 @@ def check_section_bijective(g: ScalingFunction, a: Interval,
     point is attained up to numeric equality). This certifies the premise
     on the grid only; it proves nothing about the continuum.
 
-    The images are the results of the kernel of G that `Interval`
-    evaluation runs (`ScalingFunction.__call__`), grouped by value, so
-    exact mode takes O(s) steps; a target is a grid point over that
-    kernel's denominator. In float mode, where eps-equality is
-    not transitive, distinct values are also compared with their
-    neighbours within eps, which `_float_lookup` finds by bisection. A
-    collision is reported as the lexicographically smallest colliding pair
-    of grid indices. `Interval`s are built only for the counterexample.
+    The images are the results of G's kernel over the grid's denominators,
+    which the homogeneity step sweeps too, grouped by value, so exact mode
+    takes O(s) steps. In exact mode the kernel takes the grid numerators
+    and A's endpoints times m, and gives numerators over its denominator
+    D: an image times m and a grid point's numerators times D, which are
+    ints when A's endpoints times m are, compare as the two values. In
+    float mode, where eps-equality is not transitive, distinct values are
+    also compared with their neighbours within eps, which `_float_lookup`
+    finds by bisection. A collision is reported as the lexicographically
+    smallest colliding pair of grid indices. `Interval`s are built only
+    for the counterexample.
     """
     mode, m = grid.mode, grid.resolution
     grid_pairs = _pairs(m)
-    # the endpoints of each grid point as `Interval` evaluation passes them
-    values = [fraction(i, m) if mode.is_exact else i / m for i in range(m + 1)]
-    points = [(values[i], values[j]) for i, j in grid_pairs]
-    fn, den = g.kernel(_dens(grid, 1, 1))
-    images = [fn(x, (a.lo, a.hi)) for x in points]
+    fn, den = g.kernel(_dens(grid, m, m))
+    if mode.is_exact:
+        ends = (a.lo * m, a.hi * m)
+        images = [(lo * m, hi * m) for lo, hi in (fn(x, ends) for x in grid_pairs)]
+        targets = [(i * den, j * den) for i, j in grid_pairs]
+    else:
+        targets = [(i / m, j / m) for i, j in grid_pairs]
+        images = [fn(x, (a.lo, a.hi)) for x in targets]
 
     def report(cex: Counterexample | None, note: str) -> CheckReport:
         return _report("section-bijective", cex, len(grid), mode.zero(), grid,
@@ -381,8 +387,8 @@ def check_section_bijective(g: ScalingFunction, a: Interval,
         x, y = (grid.point(grid_pairs[i]) for i in min(collisions))
         cex = Counterexample(None, (x, y), g(x, a), g(y, a))
         return report(cex, ": not injective, two grid points collide")
-    for (lo, hi), pair in zip(points, grid_pairs):
-        if not equal_images((lo * den, hi * den)):
+    for target, pair in zip(targets, grid_pairs):
+        if not equal_images(target):
             target = grid.point(pair)
             cex = Counterexample(None, (), target, target)
             return report(cex, ": not surjective, grid point never attained")

@@ -3,19 +3,23 @@ numeric modes, and the text form of numbers and intervals.
 
 Endpoints may be ints, floats, or `fractions.Fraction`; all operations are
 pure and preserve the numeric type of their inputs (exact stays exact).
-Every exact number of the package is made by `fraction`, which imports
-`fractions` (and with it `decimal` and `numbers`) on its first call. A
-float literal is read without it, so a float run that reads no DSL
-constant never loads them. The pattern of an interval literal is compiled
-on first use. No command compares intervals by an order, so the package
+Every exact number of the package is made by `fraction`, which gives an
+int for a whole number and a `Fraction` otherwise. Ints have `numerator`
+and `denominator` too, and compare and hash equal to the equal
+`Fraction`, so the two forms mean the same to every caller. A whole
+number from ints or from a literal of ASCII digits is made without
+`fractions`, which `fraction` imports (and with it `decimal` and
+`numbers`) only for a number that needs it. So an exact run that reads
+and prints only whole numbers, such as a passing check, whose deviation
+is 0, never loads them, and neither does a float run that reads no DSL
+constant. Literals are read with `str` methods, so this module imports
+no `re`. No command compares intervals by an order, so the package
 defines none.
 """
 
 from __future__ import annotations
 
-import re
-
-from .gate import as_double, check_epsilon
+from .gate import check_epsilon
 
 #: `typing.TYPE_CHECKING` without importing `typing`: the annotations are
 #: never evaluated, so `Number` and `Fraction` exist for type checkers alone
@@ -29,12 +33,23 @@ _Fraction = None
 
 
 def fraction(numerator, denominator=None):
-    """`Fraction(numerator, denominator)`: the one constructor of exact
-    numbers, which imports `fractions` when it is first called."""
+    """The value of `Fraction(numerator, denominator)`, the one constructor
+    of exact numbers: an int when it is whole, else a `Fraction`. An int
+    over an int that divides it, or a literal of ASCII digits alone, is
+    read without `fractions`, which is imported on the first call that
+    needs it."""
+    if denominator is None and numerator.__class__ is str and (
+            numerator.isascii() and numerator.isdecimal()):
+        return int(numerator)
+    if numerator.__class__ is int and (denominator is None or (
+            denominator.__class__ is int and denominator
+            and not numerator % denominator)):
+        return numerator // (denominator or 1)
     global _Fraction
     if _Fraction is None:
         from fractions import Fraction as _Fraction
-    return _Fraction(numerator, denominator)
+    value = _Fraction(numerator, denominator)
+    return value.numerator if value.denominator == 1 else value
 
 
 class IntervalError(ValueError):
@@ -152,9 +167,6 @@ class NumericMode(_Value):
     def is_exact(self) -> bool:
         return self.kind == "exact"
 
-    def convert(self, v: Number) -> Number:
-        return fraction(v) if self.is_exact else as_double(v)
-
     def zero(self) -> Number:
         return fraction(0) if self.is_exact else 0.0
 
@@ -173,13 +185,38 @@ class NumericMode(_Value):
 EXACT = NumericMode("exact")
 FLOAT = NumericMode("float")
 
-#: the text of an interval literal and of a number's exponent; `re`
-#: compiles each on its first use and caches it
-_INTERVAL = r"\s*\[\s*([^,\[\]\s]+)\s*,\s*([^,\[\]\s]+)\s*\]\s*\Z"
-_EXPONENT = r"[eE][-+]?([\d_]+)\Z"
 #: Python's default limit on the digits of an int read from or written as
 #: a decimal string
 MAX_DIGITS = 4300
+
+
+def _split_exponent(text: str) -> tuple[str, str | None]:
+    """`text` as its mantissa and the digits of its exponent: the text
+    before its last "e" or "E", and what follows that after one optional
+    sign, if that is one or more decimal digits and "_"s. Else `text` and
+    None: no other "e" can start an exponent, since the last one is not a
+    digit."""
+    at = max(text.rfind("e"), text.rfind("E"))
+    digits = text[at + 1:]
+    digits = digits[1:] if digits[:1] in ("+", "-") else digits
+    if at < 0 or not digits.replace("_", "0").isdecimal():
+        return text, None
+    return text[:at], digits
+
+
+def _split_interval(text: str) -> list[str] | None:
+    """The endpoint texts of the interval literal `text`: "[", two texts
+    separated by ",", and "]", with whitespace around each of them. An
+    endpoint text is not empty and holds no whitespace, ",", "[" or "]".
+    None if `text` is not such a literal."""
+    inner = text.strip()
+    if inner[:1] != "[" or inner[-1:] != "]":
+        return None
+    ends = [end.strip() for end in inner[1:-1].split(",")]
+    if len(ends) != 2 or any(end.split() != [end] or "[" in end or "]" in end
+                             for end in ends):
+        return None
+    return ends
 
 
 def parse_number(text: str, mode: NumericMode = EXACT) -> Number:
@@ -194,9 +231,8 @@ def parse_number(text: str, mode: NumericMode = EXACT) -> Number:
     bit for bit `float(Fraction(text))`, and each refuses what `Fraction`
     refuses ("nan" and "inf" are not numbers here)."""
     text = text.strip()
-    e = re.search(_EXPONENT, text)
-    mantissa = text[:e.start()] if e else text
-    exponent = e.group(1).replace("_", "").lstrip("0") if e else ""
+    mantissa, digits = _split_exponent(text)
+    exponent = digits.replace("_", "").lstrip("0") if digits else ""
     if (len(exponent) > len(str(MAX_DIGITS)) or sum(
             c.isdigit() for c in mantissa) + int(exponent or 0) > MAX_DIGITS):
         shown = text if len(text) <= 40 else text[:37] + "..."
@@ -223,10 +259,10 @@ def parse_number(text: str, mode: NumericMode = EXACT) -> Number:
 
 def parse_interval(text: str, mode: NumericMode = EXACT) -> Interval:
     """Parse the textual form "[lo,hi]" with decimal or rational endpoints."""
-    m = re.match(_INTERVAL, text)
-    if m is None:
+    ends = _split_interval(text)
+    if ends is None:
         raise IntervalError(f"cannot parse interval {text!r}; expected [lo,hi]")
-    return Interval(parse_number(m.group(1), mode), parse_number(m.group(2), mode))
+    return Interval(parse_number(ends[0], mode), parse_number(ends[1], mode))
 
 
 def too_long(what: str) -> str:

@@ -2,8 +2,12 @@
 
 Numbers are decimal strings in float mode and "p/q" strings in exact mode,
 so exact verdicts survive serialization without loss. `emit_report`
-writes the report of a check or pipeline, `emit_dual` that of `dual`. Only
-the JSON writers import `json`.
+writes the report of a check or pipeline, `emit_dual` that of `dual`.
+JSON is written by `_json`, in the layout of `json.dumps(value, indent=2)`,
+byte for byte. It writes a string of printable ASCII with no quote or
+backslash as it is, and leaves every other string to `json.dumps`, so
+`json` stays the one escaper but loads only for such a string, as in a
+name with a tab or a non-ASCII character.
 """
 
 from __future__ import annotations
@@ -65,14 +69,38 @@ def pipeline_to_dict(report: PipelineReport) -> dict:
     }
 
 
+def _json(value, indent: str = "") -> str:
+    """`value`, made of dicts with string keys, lists, strings, ints and
+    None, as `json.dumps(value, indent=2)` writes it, with `indent` before
+    each line but the first."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{_json(k)}: {_json(v, inner)}" for k, v in value.items()]
+    elif isinstance(value, list):
+        items = [_json(v, inner) for v in value]
+    elif value is None:
+        return "null"
+    elif value.__class__ is int:
+        return repr(value)
+    elif value.__class__ is str and value.isascii() and value.isprintable() and (
+            '"' not in value and "\\" not in value):
+        return f'"{value}"'
+    else:
+        import json
+
+        return json.dumps(value)
+    start, end = "{}" if isinstance(value, dict) else "[]"
+    if not items:
+        return start + end
+    return f"{start}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{end}"
+
+
 def to_json(report: Report) -> str:
     if isinstance(report, PipelineReport):
         d = pipeline_to_dict(report)
     else:
         d = check_to_dict(report)
-    import json
-
-    return json.dumps(d, indent=2)
+    return _json(d)
 
 
 def _dev_str(dev: Number, mode: NumericMode) -> str:
@@ -168,16 +196,14 @@ def emit_dual(function: str, dual: str, matches: list[str], grid: Grid,
     """The report of `dual`: the registry functions, `matches`, that equal
     `dual`, the standard-negation dual of `function`, on `grid`."""
     if fmt == "json":
-        import json
-
-        return json.dumps({
+        return _json({
             "command": "dual",
             "function": function,
             "dual": dual,
             "equals_registry": matches,
             "resolution": grid.resolution,
             "mode": grid.mode.kind,
-        }, indent=2)
+        })
     if fmt == "csv":
         return f"dual,{_csv_field(function)},{';'.join(matches)}"
     eq = ", ".join(matches) if matches else "no registry function"

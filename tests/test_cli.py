@@ -460,27 +460,32 @@ def test_startup_imports_no_dataclasses():
 
 
 #: builds the parser, runs the command line on its arguments, if any, and
-#: prints which of the engine's modules it imported, and whether it imported
-#: argparse, gettext, locale or typing, which no command needs; it runs
-#: under `python -S`, since a site hook may import any module at start-up
+#: prints which of the engine's modules it imported, whether it imported
+#: `re`, and whether it imported argparse, gettext, locale or typing, which
+#: no command needs; it runs under `python -S`, since a site hook may
+#: import any module at start-up
 ENGINE_PROBE = """
 import sys, ivhom.cli as cli
 cli.build_parser()
 code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 engine = ("ivhom.interval", "fractions", "decimal", "numbers", "ivhom.dsl",
           "ivhom.expr", "ivhom.functions", "ivhom.homogeneity", "ivhom.report",
-          "json", "argparse", "gettext", "locale", "typing")
+          "json", "re", "argparse", "gettext", "locale", "typing")
 print([m for m in engine if m in sys.modules])
 sys.exit(code)
 """
-INTERVAL = ["ivhom.interval", "fractions", "decimal", "numbers"]
+INTERVAL = ["ivhom.interval"]
+#: `fractions` with `decimal` and `numbers`; the `re` that it imports too
+#: is listed last, after `json`
+FRACTIONS = ["fractions", "decimal", "numbers"]
+DSL = ["ivhom.dsl"]
 ENGINE = ["ivhom.expr", "ivhom.functions", "ivhom.homogeneity", "ivhom.report"]
 
 
 @pytest.mark.parametrize("argv,size,budget,loaded", [
     ((), None, None, []),
     (("prop2", "--f", "min", "--resolution", "40"), "861^3", 10000000, []),
-    # theorem1 reads --a before the gate
+    # theorem1 reads --a before the gate, and [1,1] is two ints
     (("theorem1", "--f", "min", "--g", "P", "--resolution", "40",
       "--budget", "1800"), "861^3", 1800, INTERVAL),
 ], ids=["parser", "prop2", "theorem1"])
@@ -501,42 +506,88 @@ def test_refusal_loads_no_engine(argv, size, budget, loaded):
      INTERVAL + ENGINE),
     (("check", "--f", "min", "--resolution", "2", "--output", "csv"),
      INTERVAL + ENGINE),
-    (("check", "--f", "min", "--resolution", "2"),
-     INTERVAL + ENGINE + ["json"]),
+    (("check", "--f", "min", "--resolution", "2"), INTERVAL + ENGINE),
+    (("theorem1", "--f", "min", "--a", "[1,1]", "--resolution", "2"),
+     INTERVAL + ENGINE),
+    (("prop2", "--f", "min", "--resolution", "2"), INTERVAL + ENGINE),
+    (("idempotent", "--f", "min", "--resolution", "2"), INTERVAL + ENGINE),
     # the grid is numerator pairs, and a dual report shows no number
     (("dual", "--f", "min", "--resolution", "2", "--output", "text"),
-     ["ivhom.interval"] + ENGINE),
+     INTERVAL + ENGINE),
     (("check", "--f", "expr:min(X1,X2)", "--arity", "2", "--resolution", "2",
-      "--output", "text"), INTERVAL + ["ivhom.dsl"] + ENGINE),
+      "--output", "text"), INTERVAL + DSL + ENGINE + ["re"]),
     (("check", "--f", "min", "--g", "expr:mul(L,X1)", "--resolution", "2",
-      "--output", "csv"), INTERVAL + ["ivhom.dsl"] + ENGINE),
+      "--output", "csv"), INTERVAL + DSL + ENGINE + ["re"]),
     (("eval", "--f", "min", "[0,1]", "[1,1]"), INTERVAL + ENGINE[:2]),
+    # a counterexample, a constant and a literal that are not whole
+    (("check", "--f", "product", "--resolution", "2"),
+     INTERVAL + FRACTIONS + ENGINE + ["re"]),
+    (("check", "--f", "expr:max(X1,[0,1/2])", "--arity", "1", "--g", "pi2",
+      "--resolution", "2", "--output", "text"),
+     INTERVAL + FRACTIONS + DSL + ENGINE + ["re"]),
+    (("eval", "--f", "min", "[0.2,0.5]", "[1,1]"),
+     INTERVAL + FRACTIONS + ENGINE[:2] + ["re"]),
     (("check", "--f", "min", "--resolution", "2", "--mode", "float",
-      "--output", "text"), ["ivhom.interval"] + ENGINE),
+      "--output", "text"), INTERVAL + ENGINE),
     (("check", "--f", "product", "--resolution", "2", "--mode", "float",
-      "--output", "text"), ["ivhom.interval"] + ENGINE),
+      "--output", "text"), INTERVAL + ENGINE),
     (("check", "--f", "expr:min(X1,X2)", "--arity", "2", "--resolution", "2",
-      "--mode", "float", "--output", "text"),
-     ["ivhom.interval", "ivhom.dsl"] + ENGINE),
+      "--mode", "float", "--output", "text"), INTERVAL + DSL + ENGINE + ["re"]),
     (("check", "--f", "expr:max(X1,[0,1/2])", "--arity", "1", "--g", "pi2",
       "--resolution", "2", "--mode", "float", "--output", "text"),
-     INTERVAL + ["ivhom.dsl"] + ENGINE),
+     INTERVAL + FRACTIONS + DSL + ENGINE + ["re"]),
     (("theorem1", "--f", "min", "--resolution", "2", "--mode", "float",
-      "--output", "text"), ["ivhom.interval"] + ENGINE),
+      "--output", "text"), INTERVAL + ENGINE),
     (("eval", "--mode", "float", "--f", "min", "[0,1/3]", "[0.5,1e-0]"),
-     ["ivhom.interval"] + ENGINE[:2]),
-], ids=["text", "csv", "json", "dual-text", "expr-f", "expr-g", "eval",
+     INTERVAL + ENGINE[:2]),
+], ids=["text", "csv", "json", "theorem1", "prop2", "idempotent", "dual-text",
+        "expr-f", "expr-g", "eval", "fail", "constant", "eval-fraction",
         "float", "float-fail", "float-expr-f", "float-constant",
         "float-theorem1", "float-eval"])
 def test_modules_each_command_loads(argv, loaded):
-    """Only `expr:` arguments compile the DSL front end, and only JSON output
-    loads `json`. `fractions` loads only for exact values and DSL
-    constants: a float run reads its interval literals (theorem1's `--a`,
-    eval's arguments) without it, and one with registry or constant-free
-    `expr:` ingredients makes no exact number, even for a counterexample."""
+    """Only `expr:` arguments compile the DSL front end, which imports `re`,
+    and no report loads `json`. `fractions` loads only for an exact number
+    that is not whole: a counterexample, a DSL constant or an interval
+    literal such as 0.2. A passing exact run, whose deviation is 0, reads
+    and prints only ints, and a float run reads its interval literals
+    (theorem1's `--a`, eval's arguments) without it; one with registry or
+    constant-free `expr:` ingredients makes no exact number, even for a
+    counterexample. `interval` reads a literal without `re`."""
     proc = run_python("-S", "-c", ENGINE_PROBE, *argv)
     assert proc.returncode in (0, 1) and proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == repr(loaded)
+
+
+@pytest.mark.parametrize("argv,code,want", [
+    (("dual", "--f", "expr:mean(X1,\tX1)", "--arity", "2", "--resolution", "2"),
+     0, {"command": "dual", "function": "mean(X1,\tX1)",
+         "dual": "dual_ns(mean(X1,\tX1))", "equals_registry": ["proj_1"],
+         "resolution": 2, "mode": "exact"}),
+    (("check", "--f", "expr:mul(X1,\nX2)", "--arity", "2", "--resolution", "2"),
+     1, {"law": "def1-homogeneity", "verdict": "fail",
+         "counterexample": {"lambda": "[0/1,1/2]",
+                            "xs": ["[0/1,1/2]", "[0/1,1/2]"],
+                            "lhs": "[0/1,1/16]", "rhs": "[0/1,1/8]"},
+         "evaluations": 216, "max_deviation": "1/4",
+         "mode": {"kind": "exact"}, "resolution": 2}),
+], ids=["dual-tab", "check-newline"])
+def test_json_report_of_an_expr_source_with_whitespace(argv, code, want):
+    """A JSON report is `json.dumps(report, indent=2)`, byte for byte, as
+    the `json` writer wrote it: the tab in a function's name is escaped by
+    `json`, and a source with a newline gives the usual report."""
+    proc = run_child(*argv)
+    assert proc.returncode == code and proc.stderr == ""
+    assert proc.stdout == json.dumps(want, indent=2) + "\n"
+
+
+def test_config_file_loads_json(tmp_path):
+    """A `--config` file is read by `json`."""
+    config = tmp_path / "config.json"
+    config.write_text('{"resolution": 2}')
+    proc = run_python("-S", "-c", ENGINE_PROBE, "check", "--f", "min",
+                      "--config", str(config), "--output", "text")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == repr(INTERVAL + ENGINE + ["json", "re"])
 
 
 def test_registry_import_compiles_no_kernel():

@@ -1,10 +1,12 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from algebra import Ordering, compare
+from ivhom.expr import Const
 from ivhom.gate import as_double
 from ivhom.interval import (
     EXACT,
@@ -12,8 +14,11 @@ from ivhom.interval import (
     Interval,
     IntervalError,
     NumericMode,
+    _split_exponent,
+    _split_interval,
     complement,
     format_interval,
+    fraction,
     join,
     meet,
     parse_interval,
@@ -163,6 +168,75 @@ def test_parse_interval_rejects_garbage():
             parse_interval(bad)
 
 
+#: the patterns that read an interval literal (with `re.match`) and a
+#: number's exponent (with `re.search`) before `interval` read them with
+#: `str` methods: the oracle of `_split_interval` and `_split_exponent`
+_INTERVAL = r"\s*\[\s*([^,\[\]\s]+)\s*,\s*([^,\[\]\s]+)\s*\]\s*\Z"
+_EXPONENT = r"[eE][-+]?([\d_]+)\Z"
+
+#: pieces of literals: brackets, commas, ASCII and Unicode whitespace
+#: (`\s` and `str.isspace` alike), ASCII and other decimal digits (one
+#: astral), a superscript that is a digit but not a decimal, "_", signs and
+#: exponent letters
+LITERAL_PIECES = ["[", "]", ",", " ", "\t", "\n", "\x0b", "\x1c", "\x85",
+                  "\xa0", "\u2003", "\u2028", "\u3000", "0", "1", "9",
+                  "\u0663", "\uff11", "\U0001d7ce", "\u00b2", "_", "+", "-",
+                  "e", "E", ".", "/", "x"]
+
+
+@settings(max_examples=3000, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(LITERAL_PIECES), st.characters()),
+                max_size=14).map("".join))
+@example("[0,1]")
+@example(" [ 1/3 ,\t2/3 ]\n")
+@example("[0,1]]")
+@example("[[0,1]")
+@example("[0,,1]")
+@example("[ ,1]")
+@example("[]")
+@example("1e5e6")
+@example("1e+-5")
+@example("1e___")
+@example("1E-0_1")
+@example("e5")
+@example("1e\u0663")
+@example("1e\u00b2")
+def test_literal_readers_match_the_patterns(text):
+    """`_split_interval` accepts, refuses and splits exactly what
+    `re.match(_INTERVAL)` did, and `_split_exponent` finds the exponent that
+    `re.search(_EXPONENT)` found, at the same place."""
+    m = re.match(_INTERVAL, text)
+    assert _split_interval(text) == (m and [m.group(1), m.group(2)])
+    e = re.search(_EXPONENT, text)
+    assert _split_exponent(text) == ((text[:e.start()], e.group(1)) if e
+                                     else (text, None))
+
+
+@given(st.integers(-10**30, 10**30), st.integers(-60, 60).filter(bool))
+@example(0, 1)
+@example(12, -4)
+@example(-12, 4)
+def test_fraction_is_an_int_exactly_when_whole(n, d):
+    """`fraction(n, d)` is an int exactly when d divides n, and equals and
+    hashes as `Fraction(n, d)`."""
+    x = fraction(n, d)
+    assert x == Fraction(n, d) and hash(x) == hash(Fraction(n, d))
+    assert type(x) is (int if n % d == 0 else Fraction)
+
+
+@given(st.integers(1, 24).flatmap(
+    lambda d: st.tuples(st.integers(0, d), st.integers(0, d), st.just(d))))
+def test_interval_and_const_equal_for_either_form(case):
+    """An `Interval` or a `Const` built from `fraction`s, ints where whole,
+    compares and hashes equal to one built from `Fraction`s."""
+    i, j, d = case
+    lo, hi = min(i, j), max(i, j)
+    for kind in (Interval, Const):
+        x, y = kind(fraction(lo, d), fraction(hi, d)), kind(Fraction(lo, d),
+                                                            Fraction(hi, d))
+        assert x == y and hash(x) == hash(y)
+
+
 #: pieces of number literals: signs, ASCII and Arabic-Indic digits, points,
 #: exponents, "/", "_", spaces, long runs of digits, and words that float()
 #: reads and Fraction does not
@@ -198,7 +272,8 @@ def test_float_literal_reads_as_its_fraction(text):
     """A float literal is read without `Fraction`, bit for bit the double
     of the exact value (-0.0 and inf too), and the float reading refuses
     exactly what the exact one refuses: `_`, a space inside, "nan" and
-    "inf" on every Python."""
+    "inf" on every Python. An exact literal equals `Fraction(text)`, and
+    is an int when whole and a `Fraction` otherwise."""
     try:
         exact = parse_number(text, EXACT)
     except IntervalError:
@@ -209,7 +284,8 @@ def test_float_literal_reads_as_its_fraction(text):
         value = None
     assert (exact is None) == (value is None)
     if exact is not None:
-        assert type(exact) is Fraction and exact == Fraction(text)
+        assert exact == Fraction(text)
+        assert type(exact) is (int if exact.denominator == 1 else Fraction)
         assert value.hex() == as_double(exact).hex()
 
 

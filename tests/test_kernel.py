@@ -444,19 +444,21 @@ def test_each_kernel_is_compiled_once(monkeypatch, uncompiled, mode):
     # which traces F(X1,...,X1) inline
     check_idempotency(mean2, grid)
     assert compiles[0] == 5 + 3
-    # fixed point and bijectivity evaluate Intervals through the kernels of
-    # F and G over denominator 1, which in float mode are the kernels the
-    # sweeps use; the homogeneity and idempotency steps find every kernel
-    # kept, and compile only their sweeps
+    # the fixed point evaluates Intervals through F's kernel over
+    # denominator 1, which in float mode is the kernel the sweeps use; the
+    # bijectivity scan runs G's kernel over the grid's denominators, which
+    # the homogeneity step sweeps too, so it compiles none, and the
+    # homogeneity and idempotency steps find every kernel kept and compile
+    # only their sweeps
     run_theorem1(mean2, p, grid.points[-1], grid)
-    assert compiles[0] == 8 + 2 * exact + 2
+    assert compiles[0] == 8 + exact + 2
     run_theorem1(mean2, p, grid.points[-1], grid)
-    assert compiles[0] == 10 + 2 * exact + 2
+    assert compiles[0] == 10 + exact + 2
     # a failing check compiles F and the sweep, and in exact mode also the
-    # kernels over denominator 1 that its counterexample calls: those of F
-    # and phi, as G's was compiled for bijectivity
+    # kernels over denominator 1 that its counterexample calls: those of F,
+    # G and phi
     assert not check_homogeneity(product2, p, phi, grid).passed
-    assert compiles[0] == 12 + 2 * exact + 2 + 2 * exact
+    assert compiles[0] == 12 + exact + 2 + 3 * exact
 
 
 _unit_doubles = st.floats(0.0, 1.0)
@@ -869,10 +871,14 @@ def _random_idempotency(draw):
 @example((3, _dsl("mean(X1,X2,min(X1,X2))")))
 def test_random_idempotency_matches_reference(case):
     """A random F, with `neg`, `pow`, constants and mixed parities: the
-    idempotency check gives the reference report in both modes."""
+    idempotency check gives the reference report in both modes. Its
+    deviation is a double in float mode, and in exact mode an int when
+    whole and a `Fraction` otherwise."""
     m, f = case
     for mode in MODES:
         grid = make_grid(m, mode)
         report, want = check_idempotency(f, grid), reference_idempotency(f, grid)
         assert report == want
-        assert type(report.max_deviation) is type(want.max_deviation)
+        dev = report.max_deviation
+        assert type(dev) is (float if not mode.is_exact else
+                             int if dev == int(dev) else Fraction)

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ivhom.interval import Interval, NumericMode, parse_interval
 from ivhom.functions import IDENTITY, P, get_function
@@ -13,7 +14,7 @@ from ivhom.homogeneity import (
     make_grid,
     run_theorem1,
 )
-from ivhom.report import emit_report, to_csv, to_json, to_text
+from ivhom.report import _json, emit_report, to_csv, to_json, to_text
 
 
 @pytest.fixture
@@ -125,3 +126,29 @@ def test_float_numbers_serialized_as_decimal_strings():
     d = json.loads(to_json(r))
     assert d["max_deviation"] == "0.0"
     assert d["mode"] == {"kind": "float", "epsilon": "1e-09"}
+
+
+#: text from all of Unicode, lone surrogates too, with the characters that
+#: JSON escapes or that end a plain string drawn more often: controls,
+#: quotes, backslashes, DEL, the last ASCII character and astral ones
+_TEXT = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\t", "\n", "\x1f", " ", "~", "\x7f",
+                     "\x80", "\u2028", "\U0001f600"]),
+    st.characters(blacklist_categories=())))
+#: report-shaped values: nested dicts with string keys and lists, empty
+#: ones too, of strings, ints and None
+_REPORT_VALUES = st.recursive(
+    st.none() | st.integers() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_REPORT_VALUES)
+@example({"function": "mean(X1,\tX1)", "equals_registry": [], "note": None})
+@example([[], {}, [{}], {"": [[]]}])
+def test_json_writer_matches_json_dumps(value):
+    """The report's JSON writer writes what `json.dumps(value, indent=2)`
+    writes, byte for byte."""
+    assert _json(value) == json.dumps(value, indent=2)
