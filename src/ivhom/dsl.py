@@ -15,30 +15,26 @@ denominator is a syntax error. A constant's endpoints are exact, made by
 `interval.fraction`, so only a source with a constant that is not whole,
 such as `[0,1/2]`, loads `fractions`.
 An expression deeper than `gate.MAX_DEPTH` is refused at its first token.
+
+The parser only reads. Each node checks its own fields when it is built
+(a variable or `proj` index, a `pow` exponent, `neg`'s argument count), and
+the parser gives the node's error the position of the token that built
+it; only the minimum argument counts of `_MIN_ARGS`, which the registry
+does not share, are the parser's own. Tokens are scanned with `str`
+methods, so the DSL imports no `re`.
 """
 
 from __future__ import annotations
 
-import re
-
 from .expr import (_OPS, TOO_DEEP, Call, Const, ExprError, LVar, Node, Pow,
                    Proj, Var)
-from .gate import MAX_DEPTH, MAX_POW_EXPONENT
+from .gate import MAX_DEPTH
 from .interval import _Value, fraction
 
 _IDENTS = {*_OPS, "pow", "proj"}
-# minimum argument counts; None marks special-cased forms (pow, proj)
+# minimum argument counts of the DSL's calls; the registry builds `min`,
+# `max`, `mul` and `psum` on one argument too
 _MIN_ARGS = {"min": 2, "max": 2, "mul": 2, "psum": 2, "neg": 1, "mean": 1}
-
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<number>\d+(?:\.\d+)?(?:/\d+)?)
-  | (?P<ident>[A-Za-z_]\w*)
-  | (?P<punct>[()\[\],])
-    """,
-    re.VERBOSE,
-)
 
 
 class _Token(_Value):
@@ -49,23 +45,46 @@ def _show(tok: _Token) -> str:
     return "end of input" if tok.kind == "end" else repr(tok.text)
 
 
+def _digits(src: str, pos: int) -> int:
+    """The end of the run of decimal digits that starts at `pos`."""
+    while pos < len(src) and src[pos].isdecimal():
+        pos += 1
+    return pos
+
+
 def _tokenize(src: str) -> list[_Token]:
+    """The tokens of `src`: a number is digits, then optionally `.` and
+    digits, then optionally `/` and digits, where a digit is a character
+    for which `isdecimal` is true; an identifier is an ASCII letter or
+    `_`, then characters for which `isalnum` is true, or `_`. Characters
+    for which `isspace` is true separate tokens."""
     tokens = []
     line, col, pos = 1, 1, 0
     while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ExprError(f"unexpected character {src[pos]!r}", line, col)
-        text = m.group(0)
-        if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, text, line, col))
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-        pos = m.end()
+        ch, end = src[pos], pos + 1
+        if ch.isspace():
+            kind = None
+        elif ch.isdecimal():
+            kind, end = "number", _digits(src, pos)
+            for mark in "./":  # each part is read only if a digit follows
+                if (src[end:end + 1] == mark
+                        and (after := _digits(src, end + 1)) > end + 1):
+                    end = after
+        elif ch == "_" or ch.isascii() and ch.isalpha():
+            kind = "ident"
+            while end < len(src) and (src[end].isalnum() or src[end] == "_"):
+                end += 1
+        elif ch in "()[],":
+            kind = "punct"
+        else:
+            raise ExprError(f"unexpected character {ch!r}", line, col)
+        if kind:
+            tokens.append(_Token(kind, src[pos:end], line, col))
+        if ch == "\n":
+            line, col = line + 1, 1
+        else:
+            col += end - pos
+        pos = end
     tokens.append(_Token("end", "", line, col))
     return tokens
 
@@ -93,6 +112,14 @@ class _Parser:
             self.fail(f"expected {text!r}, found {_show(tok)}", tok)
         return tok
 
+    def build(self, tok: _Token, node: type, *fields) -> Node:
+        """`node(*fields)`; the node checks its fields, and its error is
+        placed at `tok`, the token that built it."""
+        try:
+            return node(*fields)
+        except ExprError as error:
+            raise ExprError(str(error), tok.line, tok.column) from None
+
     def parse(self) -> Node:
         node = self.expr()
         tok = self.peek()
@@ -110,13 +137,9 @@ class _Parser:
             if tok.text == "L":
                 self.next()
                 return LVar()
-            m = re.fullmatch(r"X(\d+)", tok.text)
-            if m:
+            if tok.text[0] == "X" and tok.text[1:].isdecimal():
                 self.next()
-                idx = self.convert(int, tok, m.group(1))
-                if idx < 1:
-                    self.fail("variable index must be >= 1", tok)
-                return Var(idx)
+                return self.build(tok, Var, self.convert(int, tok, tok.text[1:]))
             if tok.text in _IDENTS:
                 return self.call(depth)
             self.fail(f"unknown identifier {tok.text!r}", tok)
@@ -160,20 +183,13 @@ class _Parser:
         if ident.text == "proj":
             idx = self.integer()
             self.expect(")")
-            if idx < 1:
-                self.fail("proj index must be >= 1", ident)
-            return Proj(idx)
+            return self.build(ident, Proj, idx)
         if ident.text == "pow":
             base = self.expr(depth + 1)
             self.expect(",")
             k = self.integer()
             self.expect(")")
-            if k < 1:
-                self.fail("pow exponent must be a positive integer", ident)
-            if k > MAX_POW_EXPONENT:
-                self.fail(f"pow exponent {k} exceeds the limit of "
-                          f"{MAX_POW_EXPONENT}", ident)
-            return Pow(base, k)
+            return self.build(ident, Pow, base, k)
         args = [self.expr(depth + 1)]
         while self.peek().text == ",":
             self.next()
@@ -184,6 +200,4 @@ class _Parser:
                 f"{ident.text} needs at least {_MIN_ARGS[ident.text]} argument(s)",
                 ident,
             )
-        if ident.text == "neg" and len(args) != 1:
-            self.fail("neg takes exactly one argument", ident)
-        return Call(ident.text, tuple(args))
+        return self.build(ident, Call, ident.text, tuple(args))

@@ -36,9 +36,10 @@ from .interval import MAX_DIGITS, Interval, _set, _Value, fraction, too_long
 
 
 class ExprError(ValueError):
-    """Syntax, arity or compile error in an expression. A parser error
-    carries its 1-based source position; one that a node, an ingredient or
-    the compiler finds has none, and its message names no position."""
+    """Syntax, arity or compile error in an expression. An error that the
+    parser finds, or that a node it builds raises, carries its 1-based
+    source position; one that a node built in code, an ingredient or the
+    compiler finds has none, and its message names no position."""
 
     def __init__(self, message: str, line: int | None = None,
                  column: int | None = None):

@@ -427,51 +427,40 @@ def _check_fixed_point(f: IVFunction, a: Interval, grid: Grid) -> CheckReport:
     return _report("fixed-point", cex, 1, mode.deviation(out, a), grid)
 
 
+def _pipeline(name: str, checks: tuple[tuple[str, CheckReport], ...],
+              grid: Grid) -> PipelineReport:
+    """The report of a pipeline of labelled checks, all of them run: the
+    last is the conclusion and the others are its premises. The status is
+    "confirmed" when every check passes, "violation" when the premises pass
+    and the conclusion fails (an implementation-bug signal on exact closed
+    grids), and "not-applicable" when a premise fails, in which case the
+    conclusion is informational."""
+    *premises, (_, conclusion) = checks
+    if all(report.passed for _, report in premises):
+        status = "confirmed" if conclusion.passed else "violation"
+    else:
+        status = "not-applicable"
+    return PipelineReport(name, status, checks, grid.mode, grid.resolution)
+
+
 def run_theorem1(f: IVFunction, g: ScalingFunction, a: Interval,
                  grid: Grid) -> PipelineReport:
     """Premises: F(A,..,A)=A, G(.,A) bijective, F G-homogeneous; then F
-    must be idempotent. Idempotency is always run, informationally when a
-    premise fails; premises-pass with conclusion-fail is flagged as a
-    violation (an implementation-bug signal on exact closed grids).
-    """
-    fixed = _check_fixed_point(f, a, grid)
-    bij = check_section_bijective(g, a, grid)
-    hom = check_homogeneity(f, g, IDENTITY, grid)
-    idem = check_idempotency(f, grid)
-    if fixed.passed and bij.passed and hom.passed:
-        status = "confirmed" if idem.passed else "violation"
-    else:
-        status = "not-applicable"
-    return PipelineReport(
-        pipeline="theorem1",
-        status=status,
-        checks=(
-            ("fixed-point", fixed),
-            ("section-bijective", bij),
-            ("homogeneity", hom),
-            ("idempotency", idem),
-        ),
-        mode=grid.mode,
-        resolution=grid.resolution,
-    )
+    must be idempotent."""
+    return _pipeline("theorem1", (
+        ("fixed-point", _check_fixed_point(f, a, grid)),
+        ("section-bijective", check_section_bijective(g, a, grid)),
+        ("homogeneity", check_homogeneity(f, g, IDENTITY, grid)),
+        ("idempotency", check_idempotency(f, grid)),
+    ), grid)
 
 
 def run_prop2(f: IVFunction, grid: Grid) -> PipelineReport:
     """If F is P-homogeneous, its standard-negation dual must be
-    homogeneous w.r.t. the dual scaling (the probabilistic sum). The dual
-    check is always run, informationally when the premise fails.
-    """
-    base = check_homogeneity(f, P, IDENTITY, grid)
-    dual = check_homogeneity(dual_ns(f), dual_scaling_ns(P), IDENTITY, grid,
-                             law="def1-homogeneity-dual")
-    if base.passed:
-        status = "confirmed" if dual.passed else "violation"
-    else:
-        status = "not-applicable"
-    return PipelineReport(
-        pipeline="prop2",
-        status=status,
-        checks=(("base-homogeneity", base), ("dual-homogeneity", dual)),
-        mode=grid.mode,
-        resolution=grid.resolution,
-    )
+    homogeneous w.r.t. the dual scaling (the probabilistic sum)."""
+    return _pipeline("prop2", (
+        ("base-homogeneity", check_homogeneity(f, P, IDENTITY, grid)),
+        ("dual-homogeneity", check_homogeneity(
+            dual_ns(f), dual_scaling_ns(P), IDENTITY, grid,
+            law="def1-homogeneity-dual")),
+    ), grid)

@@ -515,9 +515,9 @@ def test_refusal_loads_no_engine(argv, size, budget, loaded):
     (("dual", "--f", "min", "--resolution", "2", "--output", "text"),
      INTERVAL + ENGINE),
     (("check", "--f", "expr:min(X1,X2)", "--arity", "2", "--resolution", "2",
-      "--output", "text"), INTERVAL + DSL + ENGINE + ["re"]),
+      "--output", "text"), INTERVAL + DSL + ENGINE),
     (("check", "--f", "min", "--g", "expr:mul(L,X1)", "--resolution", "2",
-      "--output", "csv"), INTERVAL + DSL + ENGINE + ["re"]),
+      "--output", "csv"), INTERVAL + DSL + ENGINE),
     (("eval", "--f", "min", "[0,1]", "[1,1]"), INTERVAL + ENGINE[:2]),
     # a counterexample, a constant and a literal that are not whole
     (("check", "--f", "product", "--resolution", "2"),
@@ -532,7 +532,7 @@ def test_refusal_loads_no_engine(argv, size, budget, loaded):
     (("check", "--f", "product", "--resolution", "2", "--mode", "float",
       "--output", "text"), INTERVAL + ENGINE),
     (("check", "--f", "expr:min(X1,X2)", "--arity", "2", "--resolution", "2",
-      "--mode", "float", "--output", "text"), INTERVAL + DSL + ENGINE + ["re"]),
+      "--mode", "float", "--output", "text"), INTERVAL + DSL + ENGINE),
     (("check", "--f", "expr:max(X1,[0,1/2])", "--arity", "1", "--g", "pi2",
       "--resolution", "2", "--mode", "float", "--output", "text"),
      INTERVAL + FRACTIONS + DSL + ENGINE + ["re"]),
@@ -545,14 +545,16 @@ def test_refusal_loads_no_engine(argv, size, budget, loaded):
         "float", "float-fail", "float-expr-f", "float-constant",
         "float-theorem1", "float-eval"])
 def test_modules_each_command_loads(argv, loaded):
-    """Only `expr:` arguments compile the DSL front end, which imports `re`,
-    and no report loads `json`. `fractions` loads only for an exact number
-    that is not whole: a counterexample, a DSL constant or an interval
-    literal such as 0.2. A passing exact run, whose deviation is 0, reads
-    and prints only ints, and a float run reads its interval literals
-    (theorem1's `--a`, eval's arguments) without it; one with registry or
-    constant-free `expr:` ingredients makes no exact number, even for a
-    counterexample. `interval` reads a literal without `re`."""
+    """Only `expr:` arguments compile the DSL front end, and no report
+    loads `json`. `fractions` loads only for an exact number that is not
+    whole: a counterexample, a DSL constant or an interval literal such as
+    0.2. A passing exact run, whose deviation is 0, reads and prints only
+    ints, and a float run reads its interval literals (theorem1's `--a`,
+    eval's arguments) without it; one with registry or constant-free
+    `expr:` ingredients makes no exact number, even for a counterexample.
+    No module of the package imports `re`: `interval` reads a literal, and
+    `dsl` its tokens, with `str` methods, so `re` loads only with
+    `fractions`."""
     proc = run_python("-S", "-c", ENGINE_PROBE, *argv)
     assert proc.returncode in (0, 1) and proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == repr(loaded)

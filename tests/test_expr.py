@@ -4,9 +4,10 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ivhom import expr
+import dsl_oracle
+from ivhom import dsl, expr
 from ivhom.expr import (
     MAX_ARITY,
     Call,
@@ -329,3 +330,58 @@ def test_fuzzed_source_gives_ast_or_expr_error(tokens, arity, scaling):
             compile_ivfunction(node, arity)
     except (ExprError, IntervalError):
         pass
+
+
+#: the soup above, with Unicode digits (`٣` is one, `²` is not), a letter,
+#: whitespace that is not ASCII, and runs that a number or a variable
+#: reads only in part
+_TOKEN_SOUP = (*_SOUP, "٣", "²", "é", "\x85", "\u2028", "\x1c", "\t", "1.",
+               "1/", "1.5/2", "X01", "Xa", "X٣", "X²", "_", ".", "/")
+
+
+def _tokens_or_error(tokenize, src):
+    try:
+        return tokenize(src)
+    except ExprError as error:
+        return str(error), error.line, error.column
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.sampled_from(_TOKEN_SOUP), st.characters()),
+                max_size=25).map("".join))
+@example("1.5/2.5")
+@example("X٣٣ é")
+@example("min(X1,\n\u2028 X2\x85)\n@")
+def test_tokens_are_read_as_the_regular_expression_read_them(src):
+    """`dsl._tokenize` gives the tokens (kind, text, line, column) that the
+    regular expression it replaced gave, or the same error at the same
+    position."""
+    assert (_tokens_or_error(dsl._tokenize, src)
+            == _tokens_or_error(dsl_oracle.tokenize, src))
+
+
+def test_variable_index_is_decimal_digits():
+    """`X` and digits for which `isdecimal` is true is a variable: `X٣` is
+    X3, and `X²` is an unknown identifier, as `int` would not read `²`."""
+    assert parse_expr("min(X٣,X1)", 3) == Call("min", (Var(3), Var(1)))
+    with pytest.raises(ExprError) as exc:
+        parse_expr("min(X1,X²)", 2)
+    assert str(exc.value) == "unknown identifier 'X²' (line 1, column 8)"
+
+
+@pytest.mark.parametrize("src,message,column", [
+    ("X0", "variable index must be >= 1, got 0", 1),
+    ("min(X1,X0)", "variable index must be >= 1, got 0", 8),
+    ("mean(proj(0))", "proj index must be >= 1, got 0", 6),
+    ("min(X1,pow(X1,0))", "pow exponent must be a positive integer", 8),
+    ("pow(X1,1001)", "pow exponent 1001 exceeds the limit of 1000", 1),
+    ("max(X1, neg(X1,X2))", "neg takes exactly one argument", 9),
+], ids=["X0", "min-X0", "proj", "pow-0", "pow-past-limit", "neg-two"])
+def test_node_error_is_placed_at_the_token_that_built_it(src, message, column):
+    """The parser leaves these checks to the node it builds, and gives the
+    node's own message the position of the variable, or of the call's
+    name."""
+    with pytest.raises(ExprError) as exc:
+        parse_expr(src, 2)
+    assert str(exc.value) == f"{message} (line 1, column {column})"
+    assert (exc.value.line, exc.value.column) == (1, column)
