@@ -12,17 +12,22 @@ order of the pairs. The sweeps run on the scalar kernels of `expr`
 pairs themselves in exact mode and on the doubles (i/m, j/m) in float
 mode. Homogeneity and idempotency are each a law F(G(L,X1),...,G(L,Xn)) =
 G(phi(L), H(X1,...,Xn)) (`_sweep_law`), checked in the one loop that
-`expr.sweep` generates for it; the comparison of two functions
-(`equal_on_grid`) is a yes/no scan that stops at the first difference. Each variable with one parity of `neg`s above it is
-swept on the m+1 degenerate pairs (a, a) alone, one with both parities on
-all s pairs, and one the law does not read on the pair (0, 0)
-(`_coordinates`), which covers every grid tuple by construction. An
-`Interval` is made from a pair only for a value that a report shows
-(`Grid.point`).
+`compiler.sweep` generates for it; the comparison of two functions
+(`equal_on_grid`) is a yes/no scan that stops at the first difference.
+Each variable with one parity of `neg`s above it is swept on the m+1
+degenerate pairs (a, a) alone, one with both parities on all s pairs, and
+one the law does not read on the pair (0, 0) (`_coordinates`), which
+covers every grid tuple by construction. An `Interval` is made from a
+pair only for a value that a report shows (`Grid.point`).
+
+A homogeneity law whose F is a lattice polynomial, phi the identity and
+G's X1 under no odd number of `neg`s holds on every grid tuple in both
+modes, and `check_homogeneity` reports it as the sweep would without
+compiling a kernel (`_lattice_law`).
 
 No function here checks a budget or takes a worker count: the command
 line (`cli`) is the one budget gate, and it refuses an over-budget run
-before it imports this module.
+before it imports this module. A certified law is charged as if swept.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import itertools
 from bisect import bisect_left
 from collections.abc import Callable
 
-from .expr import diagonal, parities, sweep
+from .expr import Call, Proj, Var, diagonal, parities
 from .gate import UnsupportedModeError, grid_size
 from .interval import (EXACT, TYPE_CHECKING, Interval, NumericMode, _Value,
                        fraction)
@@ -178,6 +183,35 @@ def _homogeneity_law(f: IVFunction, g: ScalingFunction, phi: OrderIso,
                    for p, x in zip(fx, f.params))]
 
 
+def _lattice_law(f: IVFunction, g: ScalingFunction, phi: OrderIso) -> bool:
+    """Whether the homogeneity law F(G(L,X1),...,G(L,Xn)) = G(phi(L),
+    F(X1,...,Xn)) holds on every grid tuple in both modes, with deviation
+    0, decided from the ASTs alone: F is built from `min` and `max` over
+    variables only (a lattice polynomial), phi is X1, and no X1 in G sits
+    under an odd number of `neg`s.
+
+    Fix Λ. Each endpoint of G(Λ,·) is then a non-decreasing function h of
+    the same endpoint of its argument: every op but `neg` is
+    non-decreasing in each argument, an even number of `neg`s cancels, and
+    in float mode each rounded op is monotone too. A non-decreasing h
+    commutes with `min` and `max`, min(h(a),h(b)) = h(min(a,b)), bit for
+    bit in float mode, since `min` returns one of its arguments and h is
+    deterministic. So each endpoint of the left side, F's tree over the
+    h(x_i), is h of the same endpoint of F(X1,...,Xn), which is the right
+    side. Lattice polynomials are exactly the order-invariant aggregation
+    functions (J.-L. Marichal, J. Math. Psych. 46, 2002).
+    """
+
+    def lattice(n) -> bool:
+        return isinstance(n, (Var, Proj)) or (
+            isinstance(n, Call) and n.ident in ("min", "max")
+            and all(map(lattice, n.args)))
+
+    # an order isomorphism reads only X1, so a variable leaf is X1
+    return (isinstance(phi.expr, (Var, Proj)) and lattice(f.expr)
+            and parities(g.expr).get("X1", {0}) == {0})
+
+
 def _coordinates(m: int, variables: list[set]) -> list[tuple[list, ...]]:
     """For each variable's parities, the grid pairs its coordinate sweeps
     and the maps from a swept position to the first grid pair at which a
@@ -242,21 +276,19 @@ def _sweep_law(f: IVFunction, g: ScalingFunction, phi: OrderIso,
     equal within the mode's eps. `_lowest_failure` maps the first failure
     of each endpoint to the lowest failing grid tuple.
     """
-    mode = grid.mode
-    if mode.is_exact and not phi.exact_ok:
-        raise UnsupportedModeError(
-            f"order isomorphism {phi.name!r} has an irrational inverse; "
-            "it is only available in float mode"
-        )
-    m, n = grid.resolution, f.arity
+    from .compiler import sweep
+
+    mode, m, n = grid.mode, grid.resolution, f.arity
     coords = _coordinates(m, _homogeneity_law(f, g, phi, h))
     # the X_i that share a point list share one G row in the sweep
     lams, *xpts = _sweep_points(grid, coords)
     g_fn, dg = g.kernel(_dens(grid, m, m))
     phi_fn, dphi = phi.kernel(_dens(grid, m))
     h_fn, dh = h.kernel(_dens(grid, *(m,) * n))
-    h_table = [h_fn(*xs) for xs in itertools.product(*xpts)]
+    # compiled before the H table is filled, so that a law the generator
+    # refuses is refused at once
     sweep_fn, den = sweep(f, g, _dens(grid, dg, dphi, dh))
+    h_table = [h_fn(*xs) for xs in itertools.product(*xpts)]
     max_dev, first_lo, first_hi = sweep_fn(lams, xpts, h_table, g_fn, phi_fn,
                                            _tolerance(mode))
     return (_lowest_failure(coords, first_lo, first_hi),
@@ -273,8 +305,18 @@ def check_homogeneity(
     """Sweep F(G(L,X1),...,G(L,Xn)) = G(phi(L), F(X1,...,Xn)) over
     grid^(n+1): the law of `_sweep_law` with H = F. The counterexample is
     the lowest failing grid tuple, and `evaluations` counts the s^(n+1)
-    grid tuples the verdict covers.
+    grid tuples the verdict covers. A law that `_lattice_law` certifies
+    gets the report its sweep would give, a pass with deviation 0, and
+    compiles no kernel.
     """
+    if grid.mode.is_exact and not phi.exact_ok:
+        raise UnsupportedModeError(
+            f"order isomorphism {phi.name!r} has an irrational inverse; "
+            "it is only available in float mode"
+        )
+    evaluations = len(grid) ** (f.arity + 1)
+    if _lattice_law(f, g, phi):
+        return _report(law, None, evaluations, grid.mode.zero(), grid)
     failure, max_dev = _sweep_law(f, g, phi, f, grid)
     cex = None
     if failure is not None:
@@ -285,7 +327,7 @@ def check_homogeneity(
             lhs=f(*(g(lam, x) for x in xs)),
             rhs=g(phi(lam), f(*xs)),
         )
-    return _report(law, cex, len(grid) ** (f.arity + 1), max_dev, grid)
+    return _report(law, cex, evaluations, max_dev, grid)
 
 
 def equal_on_grid(f: IVFunction, h: IVFunction, grid: Grid) -> bool:

@@ -442,6 +442,27 @@ def test_zero_denominator_in_expression_exit_2(argv, message):
     assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("f", ["product", "min"])
+@pytest.mark.parametrize("command", ["check", "theorem1", "prop2"])
+def test_sweep_past_the_nesting_limit_exit_2(command, f):
+    """A sweep nests one loop over Λ and one per X_i, and CPython compiles
+    at most 20 nested blocks, so a law of arity 20 that must be swept is
+    refused with one error line that names the limit, not a traceback. The
+    `min` law against P is certified from the ASTs and passes at that
+    arity, in `check` and in theorem1's homogeneity step; prop2 still
+    sweeps its dual step, whose F has `neg`s."""
+    proc = run_child(command, "--f", f, "--arity", "20", "--resolution", "1",
+                     "--budget", "100000000000", "--output", "text")
+    if f == "min" and command != "prop2":
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert "evaluations:  10460353203" in proc.stdout  # 3^21
+    else:
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            "ivhom: error: a sweep of arity 20 nests 21 loops, and Python "
+            "compiles at most 20: the largest arity a sweep takes is 19\n")
+
+
 def test_deeply_nested_expression_exit_2():
     src = "neg(" * 1500 + "X1" + ")" * 1500
     proc = run_child("eval", "--arity", "1", "--f", f"expr:{src}", "[0,1]")
@@ -470,7 +491,8 @@ cli.build_parser()
 code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 engine = ("ivhom.interval", "fractions", "decimal", "numbers", "ivhom.dsl",
           "ivhom.expr", "ivhom.functions", "ivhom.homogeneity", "ivhom.report",
-          "json", "re", "argparse", "gettext", "locale", "typing")
+          "ivhom.compiler", "json", "re", "argparse", "gettext", "locale",
+          "typing")
 print([m for m in engine if m in sys.modules])
 sys.exit(code)
 """
@@ -480,6 +502,8 @@ INTERVAL = ["ivhom.interval"]
 FRACTIONS = ["fractions", "decimal", "numbers"]
 DSL = ["ivhom.dsl"]
 ENGINE = ["ivhom.expr", "ivhom.functions", "ivhom.homogeneity", "ivhom.report"]
+#: the tracer and code generator, which load with the first kernel compiled
+COMPILER = ["ivhom.compiler"]
 
 
 @pytest.mark.parametrize("argv,size,budget,loaded", [
@@ -508,45 +532,51 @@ def test_refusal_loads_no_engine(argv, size, budget, loaded):
      INTERVAL + ENGINE),
     (("check", "--f", "min", "--resolution", "2"), INTERVAL + ENGINE),
     (("theorem1", "--f", "min", "--a", "[1,1]", "--resolution", "2"),
-     INTERVAL + ENGINE),
-    (("prop2", "--f", "min", "--resolution", "2"), INTERVAL + ENGINE),
-    (("idempotent", "--f", "min", "--resolution", "2"), INTERVAL + ENGINE),
+     INTERVAL + ENGINE + COMPILER),
+    (("prop2", "--f", "min", "--resolution", "2"),
+     INTERVAL + ENGINE + COMPILER),
+    (("idempotent", "--f", "min", "--resolution", "2"),
+     INTERVAL + ENGINE + COMPILER),
     # the grid is numerator pairs, and a dual report shows no number
     (("dual", "--f", "min", "--resolution", "2", "--output", "text"),
-     INTERVAL + ENGINE),
+     INTERVAL + ENGINE + COMPILER),
     (("check", "--f", "expr:min(X1,X2)", "--arity", "2", "--resolution", "2",
       "--output", "text"), INTERVAL + DSL + ENGINE),
     (("check", "--f", "min", "--g", "expr:mul(L,X1)", "--resolution", "2",
       "--output", "csv"), INTERVAL + DSL + ENGINE),
-    (("eval", "--f", "min", "[0,1]", "[1,1]"), INTERVAL + ENGINE[:2]),
+    (("eval", "--f", "min", "[0,1]", "[1,1]"),
+     INTERVAL + ENGINE[:2] + COMPILER),
     # a counterexample, a constant and a literal that are not whole
     (("check", "--f", "product", "--resolution", "2"),
-     INTERVAL + FRACTIONS + ENGINE + ["re"]),
+     INTERVAL + FRACTIONS + ENGINE + COMPILER + ["re"]),
     (("check", "--f", "expr:max(X1,[0,1/2])", "--arity", "1", "--g", "pi2",
       "--resolution", "2", "--output", "text"),
-     INTERVAL + FRACTIONS + DSL + ENGINE + ["re"]),
+     INTERVAL + FRACTIONS + DSL + ENGINE + COMPILER + ["re"]),
     (("eval", "--f", "min", "[0.2,0.5]", "[1,1]"),
-     INTERVAL + FRACTIONS + ENGINE[:2] + ["re"]),
+     INTERVAL + FRACTIONS + ENGINE[:2] + COMPILER + ["re"]),
     (("check", "--f", "min", "--resolution", "2", "--mode", "float",
       "--output", "text"), INTERVAL + ENGINE),
     (("check", "--f", "product", "--resolution", "2", "--mode", "float",
-      "--output", "text"), INTERVAL + ENGINE),
+      "--output", "text"), INTERVAL + ENGINE + COMPILER),
     (("check", "--f", "expr:min(X1,X2)", "--arity", "2", "--resolution", "2",
       "--mode", "float", "--output", "text"), INTERVAL + DSL + ENGINE),
     (("check", "--f", "expr:max(X1,[0,1/2])", "--arity", "1", "--g", "pi2",
       "--resolution", "2", "--mode", "float", "--output", "text"),
-     INTERVAL + FRACTIONS + DSL + ENGINE + ["re"]),
+     INTERVAL + FRACTIONS + DSL + ENGINE + COMPILER + ["re"]),
     (("theorem1", "--f", "min", "--resolution", "2", "--mode", "float",
-      "--output", "text"), INTERVAL + ENGINE),
+      "--output", "text"), INTERVAL + ENGINE + COMPILER),
     (("eval", "--mode", "float", "--f", "min", "[0,1/3]", "[0.5,1e-0]"),
-     INTERVAL + ENGINE[:2]),
+     INTERVAL + ENGINE[:2] + COMPILER),
 ], ids=["text", "csv", "json", "theorem1", "prop2", "idempotent", "dual-text",
         "expr-f", "expr-g", "eval", "fail", "constant", "eval-fraction",
         "float", "float-fail", "float-expr-f", "float-constant",
         "float-theorem1", "float-eval"])
 def test_modules_each_command_loads(argv, loaded):
-    """Only `expr:` arguments compile the DSL front end, and no report
-    loads `json`. `fractions` loads only for an exact number that is not
+    """Only `expr:` arguments compile the DSL front end, only a run that
+    compiles a kernel loads `compiler`, and no report loads `json`. A
+    registry or `expr:` check of `min` against P or mul(L,X1) is
+    certified from the ASTs, so it loads no `compiler`; every other
+    command here compiles a kernel. `fractions` loads only for an exact number that is not
     whole: a counterexample, a DSL constant or an interval literal such as
     0.2. A passing exact run, whose deviation is 0, reads and prints only
     ints, and a float run reads its interval literals (theorem1's `--a`,
@@ -595,26 +625,26 @@ def test_config_file_loads_json(tmp_path):
 def test_registry_import_compiles_no_kernel():
     """Importing `functions` builds its five ingredients, which compiles no
     kernel."""
-    proc = run_python("-c", "import ivhom.expr as e; made = []; "
-                      "e._compile = lambda *a: made.append(a); "
+    proc = run_python("-c", "import ivhom.compiler as c; made = []; "
+                      "c._compile = lambda *a: made.append(a); "
                       "import ivhom.functions; print(len(made))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
 
 
-#: counts the exact and the float traces (`expr._ScalarTarget`s) and the
-#: kernels compiled in a fresh process: of a command line, or, with no
+#: counts the exact and the float traces (`compiler._ScalarTarget`s) and
+#: the kernels compiled in a fresh process: of a command line, or, with no
 #: arguments, of importing `functions` and building ingredients
 TRACE_PROBE = """
-import sys, ivhom.expr as e
+import sys, ivhom.compiler as c, ivhom.expr as e
 traced, compiled = [], []
-class Recording(e._ScalarTarget):
+class Recording(c._ScalarTarget):
     def __init__(self, exact, **kwargs):
         traced.append(exact)
         super().__init__(exact, **kwargs)
-e._ScalarTarget = Recording
-compile_ = e._compile
-e._compile = lambda *args: compiled.append(args) or compile_(*args)
+c._ScalarTarget = Recording
+compile_ = c._compile
+c._compile = lambda *args: compiled.append(args) or compile_(*args)
 import ivhom.cli as cli
 code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 if not sys.argv[1:]:
@@ -631,12 +661,12 @@ sys.exit(code)
 
 @pytest.mark.parametrize("argv,counts", [
     ((), "0 0 0"),
-    (("check", "--mode", "float", "--f", "min", "--resolution", "2"), "0 4 4"),
+    (("check", "--mode", "float", "--f", "min", "--resolution", "2"), "0 0 0"),
     (("check", "--mode", "float", "--f", "product", "--resolution", "2"),
      "0 4 4"),
-    (("prop2", "--mode", "float", "--f", "min", "--resolution", "2"), "0 7 7"),
+    (("prop2", "--mode", "float", "--f", "min", "--resolution", "2"), "0 4 4"),
     (("eval", "--mode", "float", "--f", "min", "[0,1]", "[1,1]"), "0 1 1"),
-    (("check", "--f", "min", "--resolution", "2"), "4 0 4"),
+    (("check", "--f", "min", "--resolution", "2"), "0 0 0"),
     (("idempotent", "--mode", "float", "--f", "min", "--resolution", "2"),
      "0 3 3"),
     (("idempotent", "--f", "min", "--resolution", "2"), "3 0 3"),
@@ -645,23 +675,24 @@ sys.exit(code)
 def test_a_run_traces_only_the_kernels_it_compiles(argv, counts):
     """Building an ingredient traces nothing, so a float run traces no
     exact code, and each kernel a run compiles is traced once: G, phi, F and
-    the sweep for each homogeneity check, G (pi2), phi (the identity, whose
-    kernel serves H = X1 too) and the sweep for idempotency, and a kernel
-    over denominator 1 of F, G or phi for an exact counterexample. A float
-    counterexample finds the sweep's kernels kept, and the dual step of
-    `prop2` the identity's."""
+    the sweep for each homogeneity check that is swept, none for one
+    certified from the ASTs (`min` against P, as in `prop2`'s base step),
+    G (pi2), phi (the identity, whose kernel serves H = X1 too) and the
+    sweep for idempotency, and a kernel over denominator 1 of F, G or phi
+    for an exact counterexample. A float counterexample finds the sweep's
+    kernels kept."""
     proc = run_python("-c", TRACE_PROBE, *argv)
     assert proc.returncode in (0, 1) and proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == counts
 
 
-#: the kernels that `expr._compile` compiles in a fresh process, each keyed
-#: by its ingredient and the `dens` that `_Compiled.kernel` was asked for
-#: (a sweep, compiled outside it, has no key); prints those compiled more
-#: than once, by name
+#: the kernels that `compiler._compile` compiles in a fresh process, each
+#: keyed by its ingredient and the `dens` that `_Compiled.kernel` was asked
+#: for (a sweep, compiled outside it, has no key); prints those compiled
+#: more than once, by name
 KEY_PROBE = """
-import sys, ivhom.expr as e
-kernel, compile_ = e._Compiled.kernel, e._compile
+import sys, ivhom.compiler as c, ivhom.expr as e
+kernel, compile_ = e._Compiled.kernel, c._compile
 within, kept, compiled = [None], [], []
 def keyed(self, dens=None):
     kept.append(self)  # alive to the end, so that no id is reused
@@ -674,7 +705,7 @@ def recording(*args):
     if within[-1] is not None:
         compiled.append(within[-1])
     return compile_(*args)
-e._Compiled.kernel, e._compile = keyed, recording
+e._Compiled.kernel, c._compile = keyed, recording
 import ivhom.cli as cli
 code = cli.main(sys.argv[1:])
 print(sorted({(name, dens) for name, i, dens in compiled
@@ -696,9 +727,9 @@ sys.exit(code)
 def test_no_run_compiles_a_kernel_twice(argv, mode):
     """Each ingredient keeps the kernel it compiles for a set of
     denominators, so no run of any command, passing or failing, compiles
-    the same kernel twice: `theorem1` asks for the identity's kernel over m
-    three times, as phi of its homogeneity step and as phi and H of its
-    idempotency step, and compiles it once."""
+    the same kernel twice: `theorem1 --f product` asks for the identity's
+    kernel over m three times, as phi of its homogeneity step and as phi
+    and H of its idempotency step, and compiles it once."""
     grid = () if argv[0] == "eval" else ("--resolution", "2")
     proc = run_python("-c", KEY_PROBE, *argv, *grid, "--mode", mode,
                       "--output", "text")

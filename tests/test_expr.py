@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dsl_oracle
-from ivhom import dsl, expr
+from ivhom import compiler, dsl, expr
 from ivhom.expr import (
     MAX_ARITY,
     Call,
@@ -173,7 +173,7 @@ def test_nesting_too_deep_is_an_expr_error():
         assert exc.value.line is None and "line" not in str(exc.value)
 
 
-class _Recording(expr._ScalarTarget):
+class _Recording(compiler._ScalarTarget):
     """A trace target that records whether each trace is exact."""
 
     traced: list = []
@@ -203,7 +203,7 @@ def test_bad_expression_fails_at_construction(monkeypatch, make, node, error,
     Python's digit limit is met only when the exact kernel is traced, and
     the float kernel of the same ingredient works."""
     monkeypatch.setattr(_Recording, "traced", [])
-    monkeypatch.setattr(expr, "_ScalarTarget", _Recording)
+    monkeypatch.setattr(compiler, "_ScalarTarget", _Recording)
     made = []
     with pytest.raises(error, match=message):
         made.append(make(node()))

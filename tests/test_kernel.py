@@ -21,7 +21,7 @@ from functools import cache, reduce
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ivhom import expr
+from ivhom import compiler, expr
 from ivhom.expr import (
     Call,
     Const,
@@ -286,9 +286,9 @@ def _uncompiled(x):
 
 
 def count_kernels(monkeypatch):
-    """Count the functions `expr._compile` generates, and their calls."""
+    """Count the functions `compiler._compile` generates, and their calls."""
     compiles, calls = [0], [0]
-    compile_ = expr._compile
+    compile_ = compiler._compile
 
     def counting_compile(*args):
         compiles[0] += 1
@@ -299,7 +299,7 @@ def count_kernels(monkeypatch):
             return fn(*xs)
         return counted
 
-    monkeypatch.setattr(expr, "_compile", counting_compile)
+    monkeypatch.setattr(compiler, "_compile", counting_compile)
     return compiles, calls
 
 
@@ -432,33 +432,34 @@ def test_each_kernel_is_compiled_once(monkeypatch, uncompiled, mode):
                              for name in ("min", "mean", "product"))
     p, phi = ScalingFunction("P", P.expr), OrderIso("identity", IDENTITY.expr)
     assert compiles[0] == 0
-    # a passing check compiles G, phi, F and the sweep
+    # a passing check of a lattice-polynomial F is certified from the ASTs
+    # and compiles nothing
     assert check_homogeneity(min2, p, phi, grid).passed
-    assert compiles[0] == 4
-    # F's kernel over the grid's denominators is kept, so comparing F with
-    # another function compiles only the other's
+    assert compiles[0] == 0
+    # comparing F with another function compiles the kernels of both
     equal_on_grid(min2, mean2, grid)
-    assert compiles[0] == 4 + 1
+    assert compiles[0] == 2
     # idempotency is a law of the one sweep too: it compiles G (pi2), phi
     # (the identity), whose kernel serves H (X1) as well, and the sweep,
     # which traces F(X1,...,X1) inline
     check_idempotency(mean2, grid)
-    assert compiles[0] == 5 + 3
+    assert compiles[0] == 2 + 3
     # the fixed point evaluates Intervals through F's kernel over
-    # denominator 1, which in float mode is the kernel the sweeps use; the
-    # bijectivity scan runs G's kernel over the grid's denominators, which
-    # the homogeneity step sweeps too, so it compiles none, and the
+    # denominator 1, which in float mode is the kernel `equal_on_grid`
+    # compiled; the bijectivity scan compiles G's kernel over the grid's
+    # denominators, which the homogeneity step then sweeps, and the
     # homogeneity and idempotency steps find every kernel kept and compile
     # only their sweeps
     run_theorem1(mean2, p, grid.points[-1], grid)
-    assert compiles[0] == 8 + exact + 2
+    assert compiles[0] == 5 + exact + 1 + 2
     run_theorem1(mean2, p, grid.points[-1], grid)
-    assert compiles[0] == 10 + exact + 2
-    # a failing check compiles F and the sweep, and in exact mode also the
-    # kernels over denominator 1 that its counterexample calls: those of F,
-    # G and phi
+    assert compiles[0] == 8 + exact + 2
+    # a failing check compiles F, phi over the grid's denominator, which
+    # no check has swept, and the sweep, and in exact mode also the
+    # kernels over denominator 1 that its counterexample calls: those of
+    # F, G and phi
     assert not check_homogeneity(product2, p, phi, grid).passed
-    assert compiles[0] == 12 + exact + 2 + 3 * exact
+    assert compiles[0] == 10 + exact + 3 + 3 * exact
 
 
 _unit_doubles = st.floats(0.0, 1.0)
@@ -557,15 +558,13 @@ def test_idempotency_is_one_run_of_the_sweep(monkeypatch, src, mode):
     """Idempotency is the law F(X1,...,X1) = X1 of the one generated loop,
     with G = pi2: `check_idempotency` builds one sweep, for F(X1,...,X1)
     and pi2, and runs it once."""
-    from ivhom import homogeneity
-
-    runs, sweep = [], homogeneity.sweep
+    runs, sweep = [], compiler.sweep
 
     def recording(f, g, dens):
         fn, den = sweep(f, g, dens)
         return (lambda *args: runs.append((f.expr, g)) or fn(*args)), den
 
-    monkeypatch.setattr(homogeneity, "sweep", recording)
+    monkeypatch.setattr(compiler, "sweep", recording)
     f, grid = _dsl(src), make_grid(3, mode)
     assert check_idempotency(f, grid) == reference_idempotency(f, grid)
     assert runs == [(expr.diagonal(f.expr), PI2)]
@@ -835,6 +834,73 @@ def test_random_law_matches_reference(law):
         grid = make_grid(m, mode)
         assert check_homogeneity(f, g, phi, grid) == reference_sweep(
             f, g, phi, grid)
+
+
+# --- lattice-polynomial laws: certified from the ASTs, with no sweep ---
+
+
+@st.composite
+def _lattice_laws(draw):
+    """m = 1..4; F a random `min`/`max` tree over X1..Xn and proj(k), with
+    n = 1..2, or 3 at m <= 2; G random over every op, with no X1 under an
+    odd number of `neg`s."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3 if m <= 2 else 2))
+    leaves = st.one_of(st.builds(Var, st.integers(1, n)),
+                       st.builds(Proj, st.integers(1, n)))
+    f = draw(st.recursive(leaves, lambda children: st.builds(
+        lambda op, args: Call(op, tuple(args)), st.sampled_from(("min", "max")),
+        st.lists(children, min_size=1, max_size=3)), max_leaves=6))
+    g = draw(_G_EXPRS.filter(
+        lambda e: expr.parities(e).get("X1", {0}) == {0}))
+    return m, compile_ivfunction(f, n), compile_scaling(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lattice_laws())
+@example((2, get_function("min", 2), P))
+@example((3, _dsl("max(X1,min(X2,proj(1)))"), _dsl_scaling("mul(L,[1/2,1])")))
+def test_lattice_law_is_certified_without_a_kernel(law):
+    """A law with a lattice-polynomial F, the identity for phi and X1 even
+    in G gets the reference report in both modes, a pass with deviation 0,
+    and compiles no kernel."""
+    m, f, g = law
+    with pytest.MonkeyPatch.context() as patch:
+        compiles, _ = count_kernels(patch)
+        for mode in MODES:
+            grid = make_grid(m, mode)
+            report = check_homogeneity(f, g, IDENTITY, grid)
+            assert report == reference_sweep(f, g, IDENTITY, grid)
+            assert report.passed
+            assert type(report.max_deviation) is type(mode.zero())
+        assert compiles[0] == 0
+
+
+#: (F, G, phi, modes) of laws that miss the certificate by one condition,
+#: each one that is swept, whatever its verdict
+NEAR_MISSES = (
+    ("min(X1,[1/3,2/3])", "mul(L,X1)", IDENTITY, MODES),  # a constant leaf
+    ("max(X1,neg(neg(X2)))", "mul(L,X1)", IDENTITY, MODES),  # neg in F
+    ("mean(X1,X2)", "mul(L,X1)", IDENTITY, MODES),
+    ("mul(X1,X2)", "mul(L,X1)", IDENTITY, MODES),
+    ("pow(min(X1,X2),1)", "mul(L,X1)", IDENTITY, MODES),
+    ("min(X1,X2)", "mul(L,neg(X1))", IDENTITY, MODES),  # X1 odd in G
+    ("min(X1,X2)", "mul(L,max(X1,neg(X1)))", IDENTITY, MODES),  # X1 mixed
+    ("min(X1,X2)", "mul(L,X1)", SQUARE, (FLOAT,)),
+)
+
+
+@pytest.mark.parametrize("f_src,g_src,phi,modes", NEAR_MISSES,
+                         ids=[f"{f}-{g}-{phi.name}" for f, g, phi, _ in NEAR_MISSES])
+def test_near_miss_of_the_lattice_certificate_is_swept(monkeypatch, f_src,
+                                                      g_src, phi, modes):
+    f, g = _dsl(f_src), _dsl_scaling(g_src)
+    compiles, _ = count_kernels(monkeypatch)
+    for mode in modes:
+        grid, before = make_grid(RESOLUTION[f.arity], mode), compiles[0]
+        assert check_homogeneity(f, g, phi, grid) == reference_sweep(
+            f, g, phi, grid)
+        assert compiles[0] > before  # at least the sweep
 
 
 @settings(max_examples=300, deadline=None)
