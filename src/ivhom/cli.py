@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import sys
 
-from .gate import (DEFAULT_BUDGET, BudgetExceededError, UnsupportedModeError,
-                   as_double, check_budget, check_epsilon, grid_size,
-                   resolve_arity, sweep_sizes)
+from .gate import (DEFAULT_BUDGET, DEFAULT_EPSILON, BudgetExceededError,
+                   UnsupportedModeError, as_double, check_budget,
+                   check_epsilon, grid_size, resolve_arity, sweep_sizes)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -58,7 +58,7 @@ _FLAGS = {
     "a": (str, None, "[1,1]", "fixed-point interval literal, e.g. [1,1]"),
     "resolution": (int, None, 4, "grid resolution m"),
     "mode": (str, ("exact", "float"), "exact", "numeric mode"),
-    "epsilon": (float, None, 1e-9, "float-mode tolerance"),
+    "epsilon": (float, None, DEFAULT_EPSILON, "float-mode tolerance"),
     "budget": (int, None, DEFAULT_BUDGET, "max side-evaluations per sweep"),
     "workers": (int, None, 1, "accepted for compatibility; no effect"),
     "output": (str, ("json", "csv", "text"), "json", "output format"),

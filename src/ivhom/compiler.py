@@ -1,12 +1,13 @@
 """The compiler of `expr` ASTs: the tracer and the code generator.
 
 `_trace` sends the code of each endpoint of an AST to a `_ScalarTarget`,
-and `_compile` executes the generated source. `expr._Compiled.kernel`
-builds the scalar-endpoint kernel of one ingredient with them, and
-`sweep` the fused loop of one law of homogeneity's shape, which also
-checks idempotency. Both import this module on first use, so a run that
-compiles no kernel, such as a `check` that `homogeneity` certifies from
-the ASTs, never loads it.
+and `_compile` executes the generated source. This module writes every
+generated function: `kernel`, the scalar-endpoint kernel of one
+ingredient, which `expr._Compiled.kernel` keeps, and `sweep`, the fused
+loop of one law of homogeneity's shape, which also checks idempotency.
+Each caller imports this module on first use, so a run that compiles no
+kernel, such as a `check` that `homogeneity` certifies from the ASTs,
+never loads it.
 
 Every op is representable: each endpoint of its result comes from one
 scalar formula, over the same endpoint of its arguments, or for `neg` over
@@ -20,7 +21,7 @@ from collections.abc import Callable
 from functools import reduce
 from math import lcm, log10
 
-from .expr import _FOLDED, Const, ExprError, LVar, Node, Pow, Proj, Var
+from .expr import _FOLDED, Const, ExprError, LVar, Node, Pow, Var
 from .interval import MAX_DIGITS, fraction, too_long
 
 #: CPython compiles at most this many statically nested blocks in one
@@ -178,7 +179,7 @@ def _trace(node: Node, target: _ScalarTarget, env: dict) -> tuple:
     def ref(n: Node, side: int) -> tuple:
         key = id(n), side
         if key not in refs:
-            if isinstance(n, (Var, Proj, LVar)):
+            if isinstance(n, (Var, LVar)):
                 name, den, level = env["L" if isinstance(n, LVar)
                                        else f"X{n.index:d}"]
                 r = f"{name}{'lh'[side]}", den, level
@@ -210,6 +211,26 @@ def _indent(lines: list[str], depth: int) -> list[str]:
     return ["    " * depth + line for line in lines]
 
 
+def kernel(node: Node, params: tuple[str, ...],
+           dens: tuple[int, ...] | None) -> tuple[Callable, int]:
+    """The scalar-endpoint kernel of `node` over `params`, and the
+    denominator of its results.
+
+    The kernel takes one (lo, hi) tuple per parameter and returns one
+    (lo, hi) tuple. `dens` holds each parameter's denominator in exact
+    mode and is None in float mode, where every denominator is 1.
+    """
+    t = _ScalarTarget(dens is not None)
+    refs = _trace(node, t, {p: (p, d, 0) for p, d in zip(
+        params, dens or (1,) * len(params), strict=True)})
+    den = refs[0][1]
+    lo, hi = (t.scaled(r, den) for r in refs)
+    return _compile([f"def fn({', '.join(params)}):",
+                     *(f"    {p}l, {p}h = {p}" for p in params),
+                     *_indent(t.lines[0], 1),
+                     f"    return ({lo}, {hi})"], t.env), den
+
+
 def sweep(f: "IVFunction", g: "ScalingFunction",
           dens: tuple[int, int, int] | None) -> tuple[Callable, int]:
     """The sweep of the law F(G(L,X1),...,G(L,Xn)) = G(phi(L),
@@ -219,11 +240,13 @@ def sweep(f: "IVFunction", g: "ScalingFunction",
 
     `fn(lams, xpts, h_table, g_fn, phi_fn, tol)` takes the sweep points of
     Λ and the list of sweep points of each X_i, as kernel arguments, H's
-    kernel results on `itertools.product(*xpts)` in order, and the kernels
-    of G and phi. For each Λ in `lams` it fills one row [G(Λ,x) for x in
-    xs] per distinct list object xs in `xpts`, which every X_i that sweeps
-    it shares, and phi(Λ) with those kernels, then runs n nested loops, one
-    over the row of each X_i, X1 outermost, walking the H table in order.
+    kernel results on `itertools.product(*xpts)` in order, which it walks
+    once per Λ (so any iterable when `lams` has one point), and the
+    kernels of G and phi. For each Λ in `lams` it fills one row [G(Λ,x)
+    for x in xs] per distinct list object xs in `xpts`, which every X_i
+    that sweeps it shares, and phi(Λ) with those kernels, then runs n
+    nested loops, one over the row of each X_i, X1 outermost, walking the
+    H table in order.
     Both sides are inlined, and each subexpression is computed in the loop
     of the last variable it reads. It returns the largest endpoint
     deviation (0 of the mode's number type when there is none), and the

@@ -10,14 +10,15 @@ Grammar:
     ident := "min" | "max" | "mul" | "psum" | "neg" | "mean" | "pow" | "proj"
 
 pow takes (expr, positive-integer-literal); proj takes an integer-literal
-argument index. Numbers are decimals or rationals like 1/3; a zero
+argument index, and `proj(k)` is another spelling of `Xk`: both build the
+AST `Var(k)`. Numbers are decimals or rationals like 1/3; a zero
 denominator is a syntax error. A constant's endpoints are exact, made by
 `interval.fraction`, so only a source with a constant that is not whole,
 such as `[0,1/2]`, loads `fractions`.
 An expression deeper than `gate.MAX_DEPTH` is refused at its first token.
 
 The parser only reads. Each node checks its own fields when it is built
-(a variable or `proj` index, a `pow` exponent, `neg`'s argument count), and
+(a variable index, a `pow` exponent, `neg`'s argument count), and
 the parser gives the node's error the position of the token that built
 it; only the minimum argument counts of `_MIN_ARGS`, which the registry
 does not share, are the parser's own. Tokens are scanned with `str`
@@ -26,8 +27,7 @@ methods, so the DSL imports no `re`.
 
 from __future__ import annotations
 
-from .expr import (_OPS, TOO_DEEP, Call, Const, ExprError, LVar, Node, Pow,
-                   Proj, Var)
+from .expr import _OPS, TOO_DEEP, Call, Const, ExprError, LVar, Node, Pow, Var
 from .gate import MAX_DEPTH
 from .interval import _Value, fraction
 
@@ -183,7 +183,7 @@ class _Parser:
         if ident.text == "proj":
             idx = self.integer()
             self.expect(")")
-            return self.build(ident, Proj, idx)
+            return self.build(ident, Var, idx)
         if ident.text == "pow":
             base = self.expr(depth + 1)
             self.expect(",")

@@ -1,14 +1,16 @@
 """The expression IR of every ingredient: the AST and the ingredients.
 
 Built-in and user-defined IV-functions, scalings and order isomorphisms are
-all ASTs over the nodes below; `dsl` parses the `expr:` sources, and
-`compiler` turns an AST into a callable: a scalar-endpoint kernel of one
-ingredient (`_Compiled.kernel`), or the fused loop of one law of
-homogeneity's shape (`compiler.sweep`). The kernels serve the sweeps of
-`homogeneity` and `__call__` on `Interval`s. An exact call passes the
-endpoints themselves, ints or `Fraction`s, as numerators over
-denominator 1, which a kernel built only of ring ops, comparisons and int
-literals evaluates exactly; a float call passes the doubles.
+all ASTs over the nodes below, with one leaf class for a variable X<k>,
+which the DSL also spells `proj(k)`; `dsl` parses the `expr:` sources,
+and `compiler` writes every generated function: the scalar-endpoint
+kernel of one ingredient (`compiler.kernel`, kept by `_Compiled.kernel`),
+and the fused loop of one law of homogeneity's shape (`compiler.sweep`).
+The kernels serve the sweeps of `homogeneity` and `__call__` on
+`Interval`s. An exact call passes the endpoints themselves, ints or
+`Fraction`s, as numerators over denominator 1, which a kernel built only
+of ring ops, comparisons and int literals evaluates exactly; a float call
+passes the doubles.
 
 An AST is valid once built: each node checks its op, constant, index and
 depth (`gate.MAX_DEPTH`), and each ingredient its variables. It is traced
@@ -120,15 +122,6 @@ class Pow(_Node):
         super().__init__(arg, exponent, depth=arg._depth + 1)
 
 
-class Proj(_Node):
-    __slots__ = ("index",)
-
-    def __init__(self, index: int) -> None:
-        if index < 1:
-            raise ExprError(f"proj index must be >= 1, got {index}")
-        super().__init__(index)
-
-
 class Call(_Node):
     __slots__ = ("ident", "args")
 
@@ -143,7 +136,7 @@ class Call(_Node):
                          depth=1 + max((a._depth for a in args), default=0))
 
 
-#: a Var, LVar, Const, Pow, Proj or Call
+#: a Var, LVar, Const, Pow or Call
 Node = _Node
 
 
@@ -154,13 +147,12 @@ _FOLDED = {"min", "max", "mul", "psum"}
 
 
 def parities(node: Node) -> dict[str, set[int]]:
-    """For each variable of the AST, "L" or "X<k>" (`proj(k)` too), the
-    parities of the number of `neg` calls above its occurrences: {0}, {1}
-    or {0, 1}."""
+    """For each variable of the AST, "L" or "X<k>", the parities of the
+    number of `neg` calls above its occurrences: {0}, {1} or {0, 1}."""
     out: dict[str, set[int]] = {}
 
     def visit(n: Node, odd: int) -> None:
-        if isinstance(n, (Var, Proj)):
+        if isinstance(n, Var):
             out.setdefault(f"X{n.index:d}", set()).add(odd)
         elif isinstance(n, LVar):
             out.setdefault("L", set()).add(odd)
@@ -194,11 +186,11 @@ def parse_expr(src: str, arity: int) -> Node:
 
 
 def _map_leaves(node: Node, leaf: Callable[[Node], Node]) -> Node:
-    """`node` with each variable, X<k>, proj(k) or L, replaced by `leaf` of
-    it, in one walk of one frame a level."""
+    """`node` with each variable, X<k> or L, replaced by `leaf` of it, in
+    one walk of one frame a level."""
 
     def walk(n: Node) -> Node:
-        if isinstance(n, (Var, Proj, LVar)):
+        if isinstance(n, (Var, LVar)):
             return leaf(n)
         if isinstance(n, Pow):
             return Pow(walk(n.arg), n.exponent)
@@ -215,7 +207,7 @@ def dual(node: Node) -> Node:
 
 
 def diagonal(node: Node) -> Node:
-    """F(X1,...,X1): each X<k> and proj(k) replaced by X1, and L kept."""
+    """F(X1,...,X1): each X<k> replaced by X1, and L kept."""
     return _map_leaves(node, lambda n: n if isinstance(n, LVar) else Var(1))
 
 
@@ -257,28 +249,13 @@ class _Compiled(_Value):
         return Interval(fraction(lo, den), fraction(hi, den))
 
     def kernel(self, dens: tuple[int, ...] | None = None) -> tuple[Callable, int]:
-        """The scalar-endpoint kernel and the denominator of its results,
-        compiled once for each `dens`.
-
-        The kernel takes one (lo, hi) tuple per parameter and returns one
-        (lo, hi) tuple. `dens` holds each parameter's denominator in exact
-        mode and is None in float mode, where every denominator is 1.
-        """
+        """The scalar-endpoint kernel and the denominator of its results
+        (`compiler.kernel`), compiled once for each `dens`: each
+        parameter's denominator in exact mode, None in float mode."""
         if dens not in self.fns:
-            from . import compiler
+            from .compiler import kernel
 
-            t = compiler._ScalarTarget(dens is not None)
-            env = {p: (p, d, 0) for p, d in zip(
-                self.params, dens or (1,) * len(self.params), strict=True)}
-            refs = compiler._trace(self.expr, t, env)
-            den = refs[0][1]
-            lo, hi = (t.scaled(r, den) for r in refs)
-            fn = compiler._compile(
-                [f"def fn({', '.join(self.params)}):",
-                 *(f"    {p}l, {p}h = {p}" for p in self.params),
-                 *compiler._indent(t.lines[0], 1),
-                 f"    return ({lo}, {hi})"], t.env)
-            self.fns[dens] = fn, den
+            self.fns[dens] = kernel(self.expr, self.params, dens)
         return self.fns[dens]
 
 

@@ -15,6 +15,8 @@ and `eval`, which is not gated, loads it to read its literals. `interval`,
 from __future__ import annotations
 
 DEFAULT_BUDGET = 10**7
+#: The float-mode tolerance of `--epsilon` and of `NumericMode`.
+DEFAULT_EPSILON = 1e-9
 
 #: The largest exponent of a DSL `pow(e,k)` and of a registry `pow_<k>`.
 #: An exact kernel writes denominators such as m^k into its source as

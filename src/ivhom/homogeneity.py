@@ -10,8 +10,9 @@ point by its numerator pair (i, j) over m, i <= j, and grid order is the
 order of the pairs. The sweeps run on the scalar kernels of `expr`
 (`IVFunction.kernel`, each compiled once for its denominators), on the
 pairs themselves in exact mode and on the doubles (i/m, j/m) in float
-mode. Homogeneity and idempotency are each a law F(G(L,X1),...,G(L,Xn)) =
-G(phi(L), H(X1,...,Xn)) (`_sweep_law`), checked in the one loop that
+mode, which `_coordinates` alone makes for every scan. Homogeneity and
+idempotency are each a law F(G(L,X1),...,G(L,Xn)) = G(phi(L),
+H(X1,...,Xn)) (`_sweep_law`), checked in the one loop that
 `compiler.sweep` generates for it; the comparison of two functions
 (`equal_on_grid`) is a yes/no scan that stops at the first difference.
 Each variable with one parity of `neg`s above it is swept on the m+1
@@ -36,7 +37,7 @@ import itertools
 from bisect import bisect_left
 from collections.abc import Callable
 
-from .expr import Call, Proj, Var, diagonal, parities
+from .expr import Call, Var, diagonal, parities
 from .gate import UnsupportedModeError, grid_size
 from .interval import (EXACT, TYPE_CHECKING, Interval, NumericMode, _Value,
                        fraction)
@@ -203,19 +204,19 @@ def _lattice_law(f: IVFunction, g: ScalingFunction, phi: OrderIso) -> bool:
     """
 
     def lattice(n) -> bool:
-        return isinstance(n, (Var, Proj)) or (
+        return isinstance(n, Var) or (
             isinstance(n, Call) and n.ident in ("min", "max")
             and all(map(lattice, n.args)))
 
     # an order isomorphism reads only X1, so a variable leaf is X1
-    return (isinstance(phi.expr, (Var, Proj)) and lattice(f.expr)
+    return (isinstance(phi.expr, Var) and lattice(f.expr)
             and parities(g.expr).get("X1", {0}) == {0})
 
 
-def _coordinates(m: int, variables: list[set]) -> list[tuple[list, ...]]:
-    """For each variable's parities, the grid pairs its coordinate sweeps
-    and the maps from a swept position to the first grid pair at which a
-    lower, and an upper, failure there is met.
+def _coordinates(grid: Grid, variables: list[set]) -> list[tuple[list, ...]]:
+    """For each variable's parities, the points its coordinate sweeps, as
+    kernel arguments, and the maps from a swept position to the first grid
+    pair at which a lower, and an upper, failure there is met.
 
     The lower law reads the lower endpoint of an even variable, the upper
     one of an odd variable and both of a mixed one; the upper law the other
@@ -226,34 +227,30 @@ def _coordinates(m: int, variables: list[set]) -> list[tuple[list, ...]]:
     maps to itself. A coordinate the law does not read sweeps the one pair
     (0, 0): every value of it gives the same two sides, and (0, 0) is the
     lowest grid pair. Every map rises, so the first failure in sweep order
-    maps to the lowest failing grid tuple (`_lowest_failure`). Coordinates
-    that sweep the same pairs share one list object.
+    maps to the lowest failing grid tuple (`_lowest_failure`).
+
+    The swept points are the pairs themselves in exact mode and the doubles
+    (i/m, j/m) in float mode. Each distinct pair list is converted once, so
+    coordinates that sweep the same pairs share one point list, and with it
+    one G row of the sweep.
     """
+    m = grid.resolution
     low, unread = range(m + 1), [(0, 0)]
     diag, zero = [(a, a) for a in low], [(0, a) for a in low]
-    every = _pairs(m) if any(len(p) > 1 for p in variables) else None
-    return [(every, every, every) if len(p) > 1 else
-            (diag, zero, diag) if 1 in p else
-            (diag, diag, zero) if p else (unread, unread, unread)
+    every = _pairs(m) if any(len(p) > 1 for p in variables) else []
+    at_diag, at_every, at_unread = (
+        pairs if grid.mode.is_exact else [(i / m, j / m) for i, j in pairs]
+        for pairs in (diag, every, unread))
+    return [(at_every, every, every) if len(p) > 1 else
+            (at_diag, zero, diag) if 1 in p else
+            (at_diag, diag, zero) if p else (at_unread, unread, unread)
             for p in variables]
-
-
-def _sweep_points(grid: Grid, coords: list[tuple[list, ...]]) -> list[list]:
-    """The pairs each coordinate sweeps as kernel arguments: the pairs
-    themselves in exact mode, doubles in float mode. Coordinates that sweep
-    one pair list share one point list."""
-    m, points = grid.resolution, {}
-    for swept, _, _ in coords:
-        if id(swept) not in points:
-            points[id(swept)] = (swept if grid.mode.is_exact else
-                                 [(i / m, j / m) for i, j in swept])
-    return [points[id(swept)] for swept, _, _ in coords]
 
 
 def _lowest_failure(coords: list[tuple[list, ...]], first_lo: tuple | None,
                     first_hi: tuple | None) -> tuple | None:
     """The lowest failing grid tuple, as pairs, from the positions in the
-    swept pairs of `coords` of the first lower and the first upper failure:
+    swept points of `coords` of the first lower and the first upper failure:
     each is mapped to the grid by its side's maps, and the earlier of the
     two is the lowest. None when neither law failed."""
     hits = [tuple(c[side][i] for c, i in zip(coords, at))
@@ -267,28 +264,32 @@ def _sweep_law(f: IVFunction, g: ScalingFunction, phi: OrderIso,
     grid^(n+1), and return the lowest failing grid tuple, as pairs (None
     when the law holds), and the largest endpoint deviation.
 
-    Each of L, X1..Xn sweeps the pairs that `_coordinates` gives for its
-    parities in the law (`_homogeneity_law`). The kernel of H fills a table
-    of its results on the product of the X coordinates' points, and the
-    law's one generated loop (`expr.sweep`) does the rest. In exact mode
-    both sides come out over one common denominator, so they compare as
-    integers, and equality is literal; in float mode two endpoints are
-    equal within the mode's eps. `_lowest_failure` maps the first failure
-    of each endpoint to the lowest failing grid tuple.
+    Each of L, X1..Xn sweeps the points that `_coordinates` gives for its
+    parities in the law (`_homogeneity_law`). The kernel of H gives its
+    results on the product of the X coordinates' points, in order, which
+    the law's one generated loop (`compiler.sweep`) reads once per Λ
+    point: as a list when Λ sweeps several points, else as they are made.
+    In exact mode both sides come out over one common denominator, so they
+    compare as integers, and equality is literal; in float mode two
+    endpoints are equal within the mode's eps. `_lowest_failure` maps the
+    first failure of each endpoint to the lowest failing grid tuple.
     """
     from .compiler import sweep
 
     mode, m, n = grid.mode, grid.resolution, f.arity
-    coords = _coordinates(m, _homogeneity_law(f, g, phi, h))
+    coords = _coordinates(grid, _homogeneity_law(f, g, phi, h))
     # the X_i that share a point list share one G row in the sweep
-    lams, *xpts = _sweep_points(grid, coords)
+    lams, *xpts = (points for points, _, _ in coords)
     g_fn, dg = g.kernel(_dens(grid, m, m))
     phi_fn, dphi = phi.kernel(_dens(grid, m))
     h_fn, dh = h.kernel(_dens(grid, *(m,) * n))
-    # compiled before the H table is filled, so that a law the generator
+    # compiled before any result of H is made, so that a law the generator
     # refuses is refused at once
     sweep_fn, den = sweep(f, g, _dens(grid, dg, dphi, dh))
-    h_table = [h_fn(*xs) for xs in itertools.product(*xpts)]
+    # read once per Λ point, so made a list only when there are several
+    h_table = itertools.starmap(h_fn, itertools.product(*xpts))
+    if len(lams) > 1:
+        h_table = list(h_table)
     max_dev, first_lo, first_hi = sweep_fn(lams, xpts, h_table, g_fn, phi_fn,
                                            _tolerance(mode))
     return (_lowest_failure(coords, first_lo, first_hi),
@@ -335,16 +336,17 @@ def equal_on_grid(f: IVFunction, h: IVFunction, grid: Grid) -> bool:
     equality rule of `_sweep_law`, on the kernels of both. Each result is
     compared cross-multiplied by the other kernel's denominator: in exact
     mode that compares the two values, and in float mode both denominators
-    are 1, so the doubles compare as they are. Each X_i sweeps the pairs
-    that `_coordinates` gives for its parities in F and H together, and
-    the scan stops at the first difference."""
-    pf, ph = parities(f.expr), parities(h.expr)
-    coords = _coordinates(grid.resolution, [pf.get(p, set()) | ph.get(p, set())
-                                            for p in f.params])
+    are 1, so the doubles compare as they are.
+
+    F = H is the law F(pi2(L,X1),...) = pi2(L, H(X1,...)), so each X_i
+    sweeps the points that `_coordinates` gives for its parities in that
+    law (`_homogeneity_law`), and the scan stops at the first difference.
+    """
+    coords = _coordinates(grid, _homogeneity_law(f, PI2, IDENTITY, h)[1:])
     dens = _dens(grid, *(grid.resolution,) * f.arity)
     (f_fn, df), (h_fn, dh) = f.kernel(dens), h.kernel(dens)
     tol = _tolerance(grid.mode)
-    for xs in itertools.product(*_sweep_points(grid, coords)):
+    for xs in itertools.product(*(points for points, _, _ in coords)):
         (a, b), (c, d) = f_fn(*xs), h_fn(*xs)
         if abs(a * dh - c * df) > tol or abs(b * dh - d * df) > tol:
             return False
@@ -382,10 +384,12 @@ def check_section_bijective(g: ScalingFunction, a: Interval,
 
     The images are the results of G's kernel over the grid's denominators,
     which the homogeneity step sweeps too, grouped by value, so exact mode
-    takes O(s) steps. In exact mode the kernel takes the grid numerators
-    and A's endpoints times m, and gives numerators over its denominator
-    D: an image times m and a grid point's numerators times D, which are
-    ints when A's endpoints times m are, compare as the two values. In
+    takes O(s) steps. The kernel takes the grid's points as `_coordinates`
+    gives them and A's endpoints times k, and gives results over its
+    denominator D: k = m in exact mode, where the points are numerators
+    over m, and k = 1 in float mode, where the points are doubles and D is
+    1. An image times k and a grid point times D then compare as the two
+    values; in exact mode they are ints when A's endpoints times m are. In
     float mode, where eps-equality is not transitive, distinct values are
     also compared with their neighbours within eps, which `_float_lookup`
     finds by bisection. A collision is reported as the lexicographically
@@ -393,15 +397,12 @@ def check_section_bijective(g: ScalingFunction, a: Interval,
     for the counterexample.
     """
     mode, m = grid.mode, grid.resolution
-    grid_pairs = _pairs(m)
+    (points, grid_pairs, _), = _coordinates(grid, [{0, 1}])
     fn, den = g.kernel(_dens(grid, m, m))
-    if mode.is_exact:
-        ends = (a.lo * m, a.hi * m)
-        images = [(lo * m, hi * m) for lo, hi in (fn(x, ends) for x in grid_pairs)]
-        targets = [(i * den, j * den) for i, j in grid_pairs]
-    else:
-        targets = [(i / m, j / m) for i, j in grid_pairs]
-        images = [fn(x, (a.lo, a.hi)) for x in targets]
+    k = m if mode.is_exact else 1
+    ends = (a.lo * k, a.hi * k)
+    images = [(lo * k, hi * k) for lo, hi in (fn(x, ends) for x in points)]
+    targets = [(i * den, j * den) for i, j in points]
 
     def report(cex: Counterexample | None, note: str) -> CheckReport:
         return _report("section-bijective", cex, len(grid), mode.zero(), grid,

@@ -19,7 +19,7 @@ defines none.
 
 from __future__ import annotations
 
-from .gate import check_epsilon
+from .gate import DEFAULT_EPSILON, check_epsilon
 
 #: `typing.TYPE_CHECKING` without importing `typing`: the annotations are
 #: never evaluated, so `Number` and `Fraction` exist for type checkers alone
@@ -157,7 +157,7 @@ class NumericMode(_Value):
 
     __slots__ = ("kind", "eps")
 
-    def __init__(self, kind: str, eps: float = 1e-9) -> None:
+    def __init__(self, kind: str, eps: float = DEFAULT_EPSILON) -> None:
         if kind not in ("exact", "float"):
             raise ValueError(f"unknown numeric mode {kind!r}")
         check_epsilon(eps)

@@ -209,6 +209,27 @@ def test_dual_csv_row_of_an_expression(capsys, src):
     assert list(csv.reader(io.StringIO(out))) == [["dual", src, "max"]]
 
 
+@pytest.mark.parametrize("output", ["json", "csv", "text"])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("command", ["check", "idempotent", "dual"])
+@pytest.mark.parametrize("x_src,proj_src", [
+    ("mean(X1,X2)", "mean(proj(1),X2)"),
+    ("max(X1,neg(X2))", "max(proj(1),neg(proj(2)))"),
+])
+def test_proj_k_and_xk_give_the_same_report(capsys, command, mode, output,
+                                            x_src, proj_src):
+    """`proj(k)` is another spelling of `Xk`, with the same AST, so a law
+    written either way prints the same stdout, byte for byte, once a
+    `dual` report's echo of F's source is replaced by one name."""
+    def stdout(src):
+        code, out, _ = run(capsys, command, "--f", f"expr:{src}", "--arity",
+                           "2", "--resolution", "3", "--mode", mode,
+                           "--output", output)
+        return code, out.replace(src, "F")
+
+    assert stdout(proj_src) == stdout(x_src)
+
+
 def test_theorem1_reads_a_before_any_work(capsys, monkeypatch):
     from ivhom import cli, homogeneity
 

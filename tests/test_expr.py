@@ -17,7 +17,6 @@ from ivhom.expr import (
     LVar,
     OrderIso,
     Pow,
-    Proj,
     ScalingFunction,
     Var,
     compile_ivfunction,
@@ -45,7 +44,7 @@ def test_parse_const_pow_proj():
     assert ast == Call(
         "psum", (Pow(Var(1), 2), Const(Fraction(1, 4), Fraction(1, 2)))
     )
-    assert parse_expr("proj(2)", 2) == Proj(2)
+    assert parse_expr("proj(2)", 2) == parse_expr("X2", 2) == Var(2)
 
 
 def test_syntax_error_position():
@@ -222,9 +221,9 @@ def test_bad_expression_fails_at_construction(monkeypatch, make, node, error,
      "scaling expressions may only use L and X1"),
     (lambda: OrderIso("phi", LVar()),
      "order isomorphism expressions may not use L"),
-    (lambda: OrderIso("phi", Proj(2)), "variable X2 exceeds declared arity 1"),
+    (lambda: OrderIso("phi", parse_expr("proj(2)", 2)),
+     "variable X2 exceeds declared arity 1"),
     (lambda: Var(0), "variable index must be >= 1, got 0"),
-    (lambda: Proj(-1), "proj index must be >= 1, got -1"),
     # `pow` is a node of its own, which carries its exponent
     (lambda: Call("pow", (Var(1), Var(1))), "unknown operation 'pow'"),
     # the arguments of a call, and a power's exponent, with the parser's
@@ -240,7 +239,7 @@ def test_bad_expression_fails_at_construction(monkeypatch, make, node, error,
     (lambda: Pow(Var(1), MAX_POW_EXPONENT + 1),
      f"pow exponent {MAX_POW_EXPONENT + 1} exceeds the limit of "
      f"{MAX_POW_EXPONENT}"),
-], ids=["F-X3", "F-L", "G-X2", "phi-L", "phi-proj", "X0", "proj", "pow",
+], ids=["F-X3", "F-L", "G-X2", "phi-L", "phi-proj", "X0", "pow",
         "min-none", "mean-none", "neg-none", "neg-two", "F-pow-0", "pow-neg",
         "pow-past-limit"])
 def test_bad_node_or_variable_is_an_expr_error(make, message):
@@ -253,11 +252,10 @@ def test_bad_node_or_variable_is_an_expr_error(make, message):
 
 
 def test_diagonal_reads_x1_for_every_variable():
-    """`diagonal` puts X1 in place of every X<k> and proj(k), under `neg`
-    and `pow` alike, and keeps constants; the result at X is F at
-    (X,...,X)."""
+    """`diagonal` puts X1 in place of every X<k>, under `neg` and `pow`
+    alike, and keeps constants; the result at X is F at (X,...,X)."""
     third = Const(Fraction(1, 3), Fraction(2, 3))
-    node = Call("mean", (Proj(3), Call("neg", (Var(2),)), Pow(Var(3), 2), third))
+    node = Call("mean", (Var(3), Call("neg", (Var(2),)), Pow(Var(3), 2), third))
     x1 = Var(1)
     assert expr.diagonal(node) == Call(
         "mean", (x1, Call("neg", (x1,)), Pow(x1, 2), third))
@@ -272,7 +270,7 @@ def test_node_hash_is_cached_and_does_not_recurse():
     assert hash(deep) == hash(chain(MAX_DEPTH)) != hash(chain(MAX_DEPTH - 1))
     assert {deep: 1}[deep] == 1
     assert chain(3) == chain(3) and hash(chain(3)) == hash(chain(3))
-    assert Var(2) != Proj(2) and Const(0, 1) != Const(0, Fraction(1, 2))
+    assert Const(0, 1) != Const(0, Fraction(1, 2))
 
 
 def test_node_equality_does_not_recurse():
@@ -372,7 +370,7 @@ def test_variable_index_is_decimal_digits():
 @pytest.mark.parametrize("src,message,column", [
     ("X0", "variable index must be >= 1, got 0", 1),
     ("min(X1,X0)", "variable index must be >= 1, got 0", 8),
-    ("mean(proj(0))", "proj index must be >= 1, got 0", 6),
+    ("mean(proj(0))", "variable index must be >= 1, got 0", 6),
     ("min(X1,pow(X1,0))", "pow exponent must be a positive integer", 8),
     ("pow(X1,1001)", "pow exponent 1001 exceeds the limit of 1000", 1),
     ("max(X1, neg(X1,X2))", "neg takes exactly one argument", 9),

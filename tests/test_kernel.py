@@ -28,7 +28,6 @@ from ivhom.expr import (
     LVar,
     OrderIso,
     Pow,
-    Proj,
     ScalingFunction,
     Var,
     compile_ivfunction,
@@ -84,7 +83,7 @@ _FOLDED = {"min": meet, "max": join, "mul": product, "psum": prob_sum}
 def tree_eval(node, env, num):
     """The value of an AST at the Intervals of `env` (by parameter name),
     with constants converted by `num`, Fraction or float."""
-    if isinstance(node, (Var, Proj)):
+    if isinstance(node, Var):
         return env[f"X{node.index}"]
     if isinstance(node, LVar):
         return env["L"]
@@ -570,6 +569,31 @@ def test_idempotency_is_one_run_of_the_sweep(monkeypatch, src, mode):
     assert runs == [(expr.diagonal(f.expr), PI2)]
 
 
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.kind)
+def test_h_table_is_a_list_only_when_lambda_sweeps_several_points(
+        monkeypatch, mode):
+    """The sweep reads H's table once for each Λ point. So a law in which
+    Λ sweeps one point, idempotency or a G that reads no L, streams the
+    table from H's kernel, and a law that reads Λ fills it as a list."""
+    tables, sweep = [], compiler.sweep
+
+    def recording(f, g, dens):
+        fn, den = sweep(f, g, dens)
+
+        def run(lams, xpts, h_table, *rest):
+            tables.append(isinstance(h_table, list))
+            return fn(lams, xpts, h_table, *rest)
+        return run, den
+
+    monkeypatch.setattr(compiler, "sweep", recording)
+    f, grid = _dsl("mul(X1,neg(X2))"), make_grid(3, mode)
+    assert check_idempotency(f, grid) == reference_idempotency(f, grid)
+    for g in (PI2, P):
+        assert check_homogeneity(f, g, IDENTITY, grid) == reference_sweep(
+            f, g, IDENTITY, grid)
+    assert tables == [False, False, True]
+
+
 IDEMPOTENCY_FS = [
     compile_ivfunction(parse_expr(src, arity), arity, name=src)
     for src, arity in (("min(X1,[1/3,2/3])", 1), ("max(neg(X1),[1/3,2/3])", 1),
@@ -608,9 +632,12 @@ def reference_bijective(g, a, grid):
                                    "min(L,[1/2,1])", "max(L,neg(X1))",
                                    "mul(L,[9/10,9/10])"))
 def test_section_bijective_matches_pairwise_scan(g_src, mode):
+    """Every grid point as A, and two A off the grid, whose endpoints times
+    m are not ints in exact mode."""
     g = compile_scaling(parse_expr(g_src, 1), name=g_src)
     grid = make_grid(4, mode)
-    for a in grid.points:
+    off_grid = [parse_interval(a, mode) for a in ("[1/3,1/2]", "[1/7,6/7]")]
+    for a in [*grid.points, *off_grid]:
         r = check_section_bijective(g, a, grid)
         want = reference_bijective(g, a, grid)
         if want is None:
@@ -841,13 +868,12 @@ def test_random_law_matches_reference(law):
 
 @st.composite
 def _lattice_laws(draw):
-    """m = 1..4; F a random `min`/`max` tree over X1..Xn and proj(k), with
-    n = 1..2, or 3 at m <= 2; G random over every op, with no X1 under an
-    odd number of `neg`s."""
+    """m = 1..4; F a random `min`/`max` tree over X1..Xn, with n = 1..2,
+    or 3 at m <= 2; G random over every op, with no X1 under an odd number
+    of `neg`s."""
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 3 if m <= 2 else 2))
-    leaves = st.one_of(st.builds(Var, st.integers(1, n)),
-                       st.builds(Proj, st.integers(1, n)))
+    leaves = st.builds(Var, st.integers(1, n))
     f = draw(st.recursive(leaves, lambda children: st.builds(
         lambda op, args: Call(op, tuple(args)), st.sampled_from(("min", "max")),
         st.lists(children, min_size=1, max_size=3)), max_leaves=6))

@@ -12,7 +12,6 @@ from ivhom.expr import (
     LVar,
     OrderIso,
     Pow,
-    Proj,
     ScalingFunction,
     Var,
 )
@@ -34,7 +33,6 @@ REPORT = CheckReport("idempotency", "pass", None, 3, Fraction(0), EXACT, 1)
 def test_equality_is_by_class_and_fields():
     assert Var(2) == Var(2) and hash(Var(2)) == hash(Var(2))
     assert Var(2) != Var(3)
-    assert Var(2) != Proj(2)
     assert Const(Fraction(1, 3), 1) != Interval(Fraction(1, 3), 1)
     assert Call("neg", (Var(1),)) == Call("neg", (Var(1),))
     assert Pow(LVar(), 2) != Pow(LVar(), 3)
