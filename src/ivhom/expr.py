@@ -17,8 +17,8 @@ depth (`gate.MAX_DEPTH`), and each ingredient its variables. It is traced
 only when a kernel is compiled, and an ingredient compiles its kernel
 once for each set of parameter denominators and keeps it. `compiler` is
 imported with the first kernel, so a run that compiles none loads neither
-it nor the tracer: a `check` that `homogeneity` certifies from the ASTs
-alone. A float run traces no exact code. Exact numbers come from
+it nor the tracer: one whose every law `homogeneity` certifies from the
+ASTs alone. A float run traces no exact code. Exact numbers come from
 `interval.fraction`, so a float run with no DSL constant loads no
 `fractions`, and an exact run loads it only for a number that is not
 whole."""

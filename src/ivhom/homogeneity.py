@@ -21,10 +21,14 @@ one the law does not read on the pair (0, 0) (`_coordinates`), which
 covers every grid tuple by construction. An `Interval` is made from a
 pair only for a value that a report shows (`Grid.point`).
 
-A homogeneity law whose F is a lattice polynomial, phi the identity and
-G's X1 under no odd number of `neg`s holds on every grid tuple in both
-modes, and `check_homogeneity` reports it as the sweep would without
-compiling a kernel (`_lattice_law`).
+Some laws hold by an identity that F's AST shows (`_polynomial`). An F
+built from `min`, `max`, `mean` and `neg` over variables, each under an
+even number of `neg`s, in exact mode, or from `min` and `max` alone in
+float mode, is idempotent, and commutes with every non-decreasing map of
+the endpoints, or, if it reads `mean`, every non-decreasing affine one.
+So its idempotency, its fixed point in theorem1, and its homogeneity with
+phi the identity and a G of that kind in X1 (`check_homogeneity`) are
+reported as their sweeps would report them, with no kernel compiled.
 
 No function here checks a budget or takes a worker count: the command
 line (`cli`) is the one budget gate, and it refuses an over-budget run
@@ -37,7 +41,7 @@ import itertools
 from bisect import bisect_left
 from collections.abc import Callable
 
-from .expr import Call, Var, diagonal, parities
+from .expr import Call, Pow, Var, diagonal, parities
 from .gate import UnsupportedModeError, grid_size
 from .interval import (EXACT, TYPE_CHECKING, Interval, NumericMode, _Value,
                        fraction)
@@ -184,33 +188,64 @@ def _homogeneity_law(f: IVFunction, g: ScalingFunction, phi: OrderIso,
                    for p, x in zip(fx, f.params))]
 
 
-def _lattice_law(f: IVFunction, g: ScalingFunction, phi: OrderIso) -> bool:
-    """Whether the homogeneity law F(G(L,X1),...,G(L,Xn)) = G(phi(L),
-    F(X1,...,Xn)) holds on every grid tuple in both modes, with deviation
-    0, decided from the ASTs alone: F is built from `min` and `max` over
-    variables only (a lattice polynomial), phi is X1, and no X1 in G sits
-    under an odd number of `neg`s.
+#: the ops on the path to X1 of a G that `_affine` accepts
+_AFFINE_OPS = {"mul", "psum", "mean", "neg"}
 
-    Fix Λ. Each endpoint of G(Λ,·) is then a non-decreasing function h of
-    the same endpoint of its argument: every op but `neg` is
-    non-decreasing in each argument, an even number of `neg`s cancels, and
-    in float mode each rounded op is monotone too. A non-decreasing h
-    commutes with `min` and `max`, min(h(a),h(b)) = h(min(a,b)), bit for
-    bit in float mode, since `min` returns one of its arguments and h is
-    deterministic. So each endpoint of the left side, F's tree over the
-    h(x_i), is h of the same endpoint of F(X1,...,Xn), which is the right
-    side. Lattice polynomials are exactly the order-invariant aggregation
-    functions (J.-L. Marichal, J. Math. Psych. 46, 2002).
+
+def _polynomial(f: IVFunction, mode: NumericMode) -> set[str] | None:
+    """The ops of F if its structure alone decides its laws in `mode`,
+    else None: F is built from `min`, `max`, `mean` and `neg` in exact
+    mode, or `min` and `max` in float mode, over variables only, with no
+    constant or `pow`, and no variable sits under an odd number of
+    `neg`s.
+
+    In exact mode such an F is a `neg`-free polynomial of `min`, `max` and
+    `mean`: neg(min(x,y)) = max(neg(x),neg(y)), neg(mean(x,...)) =
+    mean(neg(x),...) and neg(neg(x)) = x hold in rationals, so every `neg`
+    moves down to a leaf, where an even number cancels. Such a polynomial
+    is idempotent, F(X,...,X) = X, and it commutes with each map h applied
+    to every endpoint alike, h(F(x1,...,xn)) = F(h(x1),...,h(xn)), when h
+    is non-decreasing and, if F reads `mean`, also affine: h commutes with
+    `min` and `max` because it keeps order, and with `mean` because it
+    keeps sums. Lattice polynomials are exactly the order-invariant
+    aggregation functions (J.-L. Marichal, J. Math. Psych. 46, 2002).
+
+    In float mode F is a polynomial of `min` and `max` alone, for which
+    both laws hold bit for bit: `min` and `max` return one of their
+    arguments, and h, one fixed sequence of rounded ops, is deterministic.
+    A rounded `mean` need not keep them, nor 1-(1-x) = x hold.
     """
+    allowed = {"min", "max", "mean", "neg"} if mode.is_exact else {"min", "max"}
+    ops, stack = set(), [f.expr]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, Call) and n.ident in allowed:
+            ops.add(n.ident)
+            stack += n.args
+        elif not isinstance(n, Var):
+            return None
+    if any(p != {0} for p in parities(f.expr).values()):
+        return None
+    return ops
 
-    def lattice(n) -> bool:
-        return isinstance(n, Var) or (
-            isinstance(n, Call) and n.ident in ("min", "max")
-            and all(map(lattice, n.args)))
 
-    # an order isomorphism reads only X1, so a variable leaf is X1
-    return (isinstance(phi.expr, Var) and lattice(f.expr)
-            and parities(g.expr).get("X1", {0}) == {0})
+def _affine(g: ScalingFunction) -> bool:
+    """Whether, for a fixed L, each endpoint of G is an affine function of
+    one endpoint of X1: X1 is read at most once, and only under calls of
+    `_AFFINE_OPS`, each affine in an argument whose others are fixed,
+    psum(c,x) = c + (1-c)x and neg(x) = 1-x among them."""
+    reads, stack = 0, [(g.expr, True)]
+    while stack:
+        n, affine = stack.pop()
+        if isinstance(n, Var):  # a scaling's variable leaf is X1
+            reads += 1
+            if not affine or reads > 1:
+                return False
+        elif isinstance(n, Pow):
+            stack.append((n.arg, False))
+        elif isinstance(n, Call):
+            stack += [(a, affine and n.ident in _AFFINE_OPS) for a in n.args]
+    return True
 
 
 def _coordinates(grid: Grid, variables: list[set]) -> list[tuple[list, ...]]:
@@ -306,7 +341,15 @@ def check_homogeneity(
     """Sweep F(G(L,X1),...,G(L,Xn)) = G(phi(L), F(X1,...,Xn)) over
     grid^(n+1): the law of `_sweep_law` with H = F. The counterexample is
     the lowest failing grid tuple, and `evaluations` counts the s^(n+1)
-    grid tuples the verdict covers. A law that `_lattice_law` certifies
+    grid tuples the verdict covers.
+
+    The law holds when F passes `_polynomial`, phi is X1, no X1 in G sits
+    under an odd number of `neg`s, and G is `_affine` if F reads `mean`.
+    Fix Λ: each endpoint of G(Λ,·) is then a map h of the same endpoint of
+    its argument, non-decreasing, since every op but `neg` is (in float
+    mode each rounded op too) and an even number of `neg`s cancels, and
+    affine where asked. So h commutes with F, and the left side,
+    F(h(x1),...,h(xn)), is h(F(x1,...,xn)), the right side. Such a law
     gets the report its sweep would give, a pass with deviation 0, and
     compiles no kernel.
     """
@@ -316,7 +359,11 @@ def check_homogeneity(
             "it is only available in float mode"
         )
     evaluations = len(grid) ** (f.arity + 1)
-    if _lattice_law(f, g, phi):
+    ops = _polynomial(f, grid.mode)
+    # an order isomorphism reads only X1, so a variable leaf is X1
+    if (ops is not None and isinstance(phi.expr, Var)
+            and parities(g.expr).get("X1", {0}) == {0}
+            and ("mean" not in ops or _affine(g))):
         return _report(law, None, evaluations, grid.mode.zero(), grid)
     failure, max_dev = _sweep_law(f, g, phi, f, grid)
     cex = None
@@ -363,8 +410,12 @@ def check_idempotency(f: IVFunction, grid: Grid) -> CheckReport:
     X_i under an odd number of `neg`s is checked on the m+1 degenerate
     points, and one with such an X_i on all s. Λ, which pi2 does not read,
     sweeps one pair. F(X1,...,X1) is traced inline in F's own operation
-    order, so float results are those of F at (X,...,X).
+    order, so float results are those of F at (X,...,X). An F that passes
+    `_polynomial` is idempotent, and gets the report its sweep would give,
+    a pass with deviation 0, without compiling a kernel.
     """
+    if _polynomial(f, grid.mode) is not None:
+        return _report("idempotency", None, len(grid), grid.mode.zero(), grid)
     diag = IVFunction(f.name, 1, diagonal(f.expr))
     failure, max_dev = _sweep_law(diag, PI2, IDENTITY, IDENTITY, grid)
     cex = None
@@ -463,8 +514,10 @@ def _within(xs: list, x: float, eps: float) -> list:
 
 
 def _check_fixed_point(f: IVFunction, a: Interval, grid: Grid) -> CheckReport:
+    """Check F(A,...,A) = A. An F that passes `_polynomial` is idempotent,
+    so its value is A itself, and F is not called."""
     mode = grid.mode
-    out = f(*(a,) * f.arity)
+    out = a if _polynomial(f, mode) is not None else f(*(a,) * f.arity)
     cex = (None if mode.intervals_equal(out, a)
            else Counterexample(None, (a,) * f.arity, out, a))
     return _report("fixed-point", cex, 1, mode.deviation(out, a), grid)

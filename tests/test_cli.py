@@ -463,18 +463,27 @@ def test_zero_denominator_in_expression_exit_2(argv, message):
     assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("f", ["product", "min"])
-@pytest.mark.parametrize("command", ["check", "theorem1", "prop2"])
-def test_sweep_past_the_nesting_limit_exit_2(command, f):
+#: (command, F, mode) at arity 20
+NESTING = [(command, f, "exact") for command in ("check", "theorem1", "prop2")
+           for f in ("product", "min")] + [("prop2", "min", "float")]
+
+
+@pytest.mark.parametrize(
+    "command,f,mode", NESTING,
+    ids=[f"{c}-{f}" + ("-float" if m == "float" else "") for c, f, m in NESTING])
+def test_sweep_past_the_nesting_limit_exit_2(command, f, mode):
     """A sweep nests one loop over Λ and one per X_i, and CPython compiles
     at most 20 nested blocks, so a law of arity 20 that must be swept is
     refused with one error line that names the limit, not a traceback. The
     `min` law against P is certified from the ASTs and passes at that
-    arity, in `check` and in theorem1's homogeneity step; prop2 still
-    sweeps its dual step, whose F has `neg`s."""
+    arity, in `check`, in theorem1's homogeneity step and, in exact mode,
+    in both steps of prop2, whose dual step has an F with `neg`s; float
+    prop2 still sweeps that step, since 1-(1-x) need not be x in
+    doubles."""
     proc = run_child(command, "--f", f, "--arity", "20", "--resolution", "1",
-                     "--budget", "100000000000", "--output", "text")
-    if f == "min" and command != "prop2":
+                     "--budget", "100000000000", "--output", "text",
+                     "--mode", mode)
+    if f == "min" and mode == "exact":
         assert proc.returncode == 0 and proc.stderr == ""
         assert "evaluations:  10460353203" in proc.stdout  # 3^21
     else:
@@ -554,10 +563,8 @@ def test_refusal_loads_no_engine(argv, size, budget, loaded):
     (("check", "--f", "min", "--resolution", "2"), INTERVAL + ENGINE),
     (("theorem1", "--f", "min", "--a", "[1,1]", "--resolution", "2"),
      INTERVAL + ENGINE + COMPILER),
-    (("prop2", "--f", "min", "--resolution", "2"),
-     INTERVAL + ENGINE + COMPILER),
-    (("idempotent", "--f", "min", "--resolution", "2"),
-     INTERVAL + ENGINE + COMPILER),
+    (("prop2", "--f", "min", "--resolution", "2"), INTERVAL + ENGINE),
+    (("idempotent", "--f", "min", "--resolution", "2"), INTERVAL + ENGINE),
     # the grid is numerator pairs, and a dual report shows no number
     (("dual", "--f", "min", "--resolution", "2", "--output", "text"),
      INTERVAL + ENGINE + COMPILER),
@@ -588,15 +595,25 @@ def test_refusal_loads_no_engine(argv, size, budget, loaded):
       "--output", "text"), INTERVAL + ENGINE + COMPILER),
     (("eval", "--mode", "float", "--f", "min", "[0,1/3]", "[0.5,1e-0]"),
      INTERVAL + ENGINE[:2] + COMPILER),
+    # `mean` is certified in exact mode alone
+    (("idempotent", "--f", "mean", "--arity", "4", "--resolution", "2"),
+     INTERVAL + ENGINE),
+    (("check", "--f", "expr:mean(max(X1,X2),proj(1))", "--arity", "2",
+      "--g", "expr:psum(L,X1)", "--resolution", "2", "--output", "text"),
+     INTERVAL + DSL + ENGINE),
+    (("check", "--f", "mean", "--g", "P_NS", "--resolution", "2", "--mode",
+      "float", "--output", "text"), INTERVAL + ENGINE + COMPILER),
 ], ids=["text", "csv", "json", "theorem1", "prop2", "idempotent", "dual-text",
         "expr-f", "expr-g", "eval", "fail", "constant", "eval-fraction",
         "float", "float-fail", "float-expr-f", "float-constant",
-        "float-theorem1", "float-eval"])
+        "float-theorem1", "float-eval", "idempotent-mean", "expr-mean",
+        "float-mean"])
 def test_modules_each_command_loads(argv, loaded):
     """Only `expr:` arguments compile the DSL front end, only a run that
     compiles a kernel loads `compiler`, and no report loads `json`. A
-    registry or `expr:` check of `min` against P or mul(L,X1) is
-    certified from the ASTs, so it loads no `compiler`; every other
+    registry or `expr:` check of `min` against P or mul(L,X1), both
+    steps of exact prop2 of `min` and the idempotency of `min` are
+    certified from the ASTs, so they load no `compiler`; every other
     command here compiles a kernel. `fractions` loads only for an exact number that is not
     whole: a counterexample, a DSL constant or an interval literal such as
     0.2. A passing exact run, whose deviation is 0, reads and prints only
@@ -689,19 +706,30 @@ sys.exit(code)
     (("eval", "--mode", "float", "--f", "min", "[0,1]", "[1,1]"), "0 1 1"),
     (("check", "--f", "min", "--resolution", "2"), "0 0 0"),
     (("idempotent", "--mode", "float", "--f", "min", "--resolution", "2"),
+     "0 0 0"),
+    (("idempotent", "--f", "min", "--resolution", "2"), "0 0 0"),
+    (("prop2", "--f", "min", "--resolution", "2"), "0 0 0"),
+    (("idempotent", "--mode", "float", "--f", "mean", "--resolution", "2"),
      "0 3 3"),
-    (("idempotent", "--f", "min", "--resolution", "2"), "3 0 3"),
+    (("theorem1", "--f", "min", "--resolution", "2"), "1 0 1"),
+    (("theorem1", "--mode", "float", "--f", "min", "--resolution", "2"),
+     "0 1 1"),
 ], ids=["build", "float-check", "float-check-fail", "float-prop2",
-        "float-eval", "exact-check", "float-idempotent", "exact-idempotent"])
+        "float-eval", "exact-check", "float-idempotent", "exact-idempotent",
+        "exact-prop2", "float-idempotent-mean", "exact-theorem1",
+        "float-theorem1"])
 def test_a_run_traces_only_the_kernels_it_compiles(argv, counts):
     """Building an ingredient traces nothing, so a float run traces no
     exact code, and each kernel a run compiles is traced once: G, phi, F and
     the sweep for each homogeneity check that is swept, none for one
-    certified from the ASTs (`min` against P, as in `prop2`'s base step),
-    G (pi2), phi (the identity, whose kernel serves H = X1 too) and the
-    sweep for idempotency, and a kernel over denominator 1 of F, G or phi
-    for an exact counterexample. A float counterexample finds the sweep's
-    kernels kept."""
+    certified from the ASTs (`min` against P, as in `prop2`'s base step,
+    and in exact mode its dual against the dual of P), G (pi2), phi (the
+    identity, whose kernel serves H = X1 too) and the sweep for an
+    idempotency law that is swept, none for one certified (`min`), and a
+    kernel over denominator 1 of F, G or phi for an exact counterexample.
+    theorem1 of `min` compiles only the kernel of G that its bijectivity
+    scan reads: its fixed point, homogeneity and idempotency are certified.
+    A float counterexample finds the sweep's kernels kept."""
     proc = run_python("-c", TRACE_PROBE, *argv)
     assert proc.returncode in (0, 1) and proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == counts

@@ -49,6 +49,7 @@ from ivhom.gate import MAX_DEPTH
 from ivhom.homogeneity import (
     CheckReport,
     Counterexample,
+    _check_fixed_point,
     _float_lookup,
     _homogeneity_law,
     _sweep_law,
@@ -438,27 +439,30 @@ def test_each_kernel_is_compiled_once(monkeypatch, uncompiled, mode):
     # comparing F with another function compiles the kernels of both
     equal_on_grid(min2, mean2, grid)
     assert compiles[0] == 2
+    # `mean`'s laws against P are certified from the ASTs in exact mode
+    # only: a rounded mean is swept
+    swept = not exact
     # idempotency is a law of the one sweep too: it compiles G (pi2), phi
     # (the identity), whose kernel serves H (X1) as well, and the sweep,
     # which traces F(X1,...,X1) inline
     check_idempotency(mean2, grid)
-    assert compiles[0] == 2 + 3
+    assert compiles[0] == 2 + 3 * swept
     # the fixed point evaluates Intervals through F's kernel over
-    # denominator 1, which in float mode is the kernel `equal_on_grid`
-    # compiled; the bijectivity scan compiles G's kernel over the grid's
-    # denominators, which the homogeneity step then sweeps, and the
-    # homogeneity and idempotency steps find every kernel kept and compile
-    # only their sweeps
+    # denominator 1 when swept, which in float mode is the kernel
+    # `equal_on_grid` compiled; the bijectivity scan compiles G's kernel
+    # over the grid's denominators, which the homogeneity step then sweeps,
+    # and the homogeneity and idempotency steps find every kernel kept and
+    # compile only their sweeps
     run_theorem1(mean2, p, grid.points[-1], grid)
-    assert compiles[0] == 5 + exact + 1 + 2
+    assert compiles[0] == 2 + 3 * swept + 1 + 2 * swept
     run_theorem1(mean2, p, grid.points[-1], grid)
-    assert compiles[0] == 8 + exact + 2
+    assert compiles[0] == 3 + 5 * swept + 2 * swept
     # a failing check compiles F, phi over the grid's denominator, which
     # no check has swept, and the sweep, and in exact mode also the
     # kernels over denominator 1 that its counterexample calls: those of
     # F, G and phi
     assert not check_homogeneity(product2, p, phi, grid).passed
-    assert compiles[0] == 10 + exact + 3 + 3 * exact
+    assert compiles[0] == 3 + 7 * swept + 3 + 3 * exact
 
 
 _unit_doubles = st.floats(0.0, 1.0)
@@ -556,7 +560,8 @@ def reference_idempotency(f, grid):
 def test_idempotency_is_one_run_of_the_sweep(monkeypatch, src, mode):
     """Idempotency is the law F(X1,...,X1) = X1 of the one generated loop,
     with G = pi2: `check_idempotency` builds one sweep, for F(X1,...,X1)
-    and pi2, and runs it once."""
+    and pi2, and runs it once, unless F's structure makes it idempotent:
+    `min(X1,X2)` runs no sweep in either mode."""
     runs, sweep = [], compiler.sweep
 
     def recording(f, g, dens):
@@ -566,7 +571,8 @@ def test_idempotency_is_one_run_of_the_sweep(monkeypatch, src, mode):
     monkeypatch.setattr(compiler, "sweep", recording)
     f, grid = _dsl(src), make_grid(3, mode)
     assert check_idempotency(f, grid) == reference_idempotency(f, grid)
-    assert runs == [(expr.diagonal(f.expr), PI2)]
+    assert runs == ([] if src == "min(X1,X2)" else
+                    [(expr.diagonal(f.expr), PI2)])
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.kind)
@@ -906,8 +912,9 @@ def test_lattice_law_is_certified_without_a_kernel(law):
 #: each one that is swept, whatever its verdict
 NEAR_MISSES = (
     ("min(X1,[1/3,2/3])", "mul(L,X1)", IDENTITY, MODES),  # a constant leaf
-    ("max(X1,neg(neg(X2)))", "mul(L,X1)", IDENTITY, MODES),  # neg in F
-    ("mean(X1,X2)", "mul(L,X1)", IDENTITY, MODES),
+    # `neg` and `mean` in F are certified in exact mode alone
+    ("max(X1,neg(neg(X2)))", "mul(L,X1)", IDENTITY, (FLOAT,)),
+    ("mean(X1,X2)", "mul(L,X1)", IDENTITY, (FLOAT,)),
     ("mul(X1,X2)", "mul(L,X1)", IDENTITY, MODES),
     ("pow(min(X1,X2),1)", "mul(L,X1)", IDENTITY, MODES),
     ("min(X1,X2)", "mul(L,neg(X1))", IDENTITY, MODES),  # X1 odd in G
@@ -927,6 +934,164 @@ def test_near_miss_of_the_lattice_certificate_is_swept(monkeypatch, f_src,
         assert check_homogeneity(f, g, phi, grid) == reference_sweep(
             f, g, phi, grid)
         assert compiles[0] > before  # at least the sweep
+
+
+# --- min/max/mean/neg laws: certified from the ASTs in exact mode ---
+
+
+def _idents(node):
+    """The ops of the calls of an AST."""
+    if isinstance(node, Pow):
+        return _idents(node.arg)
+    if isinstance(node, Call):
+        return {node.ident}.union(*map(_idents, node.args))
+    return set()
+
+
+def _structural(f, mode):
+    """Whether the structure of F, a tree of calls over variables, each
+    under an even number of `neg`s, decides its laws in `mode`: F calls
+    only `min`, `max`, `mean` and `neg` in exact mode, and only `min` and
+    `max` in float mode."""
+    return _idents(f.expr) <= ({"min", "max", "mean", "neg"} if mode.is_exact
+                               else {"min", "max"})
+
+
+def _even_tree(draw, n, depth, odd=False):
+    """A random tree of `min`, `max`, `mean` and `neg` over X1..Xn at most
+    `depth` calls deep, with every variable under an even number of
+    `neg`s: one reached under an odd number gets one more."""
+    kind = draw(st.sampled_from(("leaf", "neg", "call", "call"))
+                if depth else st.just("leaf"))
+    if kind == "leaf":
+        x = Var(draw(st.integers(1, n)))
+        return Call("neg", (x,)) if odd else x
+    if kind == "neg":
+        return Call("neg", (_even_tree(draw, n, depth - 1, not odd),))
+    op = draw(st.sampled_from(("min", "max", "mean")))
+    k = draw(st.integers(1 if op == "mean" else 2, 3))
+    return Call(op, tuple(_even_tree(draw, n, depth - 1, odd)
+                          for _ in range(k)))
+
+
+#: the arguments off X1's path in an affine G: trees of its ops over L and
+#: constants
+_AFFINE_SIDES = st.recursive(
+    st.one_of(st.just(LVar()), _consts()),
+    lambda children: st.one_of(
+        st.builds(lambda op, args: Call(op, tuple(args)),
+                  st.sampled_from(("mul", "psum", "mean")),
+                  st.lists(children, min_size=1, max_size=2)),
+        st.builds(lambda a: Call("neg", (a,)), children)),
+    max_leaves=3)
+
+
+@st.composite
+def _affine_scalings(draw):
+    """A random G in which X1 is read once, under calls of `mul`, `psum`,
+    `mean` and an even number of `neg`s, whose other arguments read L and
+    constants."""
+    node, negs = Var(1), 0
+    for op in draw(st.lists(st.sampled_from(("mul", "psum", "mean", "neg")),
+                            max_size=4)):
+        if op == "neg":
+            node, negs = Call("neg", (node,)), negs + 1
+            continue
+        others = draw(st.lists(_AFFINE_SIDES, min_size=op != "mean",
+                               max_size=2))
+        at = draw(st.integers(0, len(others)))
+        node = Call(op, (*others[:at], node, *others[at:]))
+    return compile_scaling(Call("neg", (node,)) if negs % 2 else node)
+
+
+@st.composite
+def _mean_laws(draw):
+    """m = 1..4; F an even tree of arity n = 1..2, or 3 at m <= 2; G
+    affine in X1."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3 if m <= 2 else 2))
+    return (m, compile_ivfunction(_even_tree(draw, n, 3), n),
+            draw(_affine_scalings()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mean_laws())
+@example((2, _dsl("neg(min(neg(X1),mean(neg(X2),neg(X1))))"),
+          _dsl_scaling("neg(psum(neg(L),mul(neg(X1),[1/2,1])))")))
+@example((3, _dsl("mean(X1,max(X2,X1))"), _dsl_scaling("mean(L,X1,[1,1])")))
+@example((3, _dsl("max(X1,X2)"), _dsl_scaling("mul(L,X1)")))
+def test_mean_law_is_certified_without_a_kernel(law):
+    """A law with an even tree of `min`, `max`, `mean` and `neg` for F and
+    a G affine in X1 gets the reference report in both modes, for
+    homogeneity with phi the identity and for idempotency, and compiles
+    no kernel in exact mode, or in float mode when F is `min` and `max`
+    alone."""
+    m, f, g = law
+    with pytest.MonkeyPatch.context() as patch:
+        compiles, _ = count_kernels(patch)
+        for mode in MODES:
+            grid, before = make_grid(m, mode), compiles[0]
+            assert check_homogeneity(f, g, IDENTITY, grid) == reference_sweep(
+                f, g, IDENTITY, grid)
+            assert check_idempotency(f, grid) == reference_idempotency(f, grid)
+            if _structural(f, mode):
+                assert compiles[0] == before
+
+
+#: (F, G or None for idempotency, modes) of laws that miss the structural
+#: certificate of `mean` by one condition, each swept, whatever its verdict
+MEAN_NEAR_MISSES = (
+    ("mean(X1,X2)", "max(L,X1)", MODES),  # X1 under `max` in G
+    ("mean(X1,X2)", "mul(L,mul(X1,X1))", MODES),  # X1 read twice
+    ("mean(X1,X2)", "psum(L,min(X1,[1/2,1/2]))", MODES),
+    ("mean(X1,X2)", "mul(L,pow(X1,1))", MODES),  # X1 under `pow`
+    ("mean(X1,neg(X2))", None, MODES),  # X2 odd
+    ("mean(X1,neg(X2))", "mul(L,X1)", MODES),
+    ("mean(X1,[1/2,1/2])", None, MODES),  # a constant leaf
+    ("mean(X1,[1/2,1/2])", "psum(L,X1)", MODES),
+    ("mean(X1,X2,X3)", "psum(L,X1)", (FLOAT,)),  # a rounded `mean`
+    ("mean(X1,X2,X3)", None, (FLOAT,)),
+    ("min(X1,neg(neg(X2)))", None, (FLOAT,)),  # a rounded `neg`
+)
+
+
+@pytest.mark.parametrize("f_src,g_src,modes", MEAN_NEAR_MISSES,
+                         ids=[f"{f}-{g}" for f, g, _ in MEAN_NEAR_MISSES])
+def test_near_miss_of_the_mean_certificate_is_swept(monkeypatch, f_src, g_src,
+                                                   modes):
+    f, g = _dsl(f_src), g_src and _dsl_scaling(g_src)
+    compiles, _ = count_kernels(monkeypatch)
+    for mode in modes:
+        grid, before = make_grid(RESOLUTION[f.arity], mode), compiles[0]
+        if g is None:
+            assert check_idempotency(f, grid) == reference_idempotency(f, grid)
+        else:
+            assert check_homogeneity(f, g, IDENTITY, grid) == reference_sweep(
+                f, g, IDENTITY, grid)
+        assert compiles[0] > before  # at least the sweep
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.kind)
+@pytest.mark.parametrize("a", ("[0,0]", "[1/3,1/2]", "[0.2,0.7]", "[1,1]"))
+@pytest.mark.parametrize("src", ("min(X1,X2)", "mean(X1,neg(neg(X2)))",
+                                 "neg(max(neg(X1),mean(neg(X2),neg(X1))))",
+                                 "mean(X1,X2,X1)", "mul(X1,X2)"))
+def test_fixed_point_of_a_structural_f_calls_no_kernel(monkeypatch, src, a,
+                                                      mode):
+    """theorem1's fixed-point step gives the report it gives by calling F,
+    byte for byte, with a `max_deviation` of the same type, and calls F,
+    compiling its kernel, only when the structure of F does not make F
+    idempotent."""
+    f, a = _dsl(src), parse_interval(a, mode)
+    compiles, _ = count_kernels(monkeypatch)
+    report = _check_fixed_point(f, a, make_grid(3, mode))
+    assert (compiles[0] == 0) == _structural(f, mode)
+    out = f(*(a,) * f.arity)
+    dev, equal = mode.deviation(out, a), mode.intervals_equal(out, a)
+    want = CheckReport("fixed-point", "pass" if equal else "fail",
+                       None if equal else Counterexample(None, (a, a), out, a),
+                       1, dev, mode, 3)
+    assert report == want and type(report.max_deviation) is type(dev)
 
 
 @settings(max_examples=300, deadline=None)
