@@ -246,7 +246,9 @@ def sweep(f: "IVFunction", g: "ScalingFunction",
     for x in xs] per distinct list object xs in `xpts`, which every X_i
     that sweeps it shares, and phi(Λ) with those kernels, then runs n
     nested loops, one over the row of each X_i, X1 outermost, walking the
-    H table in order.
+    H table in order. When G is its variable leaf X1, as pi2 is, each
+    row is xs itself, which G's kernel over the points' denominators
+    would return point for point, and `g_fn` is not called.
     Both sides are inlined, and each subexpression is computed in the loop
     of the last variable it reads. It returns the largest endpoint
     deviation (0 of the mode's number type when there is none), and the
@@ -284,9 +286,11 @@ def sweep(f: "IVFunction", g: "ScalingFunction",
         "    R = range(len(xpts[-1]))",
         "    shared = {id(xs): xs for xs in xpts}",
         "    for il, lam in enumerate(lams):",
-        "        made = {k: [g_fn(lam, x) for x in xs]",
-        "                for k, xs in shared.items()}",
-        f"        {rows}, = [made[id(xs)] for xs in xpts]",
+        # G(Λ,x) = x when G is its variable leaf, X1: the rows are the points
+        *_indent([f"{rows}, = xpts"] if isinstance(g.expr, Var) else [
+            "made = {k: [g_fn(lam, x) for x in xs]",
+            "        for k, xs in shared.items()}",
+            f"{rows}, = [made[id(xs)] for xs in xpts]"], 2),
         "        Pl, Ph = phi_fn(lam)",
         "        ht = iter(h_table)",
         *_indent(t.lines[0], 2),

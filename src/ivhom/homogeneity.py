@@ -81,12 +81,6 @@ class Grid(_Value):
             return Interval(fraction(i, m), fraction(j, m))
         return Interval(i / m, j / m)
 
-    @property
-    def points(self) -> tuple[Interval, ...]:
-        """Every grid point as an `Interval`, in grid order, built on each
-        read."""
-        return tuple(map(self.point, _pairs(self.resolution)))
-
 
 def make_grid(m: int, mode: NumericMode = EXACT) -> Grid:
     if m < 1:

@@ -183,7 +183,6 @@ class NumericMode(_Value):
 
 
 EXACT = NumericMode("exact")
-FLOAT = NumericMode("float")
 
 #: Python's default limit on the digits of an int read from or written as
 #: a decimal string

@@ -1,8 +1,15 @@
 """Report serialization: JSON, CSV, and human-readable text.
 
-Numbers are decimal strings in float mode and "p/q" strings in exact mode,
-so exact verdicts survive serialization without loss. `emit_report`
-writes the report of a check or pipeline, `emit_dual` that of `dual`.
+`check_to_dict` turns one check into one dict, and is the one place that
+writes a check's numbers: decimal strings in float mode and "p/q" strings
+in exact mode, so exact verdicts survive serialization without loss. The
+three formats are three layouts of those dicts. JSON writes them whole,
+inside `pipeline_to_dict`'s dict for a pipeline. CSV writes one row of
+law, verdict and deviation per check. Text writes one block of their
+fields per check, under a pipeline's own header. `_checks` gives the
+checks of a report, a pipeline's or the one of a single check.
+`emit_report` writes the report of a check or pipeline, `emit_dual` that
+of `dual`.
 JSON is written by `_json`, in the layout of `json.dumps(value, indent=2)`,
 byte for byte. It writes a string of printable ASCII with no quote or
 backslash as it is, and leaves every other string to `json.dumps`, so
@@ -12,12 +19,9 @@ name with a tab or a non-ASCII character.
 
 from __future__ import annotations
 
-from .interval import (TYPE_CHECKING, NumericMode, format_interval,
-                       format_number)
+from .interval import NumericMode, format_interval, format_number
 from .homogeneity import CheckReport, Counterexample, Grid, PipelineReport
 
-if TYPE_CHECKING:
-    from .interval import Number
 Report = CheckReport | PipelineReport
 
 
@@ -56,14 +60,21 @@ def check_to_dict(report: CheckReport) -> dict:
     return d
 
 
+def _checks(report: Report) -> tuple[tuple[str, CheckReport], ...]:
+    """The labelled checks of `report`: a pipeline's, or the one check of a
+    single-check report, labelled ""."""
+    if isinstance(report, PipelineReport):
+        return report.checks
+    return (("", report),)
+
+
 def pipeline_to_dict(report: PipelineReport) -> dict:
     return {
         "pipeline": report.pipeline,
         "status": report.status,
         "verdict": report.verdict,
-        "checks": [
-            {"label": label, **check_to_dict(r)} for label, r in report.checks
-        ],
+        "checks": [{"label": label, **check_to_dict(r)}
+                   for label, r in _checks(report)],
         "mode": _mode_dict(report.mode),
         "resolution": report.resolution,
     }
@@ -96,81 +107,64 @@ def _json(value, indent: str = "") -> str:
 
 
 def to_json(report: Report) -> str:
-    if isinstance(report, PipelineReport):
-        d = pipeline_to_dict(report)
-    else:
-        d = check_to_dict(report)
-    return _json(d)
+    (label, check), *_ = _checks(report)
+    return _json(pipeline_to_dict(report) if label else check_to_dict(check))
 
 
-def _dev_str(dev: Number, mode: NumericMode) -> str:
+def _dev_str(d: dict) -> str:
     # compact form for csv/text: "0", "1/16", "2.5e-13"
-    return format_number(dev, mode, "maximum deviation").removesuffix("/1")
+    return d["max_deviation"].removesuffix("/1")
 
 
 def to_csv(report: Report) -> str:
-    if isinstance(report, PipelineReport):
-        rows = [
-            f"{r.law},{r.verdict},{_dev_str(r.max_deviation, r.mode)}"
-            for _, r in report.checks
-        ]
-    else:
-        rows = [
-            f"{report.law},{report.verdict},"
-            f"{_dev_str(report.max_deviation, report.mode)}"
-        ]
-    return "\n".join(rows)
+    rows = (check_to_dict(r) for _, r in _checks(report))
+    return "\n".join(f"{d['law']},{d['verdict']},{_dev_str(d)}" for d in rows)
 
 
-def _check_text(report: CheckReport) -> str:
-    mode = report.mode
+def _check_text(d: dict) -> str:
+    eps = d["mode"].get("epsilon")
     lines = [
-        f"law:          {report.law}",
-        f"verdict:      {report.verdict}",
-        f"resolution:   m={report.resolution} "
-        f"({'exact' if mode.is_exact else f'float, eps={mode.eps}'})",
-        f"evaluations:  {report.evaluations}",
-        f"max deviation: {_dev_str(report.max_deviation, mode)}",
+        f"law:          {d['law']}",
+        f"verdict:      {d['verdict']}",
+        f"resolution:   m={d['resolution']} "
+        f"({'exact' if eps is None else f'float, eps={eps}'})",
+        f"evaluations:  {d['evaluations']}",
+        f"max deviation: {_dev_str(d)}",
     ]
-    if report.note:
-        lines.append(f"note:         {report.note}")
-    cex = report.counterexample
+    if d.get("note"):
+        lines.append(f"note:         {d['note']}")
+    cex = d["counterexample"]
     if cex is not None:
-        fmt = lambda iv: format_interval(iv, mode)
-        xs = ",".join(fmt(x) for x in cex.xs)
-        if report.law.startswith("def1-homogeneity") and cex.lam is not None:
-            lam = fmt(cex.lam)
+        xs = ",".join(cex["xs"])
+        if d["law"].startswith("def1-homogeneity"):
             lines.append(
-                f"counterexample: Lambda={lam} xs=({xs})\n"
-                f"  F(G(Λ,X1),…) = {fmt(cex.lhs)} ≠ "
-                f"{fmt(cex.rhs)} = G(Φ(Λ),F(X1,…))"
+                f"counterexample: Lambda={cex['lambda']} xs=({xs})\n"
+                f"  F(G(Λ,X1),…) = {cex['lhs']} ≠ "
+                f"{cex['rhs']} = G(Φ(Λ),F(X1,…))"
             )
-        elif report.law == "idempotency":
+        elif d["law"] == "idempotency":
             lines.append(
-                f"counterexample: X={xs}; F(X,…,X) = {fmt(cex.lhs)} ≠ {xs}"
+                f"counterexample: X={xs}; F(X,…,X) = {cex['lhs']} ≠ {xs}"
             )
         else:
             parts = [f"xs=({xs})"] if xs else []
-            if cex.lhs is not None:
-                parts.append(f"lhs={fmt(cex.lhs)}")
-            if cex.rhs is not None:
-                parts.append(f"rhs={fmt(cex.rhs)}")
+            parts += [f"{k}={cex[k]}" for k in ("lhs", "rhs")
+                      if cex[k] is not None]
             lines.append("counterexample: " + " ".join(parts))
     return "\n".join(lines)
 
 
 def to_text(report: Report) -> str:
-    if isinstance(report, CheckReport):
-        return _check_text(report)
-    blocks = [
-        f"pipeline: {report.pipeline}",
-        f"status:   {report.status}",
-        f"verdict:  {report.verdict}",
-    ]
-    for label, r in report.checks:
-        body = "\n".join("  " + line for line in _check_text(r).splitlines())
+    blocks = []
+    for label, r in _checks(report):
+        text = _check_text(check_to_dict(r))
+        if not label:  # the one check of a single-check report
+            return text
+        body = "\n".join("  " + line for line in text.splitlines())
         blocks.append(f"[{label}]\n{body}")
-    return "\n".join(blocks)
+    return "\n".join([f"pipeline: {report.pipeline}",
+                      f"status:   {report.status}",
+                      f"verdict:  {report.verdict}", *blocks])
 
 
 def emit_report(report: Report, fmt: str) -> str:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dsl_oracle
+from grids import FLOAT, grid_points
 from ivhom import compiler, dsl, expr
 from ivhom.expr import (
     MAX_ARITY,
@@ -26,9 +27,9 @@ from ivhom.expr import (
 from ivhom.functions import P, get_function
 from ivhom.gate import MAX_DEPTH, MAX_POW_EXPONENT
 from ivhom.homogeneity import make_grid
-from ivhom.interval import FLOAT, Interval, IntervalError
+from ivhom.interval import Interval, IntervalError
 
-GRID = make_grid(3).points
+GRID = grid_points(make_grid(3))
 
 
 def test_parse_structure():
@@ -261,7 +262,7 @@ def test_diagonal_reads_x1_for_every_variable():
         "mean", (x1, Call("neg", (x1,)), Pow(x1, 2), third))
     assert expr.diagonal(third) is third
     f, diag = IVFunction("f", 3, node), IVFunction("d", 1, expr.diagonal(node))
-    for x in [*GRID, *make_grid(3, FLOAT).points]:
+    for x in [*GRID, *grid_points(make_grid(3, FLOAT))]:
         assert diag(x) == f(x, x, x)
 
 

@@ -19,9 +19,10 @@ from ivhom.functions import (
     get_scaling,
     registry_get,
 )
+from grids import grid_points
 from ivhom.homogeneity import make_grid
 
-GRID = make_grid(4).points
+GRID = grid_points(make_grid(4))
 
 
 def test_registry_pi2():
@@ -126,7 +127,7 @@ def test_identity_iso():
 
 
 def test_square_iso_round_trip_float():
-    pts = make_grid(8, EXACT).points  # rational points, float sqrt below
+    pts = grid_points(make_grid(8, EXACT))  # rational points, float sqrt below
     for x in pts:
         fx = Interval(float(x.lo), float(x.hi))
         sq = SQUARE(fx)

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from algebra import Ordering, compare
+from grids import FLOAT
 from ivhom.expr import Const
 from ivhom.gate import as_double
 from ivhom.interval import (
     EXACT,
-    FLOAT,
     Interval,
     IntervalError,
     NumericMode,

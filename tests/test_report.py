@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ivhom.cli import main
 from ivhom.interval import Interval, NumericMode, parse_interval
 from ivhom.functions import IDENTITY, P, get_function
 from ivhom.homogeneity import (
@@ -152,3 +156,105 @@ def test_json_writer_matches_json_dumps(value):
     """The report's JSON writer writes what `json.dumps(value, indent=2)`
     writes, byte for byte."""
     assert _json(value) == json.dumps(value, indent=2)
+
+
+#: command lines of registry and `expr:` checks and pipelines, passing and
+#: failing, each run in both modes at resolutions above the golden file's 2
+CROSS_FORMAT = (
+    "check --f min --resolution 6",
+    "check --f product --resolution 5",
+    "check --f mean --g P_NS --resolution 4",
+    "check --f max --arity 3 --g pi2 --resolution 3",
+    "check --f expr:mul(X1,neg(X2)) --arity 2 --resolution 4",
+    "check --f expr:max(neg(X1),[1/3,2/3]) --arity 2 --g expr:mul(L,X1) "
+    "--resolution 3",
+    "idempotent --f product --resolution 7",
+    "idempotent --f expr:mul(X1,neg(X2)) --arity 2 --resolution 5",
+    "theorem1 --f min --a [1,1] --resolution 4",
+    "theorem1 --f product --a [1/2,1/2] --resolution 4",
+    "theorem1 --f mean --g P_NS --a [0,0] --resolution 3",
+    "prop2 --f min --resolution 4",
+    "prop2 --f product --resolution 3",
+    "prop2 --f expr:psum(X1,mul(X2,[1/3,2/3])) --arity 2 --resolution 3",
+)
+#: float-only command lines: an order isomorphism with an irrational
+#: inverse, and an epsilon other than the default
+FLOAT_ONLY = (
+    "check --f pow_2 --arity 1 --phi square --resolution 5",
+    "check --f mean --g P_NS --resolution 4 --epsilon 1e-300",
+    "theorem1 --f min --a [0,0] --resolution 3 --epsilon 0.25",
+)
+
+
+def _stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def text_blocks(text):
+    """The header fields of a text report, and the label and the fields of
+    each check block, each by its key. A line indented within a block
+    continues the field above it."""
+    lines = text.splitlines()
+    head, blocks = {}, [["", []]]
+    if lines[0].startswith("pipeline:"):  # a header, then labelled blocks
+        head = dict(line.split(":", 1) for line in lines[:3])
+        blocks = []
+        for line in lines[3:]:
+            if line.startswith("["):
+                blocks.append([line[1:-1], []])
+            else:
+                blocks[-1][1].append(line.removeprefix("  "))
+    else:
+        blocks[0][1] = lines
+    checks = []
+    for label, block in blocks:
+        fields = {}
+        for line in block:
+            if line.startswith(" "):
+                fields[key] += "\n" + line.strip()
+            else:
+                key, value = line.split(":", 1)
+                fields[key] = value.strip()
+        checks.append((label, fields))
+    return {k: v.strip() for k, v in head.items()}, checks
+
+
+@pytest.mark.parametrize("argv,mode", [
+    *((a, m) for a in CROSS_FORMAT for m in ("exact", "float")),
+    *((a, "float") for a in FLOAT_ONLY)])
+def test_csv_and_text_lay_out_the_json_fields(argv, mode):
+    """Each CSV row and each text block shows the law, verdict, deviation,
+    note and counterexample strings of its check's JSON fields, and a
+    pipeline's text header its JSON status and verdict."""
+    argv = [*argv.split(" "), "--mode", mode]
+    runs = [_stdout([*argv, "--output", f]) for f in ("json", "csv", "text")]
+    assert len({code for code, _ in runs}) == 1 and runs[0][0] in (0, 1)
+    (_, js), (_, csv), (_, text) = runs
+    d = json.loads(js)
+    checks = d.get("checks", [{"label": "", **d}])
+    rows = csv.removesuffix("\n").split("\n")
+    head, blocks = text_blocks(text)
+    assert len(rows) == len(blocks) == len(checks)
+    if "pipeline" in d:
+        assert head == {k: d[k] for k in ("pipeline", "status", "verdict")}
+    for c, row, (label, t) in zip(checks, rows, blocks):
+        dev = c["max_deviation"].removesuffix("/1")
+        assert row.split(",") == [c["law"], c["verdict"], dev]
+        assert label == c["label"]
+        shown = ("exact" if c["mode"]["kind"] == "exact"
+                 else f"float, eps={c['mode']['epsilon']}")
+        assert t.pop("resolution") == f"m={c['resolution']} ({shown})"
+        cex = c["counterexample"]
+        sides = None if cex is None else [
+            v for v in (cex["lambda"], *cex["xs"], cex["lhs"], cex["rhs"])
+            if v is not None]
+        text_cex = t.pop("counterexample", None)
+        assert sides == (None if text_cex is None
+                         else re.findall(r"\[[^]]*\]", text_cex))
+        assert t == {"law": c["law"], "verdict": c["verdict"],
+                     "evaluations": str(c["evaluations"]),
+                     "max deviation": dev,
+                     **({"note": c["note"]} if "note" in c else {})}

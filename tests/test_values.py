@@ -15,6 +15,7 @@ from ivhom.expr import (
     ScalingFunction,
     Var,
 )
+from grids import FLOAT
 from ivhom.dsl import _Token
 from ivhom.functions import IDENTITY, P, SQUARE, get_function
 from ivhom.homogeneity import (
@@ -24,7 +25,7 @@ from ivhom.homogeneity import (
     PipelineReport,
     make_grid,
 )
-from ivhom.interval import EXACT, FLOAT, Interval, NumericMode
+from ivhom.interval import EXACT, Interval, NumericMode
 
 HALF = Interval(Fraction(1, 2), 1)
 REPORT = CheckReport("idempotency", "pass", None, 3, Fraction(0), EXACT, 1)
