@@ -5,6 +5,9 @@ and `_compile` executes the generated source. This module writes every
 generated function: `kernel`, the scalar-endpoint kernel of one
 ingredient, which `expr._Compiled.kernel` keeps, and `sweep`, the fused
 loop of one law of homogeneity's shape, which also checks idempotency.
+`_trace` binds each variable to the refs of its two endpoints, so one
+traced value can feed another ingredient's variable with no composed AST
+built: `sweep` traces phi(Λ) into G's L, and compiles no kernel for phi.
 Each caller imports this module on first use, so a run that compiles no
 kernel, such as a `check` that `homogeneity` certifies from the ASTs,
 never loads it.
@@ -165,9 +168,11 @@ def _trace(node: Node, target: _ScalarTarget, env: dict) -> tuple:
     """Send the code of an AST to `target` and return the refs of the
     result's lower and upper endpoint.
 
-    `env` holds the (name, den, level) of each parameter, "L" or "X<k>":
-    its endpoints are the names `<name>l` and `<name>h`. Each endpoint is
-    traced on its own: every op but `neg` applies its formula to that
+    `env` holds the refs of the two endpoints of each variable, "L" or
+    "X<k>": a parameter's (`_endpoints`), or those of a value traced
+    before, such as another ingredient's result, which so feeds this AST's
+    variable with no composed tree built. Each endpoint is traced on its
+    own: every op but `neg` applies its formula to that
     endpoint of its arguments, and `neg` to the other one. The walk
     memoizes by node and endpoint, and compares no two trees: equal
     subtrees give equal code, which `target` computes once. The code keeps
@@ -180,9 +185,7 @@ def _trace(node: Node, target: _ScalarTarget, env: dict) -> tuple:
         key = id(n), side
         if key not in refs:
             if isinstance(n, (Var, LVar)):
-                name, den, level = env["L" if isinstance(n, LVar)
-                                       else f"X{n.index:d}"]
-                r = f"{name}{'lh'[side]}", den, level
+                r = env["L" if isinstance(n, LVar) else f"X{n.index:d}"][side]
             elif isinstance(n, Const):
                 r = target.const(n, side)
             elif isinstance(n, Pow):
@@ -195,6 +198,12 @@ def _trace(node: Node, target: _ScalarTarget, env: dict) -> tuple:
         return refs[key]
 
     return ref(node, 0), ref(node, 1)
+
+
+def _endpoints(name: str, den: int, level: int) -> tuple:
+    """The refs of the endpoints `<name>l` and `<name>h` of a parameter of
+    denominator `den`, read at loop `level`."""
+    return (f"{name}l", den, level), (f"{name}h", den, level)
 
 
 def _compile(source: list[str], env: dict) -> Callable:
@@ -218,10 +227,12 @@ def kernel(node: Node, params: tuple[str, ...],
 
     The kernel takes one (lo, hi) tuple per parameter and returns one
     (lo, hi) tuple. `dens` holds each parameter's denominator in exact
-    mode and is None in float mode, where every denominator is 1.
+    mode and is None in float mode, where every denominator is 1. An
+    exact argument is the numerators of a value over its denominator: the
+    sweeps pass ints, and `expr._Compiled.__call__` any rationals.
     """
     t = _ScalarTarget(dens is not None)
-    refs = _trace(node, t, {p: (p, d, 0) for p, d in zip(
+    refs = _trace(node, t, {p: _endpoints(p, d, 0) for p, d in zip(
         params, dens or (1,) * len(params), strict=True)})
     den = refs[0][1]
     lo, hi = (t.scaled(r, den) for r in refs)
@@ -231,45 +242,49 @@ def kernel(node: Node, params: tuple[str, ...],
                      f"    return ({lo}, {hi})"], t.env), den
 
 
-def sweep(f: "IVFunction", g: "ScalingFunction",
-          dens: tuple[int, int, int] | None) -> tuple[Callable, int]:
+def sweep(f: "IVFunction", g: "ScalingFunction", phi: "OrderIso",
+          dens: tuple[int, int] | None) -> tuple[Callable, int]:
     """The sweep of the law F(G(L,X1),...,G(L,Xn)) = G(phi(L),
     H(X1,...,Xn)) as one generated function, and the one denominator of
     both sides. Homogeneity is the law with H = F, and idempotency one
     with H = X1 (`homogeneity`).
 
-    `fn(lams, xpts, h_table, g_fn, phi_fn, tol)` takes the sweep points of
-    Λ and the list of sweep points of each X_i, as kernel arguments, H's
-    kernel results on `itertools.product(*xpts)` in order, which it walks
-    once per Λ (so any iterable when `lams` has one point), and the
-    kernels of G and phi. For each Λ in `lams` it fills one row [G(Λ,x)
-    for x in xs] per distinct list object xs in `xpts`, which every X_i
-    that sweeps it shares, and phi(Λ) with those kernels, then runs n
+    `fn(lams, xpts, h_table, tol)` takes the sweep points of Λ and the list
+    of sweep points of each X_i, as kernel arguments, and H's kernel
+    results on `itertools.product(*xpts)` in order, which it walks once per
+    Λ (so any iterable when `lams` has one point). For each Λ in `lams` it
+    fills one row [G(Λ,x) for x in xs] with G's kernel per distinct list
+    object xs in `xpts`, which every X_i that sweeps it shares, then runs n
     nested loops, one over the row of each X_i, X1 outermost, walking the
-    H table in order. When G is its variable leaf X1, as pi2 is, each
-    row is xs itself, which G's kernel over the points' denominators
-    would return point for point, and `g_fn` is not called.
-    Both sides are inlined, and each subexpression is computed in the loop
-    of the last variable it reads. It returns the largest endpoint
-    deviation (0 of the mode's number type when there is none), and the
-    positions (Λ, X1, ..., Xn) in those point lists of the first tuple
-    whose lower endpoints, and of the first whose upper endpoints, differ
-    by more than `tol`, each None when there is none.
+    H table in order. When G is its variable leaf X1, as pi2 is, each row
+    is xs itself, which G's kernel would return point for point, so G
+    compiles no kernel. Both sides are inlined, and phi(Λ) too: it is
+    traced at the Λ level and feeds G's L on the right, so phi compiles no
+    kernel. Each subexpression is computed in the loop of the last
+    variable it reads. It returns the largest endpoint deviation (0 of the
+    mode's number type when there is none), and the positions (Λ, X1, ...,
+    Xn) in those point lists of the first tuple whose lower endpoints, and
+    of the first whose upper endpoints, differ by more than `tol`, each
+    None when there is none.
 
-    `dens` is the (G, phi, H) kernels' result denominators in exact mode,
-    None in float mode. A law of arity n > `MAX_NESTED_BLOCKS` - 1 is
-    refused before anything is traced.
+    `dens` is the denominator of the sweep points and that of H's kernel
+    results in exact mode, None in float mode. A law of arity n >
+    `MAX_NESTED_BLOCKS` - 1 is refused before anything is traced.
     """
     n = f.arity
     if n + 1 > MAX_NESTED_BLOCKS:
         raise ExprError(f"a sweep of arity {n} nests {n + 1} loops, and Python "
                         f"compiles at most {MAX_NESTED_BLOCKS}: the largest "
                         f"arity a sweep takes is {MAX_NESTED_BLOCKS - 1}")
-    dg, dphi, dh = dens or (1, 1, 1)
+    dx, dh = dens or (1, 1)
     t = _ScalarTarget(dens is not None, depth=n)
-    lhs = _trace(f.expr, t, {f"X{i}": (f"X{i}", dg, i)
+    # G(Λ,x) = x when G is its variable leaf, X1: the rows are the points
+    leaf = isinstance(g.expr, Var)
+    t.env["g_fn"], dg = (None, dx) if leaf else g.kernel(dens and (dx, dx))
+    lhs = _trace(f.expr, t, {f"X{i}": _endpoints(f"X{i}", dg, i)
                              for i in range(1, n + 1)})
-    rhs = _trace(g.expr, t, {"L": ("P", dphi, 0), "X1": ("H", dh, n)})
+    lam = _trace(phi.expr, t, {"X1": _endpoints("L", dx, 0)})
+    rhs = _trace(g.expr, t, {"L": lam, "X1": _endpoints("H", dh, n)})
     den = lcm(lhs[0][1], rhs[0][1]) if t.exact else 1
     pairs = [(t.scaled(a, den), t.scaled(b, den)) for a, b in zip(lhs, rhs)]
     at = ", ".join(["il", *(f"i{i}" for i in range(1, n + 1))])
@@ -280,18 +295,17 @@ def sweep(f: "IVFunction", g: "ScalingFunction",
                        "    if d > max_dev: max_dev = d",
                        f"    if d > tol and {first} is None: {first} = {at}"]
     source = [
-        "def fn(lams, xpts, h_table, g_fn, phi_fn, tol):",
+        "def fn(lams, xpts, h_table, tol):",
         f"    max_dev = {t.lit(0)}",
         "    first_lo = first_hi = None",
         "    R = range(len(xpts[-1]))",
-        "    shared = {id(xs): xs for xs in xpts}",
         "    for il, lam in enumerate(lams):",
-        # G(Λ,x) = x when G is its variable leaf, X1: the rows are the points
-        *_indent([f"{rows}, = xpts"] if isinstance(g.expr, Var) else [
-            "made = {k: [g_fn(lam, x) for x in xs]",
-            "        for k, xs in shared.items()}",
+        "        Ll, Lh = lam",
+        # one row per distinct point list
+        *_indent([f"{rows}, = xpts"] if leaf else [
+            "made = {id(xs): [g_fn(lam, x) for x in xs]",
+            "        for xs in {id(xs): xs for xs in xpts}.values()}",
             f"{rows}, = [made[id(xs)] for xs in xpts]"], 2),
-        "        Pl, Ph = phi_fn(lam)",
         "        ht = iter(h_table)",
         *_indent(t.lines[0], 2),
     ]

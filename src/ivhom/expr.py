@@ -7,10 +7,12 @@ and `compiler` writes every generated function: the scalar-endpoint
 kernel of one ingredient (`compiler.kernel`, kept by `_Compiled.kernel`),
 and the fused loop of one law of homogeneity's shape (`compiler.sweep`).
 The kernels serve the sweeps of `homogeneity` and `__call__` on
-`Interval`s. An exact call passes the endpoints themselves, ints or
-`Fraction`s, as numerators over denominator 1, which a kernel built only
-of ring ops, comparisons and int literals evaluates exactly; a float call
-passes the doubles.
+`Interval`s. An exact call runs on an exact kernel the ingredient already
+has, such as a sweep's over the grid's denominators, and passes each
+endpoint, an int or a `Fraction`, times its parameter's denominator, which
+a kernel built only of ring ops, comparisons and int literals evaluates
+exactly; only an ingredient with none compiles one over denominator 1. A
+float call passes the doubles.
 
 An AST is valid once built: each node checks its op, constant, index and
 depth (`gate.MAX_DEPTH`), and each ingredient its variables. It is traced
@@ -236,16 +238,22 @@ class _Compiled(_Value):
 
     def __call__(self, *xs: Interval) -> Interval:
         """The value at one Interval per parameter, in the mode of the
-        first one's endpoints: the kernel over exact endpoints, as
-        numerators over denominator 1, or over doubles."""
+        first one's endpoints: the float kernel over the doubles, or an
+        exact kernel the ingredient already has, such as a sweep's over the
+        grid's denominators, over each endpoint times that parameter's
+        denominator. Only an ingredient with no exact kernel compiles one,
+        over denominator 1. An exact kernel uses only ring ops, comparisons
+        and int literals, so it gives the exact value on any rational
+        numerators, whole or not."""
         if len(xs) != len(self.params):
             raise TypeError(f"{self.name} expects {len(self.params)} "
                             f"argument(s), got {len(xs)}")
-        is_float = isinstance(xs[0].lo, float)
-        fn, den = self.kernel(None if is_float else (1,) * len(xs))
-        lo, hi = fn(*((x.lo, x.hi) for x in xs))
-        if is_float:
-            return Interval(lo, hi)
+        if isinstance(xs[0].lo, float):
+            fn, _ = self.kernel(None)
+            return Interval(*fn(*((x.lo, x.hi) for x in xs)))
+        dens = next(filter(None, self.fns), (1,) * len(xs))
+        fn, den = self.kernel(dens)
+        lo, hi = fn(*((x.lo * d, x.hi * d) for x, d in zip(xs, dens)))
         return Interval(fraction(lo, den), fraction(hi, den))
 
     def kernel(self, dens: tuple[int, ...] | None = None) -> tuple[Callable, int]:

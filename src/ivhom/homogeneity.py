@@ -136,14 +136,6 @@ def _dens(grid: Grid, *dens: int) -> tuple[int, ...] | None:
     return dens if grid.mode.is_exact else None
 
 
-def _tolerance(mode: NumericMode) -> Number:
-    """Two kernel results are equal when their deviation is within this.
-
-    In float mode that is the eps rule of `NumericMode.intervals_equal`;
-    in exact mode equality is literal."""
-    return 0 if mode.is_exact else mode.eps
-
-
 def _compose(a: set, b: set) -> set:
     """The parities of a variable whose occurrences in `b` sit under
     occurrences in `a` of the slot it fills."""
@@ -298,10 +290,12 @@ def _sweep_law(f: IVFunction, g: ScalingFunction, phi: OrderIso,
     results on the product of the X coordinates' points, in order, which
     the law's one generated loop (`compiler.sweep`) reads once per Λ
     point: as a list when Λ sweeps several points, else as they are made.
-    In exact mode both sides come out over one common denominator, so they
-    compare as integers, and equality is literal; in float mode two
-    endpoints are equal within the mode's eps. `_lowest_failure` maps the
-    first failure of each endpoint to the lowest failing grid tuple.
+    The loop computes the rest: phi is traced into it, and G's kernel,
+    which it compiles unless G is its variable leaf, fills its rows. In
+    exact mode both sides come out over one common denominator, so they
+    compare as integers; two endpoints are equal when they differ by at
+    most `mode.tol`, 0 in exact mode. `_lowest_failure` maps the first
+    failure of each endpoint to the lowest failing grid tuple.
     """
     from .compiler import sweep
 
@@ -309,18 +303,15 @@ def _sweep_law(f: IVFunction, g: ScalingFunction, phi: OrderIso,
     coords = _coordinates(grid, _homogeneity_law(f, g, phi, h))
     # the X_i that share a point list share one G row in the sweep
     lams, *xpts = (points for points, _, _ in coords)
-    g_fn, dg = g.kernel(_dens(grid, m, m))
-    phi_fn, dphi = phi.kernel(_dens(grid, m))
     h_fn, dh = h.kernel(_dens(grid, *(m,) * n))
     # compiled before any result of H is made, so that a law the generator
     # refuses is refused at once
-    sweep_fn, den = sweep(f, g, _dens(grid, dg, dphi, dh))
+    sweep_fn, den = sweep(f, g, phi, _dens(grid, m, dh))
     # read once per Λ point, so made a list only when there are several
     h_table = itertools.starmap(h_fn, itertools.product(*xpts))
     if len(lams) > 1:
         h_table = list(h_table)
-    max_dev, first_lo, first_hi = sweep_fn(lams, xpts, h_table, g_fn, phi_fn,
-                                           _tolerance(mode))
+    max_dev, first_lo, first_hi = sweep_fn(lams, xpts, h_table, mode.tol)
     return (_lowest_failure(coords, first_lo, first_hi),
             fraction(max_dev, den) if mode.is_exact else max_dev)
 
@@ -386,7 +377,7 @@ def equal_on_grid(f: IVFunction, h: IVFunction, grid: Grid) -> bool:
     coords = _coordinates(grid, _homogeneity_law(f, PI2, IDENTITY, h)[1:])
     dens = _dens(grid, *(grid.resolution,) * f.arity)
     (f_fn, df), (h_fn, dh) = f.kernel(dens), h.kernel(dens)
-    tol = _tolerance(grid.mode)
+    tol = grid.mode.tol
     for xs in itertools.product(*(points for points, _, _ in coords)):
         (a, b), (c, d) = f_fn(*xs), h_fn(*xs)
         if abs(a * dh - c * df) > tol or abs(b * dh - d * df) > tol:
@@ -460,7 +451,7 @@ def check_section_bijective(g: ScalingFunction, a: Interval,
         def equal_images(x: tuple) -> list[tuple]:
             return [x] if x in indices else []
     else:
-        equal_images = _float_lookup(indices, mode.eps)
+        equal_images = _float_lookup(indices, mode.tol)
 
     # the smallest pair within one value's indices, or across two values
     collisions = []

@@ -153,6 +153,9 @@ class NumericMode(_Value):
     exact: endpoints are rationals, equality is literal.
     float: endpoints are floats, intervals are equal when both endpoint
     differences are within eps.
+
+    `tol` is the one equality tolerance: two numbers are equal when they
+    differ by at most it, 0 in exact mode and eps in float mode.
     """
 
     __slots__ = ("kind", "eps")
@@ -170,13 +173,15 @@ class NumericMode(_Value):
     def zero(self) -> Number:
         return fraction(0) if self.is_exact else 0.0
 
+    @property
+    def tol(self) -> Number:
+        return 0 if self.is_exact else self.eps
+
     def values_equal(self, a: Number, b: Number) -> bool:
-        if self.is_exact:
-            return a == b
-        return abs(a - b) <= self.eps
+        return abs(a - b) <= self.tol
 
     def intervals_equal(self, x: Interval, y: Interval) -> bool:
-        return self.values_equal(x.lo, y.lo) and self.values_equal(x.hi, y.hi)
+        return self.deviation(x, y) <= self.tol
 
     def deviation(self, x: Interval, y: Interval) -> Number:
         return max(abs(x.lo - y.lo), abs(x.hi - y.hi))

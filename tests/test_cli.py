@@ -702,7 +702,7 @@ sys.exit(code)
     (("check", "--mode", "float", "--f", "min", "--resolution", "2"), "0 0 0"),
     (("check", "--mode", "float", "--f", "product", "--resolution", "2"),
      "0 4 4"),
-    (("prop2", "--mode", "float", "--f", "min", "--resolution", "2"), "0 4 4"),
+    (("prop2", "--mode", "float", "--f", "min", "--resolution", "2"), "0 3 3"),
     (("eval", "--mode", "float", "--f", "min", "[0,1]", "[1,1]"), "0 1 1"),
     (("check", "--f", "min", "--resolution", "2"), "0 0 0"),
     (("idempotent", "--mode", "float", "--f", "min", "--resolution", "2"),
@@ -710,7 +710,7 @@ sys.exit(code)
     (("idempotent", "--f", "min", "--resolution", "2"), "0 0 0"),
     (("prop2", "--f", "min", "--resolution", "2"), "0 0 0"),
     (("idempotent", "--mode", "float", "--f", "mean", "--resolution", "2"),
-     "0 3 3"),
+     "0 2 2"),
     (("theorem1", "--f", "min", "--resolution", "2"), "1 0 1"),
     (("theorem1", "--mode", "float", "--f", "min", "--resolution", "2"),
      "0 1 1"),
@@ -720,16 +720,16 @@ sys.exit(code)
         "float-theorem1"])
 def test_a_run_traces_only_the_kernels_it_compiles(argv, counts):
     """Building an ingredient traces nothing, so a float run traces no
-    exact code, and each kernel a run compiles is traced once: G, phi, F and
-    the sweep for each homogeneity check that is swept, none for one
-    certified from the ASTs (`min` against P, as in `prop2`'s base step,
-    and in exact mode its dual against the dual of P), G (pi2), phi (the
-    identity, whose kernel serves H = X1 too) and the sweep for an
-    idempotency law that is swept, none for one certified (`min`), and a
-    kernel over denominator 1 of F, G or phi for an exact counterexample.
-    theorem1 of `min` compiles only the kernel of G that its bijectivity
-    scan reads: its fixed point, homogeneity and idempotency are certified.
-    A float counterexample finds the sweep's kernels kept."""
+    exact code, and each kernel a run compiles is traced once: F, G and
+    the sweep, which traces phi inline, for each homogeneity check that is
+    swept, none for one certified from the ASTs (`min` against P, as in
+    `prop2`'s base step, and in exact mode its dual against the dual of
+    P), H (the identity, X1) and the sweep for an idempotency law that is
+    swept, whose G, pi2, is its variable leaf and compiles nothing, none
+    for one certified (`min`), and phi's kernel for a counterexample,
+    which finds the kernels of F and G that the sweep used kept. theorem1
+    of `min` compiles only the kernel of G that its bijectivity scan
+    reads: its fixed point, homogeneity and idempotency are certified."""
     proc = run_python("-c", TRACE_PROBE, *argv)
     assert proc.returncode in (0, 1) and proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == counts
@@ -776,9 +776,10 @@ sys.exit(code)
 def test_no_run_compiles_a_kernel_twice(argv, mode):
     """Each ingredient keeps the kernel it compiles for a set of
     denominators, so no run of any command, passing or failing, compiles
-    the same kernel twice: `theorem1 --f product` asks for the identity's
-    kernel over m three times, as phi of its homogeneity step and as phi
-    and H of its idempotency step, and compiles it once."""
+    the same kernel twice: `theorem1 --f product` asks for G's kernel over
+    the grid's denominators for its bijectivity scan, its homogeneity
+    sweep and each call of G in that sweep's counterexample, and compiles
+    it once."""
     grid = () if argv[0] == "eval" else ("--resolution", "2")
     proc = run_python("-c", KEY_PROBE, *argv, *grid, "--mode", mode,
                       "--output", "text")

@@ -24,10 +24,10 @@ from ivhom.expr import (
     compile_scaling,
     parse_expr,
 )
-from ivhom.functions import P, get_function
+from ivhom.functions import IDENTITY, P, P_NS, get_function
 from ivhom.gate import MAX_DEPTH, MAX_POW_EXPONENT
 from ivhom.homogeneity import make_grid
-from ivhom.interval import Interval, IntervalError
+from ivhom.interval import Interval, IntervalError, fraction
 
 GRID = grid_points(make_grid(3))
 
@@ -142,6 +142,46 @@ def test_neg_and_const_evaluate():
     )
     c = compile_ivfunction(parse_expr("[1/3,2/3]", 1), 1)
     assert c(GRID[0]) == Interval(Fraction(1, 3), Fraction(2, 3))
+
+
+#: ingredients that an exact call evaluates: registry ones, and DSL ones
+#: with constants, `neg`, `pow` and `mean`, whose kernels scale constants
+#: and arguments to common denominators
+CALLED = (
+    get_function("product", 2), get_function("mean", 3), get_function("pow_2"),
+    P, P_NS, IDENTITY,
+    compile_ivfunction(
+        parse_expr("psum(neg(min(X1,X2)),mul(X2,[1/3,2/3]))", 2), 2),
+    compile_ivfunction(parse_expr("mean(X1,[1/4,1/2],pow(X2,2))", 2), 2),
+    compile_ivfunction(parse_expr("max(neg(X1),[1/3,6/7])", 1), 1),
+    compile_scaling(parse_expr("min(psum(L,[1/7,2/7]),mul(X1,neg(L)))", 1)),
+)
+
+#: exact numbers of [0,1] over denominators up to 12, off every grid of a
+#: smaller resolution
+_unit_fractions = st.integers(1, 12).flatmap(
+    lambda d: st.integers(0, d).map(lambda k: fraction(k, d)))
+_intervals = st.tuples(_unit_fractions, _unit_fractions).map(
+    lambda ends: Interval(*sorted(ends)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CALLED), st.integers(1, 9),
+       st.lists(_intervals, min_size=3, max_size=3))
+@example(P, 4, [Interval(Fraction(1, 3), Fraction(6, 7))] * 3)
+@example(CALLED[-1], 5, [Interval(Fraction(1, 3), Fraction(6, 7)),
+                         Interval(0, Fraction(2, 7)), Interval(1, 1)])
+def test_exact_call_on_a_grid_kernel_matches_a_fresh_call(ingredient, m, xs):
+    """An exact call on an ingredient that has a kernel over the grid's
+    denominators runs on that kernel, with each endpoint times m, and gives
+    the value, of the same number types, that an uncompiled copy gives on
+    the kernel it compiles over denominator 1."""
+    kept, fresh = (type(ingredient)(*ingredient._values()) for _ in "ab")
+    n = len(kept.params)
+    kept.kernel((m,) * n)
+    xs = xs[:n]
+    assert repr(kept(*xs)) == repr(fresh(*xs))
+    assert list(kept.fns) == [(m,) * n] and list(fresh.fns) == [(1,) * n]
 
 
 def chain(depth):

@@ -321,11 +321,15 @@ def test_sweep_path_follows_ir(monkeypatch, f, g, phi, mode, law):
     _sweep_law(f, g, phi, f, grid)
     pl, *px = (len(grid) if p == M else 4 if p else 1 for p in law)
     # the F table, a G row per distinct X point list (all s grid points,
-    # the m+1 = 4 degenerate ones, or [0,0]) and phi per Λ, and one call of
-    # the sweep; pi2's rows are the points themselves, so it makes none
-    rows = 0 if isinstance(g.expr, Var) else sum(set(px))
-    assert calls[0] == math.prod(px) + pl * (rows + 1) + 1
-    assert compiles[0] == 4  # G, phi, F, and the sweep
+    # the m+1 = 4 degenerate ones, or [0,0]) per Λ, and one call of the
+    # sweep, which computes phi inline; pi2's rows are the points
+    # themselves, so it makes none
+    leaf = isinstance(g.expr, Var)
+    rows = 0 if leaf else sum(set(px))
+    assert calls[0] == math.prod(px) + pl * rows + 1
+    # F, G unless it is its variable leaf, and the sweep; phi is traced
+    # into the sweep
+    assert compiles[0] == (2 if leaf else 3)
     assert check_homogeneity(f, g, phi, grid) == reference_sweep(f, g, phi, grid)
 
 
@@ -382,18 +386,23 @@ def _negs(k):
     return compile_ivfunction(parse_expr(src, 1), 1)
 
 
-@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.kind)
-def test_deep_neg_chain_is_swept(mode):
+@pytest.mark.parametrize("mode,phi", [(EXACT, IDENTITY), (FLOAT, IDENTITY),
+                                      (FLOAT, SQUARE)],
+                         ids=["exact", "float", "float-square"])
+def test_deep_neg_chain_is_swept(mode, phi):
     """A source at the declared depth limit, MAX_DEPTH - 1 `neg`s over X1,
     parses and sweeps on the test's own stack, and so does one a level
-    less. An even number of `neg`s is X1, which is P-homogeneous, and an odd
-    one neg(X1), which is not. One `neg` more is past the limit."""
+    less, with phi traced into the sweep beside it. An even number of
+    `neg`s is X1, which is P-homogeneous with phi the identity, and an odd
+    one neg(X1), which is not; neither is with phi squaring. One `neg`
+    more is past the limit."""
     grid = make_grid(2, mode)
 
     def check(k):
-        return check_homogeneity(_negs(k), P, IDENTITY, grid)
+        return check_homogeneity(_negs(k), P, phi, grid)
 
-    assert check(0).verdict == "pass" and check(1).verdict == "fail"
+    assert check(0).verdict == ("pass" if phi is IDENTITY else "fail")
+    assert check(1).verdict == "fail"
     for k in (MAX_DEPTH - 2, MAX_DEPTH - 1):
         assert check(k) == check(k % 2)
     with pytest.raises(expr.ExprError, match="nested too deeply"):
@@ -443,27 +452,26 @@ def test_each_kernel_is_compiled_once(monkeypatch, uncompiled, mode):
     # `mean`'s laws against P are certified from the ASTs in exact mode
     # only: a rounded mean is swept
     swept = not exact
-    # idempotency is a law of the one sweep too: it compiles G (pi2), phi
-    # (the identity), whose kernel serves H (X1) as well, and the sweep,
-    # which traces F(X1,...,X1) inline
+    # idempotency is a law of the one sweep too: it compiles H (the
+    # identity, X1) and the sweep, which traces F(X1,...,X1) and phi (the
+    # identity) inline; G (pi2) is its variable leaf and compiles nothing
     check_idempotency(mean2, grid)
-    assert compiles[0] == 2 + 3 * swept
-    # the fixed point evaluates Intervals through F's kernel over
-    # denominator 1 when swept, which in float mode is the kernel
-    # `equal_on_grid` compiled; the bijectivity scan compiles G's kernel
-    # over the grid's denominators, which the homogeneity step then sweeps,
-    # and the homogeneity and idempotency steps find every kernel kept and
-    # compile only their sweeps
+    assert compiles[0] == 2 + 2 * swept
+    # the fixed point evaluates Intervals through F's kernel when swept,
+    # which in float mode is the kernel `equal_on_grid` compiled; the
+    # bijectivity scan compiles G's kernel over the grid's denominators,
+    # which the homogeneity step then sweeps, and the homogeneity and
+    # idempotency steps find every kernel kept and compile only their
+    # sweeps
     run_theorem1(mean2, p, grid_points(grid)[-1], grid)
-    assert compiles[0] == 2 + 3 * swept + 1 + 2 * swept
+    assert compiles[0] == 2 + 2 * swept + 1 + 2 * swept
     run_theorem1(mean2, p, grid_points(grid)[-1], grid)
-    assert compiles[0] == 3 + 5 * swept + 2 * swept
-    # a failing check compiles F, phi over the grid's denominator, which
-    # no check has swept, and the sweep, and in exact mode also the
-    # kernels over denominator 1 that its counterexample calls: those of
-    # F, G and phi
+    assert compiles[0] == 3 + 4 * swept + 2 * swept
+    # a failing check compiles F and the sweep, and G's kernel is kept;
+    # its counterexample calls the kernels of F and G that the sweep used,
+    # and compiles one of phi, which the sweep traced inline
     assert not check_homogeneity(product2, p, phi, grid).passed
-    assert compiles[0] == 3 + 7 * swept + 3 + 3 * exact
+    assert compiles[0] == 3 + 6 * swept + 3
 
 
 _unit_doubles = st.floats(0.0, 1.0)
@@ -565,8 +573,8 @@ def test_idempotency_is_one_run_of_the_sweep(monkeypatch, src, mode):
     `min(X1,X2)` runs no sweep in either mode."""
     runs, sweep = [], compiler.sweep
 
-    def recording(f, g, dens):
-        fn, den = sweep(f, g, dens)
+    def recording(f, g, phi, dens):
+        fn, den = sweep(f, g, phi, dens)
         return (lambda *args: runs.append((f.expr, g)) or fn(*args)), den
 
     monkeypatch.setattr(compiler, "sweep", recording)
@@ -584,8 +592,8 @@ def test_h_table_is_a_list_only_when_lambda_sweeps_several_points(
     table from H's kernel, and a law that reads Λ fills it as a list."""
     tables, sweep = [], compiler.sweep
 
-    def recording(f, g, dens):
-        fn, den = sweep(f, g, dens)
+    def recording(f, g, phi, dens):
+        fn, den = sweep(f, g, phi, dens)
 
         def run(lams, xpts, h_table, *rest):
             tables.append(isinstance(h_table, list))
