@@ -17,12 +17,14 @@ stdout (exit 0); any other line it refuses raises `UsageError`, which
 table checks the fields of a `--config` file.
 
 A run parses its flags, checks the float epsilon, resolves the arity and
-passes the budget gate (`gate`) before it imports `interval` and the engine
-(`expr`, `functions`, `homogeneity`, `report`), so a refusal loads only
-this module and `gate`. Two commands load `interval` first: `theorem1`
-reads its `--a` before the gate, so that a bad literal exits 2 before a
-refusal, and `eval` is not gated. This is the only budget gate: the engine
-checks no budget of its own.
+passes the budget gate (`gate`); `_run` ends there, and hands the run to
+`commands`, which builds the ingredients and the grid, loads the engine
+(`interval`, `expr`, `functions`, `homogeneity`, `report`) and gives the
+output, which `_run` prints. So a refusal loads only this module and
+`gate`. Two commands load `interval` first: `theorem1` reads its `--a`
+before the gate, so that a bad literal exits 2 before a refusal, and
+`eval` is not gated. This is the only budget gate: the engine checks no
+budget of its own.
 
 A process ends in `console_main`, which freezes the garbage collector
 before the interpreter exits: the collections at exit took about a tenth
@@ -35,17 +37,13 @@ from __future__ import annotations
 import sys
 
 from .gate import (DEFAULT_BUDGET, DEFAULT_EPSILON, BudgetExceededError,
-                   UnsupportedModeError, as_double, check_budget,
+                   UnsupportedModeError, UsageError, as_double, check_budget,
                    check_epsilon, grid_size, resolve_arity, sweep_sizes)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-class UsageError(ValueError):
-    pass
 
 
 #: each flag's type, choices, default and help; the type reads the flag's
@@ -230,36 +228,6 @@ def _f_arity(args: dict) -> int:
     return resolve_arity(args["f"], arity)
 
 
-def _resolve_f(args: dict, n: int):
-    from .expr import ExprError, compile_ivfunction, parse_expr
-    from .functions import get_function
-
-    if args["f"].startswith("expr:"):
-        src = args["f"][len("expr:"):]
-        try:
-            node = parse_expr(src, n)
-        except ExprError as err:  # only the arity check gives no position
-            if err.line is not None or args["arity"] is not None:
-                raise
-            raise UsageError(f"{args['f']} reads more variables than the {n} "
-                             "interval literal(s) given") from None
-        return compile_ivfunction(node, n, name=src)
-    return get_function(args["f"], n)
-
-
-def _resolve_g(args: dict):
-    from .functions import get_scaling
-
-    if args["g"].startswith("expr:"):
-        from .dsl import _Parser
-        from .expr import compile_scaling
-
-        # parsed with no declared arity: compile_scaling names what G may use
-        src = args["g"][len("expr:"):]
-        return compile_scaling(_Parser(src).parse(), name=src)
-    return get_scaling(args["g"])
-
-
 def _run(args: dict, out) -> int:
     # a --config integer past the largest double is inf, and so refused
     args["epsilon"] = as_double(args["epsilon"])
@@ -271,49 +239,20 @@ def _run(args: dict, out) -> int:
         if args[key] < 1:
             raise UsageError(f"--{key} must be >= 1")
 
-    if command == "eval":
-        from .interval import format_interval, parse_interval
-
-        if len(args["intervals"]) != n:
-            raise UsageError(f"{args['f']} expects {n} interval(s), got "
-                             f"{len(args['intervals'])}")
-        mode = _numeric_mode(args)
-        xs = [parse_interval(s, mode) for s in args["intervals"]]
-        _print(format_interval(_resolve_f(args, n)(*xs), mode, "result"), out)
-        return EXIT_PASS
-
     if command == "theorem1":  # a bad --a exits 2 before a refusal
         from .interval import parse_interval
 
-        a = parse_interval(args["a"], _numeric_mode(args))
-    # refuse before the engine is imported and before F is compiled: what
-    # each sweep covers follows from the resolution and the arity alone
-    check_budget(*sweep_sizes(command, grid_size(args["resolution"]), n),
-                 budget=args["budget"])
-    from .functions import get_iso
-    from .homogeneity import (check_homogeneity, check_idempotency, make_grid,
-                              run_prop2, run_theorem1)
+        args["a"] = parse_interval(args["a"], _numeric_mode(args))
+    if command != "eval":  # eval is not gated
+        # refuse before the engine is imported and before F is compiled:
+        # what each sweep covers follows from the resolution and the arity
+        check_budget(*sweep_sizes(command, grid_size(args["resolution"]), n),
+                     budget=args["budget"])
+    from .commands import run
 
-    f = _resolve_f(args, n)
-    grid = make_grid(args["resolution"], _numeric_mode(args))
-
-    if command == "check":
-        report = check_homogeneity(f, _resolve_g(args), get_iso(args["phi"]), grid)
-    elif command == "idempotent":
-        report = check_idempotency(f, grid)
-    elif command == "theorem1":
-        report = run_theorem1(f, _resolve_g(args), a, grid)
-    elif command == "prop2":
-        report = run_prop2(f, grid)
-    elif command == "dual":
-        return _run_dual(f, grid, args["output"], out)
-    else:  # pragma: no cover
-        raise AssertionError(command)
-
-    from .report import emit_report
-
-    _print(emit_report(report, args["output"]), out)
-    return EXIT_PASS if report.verdict == "pass" else EXIT_FAIL
+    text, passed = run(args, n, _numeric_mode(args))
+    _print(text, out)
+    return EXIT_PASS if passed else EXIT_FAIL
 
 
 def _print(text: str, out) -> None:
@@ -328,25 +267,6 @@ def _print(text: str, out) -> None:
         import os
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
-
-
-def _run_dual(f, grid, fmt: str, out) -> int:
-    from .functions import FUNCTION_NAMES, dual_ns, get_function
-    from .homogeneity import equal_on_grid
-    from .report import emit_dual
-
-    # each candidate is compared with the dual on all s^n tuples
-    dual = dual_ns(f)
-    matches = []
-    for name in FUNCTION_NAMES:
-        try:
-            cand = get_function(name, f.arity)
-        except LookupError:
-            continue
-        if equal_on_grid(dual, cand, grid):
-            matches.append(name)
-    _print(emit_dual(f.name, dual.name, matches, grid, fmt), out)
-    return EXIT_PASS
 
 
 def main(argv=None) -> int:

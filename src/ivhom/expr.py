@@ -244,10 +244,13 @@ class _Compiled(_Value):
         denominator. Only an ingredient with no exact kernel compiles one,
         over denominator 1. An exact kernel uses only ring ops, comparisons
         and int literals, so it gives the exact value on any rational
-        numerators, whole or not."""
+        numerators, whole or not. An ingredient that is its variable leaf
+        X<k> gives that argument, and compiles no kernel."""
         if len(xs) != len(self.params):
             raise TypeError(f"{self.name} expects {len(self.params)} "
                             f"argument(s), got {len(xs)}")
+        if isinstance(self.expr, Var):
+            return xs[self.params.index(f"X{self.expr.index:d}")]
         if isinstance(xs[0].lo, float):
             fn, _ = self.kernel(None)
             return Interval(*fn(*((x.lo, x.hi) for x in xs)))

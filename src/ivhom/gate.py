@@ -7,9 +7,11 @@ expression: `name_suffix` reads a registry name such as `pow_2` (and
 past the largest double inf, as `interval` does with any number. So a
 command that refuses its request (exit 2 for a bad epsilon or an arity out
 of range, exit 3 for a sweep over the budget) loads only this and the
-command line; `theorem1` also loads `interval` to read its `--a` first,
-and `eval`, which is not gated, loads it to read its literals. `interval`,
-`expr`, `functions` and `homogeneity` import these names from here.
+command line; `theorem1` also loads `interval` and the literal reader to
+read its `--a` first, and `eval`, which is not gated, loads them to read
+its literals. `interval`, `expr`, `functions` and `homogeneity` import
+these names from here, and `cli` and `commands` the `UsageError` that
+both raise, since `commands` imports nothing from `cli`.
 """
 
 from __future__ import annotations
@@ -60,6 +62,11 @@ class BudgetExceededError(RuntimeError):
 
 class UnsupportedModeError(RuntimeError):
     """An ingredient cannot be evaluated in the requested numeric mode."""
+
+
+class UsageError(ValueError):
+    """A command line or `--config` field that the program refuses (exit
+    2), raised by `cli` and by `commands`."""
 
 
 def as_double(v) -> float:

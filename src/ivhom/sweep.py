@@ -1,0 +1,206 @@
+"""The swept path: the grid sweeps of the laws that no structure decides.
+
+`homogeneity` imports this module only when it sweeps: after `_polynomial`
+fails to certify a homogeneity or idempotency law, for theorem1's
+bijectivity scan, and `commands` for `dual`'s comparison of two
+functions. So a run whose every law is certified from the ASTs, such as
+`check --f min`, never compiles it.
+
+Homogeneity and idempotency are each a law F(G(L,X1),...,G(L,Xn)) =
+G(phi(L), H(X1,...,Xn)) (`_sweep_law`), checked in the one loop that
+`compiler.sweep` generates for it; the comparison of two functions
+(`equal_on_grid`) is a yes/no scan that stops at the first difference.
+The sweeps run on the scalar kernels of `expr` (`IVFunction.kernel`, each
+compiled once for its denominators), on the grid's numerator pairs
+themselves in exact mode and on the doubles (i/m, j/m) in float mode,
+which `_coordinates` alone makes for every scan. Each variable with one
+parity of `neg`s above it is swept on the m+1 degenerate pairs (a, a)
+alone, one with both parities on all s pairs, and one the law does not
+read on the pair (0, 0) (`_coordinates`), which covers every grid tuple by
+construction.
+"""
+
+from __future__ import annotations
+
+import itertools
+from bisect import bisect_left
+from collections.abc import Callable
+
+from .expr import Var, parities
+from .functions import IDENTITY, PI2, IVFunction, OrderIso, ScalingFunction
+from .interval import TYPE_CHECKING, fraction
+
+if TYPE_CHECKING:
+    from .homogeneity import Grid
+    from .interval import Number
+
+
+def _pairs(m: int) -> list[tuple[int, int]]:
+    """The numerator pairs of all s grid points, in grid order."""
+    return [(i, j) for i in range(m + 1) for j in range(i, m + 1)]
+
+
+def _dens(grid: Grid, *dens: int) -> tuple[int, ...] | None:
+    """Kernel denominators: `dens` in exact mode, None in float mode."""
+    return dens if grid.mode.is_exact else None
+
+
+def _compose(a: set, b: set) -> set:
+    """The parities of a variable whose occurrences in `b` sit under
+    occurrences in `a` of the slot it fills."""
+    return {x ^ y for x in a for y in b}
+
+
+def _homogeneity_law(f: IVFunction, g: ScalingFunction, phi: OrderIso,
+                     h: IVFunction) -> list[set]:
+    """The parities of `neg`s above each of L, X1..Xn in the law of
+    `_sweep_law`, decided from the ASTs alone: {0}, {1}, {0, 1}, or empty
+    for a variable the law does not read.
+
+    `neg` maps [a,b] to [1-b,1-a], and every other op computes a lower
+    endpoint from lower endpoints only and an upper one from upper ones
+    only. So an occurrence of a variable under an even number of `neg`s
+    feeds its lower endpoint to the lower endpoint of the result, and one
+    under an odd number its upper endpoint. The parities compose through
+    the law: X_i has those of F's and H's X_i under G's X1; L has those of
+    G's L under each of F's X_i on the left, and those of phi's X1 under
+    G's L on the right.
+    """
+    pf, pg, pphi, ph = (parities(x.expr) for x in (f, g, phi, h))
+    gl, gx = pg.get("L", set()), pg.get("X1", set())
+    fx = [pf.get(p, set()) for p in f.params]
+    lam = _compose(gl, pphi.get("X1", set())).union(*(_compose(p, gl) for p in fx))
+    return [lam, *(_compose(p | ph.get(x, set()), gx)
+                   for p, x in zip(fx, f.params))]
+
+
+def _coordinates(grid: Grid, variables: list[set]) -> list[tuple[list, ...]]:
+    """For each variable's parities, the points its coordinate sweeps, as
+    kernel arguments, and the maps from a swept position to the first grid
+    pair at which a lower, and an upper, failure there is met.
+
+    The lower law reads the lower endpoint of an even variable, the upper
+    one of an odd variable and both of a mixed one; the upper law the other
+    endpoint of each. So a coordinate of one parity sweeps the m+1
+    degenerate pairs (a, a), which give both endpoints at a, and a failure
+    at a is first met at (a, a) if read from the lower endpoint and at
+    (0, a) if from the upper one. A mixed coordinate sweeps all s pairs and
+    maps to itself. A coordinate the law does not read sweeps the one pair
+    (0, 0): every value of it gives the same two sides, and (0, 0) is the
+    lowest grid pair. Every map rises, so the first failure in sweep order
+    maps to the lowest failing grid tuple (`_lowest_failure`).
+
+    The swept points are the pairs themselves in exact mode and the doubles
+    (i/m, j/m) in float mode. Each distinct pair list is converted once, so
+    coordinates that sweep the same pairs share one point list, and with it
+    one G row of the sweep.
+    """
+    m = grid.resolution
+    low, unread = range(m + 1), [(0, 0)]
+    diag, zero = [(a, a) for a in low], [(0, a) for a in low]
+    every = _pairs(m) if any(len(p) > 1 for p in variables) else []
+    at_diag, at_every, at_unread = (
+        pairs if grid.mode.is_exact else [(i / m, j / m) for i, j in pairs]
+        for pairs in (diag, every, unread))
+    return [(at_every, every, every) if len(p) > 1 else
+            (at_diag, zero, diag) if 1 in p else
+            (at_diag, diag, zero) if p else (at_unread, unread, unread)
+            for p in variables]
+
+
+def _lowest_failure(coords: list[tuple[list, ...]], first_lo: tuple | None,
+                    first_hi: tuple | None) -> tuple | None:
+    """The lowest failing grid tuple, as pairs, from the positions in the
+    swept points of `coords` of the first lower and the first upper failure:
+    each is mapped to the grid by its side's maps, and the earlier of the
+    two is the lowest. None when neither law failed."""
+    hits = [tuple(c[side][i] for c, i in zip(coords, at))
+            for side, at in ((1, first_lo), (2, first_hi)) if at is not None]
+    return min(hits, default=None)
+
+
+def _sweep_law(f: IVFunction, g: ScalingFunction, phi: OrderIso,
+               h: IVFunction, grid: Grid) -> tuple[tuple | None, Number]:
+    """Sweep F(G(L,X1),...,G(L,Xn)) = G(phi(L), H(X1,...,Xn)) over
+    grid^(n+1), and return the lowest failing grid tuple, as pairs (None
+    when the law holds), and the largest endpoint deviation.
+
+    Each of L, X1..Xn sweeps the points that `_coordinates` gives for its
+    parities in the law (`_homogeneity_law`). The kernel of H gives its
+    results on the product of the X coordinates' points, in order, which
+    the law's one generated loop (`compiler.sweep`) reads once per Λ
+    point: as a list when Λ sweeps several points, else as they are made.
+    When H is its variable leaf X1 over one X, as idempotency's is, its
+    results are that X's points, over their denominator m, so H compiles
+    no kernel. The loop computes the rest: phi is traced into it, and G's
+    kernel, which it compiles unless G is its variable leaf, fills its
+    rows. In exact mode both sides come out over one common denominator,
+    so they compare as integers; two endpoints are equal when they differ
+    by at most `mode.tol`, 0 in exact mode. `_lowest_failure` maps the
+    first failure of each endpoint to the lowest failing grid tuple.
+    """
+    from .compiler import sweep
+
+    mode, m, n = grid.mode, grid.resolution, f.arity
+    coords = _coordinates(grid, _homogeneity_law(f, g, phi, h))
+    # the X_i that share a point list share one G row in the sweep
+    lams, *xpts = (points for points, _, _ in coords)
+    leaf = n == 1 and isinstance(h.expr, Var)
+    h_fn, dh = (None, m) if leaf else h.kernel(_dens(grid, *(m,) * n))
+    # compiled before any result of H is made, so that a law the generator
+    # refuses is refused at once
+    sweep_fn, den = sweep(f, g, phi, _dens(grid, m, dh))
+    h_table = xpts[0] if leaf else itertools.starmap(
+        h_fn, itertools.product(*xpts))
+    # read once per Λ point, so made a list only when there are several
+    if len(lams) > 1 and not leaf:
+        h_table = list(h_table)
+    max_dev, first_lo, first_hi = sweep_fn(lams, xpts, h_table, mode.tol)
+    return (_lowest_failure(coords, first_lo, first_hi),
+            fraction(max_dev, den) if mode.is_exact else max_dev)
+
+
+def equal_on_grid(f: IVFunction, h: IVFunction, grid: Grid) -> bool:
+    """Whether F and H (of one arity) agree on all s^n grid tuples, by the
+    equality rule of `_sweep_law`, on the kernels of both. Each result is
+    compared cross-multiplied by the other kernel's denominator: in exact
+    mode that compares the two values, and in float mode both denominators
+    are 1, so the doubles compare as they are.
+
+    F = H is the law F(pi2(L,X1),...) = pi2(L, H(X1,...)), so each X_i
+    sweeps the points that `_coordinates` gives for its parities in that
+    law (`_homogeneity_law`), and the scan stops at the first difference.
+    """
+    coords = _coordinates(grid, _homogeneity_law(f, PI2, IDENTITY, h)[1:])
+    dens = _dens(grid, *(grid.resolution,) * f.arity)
+    (f_fn, df), (h_fn, dh) = f.kernel(dens), h.kernel(dens)
+    tol = grid.mode.tol
+    for xs in itertools.product(*(points for points, _, _ in coords)):
+        (a, b), (c, d) = f_fn(*xs), h_fn(*xs)
+        if abs(a * dh - c * df) > tol or abs(b * dh - d * df) > tol:
+            return False
+    return True
+
+
+def _float_lookup(values, eps: float) -> Callable[[tuple], list[tuple]]:
+    """The lookup, for a pair of doubles (lo, hi), of the pairs in `values`
+    within eps of it at both endpoints. The pairs are kept by lower
+    endpoint: bisection finds the lower endpoints within eps, and in each
+    one's sorted uppers those within eps, so a lookup takes O(log s) steps
+    plus one for each pair it finds."""
+    rows: dict = {}
+    for lo, hi in sorted(values):
+        rows.setdefault(lo, []).append(hi)
+    los = list(rows)
+    return lambda x: [(lo, hi) for lo in _within(los, x[0], eps)
+                      for hi in _within(rows[lo], x[1], eps)]
+
+
+def _within(xs: list, x: float, eps: float) -> list:
+    """The run of the sorted doubles `xs` that lie within eps of `x`."""
+    lo = hi = bisect_left(xs, x)
+    while lo > 0 and x - xs[lo - 1] <= eps:
+        lo -= 1
+    while hi < len(xs) and xs[hi] - x <= eps:
+        hi += 1
+    return xs[lo:hi]

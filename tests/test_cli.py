@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import csv
+import importlib
 import io
 import json
 import os
@@ -231,13 +233,13 @@ def test_proj_k_and_xk_give_the_same_report(capsys, command, mode, output,
 
 
 def test_theorem1_reads_a_before_any_work(capsys, monkeypatch):
-    from ivhom import cli, homogeneity
+    from ivhom import commands, homogeneity
 
     def never(*args, **kwargs):
         raise AssertionError("work was done before --a was read")
 
     monkeypatch.setattr(homogeneity, "make_grid", never)
-    monkeypatch.setattr(cli, "_resolve_f", never)
+    monkeypatch.setattr(commands, "_resolve_f", never)
     code, out, err = run(capsys, "theorem1", "--f", "min", "--a", "[2,1]")
     assert code == 2 and out == "" and "outside [0,1]" in err
 
@@ -396,12 +398,12 @@ def test_budget_refused_before_grid_is_built(capsys, monkeypatch, command):
     ("eval", "--f", "expr:min(X1,X2,X3)", "--arity", "3", "[0,1]"),
 ], ids=["check", "eval-registry", "eval-dsl"])
 def test_refused_before_f_is_built(capsys, monkeypatch, argv):
-    from ivhom import cli
+    from ivhom import commands
 
     def never(*args, **kwargs):
         raise AssertionError("F was built before the request was checked")
 
-    monkeypatch.setattr(cli, "_resolve_f", never)
+    monkeypatch.setattr(commands, "_resolve_f", never)
     code, out, err = run(capsys, *argv)
     assert code == (2 if argv[0] == "eval" else 3) and out == ""
     assert ("expects" if argv[0] == "eval" else "budget") in err
@@ -519,21 +521,29 @@ ENGINE_PROBE = """
 import sys, ivhom.cli as cli
 cli.build_parser()
 code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-engine = ("ivhom.interval", "fractions", "decimal", "numbers", "ivhom.dsl",
-          "ivhom.expr", "ivhom.functions", "ivhom.homogeneity", "ivhom.report",
-          "ivhom.compiler", "json", "re", "argparse", "gettext", "locale",
-          "typing")
+engine = ("ivhom.interval", "ivhom.literal", "fractions", "decimal",
+          "numbers", "ivhom.dsl", "ivhom.expr", "ivhom.functions",
+          "ivhom.homogeneity", "ivhom.report", "ivhom.commands",
+          "ivhom.compiler", "ivhom.sweep", "json", "re", "argparse", "gettext",
+          "locale", "typing")
 print([m for m in engine if m in sys.modules])
 sys.exit(code)
 """
 INTERVAL = ["ivhom.interval"]
+#: the literal reader, for eval's arguments and theorem1's --a
+LITERAL = ["ivhom.literal"]
 #: `fractions` with `decimal` and `numbers`; the `re` that it imports too
 #: is listed last, after `json`
 FRACTIONS = ["fractions", "decimal", "numbers"]
 DSL = ["ivhom.dsl"]
 ENGINE = ["ivhom.expr", "ivhom.functions", "ivhom.homogeneity", "ivhom.report"]
+#: what a run does after the gate, which a refusal never loads
+COMMANDS = ["ivhom.commands"]
 #: the tracer and code generator, which load with the first kernel compiled
 COMPILER = ["ivhom.compiler"]
+#: the swept path, which loads when a law is swept, for theorem1's
+#: bijectivity scan and for dual
+SWEEP = ["ivhom.sweep"]
 
 
 @pytest.mark.parametrize("argv,size,budget,loaded", [
@@ -541,7 +551,7 @@ COMPILER = ["ivhom.compiler"]
     (("prop2", "--f", "min", "--resolution", "40"), "861^3", 10000000, []),
     # theorem1 reads --a before the gate, and [1,1] is two ints
     (("theorem1", "--f", "min", "--g", "P", "--resolution", "40",
-      "--budget", "1800"), "861^3", 1800, INTERVAL),
+      "--budget", "1800"), "861^3", 1800, INTERVAL + LITERAL),
 ], ids=["parser", "prop2", "theorem1"])
 def test_refusal_loads_no_engine(argv, size, budget, loaded):
     proc = run_python("-S", "-c", ENGINE_PROBE, *argv)
@@ -557,52 +567,61 @@ def test_refusal_loads_no_engine(argv, size, budget, loaded):
 
 @pytest.mark.parametrize("argv,loaded", [
     (("check", "--f", "min", "--resolution", "2", "--output", "text"),
-     INTERVAL + ENGINE),
+     INTERVAL + ENGINE + COMMANDS),
     (("check", "--f", "min", "--resolution", "2", "--output", "csv"),
-     INTERVAL + ENGINE),
-    (("check", "--f", "min", "--resolution", "2"), INTERVAL + ENGINE),
+     INTERVAL + ENGINE + COMMANDS),
+    (("check", "--f", "min", "--resolution", "2"),
+     INTERVAL + ENGINE + COMMANDS),
     (("theorem1", "--f", "min", "--a", "[1,1]", "--resolution", "2"),
-     INTERVAL + ENGINE + COMPILER),
-    (("prop2", "--f", "min", "--resolution", "2"), INTERVAL + ENGINE),
-    (("idempotent", "--f", "min", "--resolution", "2"), INTERVAL + ENGINE),
+     INTERVAL + LITERAL + ENGINE + COMMANDS + COMPILER + SWEEP),
+    (("prop2", "--f", "min", "--resolution", "2"),
+     INTERVAL + ENGINE + COMMANDS),
+    (("idempotent", "--f", "min", "--resolution", "2"),
+     INTERVAL + ENGINE + COMMANDS),
     # the grid is numerator pairs, and a dual report shows no number
     (("dual", "--f", "min", "--resolution", "2", "--output", "text"),
-     INTERVAL + ENGINE + COMPILER),
+     INTERVAL + ENGINE + COMMANDS + COMPILER + SWEEP),
     (("check", "--f", "expr:min(X1,X2)", "--arity", "2", "--resolution", "2",
-      "--output", "text"), INTERVAL + DSL + ENGINE),
+      "--output", "text"), INTERVAL + DSL + ENGINE + COMMANDS),
     (("check", "--f", "min", "--g", "expr:mul(L,X1)", "--resolution", "2",
-      "--output", "csv"), INTERVAL + DSL + ENGINE),
+      "--output", "csv"), INTERVAL + DSL + ENGINE + COMMANDS),
     (("eval", "--f", "min", "[0,1]", "[1,1]"),
-     INTERVAL + ENGINE[:2] + COMPILER),
+     INTERVAL + LITERAL + ENGINE[:2] + COMMANDS + COMPILER),
     # a counterexample, a constant and a literal that are not whole
     (("check", "--f", "product", "--resolution", "2"),
-     INTERVAL + FRACTIONS + ENGINE + COMPILER + ["re"]),
+     INTERVAL + FRACTIONS + ENGINE + COMMANDS + COMPILER + SWEEP + ["re"]),
     (("check", "--f", "expr:max(X1,[0,1/2])", "--arity", "1", "--g", "pi2",
       "--resolution", "2", "--output", "text"),
-     INTERVAL + FRACTIONS + DSL + ENGINE + COMPILER + ["re"]),
+     INTERVAL + FRACTIONS + DSL + ENGINE + COMMANDS + COMPILER + SWEEP
+     + ["re"]),
     (("eval", "--f", "min", "[0.2,0.5]", "[1,1]"),
-     INTERVAL + FRACTIONS + ENGINE[:2] + COMPILER + ["re"]),
+     INTERVAL + LITERAL + FRACTIONS + ENGINE[:2] + COMMANDS + COMPILER
+     + ["re"]),
     (("check", "--f", "min", "--resolution", "2", "--mode", "float",
-      "--output", "text"), INTERVAL + ENGINE),
+      "--output", "text"), INTERVAL + ENGINE + COMMANDS),
     (("check", "--f", "product", "--resolution", "2", "--mode", "float",
-      "--output", "text"), INTERVAL + ENGINE + COMPILER),
+      "--output", "text"), INTERVAL + ENGINE + COMMANDS + COMPILER + SWEEP),
     (("check", "--f", "expr:min(X1,X2)", "--arity", "2", "--resolution", "2",
-      "--mode", "float", "--output", "text"), INTERVAL + DSL + ENGINE),
+      "--mode", "float", "--output", "text"),
+     INTERVAL + DSL + ENGINE + COMMANDS),
     (("check", "--f", "expr:max(X1,[0,1/2])", "--arity", "1", "--g", "pi2",
       "--resolution", "2", "--mode", "float", "--output", "text"),
-     INTERVAL + FRACTIONS + DSL + ENGINE + COMPILER + ["re"]),
+     INTERVAL + FRACTIONS + DSL + ENGINE + COMMANDS + COMPILER + SWEEP
+     + ["re"]),
     (("theorem1", "--f", "min", "--resolution", "2", "--mode", "float",
-      "--output", "text"), INTERVAL + ENGINE + COMPILER),
+      "--output", "text"),
+     INTERVAL + LITERAL + ENGINE + COMMANDS + COMPILER + SWEEP),
     (("eval", "--mode", "float", "--f", "min", "[0,1/3]", "[0.5,1e-0]"),
-     INTERVAL + ENGINE[:2] + COMPILER),
+     INTERVAL + LITERAL + ENGINE[:2] + COMMANDS + COMPILER),
     # `mean` is certified in exact mode alone
     (("idempotent", "--f", "mean", "--arity", "4", "--resolution", "2"),
-     INTERVAL + ENGINE),
+     INTERVAL + ENGINE + COMMANDS),
     (("check", "--f", "expr:mean(max(X1,X2),proj(1))", "--arity", "2",
       "--g", "expr:psum(L,X1)", "--resolution", "2", "--output", "text"),
-     INTERVAL + DSL + ENGINE),
+     INTERVAL + DSL + ENGINE + COMMANDS),
     (("check", "--f", "mean", "--g", "P_NS", "--resolution", "2", "--mode",
-      "float", "--output", "text"), INTERVAL + ENGINE + COMPILER),
+      "float", "--output", "text"),
+     INTERVAL + ENGINE + COMMANDS + COMPILER + SWEEP),
 ], ids=["text", "csv", "json", "theorem1", "prop2", "idempotent", "dual-text",
         "expr-f", "expr-g", "eval", "fail", "constant", "eval-fraction",
         "float", "float-fail", "float-expr-f", "float-constant",
@@ -613,8 +632,12 @@ def test_modules_each_command_loads(argv, loaded):
     compiles a kernel loads `compiler`, and no report loads `json`. A
     registry or `expr:` check of `min` against P or mul(L,X1), both
     steps of exact prop2 of `min` and the idempotency of `min` are
-    certified from the ASTs, so they load no `compiler`; every other
-    command here compiles a kernel. `fractions` loads only for an exact number that is not
+    certified from the ASTs, so they load neither `compiler` nor the swept
+    path, `sweep`; every other command here compiles a kernel, and all but
+    `eval` load `sweep`: for a swept law, theorem1's bijectivity scan or
+    dual's comparison. Only `eval` and theorem1, whose `--a` is a literal,
+    load the literal reader, and every run here loads `commands`, which a
+    refusal never does (`test_refusal_loads_no_engine`). `fractions` loads only for an exact number that is not
     whole: a counterexample, a DSL constant or an interval literal such as
     0.2. A passing exact run, whose deviation is 0, reads and prints only
     ints, and a float run reads its interval literals (theorem1's `--a`,
@@ -657,7 +680,8 @@ def test_config_file_loads_json(tmp_path):
     proc = run_python("-S", "-c", ENGINE_PROBE, "check", "--f", "min",
                       "--config", str(config), "--output", "text")
     assert proc.returncode == 0 and proc.stderr == ""
-    assert proc.stdout.splitlines()[-1] == repr(INTERVAL + ENGINE + ["json", "re"])
+    assert proc.stdout.splitlines()[-1] == repr(
+        INTERVAL + ENGINE + COMMANDS + ["json", "re"])
 
 
 def test_registry_import_compiles_no_kernel():
@@ -701,7 +725,7 @@ sys.exit(code)
     ((), "0 0 0"),
     (("check", "--mode", "float", "--f", "min", "--resolution", "2"), "0 0 0"),
     (("check", "--mode", "float", "--f", "product", "--resolution", "2"),
-     "0 4 4"),
+     "0 3 3"),
     (("prop2", "--mode", "float", "--f", "min", "--resolution", "2"), "0 3 3"),
     (("eval", "--mode", "float", "--f", "min", "[0,1]", "[1,1]"), "0 1 1"),
     (("check", "--f", "min", "--resolution", "2"), "0 0 0"),
@@ -710,26 +734,30 @@ sys.exit(code)
     (("idempotent", "--f", "min", "--resolution", "2"), "0 0 0"),
     (("prop2", "--f", "min", "--resolution", "2"), "0 0 0"),
     (("idempotent", "--mode", "float", "--f", "mean", "--resolution", "2"),
-     "0 2 2"),
+     "0 1 1"),
     (("theorem1", "--f", "min", "--resolution", "2"), "1 0 1"),
     (("theorem1", "--mode", "float", "--f", "min", "--resolution", "2"),
      "0 1 1"),
+    (("theorem1", "--f", "product", "--resolution", "2"), "4 0 4"),
 ], ids=["build", "float-check", "float-check-fail", "float-prop2",
         "float-eval", "exact-check", "float-idempotent", "exact-idempotent",
         "exact-prop2", "float-idempotent-mean", "exact-theorem1",
-        "float-theorem1"])
+        "float-theorem1", "exact-theorem1-fail"])
 def test_a_run_traces_only_the_kernels_it_compiles(argv, counts):
     """Building an ingredient traces nothing, so a float run traces no
     exact code, and each kernel a run compiles is traced once: F, G and
     the sweep, which traces phi inline, for each homogeneity check that is
     swept, none for one certified from the ASTs (`min` against P, as in
     `prop2`'s base step, and in exact mode its dual against the dual of
-    P), H (the identity, X1) and the sweep for an idempotency law that is
-    swept, whose G, pi2, is its variable leaf and compiles nothing, none
-    for one certified (`min`), and phi's kernel for a counterexample,
-    which finds the kernels of F and G that the sweep used kept. theorem1
-    of `min` compiles only the kernel of G that its bijectivity scan
-    reads: its fixed point, homogeneity and idempotency are certified."""
+    P), and only the sweep for an idempotency law that is swept, whose G,
+    pi2, and H, the identity, are their variable leaf X1 and compile
+    nothing; none for one certified (`min`). A counterexample compiles
+    nothing: it finds the kernels of F and G that the sweep used kept,
+    and phi, the identity, gives its argument. theorem1 of `min` compiles
+    only the kernel of G that its bijectivity scan reads: its fixed point,
+    homogeneity and idempotency are certified. theorem1 of `product`
+    checks its fixed point after its homogeneity sweep, on the kernel of
+    F that the sweep compiled, so it compiles G, F and two sweeps."""
     proc = run_python("-c", TRACE_PROBE, *argv)
     assert proc.returncode in (0, 1) and proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == counts
@@ -1199,6 +1227,30 @@ def test_entry_point_freezes_the_heap_before_exit(tmp_path, capsys, argv,
     assert report.read_text() == "frozen=True enabled=True"
 
 
+#: runs `ivhom.cli` as __main__, as `python -m ivhom.cli` does, and prints
+#: last on stderr, at exit, whether a module imported it as `ivhom.cli`
+MAIN_PROBE = """
+import atexit, runpy, sys
+atexit.register(lambda: print("ivhom.cli" in sys.modules, file=sys.stderr))
+runpy.run_module("ivhom.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("check", "--f", "min", "--resolution", "2"), 0),
+    (("check", "--f", "product", "--resolution", "2"), 1),
+    (("theorem1", "--f", "product", "--resolution", "2"), 1),
+    (("prop2", "--f", "min", "--resolution", "40"), 3),
+], ids=["pass", "fail", "theorem1", "refusal"])
+def test_entry_point_compiles_the_command_line_once(argv, code):
+    """Under `python -m ivhom.cli` the command line runs as `__main__`.
+    No module of the package imports `ivhom.cli`, which would compile it
+    a second time, under its own name."""
+    proc = run_python("-c", MAIN_PROBE, *argv)
+    assert proc.returncode == code
+    assert proc.stderr.splitlines()[-1] == "False"
+
+
 def test_no_command_compares_two_trees(capsys, monkeypatch):
     """Tracing memoizes by node and endpoint, so no command compares two
     ASTs, even on laws whose subtrees repeat."""
@@ -1224,3 +1276,72 @@ def test_no_command_compares_two_trees(capsys, monkeypatch):
         assert main(list(argv)) in (0, 1), argv
     capsys.readouterr()
     assert calls == []
+
+
+def _layertrace(*names):
+    """The values of the assignments `names` in the benchmark's traced
+    run, `perfbench/layertrace.py`, read from its source."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    values = {target.id: ast.literal_eval(node.value)
+              for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets if isinstance(target, ast.Name)}
+    return [values[name] for name in names]
+
+
+#: a report of a check on a grid
+REPORTED = ["homogeneity.make_grid", "report.emit_report"]
+
+
+@pytest.mark.parametrize("argv,reached", [
+    (("check", "--f", "expr:mul(X1,X2)", "--arity", "2", "--g",
+      "expr:mul(L,X1)"), ["expr.parse_expr", "expr.compile_ivfunction",
+                          "expr.compile_scaling", "functions.get_iso",
+                          "homogeneity.check_homogeneity", *REPORTED]),
+    (("idempotent", "--f", "product"),
+     ["functions.get_function", "homogeneity.check_idempotency", *REPORTED]),
+    (("theorem1", "--f", "product"),
+     ["interval.parse_interval", "functions.get_function",
+      "functions.get_scaling", "homogeneity.run_theorem1",
+      "homogeneity.check_section_bijective", "homogeneity.check_homogeneity",
+      "homogeneity.check_idempotency", *REPORTED]),
+    (("prop2", "--f", "product"),
+     ["functions.get_function", "homogeneity.run_prop2",
+      "homogeneity.check_homogeneity", "functions.dual_ns",
+      "functions.dual_scaling_ns", *REPORTED]),
+    (("dual", "--f", "min"),
+     ["functions.get_function", "functions.dual_ns", "homogeneity.make_grid"]),
+    (("eval", "--f", "min", "[0,1/2]", "[1/3,1]"),
+     ["interval.parse_interval", "functions.get_function"]),
+], ids=["check", "idempotent", "theorem1", "prop2", "dual", "eval"])
+def test_every_benchmark_span_a_command_reaches_is_called(
+        capsys, monkeypatch, argv, reached):
+    """The benchmark's traced run replaces each spanned name, after import,
+    in its module and in each module of its layers that imported it. A
+    name is looked up where it is called, so each span that a command
+    reaches is called: no module that loads later, such as `commands`,
+    `sweep` or `literal`, binds a spanned name at import. The modules load
+    before the names are replaced, so such a binding would be missed."""
+    layers, spanned = _layertrace("LAYERS", "SPANNED")
+    for name in ("commands", "sweep", "literal", *layers):
+        importlib.import_module(f"ivhom.{name}")
+    modules = [sys.modules[f"ivhom.{layer}"] for layer in layers]
+    called = set()
+
+    def recording(name, fn):
+        def recorder(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return recorder
+
+    for layer, name in spanned:
+        original = getattr(sys.modules[f"ivhom.{layer}"], name)
+        recorder = recording(f"{layer}.{name}", original)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, recorder)
+    grid = () if argv[0] == "eval" else ("--resolution", "2")
+    assert sys.modules["ivhom.cli"].main([*argv, *grid]) in (0, 1)
+    capsys.readouterr()
+    assert called == {"cli.main", *reached}

@@ -24,7 +24,7 @@ from ivhom.expr import (
     compile_scaling,
     parse_expr,
 )
-from ivhom.functions import IDENTITY, P, P_NS, get_function
+from ivhom.functions import IDENTITY, P, P_NS, PI2, SQUARE, get_function
 from ivhom.gate import MAX_DEPTH, MAX_POW_EXPONENT
 from ivhom.homogeneity import make_grid
 from ivhom.interval import Interval, IntervalError, fraction
@@ -144,12 +144,12 @@ def test_neg_and_const_evaluate():
     assert c(GRID[0]) == Interval(Fraction(1, 3), Fraction(2, 3))
 
 
-#: ingredients that an exact call evaluates: registry ones, and DSL ones
-#: with constants, `neg`, `pow` and `mean`, whose kernels scale constants
-#: and arguments to common denominators
+#: ingredients that an exact call evaluates on a kernel: registry ones, and
+#: DSL ones with constants, `neg`, `pow` and `mean`, whose kernels scale
+#: constants and arguments to common denominators
 CALLED = (
     get_function("product", 2), get_function("mean", 3), get_function("pow_2"),
-    P, P_NS, IDENTITY,
+    P, P_NS, SQUARE,
     compile_ivfunction(
         parse_expr("psum(neg(min(X1,X2)),mul(X2,[1/3,2/3]))", 2), 2),
     compile_ivfunction(parse_expr("mean(X1,[1/4,1/2],pow(X2,2))", 2), 2),
@@ -182,6 +182,24 @@ def test_exact_call_on_a_grid_kernel_matches_a_fresh_call(ingredient, m, xs):
     xs = xs[:n]
     assert repr(kept(*xs)) == repr(fresh(*xs))
     assert list(kept.fns) == [(m,) * n] and list(fresh.fns) == [(1,) * n]
+
+
+@pytest.mark.parametrize("ingredient,at", [
+    (IDENTITY, 0), (PI2, 1), (get_function("proj_2", 3), 1),
+], ids=["identity", "pi2", "proj_2"])
+@pytest.mark.parametrize("xs", [
+    [Interval(Fraction(1, 3), Fraction(1, 2)), Interval(0, Fraction(2, 7)),
+     Interval(1, 1)],
+    [Interval(0.25, 0.5), Interval(0.0, 0.75), Interval(1.0, 1.0)],
+], ids=["exact", "float"])
+def test_a_variable_leaf_gives_its_argument(ingredient, at, xs):
+    """An ingredient that is its variable leaf X<k> gives its X<k>
+    argument itself, after the arity check, and compiles no kernel."""
+    fresh = type(ingredient)(*ingredient._values())
+    xs = xs[:len(fresh.params)]
+    assert fresh(*xs) is xs[at] and fresh.fns == {}
+    with pytest.raises(TypeError, match="argument"):
+        fresh(*xs, xs[0])
 
 
 def chain(depth):

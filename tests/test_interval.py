@@ -14,18 +14,16 @@ from ivhom.interval import (
     Interval,
     IntervalError,
     NumericMode,
-    _split_exponent,
-    _split_interval,
     complement,
     format_interval,
     fraction,
     join,
     meet,
     parse_interval,
-    parse_number,
     prob_sum,
     product,
 )
+from ivhom.literal import _split_exponent, _split_interval, parse_number
 
 
 def grid_points(m):

@@ -51,13 +51,9 @@ from ivhom.homogeneity import (
     CheckReport,
     Counterexample,
     _check_fixed_point,
-    _float_lookup,
-    _homogeneity_law,
-    _sweep_law,
     check_homogeneity,
     check_idempotency,
     check_section_bijective,
-    equal_on_grid,
     make_grid,
     run_theorem1,
 )
@@ -72,6 +68,7 @@ from ivhom.interval import (
     prob_sum,
     product,
 )
+from ivhom.sweep import _float_lookup, _homogeneity_law, _sweep_law, equal_on_grid
 
 MODES = (EXACT, FLOAT)
 #: resolution per arity, so that every reference sweep stays small
@@ -171,7 +168,7 @@ def first_failures(f, g, phi, grid):
         lhs = f(*(g(lam, x) for x in xs))
         rhs = g(phi(lam), f(*xs))
         for side, (a, b) in enumerate(((lhs.lo, rhs.lo), (lhs.hi, rhs.hi))):
-            if firsts[side] is None and not mode.values_equal(a, b):
+            if firsts[side] is None and abs(a - b) > mode.tol:
                 firsts[side] = t
     return tuple(firsts)
 
@@ -452,26 +449,28 @@ def test_each_kernel_is_compiled_once(monkeypatch, uncompiled, mode):
     # `mean`'s laws against P are certified from the ASTs in exact mode
     # only: a rounded mean is swept
     swept = not exact
-    # idempotency is a law of the one sweep too: it compiles H (the
-    # identity, X1) and the sweep, which traces F(X1,...,X1) and phi (the
-    # identity) inline; G (pi2) is its variable leaf and compiles nothing
+    # idempotency is a law of the one sweep too: it compiles only the
+    # sweep, which traces F(X1,...,X1) and phi (the identity) inline; G
+    # (pi2) and H (the identity) are their variable leaf X1 and compile
+    # nothing
     check_idempotency(mean2, grid)
-    assert compiles[0] == 2 + 2 * swept
-    # the fixed point evaluates Intervals through F's kernel when swept,
-    # which in float mode is the kernel `equal_on_grid` compiled; the
-    # bijectivity scan compiles G's kernel over the grid's denominators,
-    # which the homogeneity step then sweeps, and the homogeneity and
-    # idempotency steps find every kernel kept and compile only their
-    # sweeps
+    assert compiles[0] == 2 + swept
+    # the bijectivity scan compiles G's kernel over the grid's
+    # denominators, which the homogeneity step then sweeps, and the
+    # homogeneity and idempotency steps find every kernel kept and compile
+    # only their sweeps; the fixed point, checked after them, evaluates
+    # Intervals through F's kernel when swept, which in float mode is the
+    # kernel `equal_on_grid` compiled
     run_theorem1(mean2, p, grid_points(grid)[-1], grid)
-    assert compiles[0] == 2 + 2 * swept + 1 + 2 * swept
+    assert compiles[0] == 2 + swept + 1 + 2 * swept
     run_theorem1(mean2, p, grid_points(grid)[-1], grid)
-    assert compiles[0] == 3 + 4 * swept + 2 * swept
+    assert compiles[0] == 3 + 3 * swept + 2 * swept
     # a failing check compiles F and the sweep, and G's kernel is kept;
     # its counterexample calls the kernels of F and G that the sweep used,
-    # and compiles one of phi, which the sweep traced inline
+    # and phi, the identity, which the sweep traced inline, gives its
+    # argument
     assert not check_homogeneity(product2, p, phi, grid).passed
-    assert compiles[0] == 3 + 6 * swept + 3
+    assert compiles[0] == 3 + 5 * swept + 2
 
 
 _unit_doubles = st.floats(0.0, 1.0)
@@ -588,15 +587,18 @@ def test_idempotency_is_one_run_of_the_sweep(monkeypatch, src, mode):
 def test_h_table_is_a_list_only_when_lambda_sweeps_several_points(
         monkeypatch, mode):
     """The sweep reads H's table once for each Λ point. So a law in which
-    Λ sweeps one point, idempotency or a G that reads no L, streams the
-    table from H's kernel, and a law that reads Λ fills it as a list."""
+    Λ sweeps one point, such as a G that reads no L, streams the table
+    from H's kernel, and a law that reads Λ fills it as a list.
+    Idempotency's H is X1 over one X, so its table is that X's list of
+    points itself ("points")."""
     tables, sweep = [], compiler.sweep
 
     def recording(f, g, phi, dens):
         fn, den = sweep(f, g, phi, dens)
 
         def run(lams, xpts, h_table, *rest):
-            tables.append(isinstance(h_table, list))
+            tables.append("points" if h_table is xpts[0] else
+                          isinstance(h_table, list))
             return fn(lams, xpts, h_table, *rest)
         return run, den
 
@@ -606,7 +608,7 @@ def test_h_table_is_a_list_only_when_lambda_sweeps_several_points(
     for g in (PI2, P):
         assert check_homogeneity(f, g, IDENTITY, grid) == reference_sweep(
             f, g, IDENTITY, grid)
-    assert tables == [False, False, True]
+    assert tables == ["points", False, True]
 
 
 IDEMPOTENCY_FS = [
