@@ -19,9 +19,9 @@ table checks the fields of a `--config` file.
 A run parses its flags, checks the float epsilon, resolves the arity and
 passes the budget gate (`gate`); `_run` ends there, and hands the run to
 `commands`, which builds the ingredients and the grid, loads the engine
-(`interval`, `expr`, `functions`, `homogeneity`, `report`) and gives the
-output, which `_run` prints. So a refusal loads only this module and
-`gate`. Two commands load `interval` first: `theorem1` reads its `--a`
+(`interval`, `expr`, `functions`, `homogeneity`, and the modules of its
+command and output format) and gives the output, which `_run` prints. So
+a refusal loads only this module and `gate`. Two commands load `interval` first: `theorem1` reads its `--a`
 before the gate, so that a bad literal exits 2 before a refusal, and
 `eval` is not gated. This is the only budget gate: the engine checks no
 budget of its own.

@@ -6,9 +6,13 @@ which is not gated, so a refused run and the start-up of the command line
 never compile it. It imports nothing of the package at import but `gate`:
 each engine name is imported where a command calls it, so that a name
 replaced in its own module after import, as a benchmark's probe does, is
-the one called. Nothing here imports `cli`, which under `python -m
-ivhom.cli` runs as `__main__`, so that an import would compile it a second
-time; `cli` prints the text and turns the verdict into the exit code.
+the one called. So a run loads only what its command needs: `dual` loads
+`ivhom.dual`, theorem1 and prop2 load `ivhom.pipelines` through their
+entry points in `homogeneity`, and `report.emit_report` loads the layout
+of `--output json` or `text`. Nothing here imports `cli`, which under
+`python -m ivhom.cli` runs as `__main__`, so that an import would compile
+it a second time; `cli` prints the text and turns the verdict into the
+exit code.
 """
 
 from __future__ import annotations
@@ -76,28 +80,12 @@ def run(args: dict, n: int, mode) -> tuple[str, bool]:
     elif command == "prop2":
         report = run_prop2(f, grid)
     elif command == "dual":
-        return _run_dual(f, grid, args["output"]), True
+        from .dual import run_dual
+
+        return run_dual(f, grid, args["output"]), True
     else:  # pragma: no cover
         raise AssertionError(command)
 
     from .report import emit_report
 
     return emit_report(report, args["output"]), report.verdict == "pass"
-
-
-def _run_dual(f, grid, fmt: str) -> str:
-    from .functions import FUNCTION_NAMES, dual_ns, get_function
-    from .report import emit_dual
-    from .sweep import equal_on_grid
-
-    # each candidate is compared with the dual on all s^n tuples
-    dual = dual_ns(f)
-    matches = []
-    for name in FUNCTION_NAMES:
-        try:
-            cand = get_function(name, f.arity)
-        except LookupError:
-            continue
-        if equal_on_grid(dual, cand, grid):
-            matches.append(name)
-    return emit_dual(f.name, dual.name, matches, grid, fmt)

@@ -21,6 +21,13 @@ reported as their sweeps would report them, with no kernel compiled.
 Every other law is swept by `ivhom.sweep`, which a check imports only
 when it sweeps, so a run whose every law is certified never compiles it.
 
+The theorem1 and prop2 pipelines and theorem1's bijectivity scan are in
+`ivhom.pipelines`, which `run_theorem1`, `run_prop2` and
+`check_section_bijective` import when called, so a `check`, `idempotent`
+or `dual` never compiles it. The three stay here, with the reports of
+checks and pipelines (`CheckReport`, `PipelineReport`), as the entry
+points of their commands.
+
 No function here checks a budget or takes a worker count: the command
 line (`cli`) is the one budget gate, and it refuses an over-budget run
 before it imports this module. A certified law is charged as if swept.
@@ -32,16 +39,7 @@ from .expr import Call, Pow, Var, diagonal, parities
 from .gate import UnsupportedModeError, grid_size
 from .interval import (EXACT, TYPE_CHECKING, Interval, NumericMode, _Value,
                        fraction)
-from .functions import (
-    IDENTITY,
-    PI2,
-    IVFunction,
-    OrderIso,
-    P,
-    ScalingFunction,
-    dual_ns,
-    dual_scaling_ns,
-)
+from .functions import IDENTITY, PI2, IVFunction, OrderIso, ScalingFunction
 
 if TYPE_CHECKING:
     from .interval import Number
@@ -264,114 +262,27 @@ def check_section_bijective(g: ScalingFunction, a: Interval,
 
     Pass means injective on grid points and grid-surjective (every grid
     point is attained up to numeric equality). This certifies the premise
-    on the grid only; it proves nothing about the continuum.
-
-    The images are the results of G's kernel over the grid's denominators,
-    which the homogeneity step sweeps too, grouped by value, so exact mode
-    takes O(s) steps. The kernel takes the grid's points as
-    `sweep._coordinates` gives them and A's endpoints times k, and gives
-    results over its denominator D: k = m in exact mode, where the points
-    are numerators over m, and k = 1 in float mode, where the points are
-    doubles and D is 1. An image times k and a grid point times D then compare as the two
-    values; in exact mode they are ints when A's endpoints times m are. In
-    float mode, where eps-equality is not transitive, distinct values are
-    also compared with their neighbours within eps, which `_float_lookup`
-    finds by bisection. A collision is reported as the lexicographically
-    smallest colliding pair of grid indices. `Interval`s are built only
-    for the counterexample.
+    on the grid only; it proves nothing about the continuum. The scan is
+    `pipelines.section_bijective`.
     """
-    from .sweep import _coordinates, _dens, _float_lookup
+    from .pipelines import section_bijective
 
-    mode, m = grid.mode, grid.resolution
-    (points, grid_pairs, _), = _coordinates(grid, [{0, 1}])
-    fn, den = g.kernel(_dens(grid, m, m))
-    k = m if mode.is_exact else 1
-    ends = (a.lo * k, a.hi * k)
-    images = [(lo * k, hi * k) for lo, hi in (fn(x, ends) for x in points)]
-    targets = [(i * den, j * den) for i, j in points]
-
-    def report(cex: Counterexample | None, note: str) -> CheckReport:
-        return _report("section-bijective", cex, len(grid), mode.zero(), grid,
-                       "grid-certified" + note)
-
-    indices: dict[tuple, list[int]] = {}
-    for i, img in enumerate(images):
-        indices.setdefault(img, []).append(i)
-    if mode.is_exact:
-        def equal_images(x: tuple) -> list[tuple]:
-            return [x] if x in indices else []
-    else:
-        equal_images = _float_lookup(indices, mode.tol)
-
-    # the smallest pair within one value's indices, or across two values
-    collisions = []
-    for value, ix in indices.items():
-        for other in equal_images(value):
-            if other == value:
-                if len(ix) > 1:
-                    collisions.append((ix[0], ix[1]))
-            else:
-                collisions.append(tuple(sorted((ix[0], indices[other][0]))))
-    if collisions:
-        x, y = (grid.point(grid_pairs[i]) for i in min(collisions))
-        cex = Counterexample(None, (x, y), g(x, a), g(y, a))
-        return report(cex, ": not injective, two grid points collide")
-    for target, pair in zip(targets, grid_pairs):
-        if not equal_images(target):
-            target = grid.point(pair)
-            cex = Counterexample(None, (), target, target)
-            return report(cex, ": not surjective, grid point never attained")
-    return report(None, "")
-
-
-def _check_fixed_point(f: IVFunction, a: Interval, grid: Grid) -> CheckReport:
-    """Check F(A,...,A) = A. An F that passes `_polynomial` is idempotent,
-    so its value is A itself, and F is not called."""
-    mode = grid.mode
-    out = a if _polynomial(f, mode) is not None else f(*(a,) * f.arity)
-    cex = (None if mode.intervals_equal(out, a)
-           else Counterexample(None, (a,) * f.arity, out, a))
-    return _report("fixed-point", cex, 1, mode.deviation(out, a), grid)
-
-
-def _pipeline(name: str, checks: tuple[tuple[str, CheckReport], ...],
-              grid: Grid) -> PipelineReport:
-    """The report of a pipeline of labelled checks, all of them run: the
-    last is the conclusion and the others are its premises. The status is
-    "confirmed" when every check passes, "violation" when the premises pass
-    and the conclusion fails (an implementation-bug signal on exact closed
-    grids), and "not-applicable" when a premise fails, in which case the
-    conclusion is informational."""
-    *premises, (_, conclusion) = checks
-    if all(report.passed for _, report in premises):
-        status = "confirmed" if conclusion.passed else "violation"
-    else:
-        status = "not-applicable"
-    return PipelineReport(name, status, checks, grid.mode, grid.resolution)
+    return section_bijective(g, a, grid)
 
 
 def run_theorem1(f: IVFunction, g: ScalingFunction, a: Interval,
                  grid: Grid) -> PipelineReport:
     """Premises: F(A,..,A)=A, G(.,A) bijective, F G-homogeneous; then F
-    must be idempotent. The fixed point is checked after the homogeneity
-    step, so that an exact call of F runs on the kernel that step's sweep
-    compiled over the grid's denominators, and compiles no other."""
-    bijective = check_section_bijective(g, a, grid)
-    homogeneous = check_homogeneity(f, g, IDENTITY, grid)
-    return _pipeline("theorem1", (
-        ("fixed-point", _check_fixed_point(f, a, grid)),
-        ("section-bijective", bijective),
-        ("homogeneity", homogeneous),
-        ("idempotency", check_idempotency(f, grid)),
-    ), grid)
+    must be idempotent (`pipelines.theorem1`)."""
+    from .pipelines import theorem1
+
+    return theorem1(f, g, a, grid)
 
 
 def run_prop2(f: IVFunction, grid: Grid) -> PipelineReport:
     """If F is P-homogeneous, its standard-negation dual must be
-    homogeneous w.r.t. the dual scaling (the probabilistic sum)."""
-    return _pipeline("prop2", (
-        ("base-homogeneity", check_homogeneity(f, P, IDENTITY, grid)),
-        ("dual-homogeneity", check_homogeneity(
-            dual_ns(f), dual_scaling_ns(P), IDENTITY, grid,
-            law="def1-homogeneity-dual")),
-    ), grid)
+    homogeneous w.r.t. the dual scaling, the probabilistic sum
+    (`pipelines.prop2`)."""
+    from .pipelines import prop2
+
+    return prop2(f, grid)

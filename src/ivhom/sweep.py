@@ -1,36 +1,33 @@
 """The swept path: the grid sweeps of the laws that no structure decides.
 
-`homogeneity` imports this module only when it sweeps: after `_polynomial`
-fails to certify a homogeneity or idempotency law, for theorem1's
-bijectivity scan, and `commands` for `dual`'s comparison of two
+`homogeneity` imports this module only when it sweeps, after `_polynomial`
+fails to certify a homogeneity or idempotency law; `pipelines` imports it
+for theorem1's bijectivity scan, and `dual` for its comparison of two
 functions. So a run whose every law is certified from the ASTs, such as
 `check --f min`, never compiles it.
 
 Homogeneity and idempotency are each a law F(G(L,X1),...,G(L,Xn)) =
 G(phi(L), H(X1,...,Xn)) (`_sweep_law`), checked in the one loop that
-`compiler.sweep` generates for it; the comparison of two functions
-(`equal_on_grid`) is a yes/no scan that stops at the first difference.
-The sweeps run on the scalar kernels of `expr` (`IVFunction.kernel`, each
-compiled once for its denominators), on the grid's numerator pairs
-themselves in exact mode and on the doubles (i/m, j/m) in float mode,
-which `_coordinates` alone makes for every scan. Each variable with one
-parity of `neg`s above it is swept on the m+1 degenerate pairs (a, a)
-alone, one with both parities on all s pairs, and one the law does not
-read on the pair (0, 0) (`_coordinates`), which covers every grid tuple by
-construction.
+`compiler.sweep` generates for it. The sweeps run on the scalar kernels of
+`expr` (`IVFunction.kernel`, each compiled once for its denominators), on
+the grid's numerator pairs themselves in exact mode and on the doubles
+(i/m, j/m) in float mode, which `_coordinates` alone makes for every scan,
+here, in theorem1's bijectivity scan and in `dual`'s comparison. Each
+variable with one parity of `neg`s above it is swept on the m+1 degenerate
+pairs (a, a) alone, one with both parities on all s pairs, and one the law
+does not read on the pair (0, 0) (`_coordinates`), which covers every grid
+tuple by construction.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
-from collections.abc import Callable
 
 from .expr import Var, parities
-from .functions import IDENTITY, PI2, IVFunction, OrderIso, ScalingFunction
 from .interval import TYPE_CHECKING, fraction
 
 if TYPE_CHECKING:
+    from .functions import IVFunction, OrderIso, ScalingFunction
     from .homogeneity import Grid
     from .interval import Number
 
@@ -158,49 +155,3 @@ def _sweep_law(f: IVFunction, g: ScalingFunction, phi: OrderIso,
     max_dev, first_lo, first_hi = sweep_fn(lams, xpts, h_table, mode.tol)
     return (_lowest_failure(coords, first_lo, first_hi),
             fraction(max_dev, den) if mode.is_exact else max_dev)
-
-
-def equal_on_grid(f: IVFunction, h: IVFunction, grid: Grid) -> bool:
-    """Whether F and H (of one arity) agree on all s^n grid tuples, by the
-    equality rule of `_sweep_law`, on the kernels of both. Each result is
-    compared cross-multiplied by the other kernel's denominator: in exact
-    mode that compares the two values, and in float mode both denominators
-    are 1, so the doubles compare as they are.
-
-    F = H is the law F(pi2(L,X1),...) = pi2(L, H(X1,...)), so each X_i
-    sweeps the points that `_coordinates` gives for its parities in that
-    law (`_homogeneity_law`), and the scan stops at the first difference.
-    """
-    coords = _coordinates(grid, _homogeneity_law(f, PI2, IDENTITY, h)[1:])
-    dens = _dens(grid, *(grid.resolution,) * f.arity)
-    (f_fn, df), (h_fn, dh) = f.kernel(dens), h.kernel(dens)
-    tol = grid.mode.tol
-    for xs in itertools.product(*(points for points, _, _ in coords)):
-        (a, b), (c, d) = f_fn(*xs), h_fn(*xs)
-        if abs(a * dh - c * df) > tol or abs(b * dh - d * df) > tol:
-            return False
-    return True
-
-
-def _float_lookup(values, eps: float) -> Callable[[tuple], list[tuple]]:
-    """The lookup, for a pair of doubles (lo, hi), of the pairs in `values`
-    within eps of it at both endpoints. The pairs are kept by lower
-    endpoint: bisection finds the lower endpoints within eps, and in each
-    one's sorted uppers those within eps, so a lookup takes O(log s) steps
-    plus one for each pair it finds."""
-    rows: dict = {}
-    for lo, hi in sorted(values):
-        rows.setdefault(lo, []).append(hi)
-    los = list(rows)
-    return lambda x: [(lo, hi) for lo in _within(los, x[0], eps)
-                      for hi in _within(rows[lo], x[1], eps)]
-
-
-def _within(xs: list, x: float, eps: float) -> list:
-    """The run of the sorted doubles `xs` that lie within eps of `x`."""
-    lo = hi = bisect_left(xs, x)
-    while lo > 0 and x - xs[lo - 1] <= eps:
-        lo -= 1
-    while hi < len(xs) and xs[hi] - x <= eps:
-        hi += 1
-    return xs[lo:hi]

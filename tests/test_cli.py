@@ -363,13 +363,14 @@ def test_dual_budget_refusal_exit_3(capsys):
     ("prop2", "--f", "min", "--resolution", "40"),
 ])
 def test_pipeline_refused_before_any_check(capsys, monkeypatch, argv):
-    from ivhom import homogeneity
+    from ivhom import homogeneity, pipelines
 
     def never(*args, **kwargs):
         raise AssertionError("a check ran before the budget gate")
 
-    for name in ("_check_fixed_point", "check_section_bijective",
-                 "check_homogeneity", "check_idempotency"):
+    monkeypatch.setattr(pipelines, "_check_fixed_point", never)
+    for name in ("check_section_bijective", "check_homogeneity",
+                 "check_idempotency"):
         monkeypatch.setattr(homogeneity, name, never)
     code, _, err = run(capsys, *argv)
     assert code == 3 and "budget" in err
@@ -523,9 +524,10 @@ cli.build_parser()
 code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 engine = ("ivhom.interval", "ivhom.literal", "fractions", "decimal",
           "numbers", "ivhom.dsl", "ivhom.expr", "ivhom.functions",
-          "ivhom.homogeneity", "ivhom.report", "ivhom.commands",
-          "ivhom.compiler", "ivhom.sweep", "json", "re", "argparse", "gettext",
-          "locale", "typing")
+          "ivhom.homogeneity", "ivhom.report", "ivhom.report_json",
+          "ivhom.report_text", "ivhom.commands", "ivhom.pipelines",
+          "ivhom.dual", "ivhom.compiler", "ivhom.sweep", "json", "re",
+          "argparse", "gettext", "locale", "typing")
 print([m for m in engine if m in sys.modules])
 sys.exit(code)
 """
@@ -536,9 +538,17 @@ LITERAL = ["ivhom.literal"]
 #: is listed last, after `json`
 FRACTIONS = ["fractions", "decimal", "numbers"]
 DSL = ["ivhom.dsl"]
-ENGINE = ["ivhom.expr", "ivhom.functions", "ivhom.homogeneity", "ivhom.report"]
+ENGINE = ["ivhom.expr", "ivhom.functions", "ivhom.homogeneity"]
+#: the report of a check or pipeline, with the CSV layout, and the report
+#: with the JSON or the text layout, each of which loads only for its format
+CSV = ["ivhom.report"]
+JSON = CSV + ["ivhom.report_json"]
+TEXT = CSV + ["ivhom.report_text"]
 #: what a run does after the gate, which a refusal never loads
 COMMANDS = ["ivhom.commands"]
+#: the theorem1 and prop2 pipelines, and the `dual` command
+PIPELINES = ["ivhom.pipelines"]
+DUAL = ["ivhom.dual"]
 #: the tracer and code generator, which load with the first kernel compiled
 COMPILER = ["ivhom.compiler"]
 #: the swept path, which loads when a law is swept, for theorem1's
@@ -567,66 +577,77 @@ def test_refusal_loads_no_engine(argv, size, budget, loaded):
 
 @pytest.mark.parametrize("argv,loaded", [
     (("check", "--f", "min", "--resolution", "2", "--output", "text"),
-     INTERVAL + ENGINE + COMMANDS),
+     INTERVAL + ENGINE + TEXT + COMMANDS),
     (("check", "--f", "min", "--resolution", "2", "--output", "csv"),
-     INTERVAL + ENGINE + COMMANDS),
+     INTERVAL + ENGINE + CSV + COMMANDS),
     (("check", "--f", "min", "--resolution", "2"),
-     INTERVAL + ENGINE + COMMANDS),
+     INTERVAL + ENGINE + JSON + COMMANDS),
     (("theorem1", "--f", "min", "--a", "[1,1]", "--resolution", "2"),
-     INTERVAL + LITERAL + ENGINE + COMMANDS + COMPILER + SWEEP),
+     INTERVAL + LITERAL + ENGINE + JSON + COMMANDS + PIPELINES + COMPILER
+     + SWEEP),
     (("prop2", "--f", "min", "--resolution", "2"),
-     INTERVAL + ENGINE + COMMANDS),
+     INTERVAL + ENGINE + JSON + COMMANDS + PIPELINES),
+    (("prop2", "--f", "min", "--resolution", "2", "--output", "csv"),
+     INTERVAL + ENGINE + CSV + COMMANDS + PIPELINES),
     (("idempotent", "--f", "min", "--resolution", "2"),
-     INTERVAL + ENGINE + COMMANDS),
+     INTERVAL + ENGINE + JSON + COMMANDS),
     # the grid is numerator pairs, and a dual report shows no number
     (("dual", "--f", "min", "--resolution", "2", "--output", "text"),
-     INTERVAL + ENGINE + COMMANDS + COMPILER + SWEEP),
+     INTERVAL + ENGINE + COMMANDS + DUAL + COMPILER + SWEEP),
+    (("dual", "--f", "min", "--resolution", "2", "--output", "csv"),
+     INTERVAL + ENGINE + COMMANDS + DUAL + COMPILER + SWEEP),
+    # dual writes its own JSON dict, with the JSON layout's writer alone
+    (("dual", "--f", "min", "--resolution", "2"),
+     INTERVAL + ENGINE + JSON[1:] + COMMANDS + DUAL + COMPILER + SWEEP),
     (("check", "--f", "expr:min(X1,X2)", "--arity", "2", "--resolution", "2",
-      "--output", "text"), INTERVAL + DSL + ENGINE + COMMANDS),
+      "--output", "text"), INTERVAL + DSL + ENGINE + TEXT + COMMANDS),
     (("check", "--f", "min", "--g", "expr:mul(L,X1)", "--resolution", "2",
-      "--output", "csv"), INTERVAL + DSL + ENGINE + COMMANDS),
+      "--output", "csv"), INTERVAL + DSL + ENGINE + CSV + COMMANDS),
     (("eval", "--f", "min", "[0,1]", "[1,1]"),
      INTERVAL + LITERAL + ENGINE[:2] + COMMANDS + COMPILER),
     # a counterexample, a constant and a literal that are not whole
     (("check", "--f", "product", "--resolution", "2"),
-     INTERVAL + FRACTIONS + ENGINE + COMMANDS + COMPILER + SWEEP + ["re"]),
+     INTERVAL + FRACTIONS + ENGINE + JSON + COMMANDS + COMPILER + SWEEP
+     + ["re"]),
     (("check", "--f", "expr:max(X1,[0,1/2])", "--arity", "1", "--g", "pi2",
       "--resolution", "2", "--output", "text"),
-     INTERVAL + FRACTIONS + DSL + ENGINE + COMMANDS + COMPILER + SWEEP
+     INTERVAL + FRACTIONS + DSL + ENGINE + TEXT + COMMANDS + COMPILER + SWEEP
      + ["re"]),
     (("eval", "--f", "min", "[0.2,0.5]", "[1,1]"),
      INTERVAL + LITERAL + FRACTIONS + ENGINE[:2] + COMMANDS + COMPILER
      + ["re"]),
     (("check", "--f", "min", "--resolution", "2", "--mode", "float",
-      "--output", "text"), INTERVAL + ENGINE + COMMANDS),
+      "--output", "text"), INTERVAL + ENGINE + TEXT + COMMANDS),
     (("check", "--f", "product", "--resolution", "2", "--mode", "float",
-      "--output", "text"), INTERVAL + ENGINE + COMMANDS + COMPILER + SWEEP),
+      "--output", "text"),
+     INTERVAL + ENGINE + TEXT + COMMANDS + COMPILER + SWEEP),
     (("check", "--f", "expr:min(X1,X2)", "--arity", "2", "--resolution", "2",
       "--mode", "float", "--output", "text"),
-     INTERVAL + DSL + ENGINE + COMMANDS),
+     INTERVAL + DSL + ENGINE + TEXT + COMMANDS),
     (("check", "--f", "expr:max(X1,[0,1/2])", "--arity", "1", "--g", "pi2",
       "--resolution", "2", "--mode", "float", "--output", "text"),
-     INTERVAL + FRACTIONS + DSL + ENGINE + COMMANDS + COMPILER + SWEEP
+     INTERVAL + FRACTIONS + DSL + ENGINE + TEXT + COMMANDS + COMPILER + SWEEP
      + ["re"]),
     (("theorem1", "--f", "min", "--resolution", "2", "--mode", "float",
       "--output", "text"),
-     INTERVAL + LITERAL + ENGINE + COMMANDS + COMPILER + SWEEP),
+     INTERVAL + LITERAL + ENGINE + TEXT + COMMANDS + PIPELINES + COMPILER
+     + SWEEP),
     (("eval", "--mode", "float", "--f", "min", "[0,1/3]", "[0.5,1e-0]"),
      INTERVAL + LITERAL + ENGINE[:2] + COMMANDS + COMPILER),
     # `mean` is certified in exact mode alone
     (("idempotent", "--f", "mean", "--arity", "4", "--resolution", "2"),
-     INTERVAL + ENGINE + COMMANDS),
+     INTERVAL + ENGINE + JSON + COMMANDS),
     (("check", "--f", "expr:mean(max(X1,X2),proj(1))", "--arity", "2",
       "--g", "expr:psum(L,X1)", "--resolution", "2", "--output", "text"),
-     INTERVAL + DSL + ENGINE + COMMANDS),
+     INTERVAL + DSL + ENGINE + TEXT + COMMANDS),
     (("check", "--f", "mean", "--g", "P_NS", "--resolution", "2", "--mode",
       "float", "--output", "text"),
-     INTERVAL + ENGINE + COMMANDS + COMPILER + SWEEP),
-], ids=["text", "csv", "json", "theorem1", "prop2", "idempotent", "dual-text",
-        "expr-f", "expr-g", "eval", "fail", "constant", "eval-fraction",
-        "float", "float-fail", "float-expr-f", "float-constant",
-        "float-theorem1", "float-eval", "idempotent-mean", "expr-mean",
-        "float-mean"])
+     INTERVAL + ENGINE + TEXT + COMMANDS + COMPILER + SWEEP),
+], ids=["text", "csv", "json", "theorem1", "prop2", "prop2-csv", "idempotent",
+        "dual-text", "dual-csv", "dual-json", "expr-f", "expr-g", "eval",
+        "fail", "constant", "eval-fraction", "float", "float-fail",
+        "float-expr-f", "float-constant", "float-theorem1", "float-eval",
+        "idempotent-mean", "expr-mean", "float-mean"])
 def test_modules_each_command_loads(argv, loaded):
     """Only `expr:` arguments compile the DSL front end, only a run that
     compiles a kernel loads `compiler`, and no report loads `json`. A
@@ -635,10 +656,15 @@ def test_modules_each_command_loads(argv, loaded):
     certified from the ASTs, so they load neither `compiler` nor the swept
     path, `sweep`; every other command here compiles a kernel, and all but
     `eval` load `sweep`: for a swept law, theorem1's bijectivity scan or
-    dual's comparison. Only `eval` and theorem1, whose `--a` is a literal,
-    load the literal reader, and every run here loads `commands`, which a
-    refusal never does (`test_refusal_loads_no_engine`). `fractions` loads only for an exact number that is not
-    whole: a counterexample, a DSL constant or an interval literal such as
+    dual's comparison. A report loads the layout module of its format
+    alone, `report_json` for JSON and `report_text` for text; `report`
+    itself holds the CSV layout, and `dual` writes its own report, with
+    `report_json`'s writer for JSON only. Only theorem1 and prop2 load
+    `pipelines`, and only `dual` loads `dual`. Only `eval` and theorem1,
+    whose `--a` is a literal, load the literal reader, and every run here
+    loads `commands`, which a refusal never does
+    (`test_refusal_loads_no_engine`). `fractions` loads only for an exact
+    number that is not whole: a counterexample, a DSL constant or an interval literal such as
     0.2. A passing exact run, whose deviation is 0, reads and prints only
     ints, and a float run reads its interval literals (theorem1's `--a`,
     eval's arguments) without it; one with registry or constant-free
@@ -681,7 +707,7 @@ def test_config_file_loads_json(tmp_path):
                       "--config", str(config), "--output", "text")
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == repr(
-        INTERVAL + ENGINE + COMMANDS + ["json", "re"])
+        INTERVAL + ENGINE + TEXT + COMMANDS + ["json", "re"])
 
 
 def test_registry_import_compiles_no_kernel():
@@ -1314,16 +1340,20 @@ REPORTED = ["homogeneity.make_grid", "report.emit_report"]
     (("eval", "--f", "min", "[0,1/2]", "[1/3,1]"),
      ["interval.parse_interval", "functions.get_function"]),
 ], ids=["check", "idempotent", "theorem1", "prop2", "dual", "eval"])
+@pytest.mark.parametrize("output", ["json", "csv", "text"])
 def test_every_benchmark_span_a_command_reaches_is_called(
-        capsys, monkeypatch, argv, reached):
+        capsys, monkeypatch, argv, reached, output):
     """The benchmark's traced run replaces each spanned name, after import,
     in its module and in each module of its layers that imported it. A
     name is looked up where it is called, so each span that a command
-    reaches is called: no module that loads later, such as `commands`,
-    `sweep` or `literal`, binds a spanned name at import. The modules load
-    before the names are replaced, so such a binding would be missed."""
+    reaches is called, in every output format: no module that loads later,
+    such as `commands`, `sweep`, `literal`, `pipelines`, `dual` or a report
+    layout, binds a spanned name at import, and each layout is reached
+    through `report.emit_report`. The modules load before the names are
+    replaced, so such a binding would be missed."""
     layers, spanned = _layertrace("LAYERS", "SPANNED")
-    for name in ("commands", "sweep", "literal", *layers):
+    for name in ("commands", "sweep", "literal", "pipelines", "dual",
+                 "report_json", "report_text", *layers):
         importlib.import_module(f"ivhom.{name}")
     modules = [sys.modules[f"ivhom.{layer}"] for layer in layers]
     called = set()
@@ -1341,7 +1371,8 @@ def test_every_benchmark_span_a_command_reaches_is_called(
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, recorder)
-    grid = () if argv[0] == "eval" else ("--resolution", "2")
+    grid = () if argv[0] == "eval" else ("--resolution", "2", "--output",
+                                         output)
     assert sys.modules["ivhom.cli"].main([*argv, *grid]) in (0, 1)
     capsys.readouterr()
     assert called == {"cli.main", *reached}

@@ -23,6 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from grids import FLOAT, grid_points
 from ivhom import compiler, expr
+from ivhom.dual import equal_on_grid
 from ivhom.expr import (
     Call,
     Const,
@@ -50,7 +51,6 @@ from ivhom.gate import MAX_DEPTH
 from ivhom.homogeneity import (
     CheckReport,
     Counterexample,
-    _check_fixed_point,
     check_homogeneity,
     check_idempotency,
     check_section_bijective,
@@ -68,7 +68,8 @@ from ivhom.interval import (
     prob_sum,
     product,
 )
-from ivhom.sweep import _float_lookup, _homogeneity_law, _sweep_law, equal_on_grid
+from ivhom.pipelines import _check_fixed_point, _float_lookup
+from ivhom.sweep import _homogeneity_law, _sweep_law
 
 MODES = (EXACT, FLOAT)
 #: resolution per arity, so that every reference sweep stays small

@@ -18,7 +18,9 @@ from ivhom.homogeneity import (
     make_grid,
     run_theorem1,
 )
-from ivhom.report import _json, emit_report, to_csv, to_json, to_text
+from ivhom.report import emit_report, to_csv
+from ivhom.report_json import _json, to_json
+from ivhom.report_text import to_text
 
 
 @pytest.fixture
