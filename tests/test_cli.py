@@ -1201,19 +1201,31 @@ def test_main_leaves_the_collector_as_it_found_it(capsys, argv, code):
 
 
 #: runs `ivhom.cli` as __main__, as `python -m ivhom.cli` does, after it
-#: registers an atexit handler, which therefore runs last; the handler
-#: writes to the file named by the first argument whether the collector
-#: held frozen objects and was enabled
+#: registers an atexit handler, which therefore runs last: it appends
+#: "handlers" to the file named by the first argument and prints a line
+#: that it leaves in stdout's buffer; `held` appends " teardown" to that
+#: file if the interpreter frees it at exit, through defaults bound at
+#: definition, since teardown may already have cleared globals and builtins
 EXIT_PROBE = """
-import atexit, gc, runpy, sys
+import atexit, os, runpy, sys
 
-path = sys.argv.pop(1)
+fd = os.open(sys.argv.pop(1), os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
-def probe():
-    with open(path, "w") as fh:
-        fh.write(f"frozen={gc.get_freeze_count() > 0} enabled={gc.isenabled()}")
 
-atexit.register(probe)
+class Teardown:
+    def __del__(self, write=os.write, fd=fd):
+        write(fd, b" teardown")
+
+
+held = Teardown()
+
+
+def handler():
+    os.write(fd, b"handlers")
+    print("after the report")
+
+
+atexit.register(handler)
 runpy.run_module("ivhom.cli", run_name="__main__", alter_sys=True)
 """
 
@@ -1227,30 +1239,35 @@ runpy.run_module("ivhom.cli", run_name="__main__", alter_sys=True)
     (("check", "-h"), 0),
 ], ids=["pass", "fail", "usage", "refusal", "help", "check-help"])
 @pytest.mark.parametrize("reader", ["open", "closed"])
-def test_entry_point_freezes_the_heap_before_exit(tmp_path, capsys, argv,
-                                                   code, reader):
-    """The entry point freezes the collector before the interpreter
-    exits, and atexit handlers still run after it. The exit code, stdout
-    and stderr stay those of `main` in process, byte for byte; a reader
-    that closed stdout at once changes neither the code nor stderr."""
+def test_entry_point_runs_exit_handlers_and_skips_teardown(tmp_path, capsys,
+                                                          argv, code, reader):
+    """The entry point runs the atexit handlers, then flushes stdio, then
+    ends the process without the interpreter's teardown. The exit code,
+    stdout and stderr stay those of `main` in process, byte for byte,
+    followed on stdout by the line a handler left unflushed; a reader that
+    closed stdout at once changes neither the code nor stderr. The child
+    runs with stdout block-buffered, as a pipe is by default, so that a
+    missing flush would lose the handler's line."""
     want = run(capsys, *argv)
     assert want[0] == code
-    report = tmp_path / "probe.txt"
+    marker = tmp_path / "marker.txt"
     read, write = os.pipe()
     os.close(read)
     env = {**os.environ,
            "PYTHONPATH": str(Path(ivhom.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
     try:
-        proc = subprocess.run([sys.executable, "-c", EXIT_PROBE, str(report),
+        proc = subprocess.run([sys.executable, "-c", EXIT_PROBE, str(marker),
                                *argv], stderr=subprocess.PIPE, env=env,
                               stdout=write if reader == "closed" else
                               subprocess.PIPE, timeout=60)
     finally:
         os.close(write)
-    shown = want[1].encode() if reader == "open" else None
+    shown = (want[1] + "after the report\n").encode() if reader == "open" \
+        else None
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         code, shown, want[2].encode())
-    assert report.read_text() == "frozen=True enabled=True"
+    assert marker.read_text() == "handlers"
 
 
 #: runs `ivhom.cli` as __main__, as `python -m ivhom.cli` does, and prints
