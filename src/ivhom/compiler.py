@@ -1,9 +1,9 @@
-"""The compiler of `expr` ASTs: the tracer and the code generator.
+"""The compiler of `expr` ASTs: the code generator.
 
-`_trace` sends the code of each endpoint of an AST to a `_ScalarTarget`,
-and `_compile` executes the generated source. This module writes every
-generated function: `kernel`, the scalar-endpoint kernel of one
-ingredient, which `expr._Compiled.kernel` keeps, and `sweep`, the fused
+`expr._trace` sends the code of each endpoint of an AST to a
+`_ScalarTarget`, and `_compile` executes the generated source. This module
+writes every generated function: `kernel`, the scalar-endpoint kernel of
+one ingredient, which `expr._Compiled.kernel` keeps, and `sweep`, the fused
 loop of one law of homogeneity's shape, which also checks idempotency.
 `_trace` binds each variable to the refs of its two endpoints, so one
 traced value can feed another ingredient's variable with no composed AST
@@ -21,10 +21,9 @@ the other one. So `_trace` walks an AST once per endpoint, and each op of
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import reduce
 from math import lcm, log10
 
-from .expr import _FOLDED, Const, ExprError, LVar, Node, Pow, Var
+from .expr import Const, ExprError, Node, Var, _trace
 from .interval import MAX_DIGITS, fraction, too_long
 
 #: CPython compiles at most this many statically nested blocks in one
@@ -162,42 +161,6 @@ class _ScalarTarget:
                 raise _too_long("denominator")
             return self.local(f"{x} ** {k:d}", level), d**k, level
         return self.local(f"_fold_pow({x}, {k:d})", level), 1, level
-
-
-def _trace(node: Node, target: _ScalarTarget, env: dict) -> tuple:
-    """Send the code of an AST to `target` and return the refs of the
-    result's lower and upper endpoint.
-
-    `env` holds the refs of the two endpoints of each variable, "L" or
-    "X<k>": a parameter's (`_endpoints`), or those of a value traced
-    before, such as another ingredient's result, which so feeds this AST's
-    variable with no composed tree built. Each endpoint is traced on its
-    own: every op but `neg` applies its formula to that
-    endpoint of its arguments, and `neg` to the other one. The walk
-    memoizes by node and endpoint, and compares no two trees: equal
-    subtrees give equal code, which `target` computes once. The code keeps
-    the operation order of the tree, so float results match a direct
-    evaluation.
-    """
-    refs: dict = {}
-
-    def ref(n: Node, side: int) -> tuple:
-        key = id(n), side
-        if key not in refs:
-            if isinstance(n, (Var, LVar)):
-                r = env["L" if isinstance(n, LVar) else f"X{n.index:d}"][side]
-            elif isinstance(n, Const):
-                r = target.const(n, side)
-            elif isinstance(n, Pow):
-                r = target.pow(ref(n.arg, side), n.exponent)
-            else:  # `neg` reads the other endpoint of its argument
-                args = [ref(a, side ^ (n.ident == "neg")) for a in n.args]
-                r = (reduce(lambda x, y: target.op(n.ident, (x, y)), args)
-                     if n.ident in _FOLDED else target.op(n.ident, args))
-            refs[key] = r
-        return refs[key]
-
-    return ref(node, 0), ref(node, 1)
 
 
 def _endpoints(name: str, den: int, level: int) -> tuple:

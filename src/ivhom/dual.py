@@ -4,8 +4,9 @@ standard-negation dual of F on the grid, and the report that names them.
 `commands` imports this module for `dual` alone, so no other command
 compiles it. The comparison of two functions (`equal_on_grid`) is a yes/no
 scan on the swept path's coordinates (`sweep`) that stops at the first
-difference. The report's JSON layout (`report_json`) loads only for
-`--output json`.
+difference. Each X_i takes its points from its parities in the law F = H,
+which one trace of that law gives (`sweep._law_parities`). The report's
+JSON layout (`report_json`) loads only for `--output json`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 
 from .functions import FUNCTION_NAMES, IDENTITY, PI2, IVFunction
 from .homogeneity import Grid
-from .sweep import _coordinates, _dens, _homogeneity_law
+from .sweep import _coordinates, _dens, _law_parities
 
 
 def run_dual(f: IVFunction, grid: Grid, fmt: str) -> str:
@@ -44,10 +45,11 @@ def equal_on_grid(f: IVFunction, h: IVFunction, grid: Grid) -> bool:
     are 1, so the doubles compare as they are.
 
     F = H is the law F(pi2(L,X1),...) = pi2(L, H(X1,...)), so each X_i
-    sweeps the points that `_coordinates` gives for its parities in that
-    law (`_homogeneity_law`), and the scan stops at the first difference.
+    sweeps the points that `_coordinates` gives for the parities that one
+    trace of that law gives it (`_law_parities`), and the scan stops at the
+    first difference.
     """
-    coords = _coordinates(grid, _homogeneity_law(f, PI2, IDENTITY, h)[1:])
+    coords = _coordinates(grid, _law_parities(f, PI2, IDENTITY, h)[1:])
     dens = _dens(grid, *(grid.resolution,) * f.arity)
     (f_fn, df), (h_fn, dh) = f.kernel(dens), h.kernel(dens)
     tol = grid.mode.tol

@@ -15,12 +15,16 @@ exactly; only an ingredient with none compiles one over denominator 1. A
 float call passes the doubles.
 
 An AST is valid once built: each node checks its op, constant, index and
-depth (`gate.MAX_DEPTH`), and each ingredient its variables. It is traced
-only when a kernel is compiled, and an ingredient compiles its kernel
-once for each set of parameter denominators and keeps it. `compiler` is
-imported with the first kernel, so a run that compiles none loads neither
-it nor the tracer: one whose every law `homogeneity` certifies from the
-ASTs alone. A float run traces no exact code. Exact numbers come from
+depth (`gate.MAX_DEPTH`), and each ingredient its variables. `_trace`,
+the one walker of the endpoint rule (`neg` swaps the endpoints, every
+other op keeps them), sends each endpoint of an AST to a target:
+`compiler._ScalarTarget` writes its code, and `_Reads` gives what it reads,
+from which come `parities` and the parities of a swept law's variables
+(`sweep._law_parities`). An ingredient compiles its kernel only when one is
+asked for, once for each set of parameter denominators, and keeps it.
+`compiler` is imported with the first kernel, so a run that compiles none
+never loads it: one whose every law `homogeneity` certifies from the ASTs
+alone. A float run traces no exact code. Exact numbers come from
 `interval.fraction`, so a float run with no DSL constant loads no
 `fractions`, and an exact run loads it only for a number that is not
 whole."""
@@ -28,6 +32,7 @@ whole."""
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import reduce
 
 from .gate import MAX_ARITY, MAX_DEPTH, MAX_POW_EXPONENT, check_arity
 from .interval import Interval, _set, _Value, fraction
@@ -150,22 +155,68 @@ _FOLDED = {"min", "max", "mul", "psum"}
 
 def parities(node: Node) -> dict[str, set[int]]:
     """For each variable of the AST, "L" or "X<k>", the parities of the
-    number of `neg` calls above its occurrences: {0}, {1} or {0, 1}."""
-    out: dict[str, set[int]] = {}
+    number of `neg` calls above its occurrences: {0}, {1} or {0, 1}, the
+    endpoints of it that the lower endpoint of the AST reads (`_Reads`), 0
+    for its lower endpoint and 1 for its upper one."""
+    lo, _ = _trace(node, reads := _Reads(), reads)
+    return {name: {s for v, s in lo if v == name} for name, _ in lo}
 
-    def visit(n: Node, odd: int) -> None:
-        if isinstance(n, Var):
-            out.setdefault(f"X{n.index:d}", set()).add(odd)
-        elif isinstance(n, LVar):
-            out.setdefault("L", set()).add(odd)
-        elif isinstance(n, Pow):
-            visit(n.arg, odd)
-        elif isinstance(n, Call):
-            for arg in n.args:
-                visit(arg, odd ^ (n.ident == "neg"))
 
-    visit(node, 0)
-    return out
+def _trace(node: Node, target, env: dict) -> tuple:
+    """Send each endpoint of an AST to `target`, op by op, and return the
+    refs of the result's lower and upper endpoint.
+
+    A target is the compiler's `_ScalarTarget`, whose refs are code, or
+    `_Reads`, whose refs are what an endpoint reads. `env` holds the refs
+    of the two endpoints of each variable, "L" or "X<k>": a parameter's,
+    or those of a value traced before, such as another ingredient's
+    result, which so feeds this AST's variable with no composed tree
+    built. Each endpoint is traced on its own: every op but `neg` applies
+    its formula to that endpoint of its arguments, and `neg` to the other
+    one, the representability rule of every op. The walk memoizes by node
+    and endpoint, and compares no two trees: equal subtrees give equal
+    code, which `_ScalarTarget` computes once. The code keeps the
+    operation order of the tree, so float results match a direct
+    evaluation.
+    """
+    refs: dict = {}
+
+    def ref(n: Node, side: int) -> tuple:
+        key = id(n), side
+        if key not in refs:
+            if isinstance(n, (Var, LVar)):
+                r = env["L" if isinstance(n, LVar) else f"X{n.index:d}"][side]
+            elif isinstance(n, Const):
+                r = target.const(n, side)
+            elif isinstance(n, Pow):
+                r = target.pow(ref(n.arg, side), n.exponent)
+            else:  # `neg` reads the other endpoint of its argument
+                args = [ref(a, side ^ (n.ident == "neg")) for a in n.args]
+                r = (reduce(lambda x, y: target.op(n.ident, (x, y)), args)
+                     if n.ident in _FOLDED else target.op(n.ident, args))
+            refs[key] = r
+        return refs[key]
+
+    return ref(node, 0), ref(node, 1)
+
+
+class _Reads(dict):
+    """The `_trace` target whose ref is the set of (variable, endpoint)
+    pairs that an endpoint reads, and its env: a constant reads none, `pow`
+    what its argument reads and an op what its arguments read. A variable
+    that the dict does not bind reads its own two endpoints."""
+
+    def __missing__(self, name: str) -> tuple:
+        return frozenset({(name, 0)}), frozenset({(name, 1)})
+
+    def const(self, c: Const, side: int) -> frozenset:
+        return frozenset()
+
+    def pow(self, arg: frozenset, k: int) -> frozenset:
+        return arg
+
+    def op(self, ident: str, args) -> frozenset:
+        return frozenset().union(*args)
 
 
 def _past_arity(variables, arity: int) -> str | None:

@@ -12,18 +12,20 @@ G(phi(L), H(X1,...,Xn)) (`_sweep_law`), checked in the one loop that
 `expr` (`IVFunction.kernel`, each compiled once for its denominators), on
 the grid's numerator pairs themselves in exact mode and on the doubles
 (i/m, j/m) in float mode, which `_coordinates` alone makes for every scan,
-here, in theorem1's bijectivity scan and in `dual`'s comparison. Each
-variable with one parity of `neg`s above it is swept on the m+1 degenerate
-pairs (a, a) alone, one with both parities on all s pairs, and one the law
-does not read on the pair (0, 0) (`_coordinates`), which covers every grid
-tuple by construction.
+here, in theorem1's bijectivity scan and in `dual`'s comparison. A
+variable's parities of `neg`s come from one trace of the law by
+`expr._trace`, the walker that also writes the sweep's code
+(`_law_parities`). Each variable with one parity is swept on the m+1
+degenerate pairs (a, a) alone, one with both parities on all s pairs, and
+one the law does not read on the pair (0, 0) (`_coordinates`), which
+covers every grid tuple by construction.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .expr import Var, parities
+from .expr import Var, _Reads, _trace
 from .interval import TYPE_CHECKING, fraction
 
 if TYPE_CHECKING:
@@ -42,33 +44,28 @@ def _dens(grid: Grid, *dens: int) -> tuple[int, ...] | None:
     return dens if grid.mode.is_exact else None
 
 
-def _compose(a: set, b: set) -> set:
-    """The parities of a variable whose occurrences in `b` sit under
-    occurrences in `a` of the slot it fills."""
-    return {x ^ y for x in a for y in b}
-
-
-def _homogeneity_law(f: IVFunction, g: ScalingFunction, phi: OrderIso,
-                     h: IVFunction) -> list[set]:
+def _law_parities(f: IVFunction, g: ScalingFunction, phi: OrderIso,
+                  h: IVFunction) -> list[set]:
     """The parities of `neg`s above each of L, X1..Xn in the law of
     `_sweep_law`, decided from the ASTs alone: {0}, {1}, {0, 1}, or empty
     for a variable the law does not read.
 
-    `neg` maps [a,b] to [1-b,1-a], and every other op computes a lower
-    endpoint from lower endpoints only and an upper one from upper ones
-    only. So an occurrence of a variable under an even number of `neg`s
-    feeds its lower endpoint to the lower endpoint of the result, and one
-    under an odd number its upper endpoint. The parities compose through
-    the law: X_i has those of F's and H's X_i under G's X1; L has those of
-    G's L under each of F's X_i on the left, and those of phi's X1 under
-    G's L on the right.
+    The law is traced into `expr._Reads`, bound as `compiler.sweep` binds
+    it: F's X_i to G(L, X_i) on the left, and G's L to phi(L) and its X1 to
+    H on the right. A variable's parities are the endpoints of it that the
+    lower endpoints of the two sides read: 0 for its lower endpoint and 1
+    for its upper one. The upper endpoints read the other ones.
     """
-    pf, pg, pphi, ph = (parities(x.expr) for x in (f, g, phi, h))
-    gl, gx = pg.get("L", set()), pg.get("X1", set())
-    fx = [pf.get(p, set()) for p in f.params]
-    lam = _compose(gl, pphi.get("X1", set())).union(*(_compose(p, gl) for p in fx))
-    return [lam, *(_compose(p | ph.get(x, set()), gx)
-                   for p, x in zip(fx, f.params))]
+    own = _Reads()
+
+    def trace(node, **env) -> tuple:
+        return _trace(node, own, _Reads(env))
+
+    lhs = trace(f.expr, **{x: trace(g.expr, L=own["L"], X1=own[x])
+                           for x in f.params})
+    rhs = trace(g.expr, L=trace(phi.expr, X1=own["L"]), X1=trace(h.expr))
+    lower = lhs[0] | rhs[0]
+    return [{s for v, s in lower if v == x} for x in ("L", *f.params)]
 
 
 def _coordinates(grid: Grid, variables: list[set]) -> list[tuple[list, ...]]:
@@ -123,23 +120,24 @@ def _sweep_law(f: IVFunction, g: ScalingFunction, phi: OrderIso,
     when the law holds), and the largest endpoint deviation.
 
     Each of L, X1..Xn sweeps the points that `_coordinates` gives for its
-    parities in the law (`_homogeneity_law`). The kernel of H gives its
-    results on the product of the X coordinates' points, in order, which
-    the law's one generated loop (`compiler.sweep`) reads once per Λ
-    point: as a list when Λ sweeps several points, else as they are made.
-    When H is its variable leaf X1 over one X, as idempotency's is, its
-    results are that X's points, over their denominator m, so H compiles
-    no kernel. The loop computes the rest: phi is traced into it, and G's
-    kernel, which it compiles unless G is its variable leaf, fills its
-    rows. In exact mode both sides come out over one common denominator,
-    so they compare as integers; two endpoints are equal when they differ
-    by at most `mode.tol`, 0 in exact mode. `_lowest_failure` maps the
-    first failure of each endpoint to the lowest failing grid tuple.
+    parities in one trace of the law (`_law_parities`). The kernel of H
+    gives its results on the product of the X coordinates' points, in
+    order, which the law's one generated loop (`compiler.sweep`) reads once
+    per Λ point: as a list when Λ sweeps several points, else as they are
+    made. When H is its variable leaf X1 over one X, as idempotency's is,
+    its results are that X's points, over their denominator m, so H
+    compiles no kernel. The loop computes the rest: phi is traced into it,
+    and G's kernel, which it compiles unless G is its variable leaf, fills
+    its rows. In exact mode both sides come out over one common
+    denominator, so they compare as integers; two endpoints are equal when
+    they differ by at most `mode.tol`, 0 in exact mode. `_lowest_failure`
+    maps the first failure of each endpoint to the lowest failing grid
+    tuple.
     """
     from .compiler import sweep
 
     mode, m, n = grid.mode, grid.resolution, f.arity
-    coords = _coordinates(grid, _homogeneity_law(f, g, phi, h))
+    coords = _coordinates(grid, _law_parities(f, g, phi, h))
     # the X_i that share a point list share one G row in the sweep
     lams, *xpts = (points for points, _, _ in coords)
     leaf = n == 1 and isinstance(h.expr, Var)

@@ -549,7 +549,7 @@ COMMANDS = ["ivhom.commands"]
 #: the theorem1 and prop2 pipelines, and the `dual` command
 PIPELINES = ["ivhom.pipelines"]
 DUAL = ["ivhom.dual"]
-#: the tracer and code generator, which load with the first kernel compiled
+#: the code generator, which loads with the first kernel compiled
 COMPILER = ["ivhom.compiler"]
 #: the swept path, which loads when a law is swept, for theorem1's
 #: bijectivity scan and for dual
@@ -1189,9 +1189,9 @@ def test_closed_stdout_ends_the_run_quietly(unbuffered, argv, code):
     (("-h",), 0),
 ], ids=["pass", "fail", "usage", "refusal", "help"])
 def test_main_leaves_the_collector_as_it_found_it(capsys, argv, code):
-    """Only the process entry point freezes the collector: `main`, which
-    tests and benchmarks call in process, neither freezes nor disables
-    it."""
+    """`main`, which tests and benchmarks call in process, leaves the
+    collector as it found it: the freeze count is unchanged, and the
+    collector is still enabled."""
     import gc
 
     frozen = gc.get_freeze_count()

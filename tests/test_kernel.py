@@ -69,7 +69,7 @@ from ivhom.interval import (
     product,
 )
 from ivhom.pipelines import _check_fixed_point, _float_lookup
-from ivhom.sweep import _homogeneity_law, _sweep_law
+from ivhom.sweep import _law_parities, _sweep_law
 
 MODES = (EXACT, FLOAT)
 #: resolution per arity, so that every reference sweep stays small
@@ -132,6 +132,46 @@ def reference_sweep(f, g, phi, grid, law="def1-homogeneity"):
         mode=mode,
         resolution=grid.resolution,
     )
+
+
+def walked_parities(node):
+    """`expr.parities` by a walk of its own: for each variable, "L" or
+    "X<k>", the parities of the number of `neg` calls above its
+    occurrences."""
+    out = {}
+
+    def visit(n, odd):
+        if isinstance(n, Var):
+            out.setdefault(f"X{n.index:d}", set()).add(odd)
+        elif isinstance(n, LVar):
+            out.setdefault("L", set()).add(odd)
+        elif isinstance(n, Pow):
+            visit(n.arg, odd)
+        elif isinstance(n, Call):
+            for arg in n.args:
+                visit(arg, odd ^ (n.ident == "neg"))
+
+    visit(node, 0)
+    return out
+
+
+def _compose(a, b):
+    """The parities of a variable whose occurrences in `b` sit under
+    occurrences in `a` of the slot it fills."""
+    return {x ^ y for x in a for y in b}
+
+
+def composed_law(f, g, phi, h):
+    """The parities of each of L, X1..Xn in F(G(L,X1),...) = G(phi(L),
+    H(X1,...)), composed by hand through that one shape: X_i has those of
+    F's and H's X_i under G's X1; L has those of G's L under each of F's
+    X_i on the left, and those of phi's X1 under G's L on the right."""
+    pf, pg, pphi, ph = (walked_parities(x.expr) for x in (f, g, phi, h))
+    gl, gx = pg.get("L", set()), pg.get("X1", set())
+    fx = [pf.get(p, set()) for p in f.params]
+    lam = _compose(gl, pphi.get("X1", set())).union(*(_compose(p, gl) for p in fx))
+    return [lam, *(_compose(p | ph.get(x, set()), gx)
+                   for p, x in zip(fx, f.params))]
 
 
 def _registry():
@@ -206,7 +246,7 @@ def test_separable_failure_matches_reference(f_src, g_src, kind, mode):
     f = compile_ivfunction(parse_expr(f_src, arity), arity, name=f_src)
     g = compile_scaling(parse_expr(g_src, 1), name=g_src)
     grid = make_grid(RESOLUTION[arity], mode)
-    assert all(len(p) <= 1 for p in _homogeneity_law(f, g, IDENTITY, f))
+    assert all(len(p) <= 1 for p in _law_parities(f, g, IDENTITY, f))
     assert _kind(*first_failures(f, g, IDENTITY, grid)) == kind
     report = check_homogeneity(f, g, IDENTITY, grid)
     assert report.verdict == "fail"
@@ -311,7 +351,7 @@ def test_sweep_path_follows_ir(monkeypatch, f, g, phi, mode, law):
     m+1 degenerate points only, one with both parities on the full grid,
     and one the law does not read on the one point [0,0], in both
     modes."""
-    assert _homogeneity_law(f, g, phi, f) == law
+    assert _law_parities(f, g, phi, f) == law
     grid = make_grid(3, mode)
     f, g, phi = map(_uncompiled, (f, g, phi))
     compiles, calls = count_kernels(monkeypatch)
@@ -373,7 +413,7 @@ PARITY_LAWS = (
 def test_parity_law_matches_reference(f_src, g_src, phi, law, kind, mode):
     f, g = _dsl(f_src), _dsl_scaling(g_src)
     grid = make_grid(RESOLUTION[f.arity], mode)
-    assert _homogeneity_law(f, g, phi, f) == law
+    assert _law_parities(f, g, phi, f) == law
     firsts = first_failures(f, g, phi, grid)
     assert (_kind(*firsts) if any(firsts) else "pass") == kind
     assert check_homogeneity(f, g, phi, grid) == reference_sweep(f, g, phi, grid)
@@ -425,7 +465,7 @@ def test_float_psum_ulp_step_matches_reference():
     f = compile_ivfunction(
         Call("max", (Call("min", (psum, zero)), Var(1))), 1)
     grid = make_grid(2, FLOAT)
-    assert _homogeneity_law(f, g, IDENTITY, f) == [set(), set()]  # G reads neither
+    assert _law_parities(f, g, IDENTITY, f) == [set(), set()]  # G reads neither
     report = check_homogeneity(f, g, IDENTITY, grid)
     assert report.verdict == "pass"
     assert report == reference_sweep(f, g, IDENTITY, grid)
@@ -879,6 +919,54 @@ def test_random_law_matches_reference(law):
         grid = make_grid(m, mode)
         assert check_homogeneity(f, g, phi, grid) == reference_sweep(
             f, g, phi, grid)
+
+
+#: constants with lo != hi
+_OPEN_CONSTS = st.lists(_fractions, min_size=2, max_size=2, unique=True).map(
+    lambda ends: Const(*sorted(ends)))
+
+
+def _shallow_exprs(leaves, depth=4):
+    """Random ASTs over `leaves` and constants with lo != hi, at most
+    `depth` levels deep, with `pow` and every op."""
+    base = st.one_of(*leaves, _OPEN_CONSTS)
+    if depth == 1:
+        return base
+    return st.one_of(base, _calls(_shallow_exprs(leaves, depth - 1)))
+
+
+#: F and H over X1..Xn, G and phi, each at most 4 levels deep
+_SHALLOW_F = {n: _shallow_exprs([st.builds(Var, st.integers(1, n))])
+              for n in (1, 2, 3)}
+_SHALLOW_G = _shallow_exprs([st.just(LVar()), st.just(Var(1))])
+_SHALLOW_PHI = _shallow_exprs([st.just(Var(1))])
+
+
+@st.composite
+def _traced_laws(draw):
+    """F and H over X1..Xn, n = 1..3, G over L and X1, and phi over X1."""
+    n = draw(st.integers(1, 3))
+    f, h = (compile_ivfunction(draw(_SHALLOW_F[n]), n) for _ in range(2))
+    return (f, compile_scaling(draw(_SHALLOW_G)),
+            OrderIso("phi", draw(_SHALLOW_PHI)), h)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_traced_laws())
+@example((_dsl("mul(X1,neg(X2))"), _dsl_scaling("[1/3,2/3]"),
+          OrderIso("neg", parse_expr("neg(X1)", 1)), _dsl("neg(X2)")))
+@example((_dsl("max(X1,neg(X1))"), _dsl_scaling("mul(neg(L),X1)"),
+          OrderIso("neg", parse_expr("neg(pow(X1,2))", 1)),
+          _dsl("mean(X1,[0,1])")))
+def test_law_trace_matches_composition(law):
+    """The parities that one trace of the law gives each of L, X1..Xn,
+    and those of each ingredient, are the ones a walk of each AST gives,
+    composed by hand through the law's shape; G may read neither
+    variable, and phi may hold `neg`."""
+    f, g, phi, h = law
+    assert _law_parities(f, g, phi, h) == composed_law(f, g, phi, h)
+    for x in law:
+        assert expr.parities(x.expr) == walked_parities(x.expr)
 
 
 # --- lattice-polynomial laws: certified from the ASTs, with no sweep ---
