@@ -1,30 +1,56 @@
-"""The compiler of `expr` ASTs: the code generator.
+"""The compiler of `expr` ASTs and the swept path: the code generator, and
+the grid sweeps of the laws that no structure decides.
 
 `expr._trace` sends the code of each endpoint of an AST to a
 `_ScalarTarget`, and `_compile` executes the generated source. This module
 writes every generated function: `kernel`, the scalar-endpoint kernel of
-one ingredient, which `expr._Compiled.kernel` keeps, and `sweep`, the fused
-loop of one law of homogeneity's shape, which also checks idempotency.
-`_trace` binds each variable to the refs of its two endpoints, so one
-traced value can feed another ingredient's variable with no composed AST
-built: `sweep` traces phi(Λ) into G's L, and compiles no kernel for phi.
-Each caller imports this module on first use, so a run that compiles no
-kernel, such as a `check` that `homogeneity` certifies from the ASTs,
-never loads it.
+one ingredient over one denominator, which `expr._Compiled.kernel` keeps,
+and `sweep`, the fused loop of one law of homogeneity's shape, which also
+checks idempotency. `_trace` binds each variable to the refs of its two
+endpoints, so one traced value can feed another ingredient's variable with
+no composed AST built: `sweep` traces phi(Λ) into G's L, and compiles no
+kernel for phi.
 
 Every op is representable: each endpoint of its result comes from one
 scalar formula, over the same endpoint of its arguments, or for `neg` over
 the other one. So `_trace` walks an AST once per endpoint, and each op of
 `_ScalarTarget` is written once. No walk compares two trees.
+
+Homogeneity and idempotency are each a law F(G(L,X1),...,G(L,Xn)) =
+G(phi(L), H(X1,...,Xn)) (`_sweep_law`), checked in the one loop that
+`sweep` generates for it. The sweeps run on the scalar kernels of `expr`
+(`IVFunction.kernel`, each compiled once for its denominator), on the
+grid's numerator pairs themselves in exact mode and on the doubles
+(i/m, j/m) in float mode, which `_coordinates` alone makes for every scan,
+here, in theorem1's bijectivity scan and in `dual`'s comparison. A
+variable's parities of `neg`s come from one trace of the law by
+`expr._trace`, the walker that also writes the sweep's code
+(`_law_parities`). Each variable with one parity is swept on the m+1
+degenerate pairs (a, a) alone, one with both parities on all s pairs, and
+one the law does not read on the pair (0, 0) (`_coordinates`), which
+covers every grid tuple by construction.
+
+Each caller imports this module on first use: `expr` with the first kernel
+compiled, `homogeneity` when `_polynomial` fails to certify a homogeneity
+or idempotency law, `pipelines` for theorem1's bijectivity scan, and
+`dual` for its comparison of two functions. So a run that compiles no
+kernel, such as a `check` whose every law `homogeneity` certifies from the
+ASTs, never loads it.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable
 from math import lcm, log10
 
-from .expr import Const, ExprError, Node, Var, _trace
-from .interval import MAX_DIGITS, fraction, too_long
+from .expr import Const, ExprError, Node, Var, _Reads, _trace
+from .interval import MAX_DIGITS, TYPE_CHECKING, fraction, too_long
+
+if TYPE_CHECKING:
+    from .functions import IVFunction, OrderIso, ScalingFunction
+    from .homogeneity import Grid
+    from .interval import Number
 
 #: CPython compiles at most this many statically nested blocks in one
 #: function, and a sweep nests one loop over Λ and one per X_i
@@ -184,19 +210,18 @@ def _indent(lines: list[str], depth: int) -> list[str]:
 
 
 def kernel(node: Node, params: tuple[str, ...],
-           dens: tuple[int, ...] | None) -> tuple[Callable, int]:
+           den: int | None) -> tuple[Callable, int]:
     """The scalar-endpoint kernel of `node` over `params`, and the
     denominator of its results.
 
     The kernel takes one (lo, hi) tuple per parameter and returns one
-    (lo, hi) tuple. `dens` holds each parameter's denominator in exact
-    mode and is None in float mode, where every denominator is 1. An
-    exact argument is the numerators of a value over its denominator: the
+    (lo, hi) tuple. `den` is the denominator of every parameter in exact
+    mode and None in float mode, where every denominator is 1. An exact
+    argument is the numerators of a value over that denominator: the
     sweeps pass ints, and `expr._Compiled.__call__` any rationals.
     """
-    t = _ScalarTarget(dens is not None)
-    refs = _trace(node, t, {p: _endpoints(p, d, 0) for p, d in zip(
-        params, dens or (1,) * len(params), strict=True)})
+    t = _ScalarTarget(den is not None)
+    refs = _trace(node, t, {p: _endpoints(p, den or 1, 0) for p in params})
     den = refs[0][1]
     lo, hi = (t.scaled(r, den) for r in refs)
     return _compile([f"def fn({', '.join(params)}):",
@@ -205,7 +230,7 @@ def kernel(node: Node, params: tuple[str, ...],
                      f"    return ({lo}, {hi})"], t.env), den
 
 
-def sweep(f: "IVFunction", g: "ScalingFunction", phi: "OrderIso",
+def sweep(f: IVFunction, g: ScalingFunction, phi: OrderIso,
           dens: tuple[int, int] | None) -> tuple[Callable, int]:
     """The sweep of the law F(G(L,X1),...,G(L,Xn)) = G(phi(L),
     H(X1,...,Xn)) as one generated function, and the one denominator of
@@ -243,7 +268,7 @@ def sweep(f: "IVFunction", g: "ScalingFunction", phi: "OrderIso",
     t = _ScalarTarget(dens is not None, depth=n)
     # G(Λ,x) = x when G is its variable leaf, X1: the rows are the points
     leaf = isinstance(g.expr, Var)
-    t.env["g_fn"], dg = (None, dx) if leaf else g.kernel(dens and (dx, dx))
+    t.env["g_fn"], dg = (None, dx) if leaf else g.kernel(dens and dx)
     lhs = _trace(f.expr, t, {f"X{i}": _endpoints(f"X{i}", dg, i)
                              for i in range(1, n + 1)})
     lam = _trace(phi.expr, t, {"X1": _endpoints("L", dx, 0)})
@@ -278,3 +303,124 @@ def sweep(f: "IVFunction", g: "ScalingFunction", phi: "OrderIso",
         source += [*_indent([loop], i + 1), *_indent(t.lines[i], i + 2)]
     source.append("    return max_dev, first_lo, first_hi")
     return _compile(source, t.env), den
+
+
+def _pairs(m: int) -> list[tuple[int, int]]:
+    """The numerator pairs of all s grid points, in grid order."""
+    return [(i, j) for i in range(m + 1) for j in range(i, m + 1)]
+
+
+def _den(grid: Grid) -> int | None:
+    """The kernel denominator of the grid's points: m in exact mode, None
+    in float mode."""
+    return grid.resolution if grid.mode.is_exact else None
+
+
+def _law_parities(f: IVFunction, g: ScalingFunction, phi: OrderIso,
+                  h: IVFunction) -> list[set]:
+    """The parities of `neg`s above each of L, X1..Xn in the law of
+    `_sweep_law`, decided from the ASTs alone: {0}, {1}, {0, 1}, or empty
+    for a variable the law does not read.
+
+    The law is traced into `expr._Reads`, bound as `sweep` binds it: F's
+    X_i to G(L, X_i) on the left, and G's L to phi(L) and its X1 to H on
+    the right. A variable's parities are the endpoints of it that the
+    lower endpoints of the two sides read: 0 for its lower endpoint and 1
+    for its upper one. The upper endpoints read the other ones.
+    """
+    own = _Reads()
+
+    def trace(node, **env) -> tuple:
+        return _trace(node, own, _Reads(env))
+
+    lhs = trace(f.expr, **{x: trace(g.expr, L=own["L"], X1=own[x])
+                           for x in f.params})
+    rhs = trace(g.expr, L=trace(phi.expr, X1=own["L"]), X1=trace(h.expr))
+    lower = lhs[0] | rhs[0]
+    return [{s for v, s in lower if v == x} for x in ("L", *f.params)]
+
+
+def _coordinates(grid: Grid, variables: list[set]) -> list[tuple[list, ...]]:
+    """For each variable's parities, the points its coordinate sweeps, as
+    kernel arguments, and the maps from a swept position to the first grid
+    pair at which a lower, and an upper, failure there is met.
+
+    The lower law reads the lower endpoint of an even variable, the upper
+    one of an odd variable and both of a mixed one; the upper law the other
+    endpoint of each. So a coordinate of one parity sweeps the m+1
+    degenerate pairs (a, a), which give both endpoints at a, and a failure
+    at a is first met at (a, a) if read from the lower endpoint and at
+    (0, a) if from the upper one. A mixed coordinate sweeps all s pairs and
+    maps to itself. A coordinate the law does not read sweeps the one pair
+    (0, 0): every value of it gives the same two sides, and (0, 0) is the
+    lowest grid pair. Every map rises, so the first failure in sweep order
+    maps to the lowest failing grid tuple (`_lowest_failure`).
+
+    The swept points are the pairs themselves in exact mode and the doubles
+    (i/m, j/m) in float mode. Each distinct pair list is converted once, so
+    coordinates that sweep the same pairs share one point list, and with it
+    one G row of the sweep.
+    """
+    m = grid.resolution
+    low, unread = range(m + 1), [(0, 0)]
+    diag, zero = [(a, a) for a in low], [(0, a) for a in low]
+    every = _pairs(m) if any(len(p) > 1 for p in variables) else []
+    at_diag, at_every, at_unread = (
+        pairs if grid.mode.is_exact else [(i / m, j / m) for i, j in pairs]
+        for pairs in (diag, every, unread))
+    return [(at_every, every, every) if len(p) > 1 else
+            (at_diag, zero, diag) if 1 in p else
+            (at_diag, diag, zero) if p else (at_unread, unread, unread)
+            for p in variables]
+
+
+def _lowest_failure(coords: list[tuple[list, ...]], first_lo: tuple | None,
+                    first_hi: tuple | None) -> tuple | None:
+    """The lowest failing grid tuple, as pairs, from the positions in the
+    swept points of `coords` of the first lower and the first upper failure:
+    each is mapped to the grid by its side's maps, and the earlier of the
+    two is the lowest. None when neither law failed."""
+    hits = [tuple(c[side][i] for c, i in zip(coords, at))
+            for side, at in ((1, first_lo), (2, first_hi)) if at is not None]
+    return min(hits, default=None)
+
+
+def _sweep_law(f: IVFunction, g: ScalingFunction, phi: OrderIso,
+               h: IVFunction, grid: Grid) -> tuple[tuple | None, Number]:
+    """Sweep F(G(L,X1),...,G(L,Xn)) = G(phi(L), H(X1,...,Xn)) over
+    grid^(n+1), and return the lowest failing grid tuple, as pairs (None
+    when the law holds), and the largest endpoint deviation.
+
+    Each of L, X1..Xn sweeps the points that `_coordinates` gives for its
+    parities in one trace of the law (`_law_parities`). The kernel of H
+    gives its results on the product of the X coordinates' points, in
+    order, which the law's one generated loop (`sweep`) reads once per Λ
+    point: as a list when Λ sweeps several points, else as they are made.
+    When H is its variable leaf X1 over one X, as idempotency's is, its
+    results are that X's points, over their denominator m, so H compiles
+    no kernel. The loop computes the rest: phi is traced into it, and G's
+    kernel, which it compiles unless G is its variable leaf, fills its
+    rows. In exact mode both sides come out over one common
+    denominator, so they compare as integers; two endpoints are equal when
+    they differ by at most `mode.tol`, 0 in exact mode. `_lowest_failure`
+    maps the first failure of each endpoint to the lowest failing grid
+    tuple.
+    """
+    mode, m, n = grid.mode, grid.resolution, f.arity
+    coords = _coordinates(grid, _law_parities(f, g, phi, h))
+    # the X_i that share a point list share one G row in the sweep
+    lams, *xpts = (points for points, _, _ in coords)
+    leaf = n == 1 and isinstance(h.expr, Var)
+    dx = _den(grid)
+    h_fn, dh = (None, m) if leaf else h.kernel(dx)
+    # compiled before any result of H is made, so that a law the generator
+    # refuses is refused at once
+    sweep_fn, den = sweep(f, g, phi, dx and (dx, dh))
+    h_table = xpts[0] if leaf else itertools.starmap(
+        h_fn, itertools.product(*xpts))
+    # read once per Λ point, so made a list only when there are several
+    if len(lams) > 1 and not leaf:
+        h_table = list(h_table)
+    max_dev, first_lo, first_hi = sweep_fn(lams, xpts, h_table, mode.tol)
+    return (_lowest_failure(coords, first_lo, first_hi),
+            fraction(max_dev, den) if mode.is_exact else max_dev)

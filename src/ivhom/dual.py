@@ -3,9 +3,9 @@ standard-negation dual of F on the grid, and the report that names them.
 
 `commands` imports this module for `dual` alone, so no other command
 compiles it. The comparison of two functions (`equal_on_grid`) is a yes/no
-scan on the swept path's coordinates (`sweep`) that stops at the first
+scan on the swept path's coordinates (`compiler`) that stops at the first
 difference. Each X_i takes its points from its parities in the law F = H,
-which one trace of that law gives (`sweep._law_parities`). The report's
+which one trace of that law gives (`compiler._law_parities`). The report's
 JSON layout (`report_json`) loads only for `--output json`.
 """
 
@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import itertools
 
+from .compiler import _coordinates, _den, _law_parities
 from .functions import FUNCTION_NAMES, IDENTITY, PI2, IVFunction
 from .homogeneity import Grid
-from .sweep import _coordinates, _dens, _law_parities
 
 
 def run_dual(f: IVFunction, grid: Grid, fmt: str) -> str:
@@ -39,10 +39,11 @@ def run_dual(f: IVFunction, grid: Grid, fmt: str) -> str:
 
 def equal_on_grid(f: IVFunction, h: IVFunction, grid: Grid) -> bool:
     """Whether F and H (of one arity) agree on all s^n grid tuples, by the
-    equality rule of `sweep._sweep_law`, on the kernels of both. Each result
-    is compared cross-multiplied by the other kernel's denominator: in exact
-    mode that compares the two values, and in float mode both denominators
-    are 1, so the doubles compare as they are.
+    equality rule of `compiler._sweep_law`, on the kernels of both, over
+    the grid's denominator. Each result is compared cross-multiplied by the
+    other kernel's denominator: in exact mode that compares the two values,
+    and in float mode both denominators are 1, so the doubles compare as
+    they are.
 
     F = H is the law F(pi2(L,X1),...) = pi2(L, H(X1,...)), so each X_i
     sweeps the points that `_coordinates` gives for the parities that one
@@ -50,8 +51,7 @@ def equal_on_grid(f: IVFunction, h: IVFunction, grid: Grid) -> bool:
     first difference.
     """
     coords = _coordinates(grid, _law_parities(f, PI2, IDENTITY, h)[1:])
-    dens = _dens(grid, *(grid.resolution,) * f.arity)
-    (f_fn, df), (h_fn, dh) = f.kernel(dens), h.kernel(dens)
+    (f_fn, df), (h_fn, dh) = f.kernel(_den(grid)), h.kernel(_den(grid))
     tol = grid.mode.tol
     for xs in itertools.product(*(points for points, _, _ in coords)):
         (a, b), (c, d) = f_fn(*xs), h_fn(*xs)

@@ -4,12 +4,13 @@ Built-in and user-defined IV-functions, scalings and order isomorphisms are
 all ASTs over the nodes below, with one leaf class for a variable X<k>,
 which the DSL also spells `proj(k)`; `dsl` parses the `expr:` sources,
 and `compiler` writes every generated function: the scalar-endpoint
-kernel of one ingredient (`compiler.kernel`, kept by `_Compiled.kernel`),
-and the fused loop of one law of homogeneity's shape (`compiler.sweep`).
-The kernels serve the sweeps of `homogeneity` and `__call__` on
-`Interval`s. An exact call runs on an exact kernel the ingredient already
-has, such as a sweep's over the grid's denominators, and passes each
-endpoint, an int or a `Fraction`, times its parameter's denominator, which
+kernel of one ingredient over one denominator (`compiler.kernel`, kept by
+`_Compiled.kernel`), and the fused loop of one law of homogeneity's shape
+(`compiler.sweep`), which, with the rest of the swept path, is in that
+module too. The kernels serve the sweeps of `homogeneity` and `__call__`
+on `Interval`s. An exact call runs on an exact kernel the ingredient
+already has, such as a sweep's over the grid's denominator, and passes
+each endpoint, an int or a `Fraction`, times that denominator, which
 a kernel built only of ring ops, comparisons and int literals evaluates
 exactly; only an ingredient with none compiles one over denominator 1. A
 float call passes the doubles.
@@ -19,9 +20,10 @@ depth (`gate.MAX_DEPTH`), and each ingredient its variables. `_trace`,
 the one walker of the endpoint rule (`neg` swaps the endpoints, every
 other op keeps them), sends each endpoint of an AST to a target:
 `compiler._ScalarTarget` writes its code, and `_Reads` gives what it reads,
-from which come `parities` and the parities of a swept law's variables
-(`sweep._law_parities`). An ingredient compiles its kernel only when one is
-asked for, once for each set of parameter denominators, and keeps it.
+from which come `parities`, which each ingredient keeps from its
+construction, and the parities of a swept law's variables
+(`compiler._law_parities`). An ingredient compiles its kernel only when
+one is asked for, once for each denominator, and keeps it.
 `compiler` is imported with the first kernel, so a run that compiles none
 never loads it: one whose every law `homogeneity` certifies from the ASTs
 alone. A float run traces no exact code. Exact numbers come from
@@ -268,19 +270,22 @@ class _Compiled(_Value):
     """The compiled forms of an ingredient's `expr` over its `params`: slots
     of this base, so the ingredient's equality and hash leave them out.
 
-    `fns` maps the `dens` of each kernel asked for (`kernel`) to its
+    `parities` is `expr.parities` of `expr`, traced once, at construction.
+    `fns` maps the denominator of each kernel asked for (`kernel`) to its
     (kernel, denominator), traced and compiled on the first request and
     kept after that, so no kernel is compiled twice. Construction traces
-    nothing.
+    no code.
     """
 
-    __slots__ = ("params", "fns")
+    __slots__ = ("params", "parities", "fns")
 
     def _compile_expr(self, params: tuple[str, ...], misuse: str) -> None:
-        """Set `params` and `fns` if `expr` reads no other variable. Else
-        refuse it with `misuse`, or, for an F or phi that reads no L, with
-        the arity error of `parse_expr` for its highest X<k>."""
-        used = parities(self.expr).keys() - set(params)
+        """Set `params`, `parities` and `fns` if `expr` reads no other
+        variable. Else refuse it with `misuse`, or, for an F or phi that
+        reads no L, with the arity error of `parse_expr` for its highest
+        X<k>."""
+        _set(self, "parities", parities(self.expr))
+        used = self.parities.keys() - set(params)
         if used:
             raise ExprError(misuse if "L" in used | set(params)
                             else _past_arity(used, len(params)))
@@ -291,12 +296,12 @@ class _Compiled(_Value):
         """The value at one Interval per parameter, in the mode of the
         first one's endpoints: the float kernel over the doubles, or an
         exact kernel the ingredient already has, such as a sweep's over the
-        grid's denominators, over each endpoint times that parameter's
-        denominator. Only an ingredient with no exact kernel compiles one,
-        over denominator 1. An exact kernel uses only ring ops, comparisons
-        and int literals, so it gives the exact value on any rational
-        numerators, whole or not. An ingredient that is its variable leaf
-        X<k> gives that argument, and compiles no kernel."""
+        grid's denominator, over each endpoint times that denominator. Only
+        an ingredient with no exact kernel compiles one, over denominator
+        1. An exact kernel uses only ring ops, comparisons and int literals,
+        so it gives the exact value on any rational numerators, whole or
+        not. An ingredient that is its variable leaf X<k> gives that
+        argument, and compiles no kernel."""
         if len(xs) != len(self.params):
             raise TypeError(f"{self.name} expects {len(self.params)} "
                             f"argument(s), got {len(xs)}")
@@ -305,20 +310,20 @@ class _Compiled(_Value):
         if isinstance(xs[0].lo, float):
             fn, _ = self.kernel(None)
             return Interval(*fn(*((x.lo, x.hi) for x in xs)))
-        dens = next(filter(None, self.fns), (1,) * len(xs))
-        fn, den = self.kernel(dens)
-        lo, hi = fn(*((x.lo * d, x.hi * d) for x, d in zip(xs, dens)))
+        d = next(filter(None, self.fns), 1)
+        fn, den = self.kernel(d)
+        lo, hi = fn(*((x.lo * d, x.hi * d) for x in xs))
         return Interval(fraction(lo, den), fraction(hi, den))
 
-    def kernel(self, dens: tuple[int, ...] | None = None) -> tuple[Callable, int]:
+    def kernel(self, den: int | None = None) -> tuple[Callable, int]:
         """The scalar-endpoint kernel and the denominator of its results
-        (`compiler.kernel`), compiled once for each `dens`: each
-        parameter's denominator in exact mode, None in float mode."""
-        if dens not in self.fns:
+        (`compiler.kernel`), compiled once for each `den`: the denominator
+        of every parameter in exact mode, None in float mode."""
+        if den not in self.fns:
             from .compiler import kernel
 
-            self.fns[dens] = kernel(self.expr, self.params, dens)
-        return self.fns[dens]
+            self.fns[den] = kernel(self.expr, self.params, den)
+        return self.fns[den]
 
 
 class IVFunction(_Compiled):

@@ -67,8 +67,6 @@ def _make_function(name: str, arity: int | None) -> IVFunction:
     digits = name_suffix(name, "proj_")
     if digits:
         k = _suffix(name, digits, "projection index", MAX_ARITY, "MAX_ARITY")
-        if k < 1:
-            raise LookupError(f"projection index in {name!r} must be >= 1")
         if k > n:
             raise LookupError(f"{name} needs arity >= {k}, got {n}")
         return IVFunction(name, n, Var(k))
@@ -76,11 +74,6 @@ def _make_function(name: str, arity: int | None) -> IVFunction:
     if digits:
         k = _suffix(name, digits, "exponent", MAX_POW_EXPONENT,
                     "MAX_POW_EXPONENT")
-        if k < 1:
-            raise LookupError(f"exponent in {name!r} must be >= 1")
-        if k > MAX_POW_EXPONENT:
-            raise LookupError(f"exponent in {name!r} exceeds the limit of "
-                              f"{MAX_POW_EXPONENT} (MAX_POW_EXPONENT)")
         if n != 1:
             raise LookupError(f"{name} is unary; got arity {n}")
         return IVFunction(name, 1, Pow(_X1, k))

@@ -18,8 +18,9 @@ the endpoints, or, if it reads `mean`, every non-decreasing affine one.
 So its idempotency, its fixed point in theorem1, and its homogeneity with
 phi the identity and a G of that kind in X1 (`check_homogeneity`) are
 reported as their sweeps would report them, with no kernel compiled.
-Every other law is swept by `ivhom.sweep`, which a check imports only
-when it sweeps, so a run whose every law is certified never compiles it.
+Every other law is swept by the swept path of `ivhom.compiler`, which a
+check imports only when it sweeps, so a run whose every law is certified
+never compiles it.
 
 The theorem1 and prop2 pipelines and theorem1's bijectivity scan are in
 `ivhom.pipelines`, which `run_theorem1`, `run_prop2` and
@@ -35,7 +36,7 @@ before it imports this module. A certified law is charged as if swept.
 
 from __future__ import annotations
 
-from .expr import Call, Pow, Var, diagonal, parities
+from .expr import Call, Pow, Var, diagonal
 from .gate import UnsupportedModeError, grid_size
 from .interval import (EXACT, TYPE_CHECKING, Interval, NumericMode, _Value,
                        fraction)
@@ -156,7 +157,7 @@ def _polynomial(f: IVFunction, mode: NumericMode) -> set[str] | None:
             stack += n.args
         elif not isinstance(n, Var):
             return None
-    if any(p != {0} for p in parities(f.expr).values()):
+    if any(p != {0} for p in f.parities.values()):
         return None
     return ops
 
@@ -188,7 +189,7 @@ def check_homogeneity(
     law: str = "def1-homogeneity",
 ) -> CheckReport:
     """Sweep F(G(L,X1),...,G(L,Xn)) = G(phi(L), F(X1,...,Xn)) over
-    grid^(n+1): the law of `sweep._sweep_law` with H = F. The
+    grid^(n+1): the law of `compiler._sweep_law` with H = F. The
     counterexample is the lowest failing grid tuple, and `evaluations`
     counts the s^(n+1) grid tuples the verdict covers.
 
@@ -211,10 +212,10 @@ def check_homogeneity(
     ops = _polynomial(f, grid.mode)
     # an order isomorphism reads only X1, so a variable leaf is X1
     if (ops is not None and isinstance(phi.expr, Var)
-            and parities(g.expr).get("X1", {0}) == {0}
+            and g.parities.get("X1", {0}) == {0}
             and ("mean" not in ops or _affine(g))):
         return _report(law, None, evaluations, grid.mode.zero(), grid)
-    from .sweep import _sweep_law
+    from .compiler import _sweep_law
 
     failure, max_dev = _sweep_law(f, g, phi, f, grid)
     cex = None
@@ -231,10 +232,10 @@ def check_homogeneity(
 
 def check_idempotency(f: IVFunction, grid: Grid) -> CheckReport:
     """Check F(X,...,X) = X for every grid point: the law of
-    `sweep._sweep_law` with F(X1,...,X1) (`expr.diagonal`) for F, pi2 for
+    `compiler._sweep_law` with F(X1,...,X1) (`expr.diagonal`) for F, pi2 for
     G, and the identity for phi and for H, whose right side is X1.
 
-    So X sweeps the pairs that `sweep._coordinates` gives for the parities
+    So X sweeps the pairs that `compiler._coordinates` gives for the parities
     of every X_i in F, and the even one of X itself on the right: an F with
     no X_i under an odd number of `neg`s is checked on the m+1 degenerate
     points, and one with such an X_i on all s. Λ, which pi2 does not read,
@@ -245,7 +246,7 @@ def check_idempotency(f: IVFunction, grid: Grid) -> CheckReport:
     """
     if _polynomial(f, grid.mode) is not None:
         return _report("idempotency", None, len(grid), grid.mode.zero(), grid)
-    from .sweep import _sweep_law
+    from .compiler import _sweep_law
 
     diag = IVFunction(f.name, 1, diagonal(f.expr))
     failure, max_dev = _sweep_law(diag, PI2, IDENTITY, IDENTITY, grid)

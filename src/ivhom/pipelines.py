@@ -8,9 +8,9 @@ others its premises (`_pipeline`). Each step that is a check of its own,
 imported from `homogeneity` where it is called, and so are the functions
 of `functions` that a step calls, so that a name replaced in its module
 after import, as a benchmark's probe does, is the one called. The
-bijectivity scan (`section_bijective`) imports the swept path, `sweep`,
-when it runs, so a prop2 whose laws are certified from their ASTs never
-compiles it.
+bijectivity scan (`section_bijective`) imports the swept path,
+`compiler`, when it runs, so a prop2 whose laws are certified from their
+ASTs never compiles it.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ def section_bijective(g: ScalingFunction, a: Interval,
     """`homogeneity.check_section_bijective`: whether X -> G(X, A) is a
     bijection on the grid.
 
-    The images are the results of G's kernel over the grid's denominators,
+    The images are the results of G's kernel over the grid's denominator,
     which the homogeneity step sweeps too, grouped by value, so exact mode
     takes O(s) steps. The kernel takes the grid's points as
-    `sweep._coordinates` gives them and A's endpoints times k, and gives
+    `compiler._coordinates` gives them and A's endpoints times k, and gives
     results over its denominator D: k = m in exact mode, where the points
     are numerators over m, and k = 1 in float mode, where the points are
     doubles and D is 1. An image times k and a grid point times D then
@@ -43,11 +43,11 @@ def section_bijective(g: ScalingFunction, a: Interval,
     reported as the lexicographically smallest colliding pair of grid
     indices. `Interval`s are built only for the counterexample.
     """
-    from .sweep import _coordinates, _dens
+    from .compiler import _coordinates, _den
 
     mode, m = grid.mode, grid.resolution
     (points, grid_pairs, _), = _coordinates(grid, [{0, 1}])
-    fn, den = g.kernel(_dens(grid, m, m))
+    fn, den = g.kernel(_den(grid))
     k = m if mode.is_exact else 1
     ends = (a.lo * k, a.hi * k)
     images = [(lo * k, hi * k) for lo, hi in (fn(x, ends) for x in points)]

@@ -1,8 +1,8 @@
 """Grid helpers that only tests use: the float mode at its default eps,
 and every point of a grid as an `Interval`, in grid order."""
 
+from ivhom.compiler import _pairs
 from ivhom.interval import NumericMode
-from ivhom.sweep import _pairs
 
 FLOAT = NumericMode("float")
 

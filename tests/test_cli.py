@@ -526,7 +526,7 @@ engine = ("ivhom.interval", "ivhom.literal", "fractions", "decimal",
           "numbers", "ivhom.dsl", "ivhom.expr", "ivhom.functions",
           "ivhom.homogeneity", "ivhom.report", "ivhom.report_json",
           "ivhom.report_text", "ivhom.commands", "ivhom.pipelines",
-          "ivhom.dual", "ivhom.compiler", "ivhom.sweep", "json", "re",
+          "ivhom.dual", "ivhom.compiler", "json", "re",
           "argparse", "gettext", "locale", "typing")
 print([m for m in engine if m in sys.modules])
 sys.exit(code)
@@ -549,11 +549,9 @@ COMMANDS = ["ivhom.commands"]
 #: the theorem1 and prop2 pipelines, and the `dual` command
 PIPELINES = ["ivhom.pipelines"]
 DUAL = ["ivhom.dual"]
-#: the code generator, which loads with the first kernel compiled
+#: the code generator and the swept path, which load with the first kernel
+#: compiled
 COMPILER = ["ivhom.compiler"]
-#: the swept path, which loads when a law is swept, for theorem1's
-#: bijectivity scan and for dual
-SWEEP = ["ivhom.sweep"]
 
 
 @pytest.mark.parametrize("argv,size,budget,loaded", [
@@ -583,8 +581,7 @@ def test_refusal_loads_no_engine(argv, size, budget, loaded):
     (("check", "--f", "min", "--resolution", "2"),
      INTERVAL + ENGINE + JSON + COMMANDS),
     (("theorem1", "--f", "min", "--a", "[1,1]", "--resolution", "2"),
-     INTERVAL + LITERAL + ENGINE + JSON + COMMANDS + PIPELINES + COMPILER
-     + SWEEP),
+     INTERVAL + LITERAL + ENGINE + JSON + COMMANDS + PIPELINES + COMPILER),
     (("prop2", "--f", "min", "--resolution", "2"),
      INTERVAL + ENGINE + JSON + COMMANDS + PIPELINES),
     (("prop2", "--f", "min", "--resolution", "2", "--output", "csv"),
@@ -593,12 +590,12 @@ def test_refusal_loads_no_engine(argv, size, budget, loaded):
      INTERVAL + ENGINE + JSON + COMMANDS),
     # the grid is numerator pairs, and a dual report shows no number
     (("dual", "--f", "min", "--resolution", "2", "--output", "text"),
-     INTERVAL + ENGINE + COMMANDS + DUAL + COMPILER + SWEEP),
+     INTERVAL + ENGINE + COMMANDS + DUAL + COMPILER),
     (("dual", "--f", "min", "--resolution", "2", "--output", "csv"),
-     INTERVAL + ENGINE + COMMANDS + DUAL + COMPILER + SWEEP),
+     INTERVAL + ENGINE + COMMANDS + DUAL + COMPILER),
     # dual writes its own JSON dict, with the JSON layout's writer alone
     (("dual", "--f", "min", "--resolution", "2"),
-     INTERVAL + ENGINE + JSON[1:] + COMMANDS + DUAL + COMPILER + SWEEP),
+     INTERVAL + ENGINE + JSON[1:] + COMMANDS + DUAL + COMPILER),
     (("check", "--f", "expr:min(X1,X2)", "--arity", "2", "--resolution", "2",
       "--output", "text"), INTERVAL + DSL + ENGINE + TEXT + COMMANDS),
     (("check", "--f", "min", "--g", "expr:mul(L,X1)", "--resolution", "2",
@@ -607,11 +604,11 @@ def test_refusal_loads_no_engine(argv, size, budget, loaded):
      INTERVAL + LITERAL + ENGINE[:2] + COMMANDS + COMPILER),
     # a counterexample, a constant and a literal that are not whole
     (("check", "--f", "product", "--resolution", "2"),
-     INTERVAL + FRACTIONS + ENGINE + JSON + COMMANDS + COMPILER + SWEEP
+     INTERVAL + FRACTIONS + ENGINE + JSON + COMMANDS + COMPILER
      + ["re"]),
     (("check", "--f", "expr:max(X1,[0,1/2])", "--arity", "1", "--g", "pi2",
       "--resolution", "2", "--output", "text"),
-     INTERVAL + FRACTIONS + DSL + ENGINE + TEXT + COMMANDS + COMPILER + SWEEP
+     INTERVAL + FRACTIONS + DSL + ENGINE + TEXT + COMMANDS + COMPILER
      + ["re"]),
     (("eval", "--f", "min", "[0.2,0.5]", "[1,1]"),
      INTERVAL + LITERAL + FRACTIONS + ENGINE[:2] + COMMANDS + COMPILER
@@ -620,18 +617,17 @@ def test_refusal_loads_no_engine(argv, size, budget, loaded):
       "--output", "text"), INTERVAL + ENGINE + TEXT + COMMANDS),
     (("check", "--f", "product", "--resolution", "2", "--mode", "float",
       "--output", "text"),
-     INTERVAL + ENGINE + TEXT + COMMANDS + COMPILER + SWEEP),
+     INTERVAL + ENGINE + TEXT + COMMANDS + COMPILER),
     (("check", "--f", "expr:min(X1,X2)", "--arity", "2", "--resolution", "2",
       "--mode", "float", "--output", "text"),
      INTERVAL + DSL + ENGINE + TEXT + COMMANDS),
     (("check", "--f", "expr:max(X1,[0,1/2])", "--arity", "1", "--g", "pi2",
       "--resolution", "2", "--mode", "float", "--output", "text"),
-     INTERVAL + FRACTIONS + DSL + ENGINE + TEXT + COMMANDS + COMPILER + SWEEP
+     INTERVAL + FRACTIONS + DSL + ENGINE + TEXT + COMMANDS + COMPILER
      + ["re"]),
     (("theorem1", "--f", "min", "--resolution", "2", "--mode", "float",
       "--output", "text"),
-     INTERVAL + LITERAL + ENGINE + TEXT + COMMANDS + PIPELINES + COMPILER
-     + SWEEP),
+     INTERVAL + LITERAL + ENGINE + TEXT + COMMANDS + PIPELINES + COMPILER),
     (("eval", "--mode", "float", "--f", "min", "[0,1/3]", "[0.5,1e-0]"),
      INTERVAL + LITERAL + ENGINE[:2] + COMMANDS + COMPILER),
     # `mean` is certified in exact mode alone
@@ -642,7 +638,7 @@ def test_refusal_loads_no_engine(argv, size, budget, loaded):
      INTERVAL + DSL + ENGINE + TEXT + COMMANDS),
     (("check", "--f", "mean", "--g", "P_NS", "--resolution", "2", "--mode",
       "float", "--output", "text"),
-     INTERVAL + ENGINE + TEXT + COMMANDS + COMPILER + SWEEP),
+     INTERVAL + ENGINE + TEXT + COMMANDS + COMPILER),
 ], ids=["text", "csv", "json", "theorem1", "prop2", "prop2-csv", "idempotent",
         "dual-text", "dual-csv", "dual-json", "expr-f", "expr-g", "eval",
         "fail", "constant", "eval-fraction", "float", "float-fail",
@@ -653,9 +649,9 @@ def test_modules_each_command_loads(argv, loaded):
     compiles a kernel loads `compiler`, and no report loads `json`. A
     registry or `expr:` check of `min` against P or mul(L,X1), both
     steps of exact prop2 of `min` and the idempotency of `min` are
-    certified from the ASTs, so they load neither `compiler` nor the swept
-    path, `sweep`; every other command here compiles a kernel, and all but
-    `eval` load `sweep`: for a swept law, theorem1's bijectivity scan or
+    certified from the ASTs, so they load no `compiler`, which holds the
+    code generator and the swept path; every other command here compiles a
+    kernel: for `eval`'s call, a swept law, theorem1's bijectivity scan or
     dual's comparison. A report loads the layout module of its format
     alone, `report_json` for JSON and `report_text` for text; `report`
     itself holds the CSV layout, and `dual` writes its own report, with
@@ -787,6 +783,31 @@ def test_a_run_traces_only_the_kernels_it_compiles(argv, counts):
     proc = run_python("-c", TRACE_PROBE, *argv)
     assert proc.returncode in (0, 1) and proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == counts
+
+
+#: counts the calls of `expr.parities` in a fresh process that runs a
+#: command line
+PARITIES_PROBE = """
+import sys, ivhom.expr as e
+parities, calls = e.parities, []
+e.parities = lambda node: calls.append(node) or parities(node)
+import ivhom.cli as cli
+code = cli.main(sys.argv[1:])
+print(len(calls))
+sys.exit(code)
+"""
+
+
+def test_each_ingredient_traces_its_parities_once():
+    """Each ingredient keeps the parities that it traced when built, and
+    `homogeneity` reads them there: a check of an `expr:` F traces the
+    registry's five ingredients at import, and F twice, for the arity
+    check of `parse_expr` and as an ingredient. Neither the structural
+    test of F nor that of G, the registry's P, traces again."""
+    proc = run_python("-c", PARITIES_PROBE, "check", "--f", "expr:min(X1,X2)",
+                      "--arity", "2", "--resolution", "2", "--output", "text")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "7"
 
 
 #: the kernels that `compiler._compile` compiles in a fresh process, each
@@ -1054,6 +1075,20 @@ def test_pow_exponent_above_limit_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "exceeds the limit of 1000" in err
+
+
+@pytest.mark.parametrize("name,message", [
+    ("proj_0", "variable index must be >= 1, got 0"),
+    ("pow_0", "pow exponent must be a positive integer"),
+    ("pow_1001", "pow exponent 1001 exceeds the limit of 1000"),
+])
+def test_registry_index_and_exponent_are_refused_by_the_node(capsys, name,
+                                                              message):
+    """`proj_<k>` is the node Var(k) and `pow_<k>` is Pow(X1, k), so an
+    index or an exponent out of range is refused by the node, with the
+    message that the same node gets from an `expr:` source."""
+    code, out, err = run(capsys, "check", "--f", name, "--resolution", "2")
+    assert (code, out, err) == (2, "", f"ivhom: error: {message}\n")
 
 
 @pytest.mark.parametrize("argv,limit", [
@@ -1364,12 +1399,12 @@ def test_every_benchmark_span_a_command_reaches_is_called(
     in its module and in each module of its layers that imported it. A
     name is looked up where it is called, so each span that a command
     reaches is called, in every output format: no module that loads later,
-    such as `commands`, `sweep`, `literal`, `pipelines`, `dual` or a report
+    such as `commands`, `compiler`, `literal`, `pipelines`, `dual` or a report
     layout, binds a spanned name at import, and each layout is reached
     through `report.emit_report`. The modules load before the names are
     replaced, so such a binding would be missed."""
     layers, spanned = _layertrace("LAYERS", "SPANNED")
-    for name in ("commands", "sweep", "literal", "pipelines", "dual",
+    for name in ("commands", "compiler", "literal", "pipelines", "dual",
                  "report_json", "report_text", *layers):
         importlib.import_module(f"ivhom.{name}")
     modules = [sys.modules[f"ivhom.{layer}"] for layer in layers]

@@ -178,10 +178,10 @@ def test_exact_call_on_a_grid_kernel_matches_a_fresh_call(ingredient, m, xs):
     the kernel it compiles over denominator 1."""
     kept, fresh = (type(ingredient)(*ingredient._values()) for _ in "ab")
     n = len(kept.params)
-    kept.kernel((m,) * n)
+    kept.kernel(m)
     xs = xs[:n]
     assert repr(kept(*xs)) == repr(fresh(*xs))
-    assert list(kept.fns) == [(m,) * n] and list(fresh.fns) == [(1,) * n]
+    assert list(kept.fns) == [m] and list(fresh.fns) == [1]
 
 
 @pytest.mark.parametrize("ingredient,at", [
@@ -265,7 +265,7 @@ def test_bad_expression_fails_at_construction(monkeypatch, make, node, error,
     made = []
     with pytest.raises(error, match=message):
         made.append(make(node()))
-        made[0].kernel((1,) * len(made[0].params))
+        made[0].kernel(1)
     assert len(made) == built and _Recording.traced == [True] * built
     if built:
         fn, _ = made[0].kernel(None)

@@ -23,6 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from grids import FLOAT, grid_points
 from ivhom import compiler, expr
+from ivhom.compiler import _law_parities, _sweep_law
 from ivhom.dual import equal_on_grid
 from ivhom.expr import (
     Call,
@@ -69,7 +70,6 @@ from ivhom.interval import (
     product,
 )
 from ivhom.pipelines import _check_fixed_point, _float_lookup
-from ivhom.sweep import _law_parities, _sweep_law
 
 MODES = (EXACT, FLOAT)
 #: resolution per arity, so that every reference sweep stays small
@@ -774,7 +774,7 @@ def test_float_constants_are_doubles():
 def test_kernel_of_long_expression_compiles(src):
     # no generated expression may nest as deep as the source is long
     f = compile_ivfunction(parse_expr(src, 1), 1)
-    fn, den = f.kernel((2,))
+    fn, den = f.kernel(2)
     lo, hi = fn((1, 2))
     want = oracle(f, EXACT)(Interval(Fraction(1, 2), Fraction(1, 1)))
     assert (Fraction(lo, den), Fraction(hi, den)) == (want.lo, want.hi)
@@ -814,11 +814,12 @@ _exprs = st.recursive(
 
 
 @st.composite
-def _arguments(draw):
-    """Three intervals, each over its own denominator."""
+def _arguments(draw, one_den=False):
+    """Three intervals, each over its own denominator, or all three over
+    one if `one_den`."""
     dens, xs = [], []
     for _ in range(3):
-        d = draw(st.integers(1, 7))
+        d = dens[0] if one_den and dens else draw(st.integers(1, 7))
         lo, hi = sorted((draw(st.integers(0, d)), draw(st.integers(0, d))))
         dens.append(d)
         xs.append((lo, hi))
@@ -826,11 +827,11 @@ def _arguments(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_exprs, _arguments(), st.integers(1, 5))
+@given(_exprs, _arguments(one_den=True), st.integers(1, 5))
 def test_exact_kernel_equals_interval_evaluation(node, args, scale):
     dens, xs = args
     f = compile_ivfunction(node, 3)
-    fn, den = f.kernel(dens)
+    fn, den = f.kernel(dens[0])
     intervals = [Interval(Fraction(lo, d), Fraction(hi, d))
                  for (lo, hi), d in zip(xs, dens)]
     want = oracle(f, EXACT)(*intervals)
@@ -841,11 +842,11 @@ def test_exact_kernel_equals_interval_evaluation(node, args, scale):
     # `equal_on_grid` compares them: mean(node,node) has f's values over
     # twice its denominator, and the constant [0,1/scale] is over `scale`
     twice = compile_ivfunction(Call("mean", (node, node)), 3)
-    fn2, den2 = twice.kernel(dens)
+    fn2, den2 = twice.kernel(dens[0])
     assert den2 == 2 * den
     assert [x * den2 for x in (lo, hi)] == [x * den for x in fn2(*xs)]
     other = compile_ivfunction(Const(Fraction(0), Fraction(1, scale)), 3)
-    fn3, den3 = other.kernel(dens)
+    fn3, den3 = other.kernel(dens[0])
     assert den3 == scale
     for x, y in zip((lo, hi), fn3(*xs)):
         assert (x * den3 == y * den) == (Fraction(x, den) == Fraction(y, den3))
